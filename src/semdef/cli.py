@@ -52,6 +52,16 @@ def _default_threads() -> int:
         return 1
 
 
+def _threads_arg(value: str) -> int:
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return threads
+
+
 def _write_json(data: dict, path: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=False) + "\n"
     if path is None:
@@ -103,8 +113,8 @@ def _cmd_gen(args) -> int:
         g = wheel_minus_spoke(args.n, missing_spoke=args.n // 2)
     else:
         g = make_family(FamilyDescriptor(args.family, n=args.n, m=args.m))
-    print(f"{args.family}: p={g.vertex_count}, q={g.q}", file=_summary_stream(args.json))
     _write_json(g.to_json_dict(), args.json)
+    print(f"{args.family}: p={g.vertex_count}, q={g.q}", file=_summary_stream(args.json))
     return EXIT_OK
 
 
@@ -136,6 +146,7 @@ def _construct(args) -> cons.ConstructionResult:
 def _cmd_construct(args) -> int:
     result = _construct(args)
     cert = result.certificate
+    _write_json(cert.to_json_dict(), args.json)
     out = _summary_stream(args.json)
     print(
         f"{args.family}: p={cert.graph.vertex_count}, q={cert.graph.q}, "
@@ -146,7 +157,6 @@ def _cmd_construct(args) -> int:
     if args.show_errata:
         applied = ", ".join(result.errata_applied) if result.errata_applied else "none"
         print(f"corrections applied: {applied}", file=out)
-    _write_json(cert.to_json_dict(), args.json)
     return EXIT_OK
 
 
@@ -229,7 +239,8 @@ def _cmd_solve(args) -> int:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     print(
-        f"stats: nodes={out.nodes} seconds={out.seconds:.3f} threads={args.threads}",
+        f"stats: nodes={out.nodes} seconds={out.seconds:.3f} threads={args.threads} "
+        f"backend={out.backend}",
         file=sys.stderr,
     )
     human = _summary_stream(args.json)
@@ -242,16 +253,16 @@ def _cmd_solve(args) -> int:
     if out.is_exact:
         payload["status"] = "exact"
         payload["certificate"] = out.witness.to_json_dict()
+        _write_json(payload, args.json)
         print(
             f"deficiency {out.deficiency}; witness labels {list(out.witness.labeling.labels)}, "
             f"k={out.witness.magic_constant}",
             file=human,
         )
-        _write_json(payload, args.json)
         return EXIT_OK
     payload["status"] = "not-sem-up-to"
-    print(f"no SEM labeling with up to {out.cap} fillers (exhaustive)", file=human)
     _write_json(payload, args.json)
+    print(f"no SEM labeling with up to {out.cap} fillers (exhaustive)", file=human)
     return EXIT_NOT_SEM_UP_TO
 
 
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact deficiency by exhaustive search")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads_arg, default=_default_threads())
     p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
     p.add_argument("--no-symmetry", action="store_true", help="disable complement symmetry")
     p.add_argument("--max-labels", type=int, default=16, help="label-count limit")
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the claim manifest")
     p.add_argument("--select", action="append", default=None, help="group or claim id (repeatable)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads_arg, default=_default_threads())
     p.add_argument("--json", default=None, help="report JSON path")
     p.add_argument("--md", default=None, help="report Markdown path")
     p.set_defaults(func=_cmd_reproduce)

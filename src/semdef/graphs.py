@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 SCHEMA = "semdef/1"
 
@@ -67,11 +68,50 @@ class Graph:
         return {"schema": SCHEMA, "p": self.vertex_count, "edges": [list(e) for e in self.edges]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        schema = data.get("schema", SCHEMA)
-        if schema != SCHEMA:
-            raise ValueError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-        return cls(int(data["p"]), [tuple(e) for e in data["edges"]])
+    def from_json_dict(cls, data) -> "Graph":
+        """Read decoded graph JSON; any malformed input raises ValueError."""
+        data = json_object(data, "graph")
+        edges = data.get("edges")
+        try:
+            ok = type(edges) is list and _all_of_type(chain.from_iterable(edges), int)
+        except TypeError:  # an edge that is not a list
+            ok = False
+        if not ok:
+            raise ValueError("graph 'edges' must be a list of [u, v] integer pairs")
+        # the constructor rejects an edge that is not a pair
+        return cls(json_int(data.get("p"), "graph 'p'"), edges)
+
+
+# ---------------------------------------------------------------------------
+# Checks on decoded JSON from outside the program: a malformed shape raises
+# ValueError, never a TypeError or AttributeError from deeper down.  Types
+# are compared exactly, so a JSON true is not taken for the integer 1.
+# ---------------------------------------------------------------------------
+
+def _all_of_type(values, kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def json_object(data, what: str) -> dict:
+    """data if it is a JSON object of this package's schema."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    schema = data.get("schema", SCHEMA)
+    if schema != SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+    return data
+
+
+def json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_list(value, what: str) -> list[int]:
+    if not (type(value) is list and _all_of_type(value, int)):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SCHEMA
+from .graphs import Graph, SCHEMA, json_int, json_int_list, json_object
 
 # Rejection reasons, ordered by when the verifier can detect them.
 REASON_OUT_OF_RANGE = "label-out-of-range"
@@ -92,20 +92,20 @@ class SemCertificate:
         }
 
 
-def certificate_from_json_dict(data: dict) -> tuple[Graph, Labeling, dict]:
+def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
     """Unpack a certificate JSON dict into (graph, labeling, claimed fields).
 
     The claimed fields ({"isolated", "s", "k"}) are returned unverified;
-    callers re-verify and cross-check them (see cli.verify).
+    callers re-verify and cross-check them (see cli.verify).  Any malformed
+    input raises ValueError.
     """
-    schema = data.get("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise ValueError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-    graph = Graph.from_json_dict(data["graph"])
-    isolated = int(data["isolated"])
+    data = json_object(data, "certificate")
+    graph = Graph.from_json_dict(data.get("graph"))
+    isolated = json_int(data.get("isolated"), "certificate 'isolated'")
     if isolated < 0:
         raise ValueError(f"isolated count must be >= 0, got {isolated}")
-    labeling = Labeling(data["labels"], graph.vertex_count + isolated)
+    labels = json_int_list(data.get("labels"), "certificate 'labels'")
+    labeling = Labeling(labels, graph.vertex_count + isolated)
     claimed = {"isolated": isolated, "s": data.get("s"), "k": data.get("k")}
     return graph, labeling, claimed
 

@@ -21,10 +21,22 @@ reflected; the first assigned vertex may therefore be restricted to labels
 1..ceil(N/2) without losing any witness with minimal first label, so the
 returned witness is unchanged.
 
+Backends: _run_search is the pure-Python reference.  Pruned searches run in
+a compiled port of it, _dfs.c, when that can be built: it is compiled with
+`cc -O2 -shared -fPIC` at the first pruned search (never at import), cached
+in this package's __pycache__ under a hash of its source and the
+interpreter's tag, and loaded with ctypes (see _kernel.py).  It follows the
+same order, candidates and pruning, so it returns the same witness after the
+same number of nodes.  Without a compiler, on a compile or load error, or
+with a cache directory that cannot be written, every search runs in
+_run_search; so does every unpruned search.  SearchResult.backend names the
+one used; there is no setting to choose it.
+
 The search may split the first vertex's label choices across worker
-processes; branch results are combined in ascending label order, so parallel
-runs return exactly the serial witness.  Searches beyond the configured
-label-count limit raise SearchLimitError rather than guessing.
+processes; every branch runs to its end and branch results are combined in
+ascending label order, so parallel runs return exactly the serial witness
+and node count.  Searches beyond the configured label-count limit raise
+SearchLimitError rather than guessing.
 """
 
 from __future__ import annotations
@@ -49,13 +61,15 @@ class SearchResult:
     """Outcome of one exhaustive existence search at a fixed filler count.
 
     witness None means the search was exhaustive over all injective
-    labelings into {1..total_labels} and found none.
+    labelings into {1..total_labels} and found none.  backend is "c" when
+    the compiled kernel ran the search, "python" when _run_search did.
     """
 
     witness: SemCertificate | None
     total_labels: int
     nodes: int
     seconds: float
+    backend: str
 
     def __bool__(self) -> bool:
         return self.witness is not None
@@ -67,7 +81,8 @@ class SearchOutcome:
 
     deficiency is the exact value when a witness exists (every smaller
     filler count was exhausted or excluded by counting); None means no
-    witness exists for any t <= cap.
+    witness exists for any t <= cap.  backend is that of the last search
+    run, "python" when none ran.
     """
 
     deficiency: int | None
@@ -75,6 +90,7 @@ class SearchOutcome:
     cap: int
     nodes: int
     seconds: float
+    backend: str
 
     @property
     def is_exact(self) -> bool:
@@ -220,11 +236,38 @@ def _run_search(
     return found, nodes
 
 
-def _branch_worker(args) -> tuple[int, list[int] | None, int]:
+def _search(
+    g: Graph,
+    n_total: int,
+    prune: bool,
+    symmetry: bool,
+    first_labels: tuple[int, ...] | None = None,
+) -> tuple[list[int] | None, int, str]:
+    """_run_search's result and the backend that computed it: the compiled
+    kernel for a pruned search that reaches the DFS, when the kernel loads."""
+    q = g.q
+    if prune and g.vertex_count > 0 and not (q > 0 and q > 2 * n_total - 3):
+        from . import _kernel  # on first use, so `import semdef` loads no kernel code
+
+        dfs = _kernel.load()
+        if dfs is not None:
+            order, prior, deg_in_order = _search_order(g)
+            if first_labels is not None:
+                top = [lab for lab in first_labels if 1 <= lab <= n_total]
+            elif symmetry:
+                top = list(range(1, (n_total + 1) // 2 + 1))
+            else:
+                top = list(range(1, n_total + 1))
+            at, nodes = dfs(n_total, deg_in_order, prior, top)
+            labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
+            return labels, nodes, "c"
+    labels, nodes = _run_search(g, n_total, prune, symmetry, first_labels)
+    return labels, nodes, "python"
+
+
+def _branch_worker(args) -> tuple[list[int] | None, int, str]:
     p, edges, n_total, prune, first_label = args
-    g = Graph(p, edges)
-    labels, nodes = _run_search(g, n_total, prune, False, first_labels=(first_label,))
-    return first_label, labels, nodes
+    return _search(Graph(p, edges), n_total, prune, False, first_labels=(first_label,))
 
 
 def find_sem(
@@ -257,26 +300,29 @@ def find_sem(
             range(1, (n_total + 1) // 2 + 1) if symmetry else range(1, n_total + 1)
         )
         tasks = [(g.vertex_count, g.edges, n_total, prune, lab) for lab in first]
-        labels = None
-        nodes = 0
+        # Every branch runs to its end before the pool shuts down: terminating
+        # workers while one may hold the result queue's lock can hang the pool.
         with multiprocessing.Pool(processes=threads) as pool:
-            for _, got, branch_nodes in pool.imap(_branch_worker, tasks):
-                nodes += branch_nodes
-                if got is not None:
-                    labels = got
-                    pool.terminate()
-                    break
+            branches = pool.map(_branch_worker, tasks)
+            pool.close()
+            pool.join()
+        labels, nodes, backend = None, 0, branches[0][2]
+        for got, branch_nodes, _ in branches:
+            nodes += branch_nodes
+            if got is not None:
+                labels = got
+                break
     else:
-        labels, nodes = _run_search(g, n_total, prune, symmetry)
+        labels, nodes, backend = _search(g, n_total, prune, symmetry)
     seconds = time.perf_counter() - start
     if labels is None:
-        return SearchResult(None, n_total, nodes, seconds)
+        return SearchResult(None, n_total, nodes, seconds, backend)
     cert = verify_sem(g, Labeling(labels, n_total))
     if isinstance(cert, Rejection):
         raise RuntimeError(
             f"internal error: search produced an invalid witness ({cert.reason})"
         )
-    return SearchResult(cert, n_total, nodes, seconds)
+    return SearchResult(cert, n_total, nodes, seconds, backend)
 
 
 def deficiency(
@@ -299,12 +345,16 @@ def deficiency(
         raise ValueError(f"cap must be >= 0, got {cap}")
     start = time.perf_counter()
     nodes = 0
+    backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
         res = find_sem(
             g, t, prune=prune, symmetry=symmetry, threads=threads, max_labels=max_labels
         )
         nodes += res.nodes
+        backend = res.backend
         if res.witness is not None:
-            return SearchOutcome(t, res.witness, cap, nodes, time.perf_counter() - start)
-    return SearchOutcome(None, None, cap, nodes, time.perf_counter() - start)
+            return SearchOutcome(
+                t, res.witness, cap, nodes, time.perf_counter() - start, backend
+            )
+    return SearchOutcome(None, None, cap, nodes, time.perf_counter() - start, backend)

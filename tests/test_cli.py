@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -221,6 +222,67 @@ def test_usage_error_exit_code(capsys, tmp_path):
                            capsys=capsys)
     assert code == 2
     assert "open" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, data",
+    [
+        ("solve", "--graph", {"p": 3, "edges": [0, 1]}),
+        ("solve", "--graph", [[0, 1]]),
+        ("solve", "--graph", {"p": "3", "edges": []}),
+        ("solve", "--graph", {"edges": [[0, 1]]}),
+        ("verify", "--cert", [1, 2, 3]),
+        ("verify", "--cert", {"graph": {"p": 2, "edges": [[0, 1]]}, "labels": "12",
+                              "isolated": 0}),
+        ("verify", "--cert", {"graph": [], "labels": [1, 2], "isolated": 0}),
+        ("verify", "--cert", {"graph": {"p": 2, "edges": [[0, 1]]}, "labels": [1, 2]}),
+    ],
+)
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, command, flag, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(command, flag, str(path), capsys=capsys)
+    assert code == 2  # not 1, which means "rejected"
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "star", "-n", "3"],
+    ["construct", "--family", "star-join", "-n", "3", "-m", "2"],
+    ["solve", "--graph", "{graph}", "--cap", "1"],
+])
+def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))
+    target = tmp_path / "missing_dir" / "x.json"
+    argv = [a.format(graph=graph_path) for a in argv]
+    code, out, err = run_cli(*argv, "--json", str(target), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_threads_below_one_is_a_usage_error(capsys, tmp_path, command, threads):
+    args = [command, "--threads", threads]
+    if command == "solve":
+        args += ["--graph", str(tmp_path / "g.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_solve_stats_name_the_backend(capsys, tmp_path):
+    graph_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "wheel-minus-spoke", "-n", "5",
+            "--json", str(graph_path), capsys=capsys)
+    _, _, err = run_cli("solve", "--graph", str(graph_path), capsys=capsys)
+    assert re.search(r"stats: .* backend=(c|python)$", err.strip())
+    _, _, err = run_cli("solve", "--graph", str(graph_path), "--no-prune", capsys=capsys)
+    assert err.strip().endswith("backend=python")
 
 
 def test_installed_entry_point():

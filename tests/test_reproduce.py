@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from semdef.manifest import CLAIMS, claim_ids, groups
 from semdef import reproduce
 
@@ -72,3 +76,26 @@ def test_failures_recorded_not_raised(monkeypatch):
     assert entry.status == "fail"
     assert "synthetic failure" in entry.details
     assert rep.failed
+
+
+def test_parallel_runs_finish_and_match_serial():
+    # A pool torn down while a worker held its result queue's lock used to
+    # hang find_sem(threads > 1) now and then; run it often, under a timeout.
+    code = """
+import json
+from semdef import reproduce
+
+def report(threads):
+    return json.dumps(reproduce.report_json_dict(reproduce.run(threads=threads), generated_at=""))
+
+serial = report(1)
+for i in range(10):
+    assert report(2) == serial, f"run {i} differs from the serial report"
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(reproduce.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=180)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"

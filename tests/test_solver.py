@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from semdef.graphs import (
     star,
     wheel_minus_spoke,
 )
+from semdef import _kernel, reproduce, solver
 from semdef.labeling import SemCertificate, verify_sem
+from semdef.manifest import CLAIMS
 from semdef.solver import SearchLimitError, deficiency, find_sem
 
 
@@ -162,6 +165,7 @@ def test_parallel_matches_serial():
     serial = find_sem(g, 1, threads=1)
     parallel = find_sem(g, 1, threads=2)
     assert parallel.witness.labeling == serial.witness.labeling
+    assert (parallel.nodes, parallel.backend) == (serial.nodes, serial.backend)
     g2 = wheel_minus_spoke(5)
     assert find_sem(g2, 0, threads=2).witness is None
 
@@ -171,3 +175,154 @@ def test_stats_populated():
     assert res.nodes > 0
     assert res.seconds >= 0.0
     assert res.total_labels == 5
+
+
+# ---------------------------------------------------------------------------
+# Backends: the compiled kernel against the Python reference _run_search
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test."""
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
+
+
+@pytest.fixture
+def c_backend():
+    if _kernel.load() is None:
+        pytest.skip("the C kernel cannot be built here (no cc, or it fails); "
+                    "only the Python backend runs")
+
+
+@contextlib.contextmanager
+def _python_only(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        yield
+
+
+def _assert_same_search(monkeypatch, g, t, **kwargs):
+    c = find_sem(g, t, **kwargs)
+    with _python_only(monkeypatch):
+        py = find_sem(g, t, **kwargs)
+    assert py.backend == "python"
+    # searches that the counting bound or p == 0 settle place no label
+    assert c.backend == ("c" if c.nodes else "python"), (g, t, kwargs)
+    got = (c.witness and c.witness.labeling, c.nodes, c.total_labels)
+    want = (py.witness and py.witness.labeling, py.nodes, py.total_labels)
+    assert got == want, (g, t, kwargs)
+
+
+def _manifest_searches(monkeypatch):
+    """(graph, t) of every find_sem call the manifest's solver claims make."""
+    calls = []
+
+    def recording(g, t, **kwargs):
+        calls.append((g, t))
+        return find_sem(g, t, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "find_sem", recording)
+        m.setattr(reproduce, "find_sem", recording)
+        report = reproduce.run(selection={c.id for c in CLAIMS if c.kind.startswith("solver")})
+    assert not report.failed
+    return calls
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_backends_agree_on_oracle_corpus(monkeypatch, c_backend, symmetry):
+    for g, t in _corpus():
+        _assert_same_search(monkeypatch, g, t, symmetry=symmetry)
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
+    calls = _manifest_searches(monkeypatch)
+    assert len(calls) > 20
+    for g, t in calls:
+        _assert_same_search(monkeypatch, g, t, symmetry=symmetry)
+
+
+def test_backends_agree_on_first_label_branches(c_backend):
+    backends = set()
+    for g, t in _corpus() + [(wheel_minus_spoke(6), 1), (join(path(4), empty_graph(3)), 2)]:
+        n_total = g.vertex_count + t
+        for lab in range(0, n_total + 2):  # 0 and n_total + 1 are filtered out
+            want = solver._run_search(g, n_total, True, False, first_labels=(lab,))
+            *got, backend = solver._search(g, n_total, True, False, first_labels=(lab,))
+            assert tuple(got) == want, (g, t, lab)
+            backends.add(backend)
+    assert "c" in backends
+
+
+def test_unpruned_search_stays_in_python(c_backend):
+    res = find_sem(wheel_minus_spoke(4), 0, prune=False)
+    assert res.backend == "python"
+    assert find_sem(wheel_minus_spoke(4), 0).backend == "c"
+
+
+def _break_source(monkeypatch, tmp_path):
+    bad = tmp_path / "bad.c"
+    bad.write_text("this is not C\n")
+    monkeypatch.setattr(_kernel, "SOURCE", bad)
+
+
+def _no_compiler(monkeypatch, tmp_path):
+    monkeypatch.setenv("PATH", str(tmp_path))
+
+
+def _unwritable_cache(monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", blocker / "cache")
+
+
+def _corrupt_library(monkeypatch, tmp_path):
+    _kernel.library_path().write_bytes(b"not a shared library")
+
+
+@pytest.mark.parametrize(
+    "breakage", [_break_source, _no_compiler, _unwritable_cache, _corrupt_library]
+)
+def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, fresh_kernel, breakage):
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    (tmp_path / "cache").mkdir()
+    breakage(monkeypatch, tmp_path)
+    with _python_only(monkeypatch):
+        want = deficiency(wheel_minus_spoke(5), 2)
+    got = deficiency(wheel_minus_spoke(5), 2)
+    assert got.backend == "python"
+    assert (got.deficiency, got.witness.labeling, got.nodes) == (
+        want.deficiency, want.witness.labeling, want.nodes)
+    assert [p.name for p in (tmp_path / "cache").iterdir()] in ([], [_kernel.library_path().name])
+
+
+def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_backend):
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    _kernel.load.cache_clear()
+    assert _kernel.load() is not None
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel.library_path().name]
+    # a cache hit needs no compiler
+    _kernel.load.cache_clear()
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert _kernel.load() is not None
+    assert find_sem(wheel_minus_spoke(5), 1).backend == "c"
+    # an edited source gets a build of its own
+    before = _kernel.library_path()
+    edited = tmp_path / "edited.c"
+    edited.write_bytes(_kernel.SOURCE.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(_kernel, "SOURCE", edited)
+    assert _kernel.library_path() != before
+
+
+def test_kernel_is_not_loaded_at_import():
+    import subprocess
+    import sys
+
+    code = ("import sys, semdef, semdef.cli; "
+            "print(*(m in sys.modules for m in ('semdef._kernel', 'ctypes', 'subprocess')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False", "False", "False"]
