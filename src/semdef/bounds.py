@@ -1,18 +1,20 @@
 """Closed-form bounds on super edge-magic deficiency.
 
 All lower bounds come from one counting fact: a SEM graph satisfies
-q <= 2p - 3, so G U tK_1 needs t >= ceil((q+3)/2) - p.  The family-specific
-lower-bound formulas for path/star/cycle joins are exactly this counting
-bound (check_bound_identities proves the coincidence over a grid).  Upper
-bounds come from the verified constructions; residues without a known
-construction report an explicitly unknown upper bound rather than failing.
+q <= 2p - 3, so G U tK_1 needs t >= ceil((q+3)/2) - p.  p and q come from
+the family's closed forms (graphs.family_size); no graph is built.  The
+family-specific lower-bound formulas for path/star/cycle joins are exactly
+this counting bound (check_bound_identities proves the coincidence over a
+grid).  Upper bounds come from the verified constructions; residues
+without a known construction report an explicitly unknown upper bound
+rather than failing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import FamilyDescriptor, make_family
+from .graphs import FamilyDescriptor, family_size
 
 SOURCE_COUNTING = "counting"
 SOURCE_SMALL_CASE = "explicit-small-case"
@@ -53,8 +55,7 @@ def counting_lower_bound(p: int, q: int) -> int:
 
 
 def _counting_for(d: FamilyDescriptor) -> int:
-    g = make_family(d)
-    return counting_lower_bound(g.vertex_count, g.q)
+    return counting_lower_bound(*family_size(d))
 
 
 # Exact small-case deficiencies of the wheel minus a spoke.

@@ -16,7 +16,8 @@ with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.
 
-SEMDEF_THREADS sets the default worker count for solve and reproduce.
+SEMDEF_THREADS sets the default worker count for solve and reproduce; it is
+checked like --threads.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_NOT_SEM_UP_TO = 3
 EXIT_LIMIT = 4
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SEMDEF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _threads_arg(value: str) -> int:
@@ -298,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Super edge-magic labelings: constructions, verification, bounds, exact search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse passes a string default through type=, so SEMDEF_THREADS is
+    # checked exactly like --threads.
+    threads = os.environ.get("SEMDEF_THREADS", "1")
 
     p = sub.add_parser("gen", help="emit a family graph as JSON")
     p.add_argument("--family", type=_family_arg, required=True)
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact deficiency by exhaustive search")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
-    p.add_argument("--threads", type=_threads_arg, default=_default_threads())
+    p.add_argument("--threads", type=_threads_arg, default=threads)
     p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
     p.add_argument("--no-symmetry", action="store_true", help="disable complement symmetry")
     p.add_argument("--max-labels", type=int, default=16, help="label-count limit")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the claim manifest")
     p.add_argument("--select", action="append", default=None, help="group or claim id (repeatable)")
-    p.add_argument("--threads", type=_threads_arg, default=_default_threads())
+    p.add_argument("--threads", type=_threads_arg, default=threads)
     p.add_argument("--json", default=None, help="report JSON path")
     p.add_argument("--md", default=None, help="report Markdown path")
     p.set_defaults(func=_cmd_reproduce)

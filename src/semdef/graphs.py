@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 SCHEMA = "semdef/1"
 
@@ -65,7 +65,7 @@ class Graph:
         return deg
 
     def to_json_dict(self) -> dict:
-        return {"schema": SCHEMA, "p": self.vertex_count, "edges": [list(e) for e in self.edges]}
+        return {"schema": SCHEMA, "p": self.vertex_count, "edges": list(map(list, self.edges))}
 
     @classmethod
     def from_json_dict(cls, data) -> "Graph":
@@ -118,38 +118,51 @@ def json_int_list(value, what: str) -> list[int]:
 # Elementary families
 # ---------------------------------------------------------------------------
 
+# kind -> (least n, the ValueError text for a smaller n).  The builders
+# below, make_family and family_size all check n against this one table.
+_LEAST_N = {
+    "empty": (0, "empty graph needs n >= 0, got {}"),
+    "path": (1, "path needs n >= 1, got {}"),
+    "cycle": (3, "cycle needs n >= 3, got {}"),
+    "star": (1, "star needs n >= 1 leaves, got {}"),
+    "wheel": (3, "wheel needs n >= 3, got {}"),
+    "wheel-minus-spoke": (3, "wheel-minus-spoke needs n >= 3, got {}"),
+}
+
+
+def _check_n(kind: str, n: int) -> None:
+    least, text = _LEAST_N[kind]
+    if n < least:
+        raise ValueError(text.format(n))
+
+
 def empty_graph(n: int) -> Graph:
     """n isolated vertices (the empty graph on n vertices)."""
-    if n < 0:
-        raise ValueError(f"empty graph needs n >= 0, got {n}")
+    _check_n("empty", n)
     return Graph(n)
 
 
 def path(n: int) -> Graph:
     """Path P_n on n vertices (P_1 is a single vertex)."""
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+    _check_n("path", n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     """Cycle C_n, n >= 3."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    _check_n("cycle", n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star K_{1,n}: center 0 joined to leaves 1..n."""
-    if n < 1:
-        raise ValueError(f"star needs n >= 1 leaves, got {n}")
+    _check_n("star", n)
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def wheel(n: int) -> Graph:
     """Wheel W_n = C_n + K_1: hub 0, rim 1..n."""
-    if n < 3:
-        raise ValueError(f"wheel needs n >= 3, got {n}")
+    _check_n("wheel", n)
     spokes = [(0, i) for i in range(1, n + 1)]
     rim = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     return Graph(n + 1, spokes + rim)
@@ -162,8 +175,7 @@ def wheel_minus_spoke(n: int, missing_spoke: int = 1) -> Graph:
     missing_spoke give isomorphic graphs; the parameter only fixes which
     printed labeling formulas apply verbatim.
     """
-    if n < 3:
-        raise ValueError(f"wheel-minus-spoke needs n >= 3, got {n}")
+    _check_n("wheel-minus-spoke", n)
     if not (1 <= missing_spoke <= n):
         raise ValueError(f"missing_spoke must be in 1..{n}, got {missing_spoke}")
     spokes = [(0, i) for i in range(1, n + 1) if i != missing_spoke]
@@ -183,7 +195,7 @@ def join(g: Graph, h: Graph) -> Graph:
     shift = g.vertex_count
     edges = list(g.edges)
     edges += [(u + shift, v + shift) for u, v in h.edges]
-    edges += [(u, v + shift) for u in range(g.vertex_count) for v in range(h.vertex_count)]
+    edges += product(range(shift), range(shift, shift + h.vertex_count))
     return Graph(g.vertex_count + h.vertex_count, edges)
 
 
@@ -236,35 +248,56 @@ class FamilyDescriptor:
             raise ValueError(f"family {self.kind!r} requires parameter m")
 
 
+# Base kind -> (builder, closed-form (p, q) of the graph it builds from n).
+_BASES = {
+    "empty": (empty_graph, lambda n: (n, 0)),
+    "path": (path, lambda n: (n, n - 1)),
+    "cycle": (cycle, lambda n: (n, n)),
+    "star": (star, lambda n: (n + 1, n)),
+    "wheel": (wheel, lambda n: (n + 1, 2 * n)),
+    "wheel-minus-spoke": (wheel_minus_spoke, lambda n: (n + 1, 2 * n - 1)),
+}
+
+
+def _base_kind(d: FamilyDescriptor) -> str:
+    """The base family of d: d.kind itself, or the first factor of a join.
+
+    Checks d's parameters first and raises make_family(d)'s ValueError.
+    """
+    kind, n, m = d.kind, d.n, d.m
+    if kind in _BASES:
+        _check_n(kind, n)
+        return kind
+    if m < 1:
+        raise ValueError(f"join families need m >= 1, got {m}")
+    if kind == "generic-join":
+        raise ValueError(
+            "generic-join has no canonical base; build it with join(base, empty_graph(m))"
+        )
+    if kind == "star-join" and n < 1:
+        raise ValueError(f"star-join needs n >= 1, got {n}")
+    base = kind.removesuffix("-join")
+    _check_n(base, n)
+    return base
+
+
 def make_family(d: FamilyDescriptor) -> Graph:
     """Build the canonical graph for a family descriptor.
 
     Join families put the base family first (indices 0..n-1 resp. 0..n) and
     the m added independent vertices after it.
     """
-    kind, n, m = d.kind, d.n, d.m
-    if kind == "path":
-        return path(n)
-    if kind == "cycle":
-        return cycle(n)
-    if kind == "star":
-        return star(n)
-    if kind == "empty":
-        return empty_graph(n)
-    if kind == "wheel":
-        return wheel(n)
-    if kind == "wheel-minus-spoke":
-        return wheel_minus_spoke(n)
-    if m is not None and m < 1:
-        raise ValueError(f"join families need m >= 1, got {m}")
-    if kind == "path-join":
-        return join(path(n), empty_graph(m))
-    if kind == "star-join":
-        if n < 1:
-            raise ValueError(f"star-join needs n >= 1, got {n}")
-        return join(star(n), empty_graph(m))
-    if kind == "cycle-join":
-        return join(cycle(n), empty_graph(m))
-    raise ValueError(
-        "generic-join has no canonical base; build it with join(base, empty_graph(m))"
-    )
+    base = _base_kind(d)
+    g = _BASES[base][0](d.n)
+    return g if base == d.kind else join(g, empty_graph(d.m))
+
+
+def family_size(d: FamilyDescriptor) -> tuple[int, int]:
+    """(p, q) of make_family(d) from closed forms, without building the graph.
+
+    A join with m added vertices has p = p_base + m and q = q_base + p_base*m.
+    Raises the ValueError that make_family(d) raises.
+    """
+    base = _base_kind(d)
+    p, q = _BASES[base][1](d.n)
+    return (p, q) if base == d.kind else (p + d.m, q + p * d.m)

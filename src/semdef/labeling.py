@@ -38,7 +38,7 @@ class Labeling:
     total_labels: int
 
     def __init__(self, labels, total_labels: int | None = None):
-        labels = tuple(int(x) for x in labels)
+        labels = tuple(map(int, labels))
         if total_labels is None:
             total_labels = len(labels)
         if total_labels < len(labels):
@@ -129,12 +129,13 @@ def verify_sem(g: Graph, f: Labeling) -> SemCertificate | Rejection:
     For q == 0 the sum condition is vacuous; min_edge_sum is 0 by convention.
     """
     n_total = f.total_labels
-    for v, lab in enumerate(f.labels):
-        if not (1 <= lab <= n_total):
-            return Rejection(
-                REASON_OUT_OF_RANGE,
-                f"vertex {v} has label {lab}, outside 1..{n_total}",
-            )
+    if f.labels and not (1 <= min(f.labels) and max(f.labels) <= n_total):
+        for v, lab in enumerate(f.labels):
+            if not (1 <= lab <= n_total):
+                return Rejection(
+                    REASON_OUT_OF_RANGE,
+                    f"vertex {v} has label {lab}, outside 1..{n_total}",
+                )
     if len(set(f.labels)) != len(f.labels):
         seen: dict[int, int] = {}
         for v, lab in enumerate(f.labels):

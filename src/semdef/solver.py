@@ -41,7 +41,6 @@ SearchLimitError rather than guessing.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -296,6 +295,8 @@ def find_sem(
         )
     start = time.perf_counter()
     if threads > 1 and g.vertex_count > 1:
+        import multiprocessing  # here, not at the top: it adds ~10 ms to every cold start
+
         first = (
             range(1, (n_total + 1) // 2 + 1) if symmetry else range(1, n_total + 1)
         )

@@ -1,5 +1,6 @@
 import pytest
 
+from semdef import bounds
 from semdef.bounds import (
     DeficiencyBounds,
     check_bound_identities,
@@ -12,6 +13,7 @@ from semdef.constructions import (
     construct_star_join,
     construct_wheel_minus_spoke,
 )
+from semdef.cli import main
 from semdef.graphs import FamilyDescriptor, make_family
 
 
@@ -128,3 +130,38 @@ def test_cycle_join_infeasible_below_lower_bound(n, m):
     t = lower - 1
     # too many edges one filler below the bound
     assert g.q > 2 * (g.vertex_count + t) - 3
+
+
+@pytest.mark.parametrize("kind, n, m, message", [
+    ("wheel-minus-spoke", 2, None, "wheel-minus-spoke needs n >= 3, got 2"),
+    ("wheel-minus-spoke", 0, None, "wheel-minus-spoke needs n >= 3, got 0"),
+    ("wheel-minus-spoke", -3, None, "wheel-minus-spoke needs n >= 3, got -3"),
+    ("path-join", 0, 2, "path needs n >= 1, got 0"),
+    ("path-join", -1, 3, "path needs n >= 1, got -1"),
+    ("star-join", 2, 0, "join families need m >= 1, got 0"),
+    ("star-join", 3, -1, "join families need m >= 1, got -1"),
+    ("cycle-join", 2, 2, "cycle needs n >= 3, got 2"),
+    ("cycle-join", 0, 3, "cycle needs n >= 3, got 0"),
+    ("cycle-join", 3, 1, "cycle-join bounds cover m >= 2, got m=1"),
+])
+def test_family_bounds_edge_descriptors(kind, n, m, message):
+    with pytest.raises(ValueError) as exc:
+        family_bounds(FamilyDescriptor(kind, n=n, m=m))
+    assert str(exc.value) == message
+
+
+def _counting_from_built_graph(d):
+    g = make_family(d)
+    return counting_lower_bound(g.vertex_count, g.q)
+
+
+@pytest.mark.parametrize("family", ["wheel-minus-spoke", "path-join", "star-join", "cycle-join"])
+def test_bounds_table_same_with_closed_form_sizes(capsys, monkeypatch, family):
+    # p and q from closed forms give the table that building each graph gives
+    argv = ["bounds", "--family", family, "--table", "csv", "--n-max", "20", "--m-max", "8"]
+    assert main(argv) == 0
+    closed_form = capsys.readouterr().out
+    monkeypatch.setattr(bounds, "_counting_for", _counting_from_built_graph)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == closed_form
+    assert len(closed_form.splitlines()) > 18

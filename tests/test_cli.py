@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from semdef.cli import main
+from semdef.cli import build_parser, main
 
 
 def run_cli(*argv, capsys):
@@ -273,6 +273,31 @@ def test_threads_below_one_is_a_usage_error(capsys, tmp_path, command, threads):
         main(args)
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "abc"])
+def test_bad_semdef_threads_is_a_usage_error(capsys, monkeypatch, tmp_path, command, threads):
+    monkeypatch.setenv("SEMDEF_THREADS", threads)
+    args = [command]
+    if command == "solve":
+        args += ["--graph", str(tmp_path / "g.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument --threads: must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+
+
+def test_semdef_threads_sets_the_default(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SEMDEF_THREADS", "2")
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))
+    code, _, err = run_cli("solve", "--graph", str(graph_path), "--cap", "1", capsys=capsys)
+    assert code == 0
+    assert " threads=2 " in err
+    assert build_parser().parse_args(["reproduce"]).threads == 2
+    code, _, _ = run_cli("reproduce", "--select", "magic-constants", capsys=capsys)
+    assert code == 0
 
 
 def test_solve_stats_name_the_backend(capsys, tmp_path):

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdef.graphs import (
+    FAMILY_KINDS,
     FamilyDescriptor,
     Graph,
     add_isolated,
     cycle,
     degree_sequence,
     empty_graph,
+    family_size,
     join,
     make_family,
     path,
@@ -160,3 +164,18 @@ def test_family_parameter_errors():
         wheel_minus_spoke(5, missing_spoke=6)
     with pytest.raises(ValueError):
         make_family(FamilyDescriptor("path-join", n=2, m=0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_KINDS)), st.integers(-2, 40), st.integers(-2, 40))
+def test_family_size_matches_make_family(kind, n, m):
+    d = FamilyDescriptor(kind, n=n, m=m)
+    try:
+        g = make_family(d)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            family_size(d)
+        assert str(got.value) == str(exc)
+    else:
+        assert family_size(d) == (g.vertex_count, g.q)
+

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_injections, labeling_is_sem_bruteforce
 
@@ -84,6 +88,11 @@ def test_verify_rejects_out_of_range():
     assert result.reason == REASON_OUT_OF_RANGE
     result = verify_sem(path(2), Labeling([0, 1], total_labels=2))
     assert result.reason == REASON_OUT_OF_RANGE
+    # the first vertex out of range is named, whichever end it misses
+    result = verify_sem(path(4), Labeling([2, 9, 0, 1], total_labels=4))
+    assert result.detail == "vertex 1 has label 9, outside 1..4"
+    result = verify_sem(path(4), Labeling([2, 0, 9, 1], total_labels=4))
+    assert result.detail == "vertex 1 has label 0, outside 1..4"
 
 
 def test_rejections_are_falsy_certificates_truthy():
@@ -188,3 +197,60 @@ def test_certificate_json_round_trip():
     assert claimed == {"isolated": 1, "s": cert.min_edge_sum, "k": cert.magic_constant}
     again = verify_sem(graph, lab)
     assert again == cert
+
+
+# Arbitrary decoded JSON, and objects shaped like the readers' input whose
+# fields are arbitrary JSON.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+_edges = st.lists(st.lists(st.integers(-2, 6), max_size=3) | _json, max_size=6)
+_graph_json = _json | st.fixed_dictionaries(
+    {"p": st.integers(-2, 6) | _json, "edges": _edges | _json},
+    optional={"schema": st.just("semdef/1") | _json},
+)
+_cert_json = _json | st.fixed_dictionaries(
+    {"graph": st.just({"p": 3, "edges": [[0, 1], [1, 2]]}) | _graph_json,
+     "isolated": st.integers(-2, 3) | _json,
+     "labels": st.lists(st.integers(-2, 9), max_size=5) | _json},
+    optional={"schema": st.just("semdef/1") | _json, "s": _json, "k": _json},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_json)
+def test_graph_reader_raises_only_value_error(data):
+    try:
+        g = Graph.from_json_dict(data)
+    except ValueError:
+        return
+    assert Graph.from_json_dict(g.to_json_dict()) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cert_json)
+def test_certificate_reader_raises_only_value_error(data):
+    try:
+        certificate_from_json_dict(data)
+    except ValueError:
+        pass
+
+
+@st.composite
+def _graph_and_labels(draw):
+    p = draw(st.integers(0, 6))
+    pairs = list(combinations(range(p), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    t = draw(st.integers(0, 3))
+    labels = draw(st.lists(st.integers(-1, p + t + 1), min_size=p, max_size=p))
+    return Graph(p, edges), labels, p + t
+
+
+@settings(max_examples=500, deadline=None)
+@given(_graph_and_labels())
+def test_verifier_agrees_with_bruteforce_on_random_labelings(case):
+    g, labels, total = case
+    expected = labeling_is_sem_bruteforce(g, labels, total)
+    assert bool(verify_sem(g, Labeling(labels, total))) == expected

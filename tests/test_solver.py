@@ -322,7 +322,8 @@ def test_kernel_is_not_loaded_at_import():
     import sys
 
     code = ("import sys, semdef, semdef.cli; "
-            "print(*(m in sys.modules for m in ('semdef._kernel', 'ctypes', 'subprocess')))")
+            "print(*(m in sys.modules for m in "
+            "('semdef._kernel', 'ctypes', 'subprocess', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.split() == ["False", "False", "False"]
+    assert out.split() == ["False", "False", "False", "False"]
