@@ -9,9 +9,7 @@ computes exact deficiencies of small graphs by exhaustive pruned search.
 from .graphs import (
     FamilyDescriptor,
     Graph,
-    add_isolated,
     cycle,
-    degree_sequence,
     empty_graph,
     join,
     make_family,
@@ -25,7 +23,6 @@ from .labeling import (
     Rejection,
     SemCertificate,
     edge_sums,
-    is_sem,
     total_edge_labels,
     verify_sem,
     weighted_sum_feasible,
@@ -61,9 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyDescriptor",
     "Graph",
-    "add_isolated",
     "cycle",
-    "degree_sequence",
     "empty_graph",
     "join",
     "make_family",
@@ -75,7 +70,6 @@ __all__ = [
     "Rejection",
     "SemCertificate",
     "edge_sums",
-    "is_sem",
     "total_edge_labels",
     "verify_sem",
     "weighted_sum_feasible",

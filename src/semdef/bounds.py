@@ -5,7 +5,8 @@ q <= 2p - 3, so G U tK_1 needs t >= ceil((q+3)/2) - p.  p and q come from
 the family's closed forms (graphs.family_size); no graph is built.  The
 family-specific lower-bound formulas for path/star/cycle joins are exactly
 this counting bound (check_bound_identities proves the coincidence over a
-grid).  Upper bounds come from the verified constructions; residues
+grid).  Upper bounds are the filler counts of the verified constructions,
+read from the one filler table, constructions.CONSTRUCTIONS; residues
 without a known construction report an explicitly unknown upper bound
 rather than failing.
 """
@@ -14,14 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import FamilyDescriptor, family_size
+from .constructions import CONSTRUCTIONS
+from .graphs import FAMILY_KINDS, FamilyDescriptor, family_size
 
 SOURCE_COUNTING = "counting"
-SOURCE_SMALL_CASE = "explicit-small-case"
-SOURCE_WHEEL_CONSTRUCTION = "wheel-minus-spoke-construction"
-SOURCE_PATH_JOIN_CONSTRUCTION = "path-join-construction"
-SOURCE_STAR_JOIN_CONSTRUCTION = "star-join-construction"
-SOURCE_CYCLE_JOIN_CONSTRUCTION = "cycle-join-construction"
 
 
 @dataclass(frozen=True)
@@ -58,64 +55,42 @@ def _counting_for(d: FamilyDescriptor) -> int:
     return counting_lower_bound(*family_size(d))
 
 
-# Exact small-case deficiencies of the wheel minus a spoke.
-_WHEEL_EXACT = {3: 0, 4: 0, 5: 1, 6: 1, 7: 1}
+def _construction(kind: str):
+    try:
+        return CONSTRUCTIONS[kind]
+    except KeyError:
+        raise ValueError(f"no closed-form deficiency bounds for family {kind!r}") from None
+
+
+def family_grid(kind: str, n_max: int, m_max: int) -> list[FamilyDescriptor]:
+    """Every descriptor of kind that family_bounds covers, with n <= n_max
+    and m <= m_max (m is None for wheel-minus-spoke), n-major."""
+    _, n_lo, m_lo, _ = _construction(kind)
+    m_values = [None] if m_lo is None else range(m_lo, m_max + 1)
+    return [FamilyDescriptor(kind, n=n, m=m) for n in range(n_lo, n_max + 1) for m in m_values]
 
 
 def family_bounds(d: FamilyDescriptor) -> DeficiencyBounds:
     """Best closed-form bounds for a join-family descriptor.
 
-    Supported: wheel-minus-spoke (n >= 3), path-join (n >= 1, m >= 2),
-    star-join (n >= 2, m >= 1), cycle-join (n >= 3, m >= 2).  Upper bounds
-    are unknown for wheel-minus-spoke with n % 4 == 2, n >= 8, and for
-    cycle joins with even n.
+    Covers the families and domains of constructions.CONSTRUCTIONS, whose
+    filler formulas give the upper bounds (unknown where no construction is
+    known).  A domain limit tighter than the family's own raises a message
+    of its own; otherwise an invalid descriptor raises make_family's error.
     """
-    kind, n, m = d.kind, d.n, d.m
-    if kind == "wheel-minus-spoke":
-        if n in _WHEEL_EXACT:
-            e = _WHEEL_EXACT[n]
-            return DeficiencyBounds(e, e, SOURCE_SMALL_CASE, SOURCE_SMALL_CASE)
-        lower = _counting_for(d)
-        if n % 4 == 2:
-            return DeficiencyBounds(lower, None, SOURCE_COUNTING, None)
-        upper = (n - 3) // 2 if n % 2 == 1 else n // 2
-        return DeficiencyBounds(lower, upper, SOURCE_COUNTING, SOURCE_WHEEL_CONSTRUCTION)
-
-    if kind == "path-join":
-        if m < 2:
-            raise ValueError(f"path-join bounds cover m >= 2, got m={m}")
-        if n in (1, 2):
-            return DeficiencyBounds(0, 0, SOURCE_SMALL_CASE, SOURCE_SMALL_CASE)
-        lower = _counting_for(d)
-        if n == 4:
-            return DeficiencyBounds(lower, m - 1, SOURCE_COUNTING, SOURCE_SMALL_CASE)
-        if n == 6:
-            return DeficiencyBounds(lower, 2 * (m - 1), SOURCE_COUNTING, SOURCE_SMALL_CASE)
-        return DeficiencyBounds(
-            lower, (n - 1) * (m - 1) - 1, SOURCE_COUNTING, SOURCE_PATH_JOIN_CONSTRUCTION
-        )
-
-    if kind == "star-join":
-        if n < 2:
-            raise ValueError(f"star-join bounds cover n >= 2, got n={n}")
-        if m == 1:
-            return DeficiencyBounds(0, 0, SOURCE_SMALL_CASE, SOURCE_SMALL_CASE)
-        lower = _counting_for(d)
-        return DeficiencyBounds(
-            lower, n * (m - 1) - 1, SOURCE_COUNTING, SOURCE_STAR_JOIN_CONSTRUCTION
-        )
-
-    if kind == "cycle-join":
-        if m < 2:
-            raise ValueError(f"cycle-join bounds cover m >= 2, got m={m}")
-        lower = _counting_for(d)
-        if n % 2 == 0:
-            return DeficiencyBounds(lower, None, SOURCE_COUNTING, None)
-        return DeficiencyBounds(
-            lower, m * n - (n + m) + 1, SOURCE_COUNTING, SOURCE_CYCLE_JOIN_CONSTRUCTION
-        )
-
-    raise ValueError(f"no closed-form deficiency bounds for family {kind!r}")
+    _, n_lo, m_lo, fillers = _construction(d.kind)
+    if m_lo is not None and 1 < m_lo and d.m < m_lo:  # every join needs m >= 1
+        raise ValueError(f"{d.kind} bounds cover m >= {m_lo}, got m={d.m}")
+    if FAMILY_KINDS[d.kind][1] < n_lo and d.n < n_lo:
+        raise ValueError(f"{d.kind} bounds cover n >= {n_lo}, got n={d.n}")
+    lower = _counting_for(d)
+    row = fillers(d.n, d.m)
+    if row is None:
+        return DeficiencyBounds(lower, None, SOURCE_COUNTING, None)
+    upper, source, exact = row
+    if exact:
+        return DeficiencyBounds(upper, upper, source, source)
+    return DeficiencyBounds(lower, upper, SOURCE_COUNTING, source)
 
 
 def check_bound_identities(n_max: int, m_max: int) -> tuple[str, int, int] | None:

@@ -30,7 +30,7 @@ import sys
 from . import bounds as bounds_mod
 from . import constructions as cons
 from . import reproduce as reproduce_mod
-from .graphs import FamilyDescriptor, Graph, make_family, wheel_minus_spoke
+from .graphs import FAMILY_KINDS, FamilyDescriptor, Graph, make_family, wheel_minus_spoke
 from .labeling import (
     Rejection,
     SemCertificate,
@@ -78,20 +78,10 @@ def _read_json(path: str) -> dict:
 
 
 def _family_arg(value: str) -> str:
-    known = (
-        "path",
-        "cycle",
-        "star",
-        "empty",
-        "wheel",
-        "wheel-minus-spoke",
-        "path-join",
-        "star-join",
-        "cycle-join",
-        "generic-join",
-    )
-    if value not in known:
-        raise argparse.ArgumentTypeError(f"unknown family {value!r}; choose from {known}")
+    if value not in FAMILY_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown family {value!r}; choose from {tuple(FAMILY_KINDS)}"
+        )
     return value
 
 
@@ -100,7 +90,10 @@ def _family_arg(value: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.family == "wheel-minus-spoke" and args.mid_spoke:
+    if args.mid_spoke:
+        if args.family != "wheel-minus-spoke":
+            print("--mid-spoke applies only to --family wheel-minus-spoke", file=sys.stderr)
+            return EXIT_USAGE
         if args.n is None or args.n < 4 or args.n % 2:
             print("--mid-spoke needs an even -n >= 4", file=sys.stderr)
             return EXIT_USAGE
@@ -114,27 +107,24 @@ def _cmd_gen(args) -> int:
 
 def _construct(args) -> cons.ConstructionResult:
     family = args.family
-    if family != "generic-join" and args.n is None:
+    needs_m, least_n = FAMILY_KINDS[family][:2]
+    if least_n is not None and args.n is None:
         raise ValueError(f"construct --family {family} requires -n")
-    if family.endswith("-join") and args.m is None:
+    if needs_m and args.m is None:
         raise ValueError(f"construct --family {family} requires -m")
-    if family == "wheel-minus-spoke":
-        return cons.construct_wheel_minus_spoke(args.n)
-    if family == "path-join":
-        return cons.construct_path_join(args.n, args.m)
-    if family == "star-join":
-        return cons.construct_star_join(args.n, args.m)
-    if family == "cycle-join":
-        return cons.construct_cycle_join(args.n, args.m)
-    if family == "generic-join":
-        if args.base is None:
-            raise ValueError("generic-join needs --base pointing at a SEM base certificate")
-        graph, lab, _claimed = certificate_from_json_dict(_read_json(args.base))
-        base = verify_sem(graph, lab)
-        if isinstance(base, Rejection):
-            raise ValueError(f"base certificate does not verify: {base.reason} ({base.detail})")
-        return cons.construct_general_join(base, args.m)
-    raise ValueError(f"no construction for family {family!r}")
+    if family != "generic-join":
+        if args.base is not None:
+            raise ValueError("--base applies only to --family generic-join")
+        if family not in cons.CONSTRUCTIONS:
+            raise ValueError(f"no construction for family {family!r}")
+        return cons.CONSTRUCTIONS[family][0](args.n, args.m)
+    if args.base is None:
+        raise ValueError("generic-join needs --base pointing at a SEM base certificate")
+    graph, lab, _claimed = certificate_from_json_dict(_read_json(args.base))
+    base = verify_sem(graph, lab)
+    if isinstance(base, Rejection):
+        raise ValueError(f"base certificate does not verify: {base.reason} ({base.detail})")
+    return cons.construct_general_join(base, args.m)
 
 
 def _cmd_construct(args) -> int:
@@ -179,21 +169,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(family: str, n_max: int, m_max: int):
-    if family == "wheel-minus-spoke":
-        for n in range(3, n_max + 1):
-            yield n, None, bounds_mod.family_bounds(FamilyDescriptor(family, n=n))
-        return
-    n_lo = {"path-join": 1, "star-join": 2, "cycle-join": 3}[family]
-    m_lo = 1 if family == "star-join" else 2
-    for n in range(n_lo, n_max + 1):
-        for m in range(m_lo, m_max + 1):
-            yield n, m, bounds_mod.family_bounds(FamilyDescriptor(family, n=n, m=m))
-
-
 def _cmd_bounds(args) -> int:
     if args.table:
-        rows = list(_bounds_rows(args.family, args.n_max, args.m_max))
+        rows = [
+            (d.n, d.m, bounds_mod.family_bounds(d))
+            for d in bounds_mod.family_grid(args.family, args.n_max, args.m_max)
+        ]
         if args.table == "csv":
             print("family,n,m,lower,upper,lower_source,upper_source")
             for n, m, b in rows:

@@ -7,17 +7,9 @@ is recorded in ``errata_applied``; the original, failing variants are kept as
 ``uncorrected_*`` fixtures so the failure itself stays machine-checkable
 (see ``erratum_demos``).
 
-Isolated-vertex counts returned by each constructor are the closed forms the
-constructions achieve:
-
-  wheel-minus-spoke H_n   n in 3..4 -> 0; 5..7 -> 1;
-                          n >= 8, n odd       -> (n-3)/2
-                          n >= 8, n % 4 == 0  -> n/2   (missing spoke at n/2)
-  P_n + empty(m)          n=1,2 -> 0; n=4 -> m-1; n=6 -> 2(m-1);
-                          otherwise (n-1)(m-1)-1
-  K_{1,n} + empty(m)      m=1 -> 0; else n(m-1)-1
-  C_n + empty(m), n odd   mn - (n+m) + 1
-  G + empty(m), G SEM     s + (m-2)|V(G)| - m  with s = max edge sum of G
+The isolated-vertex (filler) count of each family's construction is written
+once, in the filler formulas tabulated at ``CONSTRUCTIONS``; the constructors,
+the bounds, the report and the CLI all read it there.
 """
 
 from __future__ import annotations
@@ -77,34 +69,32 @@ def _certify(g: Graph, labels: list[int], isolated: int, errata=()) -> Construct
 # Wheel minus a spoke
 # ---------------------------------------------------------------------------
 
-# (c; x_1..x_n) labelings and filler counts for the small cases.
+# (c; x_1..x_n) labelings for the small cases.
 _WHEEL_SMALL = {
-    3: ((1, 4, 3, 2), 0),
-    4: ((2, 3, 1, 4, 5), 0),
-    5: ((1, 7, 5, 3, 6, 4), 1),
-    6: ((2, 3, 1, 4, 8, 5, 6), 1),
-    7: ((2, 3, 1, 4, 8, 5, 9, 6), 1),
+    3: (1, 4, 3, 2),
+    4: (2, 3, 1, 4, 5),
+    5: (1, 7, 5, 3, 6, 4),
+    6: (2, 3, 1, 4, 8, 5, 6),
+    7: (2, 3, 1, 4, 8, 5, 9, 6),
 }
 
 
 def construct_wheel_minus_spoke_small(n: int) -> ConstructionResult:
-    """Hand labelings for H_n, 3 <= n <= 7 (fillers: 0 for n <= 4, else 1)."""
+    """Hand labelings for H_n, 3 <= n <= 7."""
     if n not in _WHEEL_SMALL:
         raise ValueError(f"small wheel-minus-spoke constructions cover n in 3..7, got {n}")
-    labels, t = _WHEEL_SMALL[n]
-    return _certify(wheel_minus_spoke(n), list(labels), t)
+    return _certify(wheel_minus_spoke(n), list(_WHEEL_SMALL[n]), _wheel_fillers(n)[0])
 
 
 def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
     """Pattern labelings for H_n, n >= 8 with n % 4 in {0, 1, 3}.
 
     Odd n: hub gets (3n-1)/2, odd rim positions count up from 1, even rim
-    positions continue from ceil(n/2)+1; gives (n-3)/2 fillers.  The index
-    ranges are taken as "all odd i" / "all even i" in 1..n (see
-    ERRATUM_WHEEL_RANGES).
+    positions continue from ceil(n/2)+1.  The index ranges are taken as
+    "all odd i" / "all even i" in 1..n (see ERRATUM_WHEEL_RANGES).
 
     n % 4 == 0: uses the variant graph whose missing spoke is c-x_{n/2};
-    hub gets (3n+2)/2 and the rim position n/2 gets 5n/4; gives n/2 fillers.
+    hub gets (3n+2)/2 and the rim position n/2 gets 5n/4.
     """
     if n < 8:
         raise ValueError(f"general wheel-minus-spoke construction needs n >= 8, got {n}")
@@ -112,6 +102,7 @@ def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
         raise ValueError(
             f"no construction is known for n = {n} (n % 4 == 2); deficiency open"
         )
+    t = _wheel_fillers(n)[0]
     if n % 2 == 1:
         hub = (3 * n - 1) // 2
         x = [0] * (n + 1)
@@ -120,7 +111,6 @@ def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
                 x[i] = (i + 1) // 2
             else:
                 x[i] = (n + 1) // 2 + i // 2
-        t = (n - 3) // 2
         g = wheel_minus_spoke(n)
         return _certify(g, [hub] + x[1:], t, errata=(ERRATUM_WHEEL_RANGES,))
     # n % 4 == 0
@@ -136,7 +126,6 @@ def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
             x[i] = 5 * n // 4
         else:
             x[i] = (n + i - 2) // 2
-    t = half
     g = wheel_minus_spoke(n, missing_spoke=half)
     return _certify(g, [hub] + x[1:], t)
 
@@ -164,9 +153,8 @@ def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
             x[i] = (i + 1) // 2
         elif i % 2 == 0 and i <= n - 2:
             x[i] = (n + 1) // 2 + i // 2
-    t = (n - 3) // 2
     g = wheel_minus_spoke(n)
-    return g, Labeling([hub] + x[1:], g.vertex_count + t)
+    return g, Labeling([hub] + x[1:], g.vertex_count + _wheel_fillers(n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -176,28 +164,28 @@ def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
 def construct_path_join(n: int, m: int) -> ConstructionResult:
     """Verified labeling of P_n + empty(m), n >= 1, m >= 2.
 
-    n = 1 is the star K_{1,m} (no fillers); n = 2 needs no fillers either.
-    n = 4 and n = 6 have special labelings meeting their counting lower
-    bounds (m-1 resp. 2(m-1) fillers); other n use the generic pattern with
-    (n-1)(m-1)-1 fillers.
+    n = 1 is the star K_{1,m}; n = 2 needs no fillers either.  n = 4 and
+    n = 6 have special labelings meeting their counting lower bounds; other
+    n use the generic pattern.
     """
     if n < 1:
         raise ValueError(f"path join needs n >= 1, got {n}")
     if m < 2:
         raise ValueError(f"path join constructions need m >= 2, got {m}")
     g = join(path(n), empty_graph(m))
+    t = _path_join_fillers(n, m)[0]
     if n == 1:
-        return _certify(g, [1] + [1 + j for j in range(1, m + 1)], 0)
+        return _certify(g, [1] + [1 + j for j in range(1, m + 1)], t)
     if n == 2:
-        return _certify(g, [1, m + 2] + [1 + j for j in range(1, m + 1)], 0)
+        return _certify(g, [1, m + 2] + [1 + j for j in range(1, m + 1)], t)
     if n == 4:
         u = [1, 2, 2 * m + 2, 2 * m + 3]
         v = [2 * j + 1 for j in range(1, m + 1)]
-        return _certify(g, u + v, m - 1)
+        return _certify(g, u + v, t)
     if n == 6:
         u = [2, 1, 3, 3 * m + 2, 3 * m + 4, 3 * m + 3]
         v = [3 * j + 1 for j in range(1, m + 1)]
-        return _certify(g, u + v, 2 * (m - 1), errata=(ERRATUM_P6_VLIST,))
+        return _certify(g, u + v, t, errata=(ERRATUM_P6_VLIST,))
     u = [0] * (n + 1)
     for i in range(1, n + 1):
         if i % 2 == 1:
@@ -205,7 +193,7 @@ def construct_path_join(n: int, m: int) -> ConstructionResult:
         else:
             u[i] = n + i // 2
     v = [1] + [j * n for j in range(2, m + 1)]
-    return _certify(g, u[1:] + v, (n - 1) * (m - 1) - 1)
+    return _certify(g, u[1:] + v, t)
 
 
 def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
@@ -220,7 +208,7 @@ def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
     u = [2, 1, 3, 3 * m + 2, 3 * m + 4, 3 * m + 3]
     v = [3 * j + 1 for j in range(1, m - 2)] + [2 * m - 5, 2 * m - 2, 3 * m + 1]
     g = join(path(6), empty_graph(m))
-    return g, Labeling(u + v, g.vertex_count + 2 * (m - 1))
+    return g, Labeling(u + v, g.vertex_count + _path_join_fillers(6, m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +218,11 @@ def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
 def construct_star_join(n: int, m: int) -> ConstructionResult:
     """Verified labeling of K_{1,n} + empty(m), n >= 2, m >= 1.
 
-    m = 1: center 1, leaves 2..n+1, added vertex n+2; no fillers.  This is
-    the corrected single-vertex labeling (ERRATUM_STAR_CENTER): giving the
+    m = 1: center 1, leaves 2..n+1, added vertex n+2.  This is the
+    corrected single-vertex labeling (ERRATUM_STAR_CENTER): giving the
     center label n+1 instead produces colliding edge sums.
     m >= 2: center n+2, leaves 2..n+1, added vertices {1, 2(n+1), ..,
-    m(n+1)}; n(m-1)-1 fillers.
+    m(n+1)}.
     """
     if n < 2:
         raise ValueError(
@@ -243,11 +231,12 @@ def construct_star_join(n: int, m: int) -> ConstructionResult:
     if m < 1:
         raise ValueError(f"star join needs m >= 1, got {m}")
     g = join(star(n), empty_graph(m))
+    t = _star_join_fillers(n, m)[0]
     x = [i + 1 for i in range(1, n + 1)]
     if m == 1:
-        return _certify(g, [1] + x + [n + 2], 0, errata=(ERRATUM_STAR_CENTER,))
+        return _certify(g, [1] + x + [n + 2], t, errata=(ERRATUM_STAR_CENTER,))
     y = [1] + [j * (n + 1) for j in range(2, m + 1)]
-    return _certify(g, [n + 2] + x + y, n * (m - 1) - 1)
+    return _certify(g, [n + 2] + x + y, t)
 
 
 def uncorrected_star_join_single(n: int) -> tuple[Graph, Labeling]:
@@ -272,7 +261,7 @@ def construct_cycle_join(n: int, m: int) -> ConstructionResult:
     Rim position i gets (n+2+i)/2 for odd i and n+1+i/2 for even i; the even
     formula is the corrected one (ERRATUM_CYCLE_EVEN) -- the original grows
     quadratically and leaves the label range.  Added vertices get
-    {1, 2n+1, 3n+1, ..., mn+1}; mn-(n+m)+1 fillers.
+    {1, 2n+1, 3n+1, ..., mn+1}.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(
@@ -283,7 +272,8 @@ def construct_cycle_join(n: int, m: int) -> ConstructionResult:
     g = join(cycle(n), empty_graph(m))
     u = [(n + 2 + i) // 2 if i % 2 == 1 else n + 1 + i // 2 for i in range(1, n + 1)]
     v = [1] + [j * n + 1 for j in range(2, m + 1)]
-    return _certify(g, u + v, m * n - (n + m) + 1, errata=(ERRATUM_CYCLE_EVEN,))
+    t = _cycle_join_fillers(n, m)[0]
+    return _certify(g, u + v, t, errata=(ERRATUM_CYCLE_EVEN,))
 
 
 def uncorrected_cycle_join_labeling(n: int, m: int) -> tuple[Graph, Labeling]:
@@ -301,7 +291,7 @@ def uncorrected_cycle_join_labeling(n: int, m: int) -> tuple[Graph, Labeling]:
         for i in range(1, n + 1)
     ]
     v = [1] + [j * n + 1 for j in range(2, m + 1)]
-    return g, Labeling(u + v, g.vertex_count + (m * n - (n + m) + 1))
+    return g, Labeling(u + v, g.vertex_count + _cycle_join_fillers(n, m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +326,82 @@ def construct_general_join(base: SemCertificate, m: int) -> ConstructionResult:
     y = [top_sum + (j - 1) * p for j in range(1, m + 1)]
     t = top_sum + (m - 2) * p - m
     return _certify(g, list(base.labeling.labels) + y, t)
+
+
+# ---------------------------------------------------------------------------
+# The construction table
+# ---------------------------------------------------------------------------
+
+# Where an upper bound on the deficiency comes from.
+SOURCE_SMALL_CASE = "explicit-small-case"
+SOURCE_WHEEL_CONSTRUCTION = "wheel-minus-spoke-construction"
+SOURCE_PATH_JOIN_CONSTRUCTION = "path-join-construction"
+SOURCE_STAR_JOIN_CONSTRUCTION = "star-join-construction"
+SOURCE_CYCLE_JOIN_CONSTRUCTION = "cycle-join-construction"
+
+
+# Filler formulas: (t, upper-bound source, whether t is the exact deficiency)
+# for an (n, m) of the family's domain, or None where no construction is
+# known.
+
+def _wheel_fillers(n: int, m=None):
+    if n <= 4:
+        return 0, SOURCE_SMALL_CASE, True
+    if n <= 7:
+        return 1, SOURCE_SMALL_CASE, True
+    if n % 4 == 2:
+        return None
+    return (n - 3) // 2 if n % 2 else n // 2, SOURCE_WHEEL_CONSTRUCTION, False
+
+
+def _path_join_fillers(n: int, m: int):
+    if n <= 2:
+        return 0, SOURCE_SMALL_CASE, True
+    if n == 4:
+        return m - 1, SOURCE_SMALL_CASE, False
+    if n == 6:
+        return 2 * (m - 1), SOURCE_SMALL_CASE, False
+    return (n - 1) * (m - 1) - 1, SOURCE_PATH_JOIN_CONSTRUCTION, False
+
+
+def _star_join_fillers(n: int, m: int):
+    if m == 1:
+        return 0, SOURCE_SMALL_CASE, True
+    return n * (m - 1) - 1, SOURCE_STAR_JOIN_CONSTRUCTION, False
+
+
+def _cycle_join_fillers(n: int, m: int):
+    if n % 2 == 0:
+        return None
+    return m * n - (n + m) + 1, SOURCE_CYCLE_JOIN_CONSTRUCTION, False
+
+
+# family -> (constructor taking (n, m), least n and m of the domain covered by
+# bounds, filler formula).  The filler counts the formulas give:
+#
+#   wheel-minus-spoke H_n    n = 3, 4 -> 0; n = 5..7 -> 1    (exact)
+#                            n >= 8 odd       -> (n-3)/2
+#                            n >= 8, n%4 == 0 -> n/2   (missing spoke at n/2)
+#                            n >= 8, n%4 == 2 -> none known
+#   P_n + mK_1, m >= 2       n = 1, 2 -> 0                    (exact)
+#                            n = 4 -> m-1; n = 6 -> 2(m-1)
+#                            otherwise (n-1)(m-1)-1
+#   K_{1,n} + mK_1, n >= 2   m = 1 -> 0                       (exact)
+#                            otherwise n(m-1)-1
+#   C_n + mK_1, m >= 2       n odd -> mn-(n+m)+1; n even -> none known
+#
+# "exact" marks the small cases whose count is the deficiency itself; every
+# other count is an upper bound.  construct_general_join (G + mK_1 for a SEM
+# base G, s + (m-2)|V(G)| - m fillers with s the largest edge sum of G) is
+# not tabulated: its count depends on the base certificate.
+CONSTRUCTIONS = {
+    "wheel-minus-spoke": (
+        lambda n, m: construct_wheel_minus_spoke(n), 3, None, _wheel_fillers,
+    ),
+    "path-join": (construct_path_join, 1, 2, _path_join_fillers),
+    "star-join": (construct_star_join, 2, 1, _star_join_fillers),
+    "cycle-join": (construct_cycle_join, 3, 2, _cycle_join_fillers),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(canon))
 
     @property
-    def p(self) -> int:
-        return self.vertex_count
-
-    @property
     def q(self) -> int:
         return len(self.edges)
 
@@ -118,20 +114,8 @@ def json_int_list(value, what: str) -> list[int]:
 # Elementary families
 # ---------------------------------------------------------------------------
 
-# kind -> (least n, the ValueError text for a smaller n).  The builders
-# below, make_family and family_size all check n against this one table.
-_LEAST_N = {
-    "empty": (0, "empty graph needs n >= 0, got {}"),
-    "path": (1, "path needs n >= 1, got {}"),
-    "cycle": (3, "cycle needs n >= 3, got {}"),
-    "star": (1, "star needs n >= 1 leaves, got {}"),
-    "wheel": (3, "wheel needs n >= 3, got {}"),
-    "wheel-minus-spoke": (3, "wheel-minus-spoke needs n >= 3, got {}"),
-}
-
-
 def _check_n(kind: str, n: int) -> None:
-    least, text = _LEAST_N[kind]
+    least, text = FAMILY_KINDS[kind][1:3]
     if n < least:
         raise ValueError(text.format(n))
 
@@ -190,7 +174,8 @@ def wheel_minus_spoke(n: int, missing_spoke: int = 1) -> Graph:
 def join(g: Graph, h: Graph) -> Graph:
     """Join product g + h: disjoint union plus all edges between the factors.
 
-    Vertices of g keep their indices; vertices of h are shifted by g.p.
+    Vertices of g keep their indices; vertices of h are shifted by
+    g.vertex_count.
     """
     shift = g.vertex_count
     edges = list(g.edges)
@@ -199,34 +184,47 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.vertex_count + h.vertex_count, edges)
 
 
-def add_isolated(g: Graph, t: int) -> Graph:
-    """g with t extra isolated vertices appended."""
-    if t < 0:
-        raise ValueError(f"isolated vertex count must be >= 0, got {t}")
-    return Graph(g.vertex_count + t, g.edges)
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Degree of each vertex, indexed by vertex; sums to 2q."""
-    return g.degrees()
-
-
 # ---------------------------------------------------------------------------
 # Family descriptors
 # ---------------------------------------------------------------------------
 
-# kind -> (needs_n, needs_m)
+# kind -> (needs m, least n, the ValueError text for a smaller n, builder,
+# closed-form (p, q) of the graph it builds).  A kind that needs m is a join:
+# its builder and sizes take (n, m), the others take n.  A join of a graph
+# with p_g vertices and q_g edges with m independent vertices has
+# p = p_g + m and q = q_g + p_g*m.  generic-join has no canonical base, so no
+# n and no builder.  The builders above, make_family, family_size and
+# FamilyDescriptor all read this one table.
 FAMILY_KINDS = {
-    "path": (True, False),
-    "cycle": (True, False),
-    "star": (True, False),
-    "empty": (True, False),
-    "wheel": (True, False),
-    "wheel-minus-spoke": (True, False),
-    "path-join": (True, True),
-    "star-join": (True, True),
-    "cycle-join": (True, True),
-    "generic-join": (False, True),
+    "path": (False, 1, "path needs n >= 1, got {}", path, lambda n: (n, n - 1)),
+    "cycle": (False, 3, "cycle needs n >= 3, got {}", cycle, lambda n: (n, n)),
+    "star": (False, 1, "star needs n >= 1 leaves, got {}", star, lambda n: (n + 1, n)),
+    "empty": (False, 0, "empty graph needs n >= 0, got {}", empty_graph, lambda n: (n, 0)),
+    "wheel": (False, 3, "wheel needs n >= 3, got {}", wheel, lambda n: (n + 1, 2 * n)),
+    "wheel-minus-spoke": (
+        False, 3, "wheel-minus-spoke needs n >= 3, got {}",
+        wheel_minus_spoke, lambda n: (n + 1, 2 * n - 1),
+    ),
+    "path-join": (
+        True, 1, "path needs n >= 1, got {}",
+        lambda n, m: join(path(n), empty_graph(m)),
+        lambda n, m: (n + m, n * (m + 1) - 1),
+    ),
+    "star-join": (
+        True, 1, "star-join needs n >= 1, got {}",
+        lambda n, m: join(star(n), empty_graph(m)),
+        lambda n, m: (n + m + 1, (n + 1) * (m + 1) - 1),
+    ),
+    "cycle-join": (
+        True, 3, "cycle needs n >= 3, got {}",
+        lambda n, m: join(cycle(n), empty_graph(m)),
+        lambda n, m: (n + m, n * (m + 1)),
+    ),
+    "generic-join": (
+        True, None,
+        "generic-join has no canonical base; build it with join(base, empty_graph(m))",
+        None, None,
+    ),
 }
 
 
@@ -241,44 +239,26 @@ class FamilyDescriptor:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; known: {sorted(FAMILY_KINDS)}")
-        needs_n, needs_m = FAMILY_KINDS[self.kind]
-        if needs_n and self.n is None:
+        needs_m, least_n = FAMILY_KINDS[self.kind][:2]
+        if least_n is not None and self.n is None:
             raise ValueError(f"family {self.kind!r} requires parameter n")
         if needs_m and self.m is None:
             raise ValueError(f"family {self.kind!r} requires parameter m")
 
 
-# Base kind -> (builder, closed-form (p, q) of the graph it builds from n).
-_BASES = {
-    "empty": (empty_graph, lambda n: (n, 0)),
-    "path": (path, lambda n: (n, n - 1)),
-    "cycle": (cycle, lambda n: (n, n)),
-    "star": (star, lambda n: (n + 1, n)),
-    "wheel": (wheel, lambda n: (n + 1, 2 * n)),
-    "wheel-minus-spoke": (wheel_minus_spoke, lambda n: (n + 1, 2 * n - 1)),
-}
-
-
-def _base_kind(d: FamilyDescriptor) -> str:
-    """The base family of d: d.kind itself, or the first factor of a join.
+def _family_row(d: FamilyDescriptor):
+    """d's (builder, closed-form sizes, their arguments).
 
     Checks d's parameters first and raises make_family(d)'s ValueError.
     """
-    kind, n, m = d.kind, d.n, d.m
-    if kind in _BASES:
-        _check_n(kind, n)
-        return kind
-    if m < 1:
-        raise ValueError(f"join families need m >= 1, got {m}")
-    if kind == "generic-join":
-        raise ValueError(
-            "generic-join has no canonical base; build it with join(base, empty_graph(m))"
-        )
-    if kind == "star-join" and n < 1:
-        raise ValueError(f"star-join needs n >= 1, got {n}")
-    base = kind.removesuffix("-join")
-    _check_n(base, n)
-    return base
+    needs_m, least_n, text, build, size = FAMILY_KINDS[d.kind]
+    if needs_m and d.m < 1:
+        raise ValueError(f"join families need m >= 1, got {d.m}")
+    if least_n is None:
+        raise ValueError(text)
+    if d.n < least_n:
+        raise ValueError(text.format(d.n))
+    return build, size, (d.n, d.m) if needs_m else (d.n,)
 
 
 def make_family(d: FamilyDescriptor) -> Graph:
@@ -287,17 +267,14 @@ def make_family(d: FamilyDescriptor) -> Graph:
     Join families put the base family first (indices 0..n-1 resp. 0..n) and
     the m added independent vertices after it.
     """
-    base = _base_kind(d)
-    g = _BASES[base][0](d.n)
-    return g if base == d.kind else join(g, empty_graph(d.m))
+    build, _, args = _family_row(d)
+    return build(*args)
 
 
 def family_size(d: FamilyDescriptor) -> tuple[int, int]:
     """(p, q) of make_family(d) from closed forms, without building the graph.
 
-    A join with m added vertices has p = p_base + m and q = q_base + p_base*m.
     Raises the ValueError that make_family(d) raises.
     """
-    base = _base_kind(d)
-    p, q = _BASES[base][1](d.n)
-    return (p, q) if base == d.kind else (p + d.m, q + p * d.m)
+    _, size, args = _family_row(d)
+    return size(*args)

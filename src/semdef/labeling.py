@@ -165,10 +165,6 @@ def verify_sem(g: Graph, f: Labeling) -> SemCertificate | Rejection:
     return SemCertificate(g, f, f.isolated, s, k)
 
 
-def is_sem(g: Graph, f: Labeling) -> bool:
-    return bool(verify_sem(g, f))
-
-
 def total_edge_labels(cert: SemCertificate) -> list[int]:
     """Edge labels of the extended magic total labeling, in canonical edge order.
 

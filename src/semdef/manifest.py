@@ -141,7 +141,8 @@ CLAIMS: tuple[Claim, ...] = (
         "path-join",
         "P_n + mK_1-join verifies for 1 <= n <= 10, 2 <= m <= 6 with fillers "
         "0 (n<=2), m-1 (n=4), 2(m-1) (n=6), else (n-1)(m-1)-1.",
-        "construct-path-grid",
+        "construct-grid",
+        family="path-join",
         n_max=10,
         m_max=6,
     ),
@@ -205,7 +206,8 @@ CLAIMS: tuple[Claim, ...] = (
         "star-join",
         "K_{1,n} + mK_1-join verifies for 2 <= n <= 10, 1 <= m <= 6 with "
         "fillers 0 (m=1), else n(m-1)-1.",
-        "construct-star-grid",
+        "construct-grid",
+        family="star-join",
         n_max=10,
         m_max=6,
     ),
@@ -250,7 +252,8 @@ CLAIMS: tuple[Claim, ...] = (
         "cycle-join",
         "C_n + mK_1-join verifies for odd 3 <= n <= 13, 2 <= m <= 6 with "
         "mn-(n+m)+1 fillers.",
-        "construct-cycle-grid",
+        "construct-grid",
+        family="cycle-join",
         n_max=13,
         m_max=6,
     ),
@@ -303,6 +306,12 @@ CLAIMS: tuple[Claim, ...] = (
         "Over the construction grids, every family upper bound equals the "
         "construction's filler count and never falls below the lower bound.",
         "bounds-consistency",
+        grids=(
+            ("wheel-minus-spoke", 19, None),
+            ("path-join", 10, 6),
+            ("star-join", 10, 6),
+            ("cycle-join", 13, 6),
+        ),
     ),
     # --------------------------------------------------------------------- errata
     _claim(

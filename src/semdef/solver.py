@@ -152,15 +152,10 @@ def _run_search(
     def rec(idx: int, lo: int, hi: int, wsum: int) -> list[int] | None:
         nonlocal nodes
         if idx == p:
-            if prune:
-                out = [0] * p
-                for i, v in enumerate(order):
-                    out[v] = labels_at[i]
-                return out
             out = [0] * p
             for i, v in enumerate(order):
                 out[v] = labels_at[i]
-            if verify_sem(g, Labeling(out, n_total)):
+            if prune or verify_sem(g, Labeling(out, n_total)):
                 return out
             return None
 

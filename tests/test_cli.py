@@ -1,11 +1,28 @@
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdef.cli import build_parser, main
+from semdef.labeling import certificate_from_json_dict
+
+# A filler-free SEM certificate of P_3: edge sums 4, 5.
+BASE_CERT = {
+    "schema": "semdef/1",
+    "graph": {"schema": "semdef/1", "p": 3, "edges": [[0, 1], [1, 2]]},
+    "labels": [1, 3, 2],
+    "isolated": 0,
+    "s": 4,
+    "k": 9,
+}
 
 
 def run_cli(*argv, capsys):
@@ -186,6 +203,36 @@ def test_bounds_single_and_table(capsys):
     assert "path-join,4,3,2,2," in out
 
 
+@pytest.mark.parametrize("family", ["path", "generic-join"])
+@pytest.mark.parametrize("table", ["md", "csv"])
+def test_bounds_table_without_closed_form_is_a_usage_error(capsys, family, table):
+    code, out, err = run_cli("bounds", "--family", family, "--table", table, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no closed-form deficiency bounds for family {family!r}\n"
+
+
+def test_mid_spoke_on_another_family_is_a_usage_error(capsys):
+    code, out, err = run_cli("gen", "--family", "path", "-n", "3", "--mid-spoke",
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "--mid-spoke applies only to --family wheel-minus-spoke\n"
+
+
+def test_base_on_another_family_is_a_usage_error(capsys, tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(BASE_CERT))
+    code, out, err = run_cli("construct", "--family", "star-join", "-n", "3", "-m", "2",
+                             "--base", str(base), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --base applies only to --family generic-join\n"
+    code, _, _ = run_cli("construct", "--family", "generic-join", "-m", "2",
+                         "--base", str(base), capsys=capsys)
+    assert code == 0
+
+
 def test_reproduce_selection_and_reports(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     md_path = tmp_path / "report.md"
@@ -245,6 +292,50 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, command, flag, data):
     assert code == 2  # not 1, which means "rejected"
     assert err.startswith("error: ")
     assert out == ""
+
+
+# Arbitrary decoded JSON, and objects shaped like graph and certificate files
+# whose fields are arbitrary JSON.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+_graph_json = _json | st.fixed_dictionaries(
+    {"p": st.integers(-2, 6) | _json,
+     "edges": st.lists(st.lists(st.integers(-2, 6), max_size=3) | _json, max_size=6) | _json},
+    optional={"schema": st.just("semdef/1") | _json},
+)
+_file_json = _graph_json | st.just(BASE_CERT) | st.fixed_dictionaries(
+    {"graph": st.just(BASE_CERT["graph"]) | _graph_json,
+     "isolated": st.integers(-2, 3) | _json,
+     "labels": st.lists(st.integers(-2, 6), max_size=4) | _json},
+    optional={"schema": st.just("semdef/1") | _json, "s": _json, "k": _json},
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cap", "1", "--max-labels", "8", "--graph"],
+    ["verify", "--cert"],
+    ["construct", "--family", "generic-join", "-m", "2", "--base"],
+])
+@settings(max_examples=100, deadline=None)
+@given(data=_file_json)
+def test_malformed_file_never_exits_1(argv, data):
+    # exit 1 means "rejected": only a file the certificate reader accepts
+    # can be rejected; anything else is a usage error (2)
+    try:
+        certificate_from_json_dict(data)
+        readable = True
+    except ValueError:
+        readable = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(data))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv + [str(path)])  # raises nothing
+    assert code in (0, 1, 2, 3, 4)
+    assert code != 1 or readable
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,6 @@ from semdef.labeling import (
     REASON_SUM_GAP,
     certificate_from_json_dict,
     edge_sums,
-    is_sem,
     total_edge_labels,
     verify_sem,
     weighted_sum_feasible,
@@ -80,7 +79,7 @@ def test_verify_rejects_duplicate_label():
     result = verify_sem(path(2), Labeling([2, 2]))
     assert isinstance(result, Rejection)
     assert result.reason == REASON_DUPLICATE_LABEL
-    assert not is_sem(path(2), Labeling([2, 2]))
+    assert not verify_sem(path(2), Labeling([2, 2]))
 
 
 def test_verify_rejects_out_of_range():
