@@ -16,8 +16,9 @@ with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.
 
-SEMDEF_THREADS sets the default worker count for solve and reproduce; it is
-checked like --threads.
+Searches run in one process; --threads and SEMDEF_THREADS (solve and
+reproduce) are accepted for compatibility and have no effect, though a value
+below 1 is still a usage error.
 """
 
 from __future__ import annotations
@@ -85,11 +86,23 @@ def _family_arg(value: str) -> str:
     return value
 
 
+def _check_family_flags(args) -> None:
+    """Reject -n/-m that the command would ignore: -m on a family that takes
+    no m, and either with bounds --table, which reads --n-max/--m-max."""
+    if getattr(args, "table", None):
+        for flag, value in (("-n", args.n), ("-m", args.m)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to bounds --table; use --n-max/--m-max")
+    if args.m is not None and not FAMILY_KINDS[args.family][0]:
+        raise ValueError(f"-m does not apply to --family {args.family}, which takes only -n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    _check_family_flags(args)
     if args.mid_spoke:
         if args.family != "wheel-minus-spoke":
             print("--mid-spoke applies only to --family wheel-minus-spoke", file=sys.stderr)
@@ -106,6 +119,7 @@ def _cmd_gen(args) -> int:
 
 
 def _construct(args) -> cons.ConstructionResult:
+    _check_family_flags(args)
     family = args.family
     needs_m, least_n = FAMILY_KINDS[family][:2]
     if least_n is not None and args.n is None:
@@ -170,6 +184,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _check_family_flags(args)
     if args.table:
         rows = [
             (d.n, d.m, bounds_mod.family_bounds(d))
@@ -207,15 +222,13 @@ def _cmd_solve(args) -> int:
             args.cap,
             prune=not args.no_prune,
             symmetry=not args.no_symmetry,
-            threads=args.threads,
             max_labels=args.max_labels,
         )
     except SearchLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     print(
-        f"stats: nodes={out.nodes} seconds={out.seconds:.3f} threads={args.threads} "
-        f"backend={out.backend}",
+        f"stats: nodes={out.nodes} seconds={out.seconds:.3f} backend={out.backend}",
         file=sys.stderr,
     )
     human = _summary_stream(args.json)
@@ -243,7 +256,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     selection = set(args.select) if args.select else None
-    report = reproduce_mod.run(selection=selection, threads=args.threads)
+    report = reproduce_mod.run(selection=selection)
     if selection and not report.entries:
         print(f"no claims match selection {sorted(selection)}", file=sys.stderr)
         return EXIT_USAGE

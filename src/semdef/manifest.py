@@ -53,7 +53,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-deficiency-n3",
         "wheel-minus-spoke",
         "Exhaustive search: the deficiency of H_3 is exactly 0.",
-        "solver-exact",
+        "solver",
         family="wheel-minus-spoke",
         n=3,
         cap=2,
@@ -63,7 +63,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-deficiency-n4",
         "wheel-minus-spoke",
         "Exhaustive search: the deficiency of H_4 is exactly 0.",
-        "solver-exact",
+        "solver",
         family="wheel-minus-spoke",
         n=4,
         cap=2,
@@ -73,7 +73,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-deficiency-n5",
         "wheel-minus-spoke",
         "Exhaustive search: the deficiency of H_5 is exactly 1.",
-        "solver-exact",
+        "solver",
         family="wheel-minus-spoke",
         n=5,
         cap=2,
@@ -83,7 +83,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-deficiency-n6",
         "wheel-minus-spoke",
         "Exhaustive search: the deficiency of H_6 is exactly 1.",
-        "solver-exact",
+        "solver",
         family="wheel-minus-spoke",
         n=6,
         cap=2,
@@ -93,7 +93,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-deficiency-n7",
         "wheel-minus-spoke",
         "Exhaustive search: the deficiency of H_7 is exactly 1.",
-        "solver-exact",
+        "solver",
         family="wheel-minus-spoke",
         n=7,
         cap=2,
@@ -103,7 +103,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-not-sem-n5",
         "wheel-minus-spoke",
         "H_5 has no SEM labeling without fillers (exhaustive).",
-        "solver-not-sem",
+        "solver",
         family="wheel-minus-spoke",
         n=5,
         t=0,
@@ -112,7 +112,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-not-sem-n6",
         "wheel-minus-spoke",
         "H_6 has no SEM labeling without fillers (exhaustive).",
-        "solver-not-sem",
+        "solver",
         family="wheel-minus-spoke",
         n=6,
         t=0,
@@ -121,7 +121,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-not-sem-n7",
         "wheel-minus-spoke",
         "H_7 has no SEM labeling without fillers (exhaustive).",
-        "solver-not-sem",
+        "solver",
         family="wheel-minus-spoke",
         n=7,
         t=0,
@@ -130,7 +130,7 @@ CLAIMS: tuple[Claim, ...] = (
         "wms-not-sem-n8",
         "wheel-minus-spoke",
         "H_8 has no SEM labeling without fillers (exhaustive).",
-        "solver-not-sem",
+        "solver",
         family="wheel-minus-spoke",
         n=8,
         t=0,
@@ -159,7 +159,7 @@ CLAIMS: tuple[Claim, ...] = (
         "path-join",
         "P_2 joined with m independent vertices is SEM (deficiency 0) for "
         "2 <= m <= 6 (exhaustive).",
-        "solver-exact-range",
+        "solver",
         family="path-join",
         n=2,
         m_range=(2, 6),
@@ -170,7 +170,7 @@ CLAIMS: tuple[Claim, ...] = (
         "path-join-not-sem-m3",
         "path-join",
         "P_n joined with 3 independent vertices is not SEM for n = 3, 4, 5.",
-        "solver-not-sem-range",
+        "solver",
         family="path-join",
         n_range=(3, 5),
         m=3,
@@ -181,7 +181,7 @@ CLAIMS: tuple[Claim, ...] = (
         "path-join",
         "Exhaustive search: the deficiency of the P_4 + 3K_1 join is exactly "
         "2 = m-1.",
-        "solver-exact",
+        "solver",
         family="path-join",
         n=4,
         m=3,
@@ -193,7 +193,7 @@ CLAIMS: tuple[Claim, ...] = (
         "path-join",
         "Exhaustive search: the deficiency of the P_4 + 4K_1 join is exactly "
         "3 = m-1.",
-        "solver-exact",
+        "solver",
         family="path-join",
         n=4,
         m=4,
@@ -216,7 +216,7 @@ CLAIMS: tuple[Claim, ...] = (
         "star-join",
         "K_{1,n} joined with one vertex is SEM (deficiency 0) for 2 <= n <= 6 "
         "(exhaustive).",
-        "solver-exact-range",
+        "solver",
         family="star-join",
         n_range=(2, 6),
         m=1,
@@ -228,7 +228,7 @@ CLAIMS: tuple[Claim, ...] = (
         "star-join",
         "K_{1,n} joined with m independent vertices is not SEM for "
         "2 <= n <= 4 and m = 2, 3.",
-        "solver-not-sem-grid",
+        "solver",
         family="star-join",
         n_range=(2, 4),
         m_range=(2, 3),
@@ -239,7 +239,7 @@ CLAIMS: tuple[Claim, ...] = (
         "star-join",
         "Exhaustive search: the deficiency of the K_{1,2} + 2K_1 join is "
         "exactly 1 (its lower and upper bounds coincide).",
-        "solver-exact",
+        "solver",
         family="star-join",
         n=2,
         m=2,
@@ -271,7 +271,7 @@ CLAIMS: tuple[Claim, ...] = (
         "cycle-join",
         "Exhaustive search: the deficiency of the C_3 + 2K_1 join is exactly "
         "2, matching the construction bound (counting gives only 1).",
-        "solver-exact",
+        "solver",
         family="cycle-join",
         n=3,
         m=2,

@@ -104,14 +104,14 @@ def _bounds_str(b: DeficiencyBounds) -> str:
 # Claim runners (one per manifest kind)
 # ---------------------------------------------------------------------------
 
-def _run_construct_wheel_small(params, threads):
+def _run_construct_wheel_small(params):
     errata: set[str] = set()
     for n in range(3, 8):
         _check_result(cons.construct_wheel_minus_spoke_small(n), errata)
     return "5/5 small cases verified", errata
 
 
-def _run_construct_wheel_general(params, threads):
+def _run_construct_wheel_general(params):
     errata: set[str] = set()
     count = 0
     for n in range(8, params["n_max"] + 1):
@@ -122,7 +122,7 @@ def _run_construct_wheel_general(params, threads):
     return f"{count} cases verified (n % 4 == 2 skipped: open)", errata
 
 
-def _run_construct_grid(params, threads):
+def _run_construct_grid(params):
     errata: set[str] = set()
     count = 0
     construct, _, _, fillers = cons.CONSTRUCTIONS[params["family"]]
@@ -134,7 +134,7 @@ def _run_construct_grid(params, threads):
     return f"{count} (n, m) cases verified", errata
 
 
-def _run_construct_path_special(params, threads):
+def _run_construct_path_special(params):
     errata: set[str] = set()
     count = 0
     for n in (4, 6):
@@ -148,12 +148,12 @@ def _run_construct_path_special(params, threads):
     return f"{count} special cases meet their counting bounds", errata
 
 
-def _run_construct_general_grid(params, threads):
+def _run_construct_general_grid(params):
     errata: set[str] = set()
     count = 0
     for name, build in _GENERAL_JOIN_BASES:
         g = build()
-        base = find_sem(g, 0, threads=threads).witness
+        base = find_sem(g, 0).witness
         if base is None:
             raise AssertionError(f"base {name} unexpectedly has no SEM labeling")
         for m in range(1, params["m_max"] + 1):
@@ -162,67 +162,53 @@ def _run_construct_general_grid(params, threads):
     return f"{count} (base, m) cases verified", errata
 
 
-def _run_solver_exact(params, threads):
-    g = make_family(FamilyDescriptor(params["family"], n=params["n"], m=params.get("m")))
-    out = deficiency(g, params["cap"], threads=threads)
-    if out.deficiency != params["expect"]:
-        raise AssertionError(
-            f"deficiency {out.deficiency} (cap {params['cap']}), expected {params['expect']}"
-        )
-    labels = out.witness.labeling.labels
-    return f"deficiency {out.deficiency}; witness {labels}", set()
+def _cases(params) -> list[tuple[int, int | None]]:
+    """The (n, m) cases of a claim: n from n_list, n_range or n, times m from
+    m_range or m (None for families without m)."""
+    if "n_list" in params:
+        n_values = list(params["n_list"])
+    elif "n_range" in params:
+        n_values = list(range(params["n_range"][0], params["n_range"][1] + 1))
+    else:
+        n_values = [params["n"]]
+    if "m_range" in params:
+        m_values = list(range(params["m_range"][0], params["m_range"][1] + 1))
+    else:
+        m_values = [params.get("m")]
+    return [(n, m) for n in n_values for m in m_values]
 
 
-def _run_solver_exact_range(params, threads):
-    lo, hi = params.get("n_range") or params["m_range"]
-    fixed_is_n = "n" in params
-    results = []
-    for x in range(lo, hi + 1):
-        n = params["n"] if fixed_is_n else x
-        m = x if fixed_is_n else params["m"]
+def _run_solver(params):
+    """A claim with cap and expect asserts each case's exact deficiency; one
+    with t asserts that no case has a SEM labeling with t fillers."""
+    cases = _cases(params)
+    for n, m in cases:
         g = make_family(FamilyDescriptor(params["family"], n=n, m=m))
-        out = deficiency(g, params["cap"], threads=threads)
-        if out.deficiency != params["expect"]:
-            raise AssertionError(
-                f"(n={n}, m={m}): deficiency {out.deficiency}, expected {params['expect']}"
-            )
-        results.append(x)
-    return f"deficiency {params['expect']} for all {len(results)} cases", set()
-
-
-def _run_solver_not_sem(params, threads):
-    g = make_family(FamilyDescriptor(params["family"], n=params["n"], m=params.get("m")))
-    res = find_sem(g, params["t"], threads=threads)
-    if res.witness is not None:
-        raise AssertionError(f"unexpected witness {res.witness.labeling.labels}")
-    return f"exhausted all labelings into 1..{res.total_labels}: none SEM", set()
-
-
-def _run_solver_not_sem_range(params, threads):
+        where = f"(n={n}, m={m}): "
+        if "expect" in params:
+            out = deficiency(g, params["cap"])
+            if out.deficiency != params["expect"]:
+                raise AssertionError(
+                    f"{where}deficiency {out.deficiency} (cap {params['cap']}), "
+                    f"expected {params['expect']}"
+                )
+        else:
+            res = find_sem(g, params["t"])
+            if res.witness is not None:
+                raise AssertionError(f"{where}unexpected witness {res.witness.labeling.labels}")
+    if "expect" in params:
+        if len(cases) > 1:
+            return f"deficiency {params['expect']} for all {len(cases)} cases", set()
+        return f"deficiency {out.deficiency}; witness {out.witness.labeling.labels}", set()
+    if len(cases) == 1:
+        return f"exhausted all labelings into 1..{res.total_labels}: none SEM", set()
+    if "m_range" in params:
+        return f"no SEM labeling in any of the {len(cases)} cases", set()
     lo, hi = params["n_range"]
-    for n in range(lo, hi + 1):
-        g = make_family(FamilyDescriptor(params["family"], n=n, m=params["m"]))
-        res = find_sem(g, params["t"], threads=threads)
-        if res.witness is not None:
-            raise AssertionError(f"n={n}: unexpected witness")
     return f"no SEM labeling for n in {lo}..{hi}", set()
 
 
-def _run_solver_not_sem_grid(params, threads):
-    n_lo, n_hi = params["n_range"]
-    m_lo, m_hi = params["m_range"]
-    count = 0
-    for n in range(n_lo, n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            g = make_family(FamilyDescriptor(params["family"], n=n, m=m))
-            res = find_sem(g, params["t"], threads=threads)
-            if res.witness is not None:
-                raise AssertionError(f"(n={n}, m={m}): unexpected witness")
-            count += 1
-    return f"no SEM labeling in any of the {count} cases", set()
-
-
-def _run_counting_infeasible_cycle(params, threads):
+def _run_counting_infeasible_cycle(params):
     count = 0
     for n in range(3, params["n_max"] + 1):
         for m in range(2, params["m_max"] + 1):
@@ -237,14 +223,14 @@ def _run_counting_infeasible_cycle(params, threads):
     return f"{count} cases excluded one filler below the bound", set()
 
 
-def _run_bound_identities(params, threads):
+def _run_bound_identities(params):
     bad = check_bound_identities(params["n_max"], params["m_max"])
     if bad is not None:
         raise AssertionError(f"first mismatch at {bad}")
     return f"all identities agree up to n={params['n_max']}, m={params['m_max']}", set()
 
 
-def _run_bounds_consistency(params, threads):
+def _run_bounds_consistency(params):
     checked = 0
     for family, n_max, m_max in params["grids"]:
         construct = cons.CONSTRUCTIONS[family][0]
@@ -266,7 +252,7 @@ def _run_bounds_consistency(params, threads):
     return f"{checked} descriptors consistent with their constructions", set()
 
 
-def _run_erratum_demo(params, threads):
+def _run_erratum_demo(params):
     tag = params["tag"]
     demo = next(d for d in cons.erratum_demos() if d.tag == tag)
     rej = verify_sem(demo.graph, demo.rejected_labeling)
@@ -281,30 +267,17 @@ def _run_erratum_demo(params, threads):
     )
 
 
-def _run_magic_constant(params, threads):
+def _run_magic_constant(params):
     formula = _MAGIC_FORMULAS[params["formula"]]
-    if "n_list" in params:
-        n_values = list(params["n_list"])
-    elif "n_range" in params:
-        n_values = list(range(params["n_range"][0], params["n_range"][1] + 1))
-    else:
-        n_values = [params["n"]]
-    if "m_range" in params:
-        m_values = list(range(params["m_range"][0], params["m_range"][1] + 1))
-    else:
-        m_values = [params["m"]]
-    count = 0
-    for n in n_values:
-        for m in m_values:
-            r = cons.CONSTRUCTIONS[params["family"]][0](n, m)
-            k = r.certificate.magic_constant
-            if k != formula(n, m):
-                raise AssertionError(f"(n={n}, m={m}): k={k}, formula gives {formula(n, m)}")
-            count += 1
-    return f"magic constant {params['formula']} confirmed in {count} cases", set()
+    cases = _cases(params)
+    for n, m in cases:
+        k = cons.CONSTRUCTIONS[params["family"]][0](n, m).certificate.magic_constant
+        if k != formula(n, m):
+            raise AssertionError(f"(n={n}, m={m}): k={k}, formula gives {formula(n, m)}")
+    return f"magic constant {params['formula']} confirmed in {len(cases)} cases", set()
 
 
-def _run_magic_star_multi_mismatch(params, threads):
+def _run_magic_star_multi_mismatch(params):
     count = 0
     for n in range(2, params["n_max"] + 1):
         for m in range(2, params["m_max"] + 1):
@@ -326,7 +299,7 @@ def _run_magic_star_multi_mismatch(params, threads):
     )
 
 
-def _run_open_problem(params, threads):
+def _run_open_problem(params):
     family = params["family"]
     parts = []
     for n, m in params["cases"]:
@@ -335,7 +308,7 @@ def _run_open_problem(params, threads):
         label = f"n={n}" if m is None else f"n={n}, m={m}"
         parts.append(f"{label}: {_bounds_str(b)}")
         if "cap" in params:
-            out = deficiency(make_family(d), params["cap"], threads=threads)
+            out = deficiency(make_family(d), params["cap"])
             if out.deficiency is None:
                 parts.append(f"exhaustive search: deficiency > {params['cap']}")
             else:
@@ -349,11 +322,7 @@ _RUNNERS = {
     "construct-grid": _run_construct_grid,
     "construct-path-special": _run_construct_path_special,
     "construct-general-grid": _run_construct_general_grid,
-    "solver-exact": _run_solver_exact,
-    "solver-exact-range": _run_solver_exact_range,
-    "solver-not-sem": _run_solver_not_sem,
-    "solver-not-sem-range": _run_solver_not_sem_range,
-    "solver-not-sem-grid": _run_solver_not_sem_grid,
+    "solver": _run_solver,
     "counting-infeasible-cycle": _run_counting_infeasible_cycle,
     "bound-identities": _run_bound_identities,
     "bounds-consistency": _run_bounds_consistency,
@@ -364,7 +333,7 @@ _RUNNERS = {
 }
 
 
-def run(selection=None, threads: int = 1) -> ReproductionReport:
+def run(selection=None) -> ReproductionReport:
     """Run the selected claims (by group or id; None = all) in manifest order."""
     wanted = set(selection) if selection else None
     entries = []
@@ -373,7 +342,7 @@ def run(selection=None, threads: int = 1) -> ReproductionReport:
             continue
         runner = _RUNNERS[claim.kind]
         try:
-            details, errata = runner(claim.params, threads)
+            details, errata = runner(claim.params)
         except Exception as exc:  # record, never abort the run
             entries.append(ClaimOutcome(claim, STATUS_FAIL, f"{exc}", ()))
             continue

@@ -4,8 +4,8 @@ find_sem(g, t) decides whether G U tK_1 has a SEM labeling by depth-first
 assignment of labels {1..p+t} to vertices in descending-degree order (ties by
 index): high-degree vertices constrain the edge sums fastest.  Labels are
 tried in ascending order, so the first witness found is the lexicographically
-least labeling along that fixed assignment order; re-running, toggling
-pruning, or parallelizing never changes the returned witness.
+least labeling along that fixed assignment order; re-running or toggling
+pruning never changes the returned witness.
 
 Pruning (all sound -- disabling changes node counts, never outcomes):
   * each new edge sum must be distinct from the realized ones and keep
@@ -32,11 +32,9 @@ with a cache directory that cannot be written, every search runs in
 _run_search; so does every unpruned search.  SearchResult.backend names the
 one used; there is no setting to choose it.
 
-The search may split the first vertex's label choices across worker
-processes; every branch runs to its end and branch results are combined in
-ascending label order, so parallel runs return exactly the serial witness
-and node count.  Searches beyond the configured label-count limit raise
-SearchLimitError rather than guessing.
+Every search runs in one process; the CLI's --threads and SEMDEF_THREADS
+are accepted for compatibility and have no effect.  Searches beyond the
+configured label-count limit raise SearchLimitError rather than guessing.
 """
 
 from __future__ import annotations
@@ -116,7 +114,6 @@ def _run_search(
     n_total: int,
     prune: bool,
     symmetry: bool,
-    first_labels: tuple[int, ...] | None = None,
 ) -> tuple[list[int] | None, int]:
     """Core DFS.  Returns (labels in vertex order, nodes) or (None, nodes).
 
@@ -139,9 +136,7 @@ def _run_search(
     sum_seen = bytearray(2 * n_total + 1)
     nodes = 0
 
-    if first_labels is not None:
-        top = [lab for lab in first_labels if 1 <= lab <= n_total]
-    elif symmetry:
+    if symmetry:
         top = list(range(1, (n_total + 1) // 2 + 1))
     else:
         top = list(range(1, n_total + 1))
@@ -235,7 +230,6 @@ def _search(
     n_total: int,
     prune: bool,
     symmetry: bool,
-    first_labels: tuple[int, ...] | None = None,
 ) -> tuple[list[int] | None, int, str]:
     """_run_search's result and the backend that computed it: the compiled
     kernel for a pruned search that reaches the DFS, when the kernel loads."""
@@ -246,22 +240,12 @@ def _search(
         dfs = _kernel.load()
         if dfs is not None:
             order, prior, deg_in_order = _search_order(g)
-            if first_labels is not None:
-                top = [lab for lab in first_labels if 1 <= lab <= n_total]
-            elif symmetry:
-                top = list(range(1, (n_total + 1) // 2 + 1))
-            else:
-                top = list(range(1, n_total + 1))
+            top = list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1))
             at, nodes = dfs(n_total, deg_in_order, prior, top)
             labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
             return labels, nodes, "c"
-    labels, nodes = _run_search(g, n_total, prune, symmetry, first_labels)
+    labels, nodes = _run_search(g, n_total, prune, symmetry)
     return labels, nodes, "python"
-
-
-def _branch_worker(args) -> tuple[list[int] | None, int, str]:
-    p, edges, n_total, prune, first_label = args
-    return _search(Graph(p, edges), n_total, prune, False, first_labels=(first_label,))
 
 
 def find_sem(
@@ -270,7 +254,6 @@ def find_sem(
     *,
     prune: bool = True,
     symmetry: bool = True,
-    threads: int = 1,
     max_labels: int | None = DEFAULT_MAX_LABELS,
 ) -> SearchResult:
     """Search exhaustively for a SEM labeling of g U tK_1.
@@ -289,27 +272,7 @@ def find_sem(
             "raise max_labels to run anyway"
         )
     start = time.perf_counter()
-    if threads > 1 and g.vertex_count > 1:
-        import multiprocessing  # here, not at the top: it adds ~10 ms to every cold start
-
-        first = (
-            range(1, (n_total + 1) // 2 + 1) if symmetry else range(1, n_total + 1)
-        )
-        tasks = [(g.vertex_count, g.edges, n_total, prune, lab) for lab in first]
-        # Every branch runs to its end before the pool shuts down: terminating
-        # workers while one may hold the result queue's lock can hang the pool.
-        with multiprocessing.Pool(processes=threads) as pool:
-            branches = pool.map(_branch_worker, tasks)
-            pool.close()
-            pool.join()
-        labels, nodes, backend = None, 0, branches[0][2]
-        for got, branch_nodes, _ in branches:
-            nodes += branch_nodes
-            if got is not None:
-                labels = got
-                break
-    else:
-        labels, nodes, backend = _search(g, n_total, prune, symmetry)
+    labels, nodes, backend = _search(g, n_total, prune, symmetry)
     seconds = time.perf_counter() - start
     if labels is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
@@ -327,7 +290,6 @@ def deficiency(
     *,
     prune: bool = True,
     symmetry: bool = True,
-    threads: int = 1,
     max_labels: int | None = DEFAULT_MAX_LABELS,
 ) -> SearchOutcome:
     """Exact deficiency of g, provided it is at most cap.
@@ -344,9 +306,7 @@ def deficiency(
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
-        res = find_sem(
-            g, t, prune=prune, symmetry=symmetry, threads=threads, max_labels=max_labels
-        )
+        res = find_sem(g, t, prune=prune, symmetry=symmetry, max_labels=max_labels)
         nodes += res.nodes
         backend = res.backend
         if res.witness is not None:
