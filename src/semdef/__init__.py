@@ -35,8 +35,6 @@ from .constructions import (
     construct_path_join,
     construct_star_join,
     construct_wheel_minus_spoke,
-    construct_wheel_minus_spoke_general,
-    construct_wheel_minus_spoke_small,
     erratum_demos,
 )
 from .bounds import (
@@ -80,8 +78,6 @@ __all__ = [
     "construct_path_join",
     "construct_star_join",
     "construct_wheel_minus_spoke",
-    "construct_wheel_minus_spoke_general",
-    "construct_wheel_minus_spoke_small",
     "erratum_demos",
     "DeficiencyBounds",
     "check_bound_identities",

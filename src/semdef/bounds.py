@@ -6,24 +6,24 @@ the family's closed forms (graphs.family_size); no graph is built.  The
 family-specific lower-bound formulas for path/star/cycle joins are exactly
 this counting bound (check_bound_identities proves the coincidence over a
 grid).  Upper bounds are the filler counts of the verified constructions,
-read from the one filler table, constructions.CONSTRUCTIONS; residues
-without a known construction report an explicitly unknown upper bound
-rather than failing.
+read from the one filler table through constructions.filler_row; residues
+without a construction report an explicitly unknown upper bound rather
+than failing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import CONSTRUCTIONS
-from .graphs import FAMILY_KINDS, FamilyDescriptor, family_size
+from .constructions import coverage, filler_row
+from .graphs import FamilyDescriptor, family_size
 
 SOURCE_COUNTING = "counting"
 
 
 @dataclass(frozen=True)
 class DeficiencyBounds:
-    """lower <= deficiency <= upper (upper None = no construction known)."""
+    """lower <= deficiency <= upper (upper None = no construction)."""
 
     lower: int
     upper: int | None
@@ -55,17 +55,10 @@ def _counting_for(d: FamilyDescriptor) -> int:
     return counting_lower_bound(*family_size(d))
 
 
-def _construction(kind: str):
-    try:
-        return CONSTRUCTIONS[kind]
-    except KeyError:
-        raise ValueError(f"no closed-form deficiency bounds for family {kind!r}") from None
-
-
 def family_grid(kind: str, n_max: int, m_max: int) -> list[FamilyDescriptor]:
     """Every descriptor of kind that family_bounds covers, with n <= n_max
     and m <= m_max (m is None for wheel-minus-spoke), n-major."""
-    _, n_lo, m_lo, _ = _construction(kind)
+    n_lo, m_lo = coverage(kind)
     m_values = [None] if m_lo is None else range(m_lo, m_max + 1)
     return [FamilyDescriptor(kind, n=n, m=m) for n in range(n_lo, n_max + 1) for m in m_values]
 
@@ -73,18 +66,11 @@ def family_grid(kind: str, n_max: int, m_max: int) -> list[FamilyDescriptor]:
 def family_bounds(d: FamilyDescriptor) -> DeficiencyBounds:
     """Best closed-form bounds for a join-family descriptor.
 
-    Covers the families and domains of constructions.CONSTRUCTIONS, whose
-    filler formulas give the upper bounds (unknown where no construction is
-    known).  A domain limit tighter than the family's own raises a message
-    of its own; otherwise an invalid descriptor raises make_family's error.
+    Covers what constructions.filler_row covers, and raises its errors; its
+    filler formulas give the upper bounds (unknown where the row is None).
     """
-    _, n_lo, m_lo, fillers = _construction(d.kind)
-    if m_lo is not None and 1 < m_lo and d.m < m_lo:  # every join needs m >= 1
-        raise ValueError(f"{d.kind} bounds cover m >= {m_lo}, got m={d.m}")
-    if FAMILY_KINDS[d.kind][1] < n_lo and d.n < n_lo:
-        raise ValueError(f"{d.kind} bounds cover n >= {n_lo}, got n={d.n}")
+    row = filler_row(d.kind, d.n, d.m)
     lower = _counting_for(d)
-    row = fillers(d.n, d.m)
     if row is None:
         return DeficiencyBounds(lower, None, SOURCE_COUNTING, None)
     upper, source, exact = row

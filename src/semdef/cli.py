@@ -15,17 +15,12 @@ would exceed the label limit.  JSON goes to the --json path ('-' = stdout);
 with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.
-
-Searches run in one process; --threads and SEMDEF_THREADS (solve and
-reproduce) are accepted for compatibility and have no effect, though a value
-below 1 is still a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -46,15 +41,9 @@ EXIT_USAGE = 2
 EXIT_NOT_SEM_UP_TO = 3
 EXIT_LIMIT = 4
 
-
-def _threads_arg(value: str) -> int:
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
-    return threads
+# The extent of a bounds --table without --n-max / --m-max.
+TABLE_N_MAX = 10
+TABLE_M_MAX = 6
 
 
 def _write_json(data: dict, path: str | None) -> None:
@@ -87,13 +76,21 @@ def _family_arg(value: str) -> str:
 
 
 def _check_family_flags(args) -> None:
-    """Reject -n/-m that the command would ignore: -m on a family that takes
-    no m, and either with bounds --table, which reads --n-max/--m-max."""
+    """Reject flags the command would ignore: -n/-m with bounds --table, which
+    reads --n-max/--m-max; --n-max/--m-max without it; -n on a family that
+    takes no n; and -m on a family that takes no m."""
     if getattr(args, "table", None):
         for flag, value in (("-n", args.n), ("-m", args.m)):
             if value is not None:
                 raise ValueError(f"{flag} does not apply to bounds --table; use --n-max/--m-max")
-    if args.m is not None and not FAMILY_KINDS[args.family][0]:
+    elif args.command == "bounds":
+        for flag, value in (("--n-max", args.n_max), ("--m-max", args.m_max)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to bounds --table")
+    needs_m, least_n = FAMILY_KINDS[args.family][:2]
+    if args.n is not None and least_n is None:
+        raise ValueError(f"-n does not apply to --family {args.family}, which takes only -m")
+    if args.m is not None and not needs_m:
         raise ValueError(f"-m does not apply to --family {args.family}, which takes only -n")
 
 
@@ -186,9 +183,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     _check_family_flags(args)
     if args.table:
+        n_max = TABLE_N_MAX if args.n_max is None else args.n_max
+        m_max = TABLE_M_MAX if args.m_max is None else args.m_max
         rows = [
             (d.n, d.m, bounds_mod.family_bounds(d))
-            for d in bounds_mod.family_grid(args.family, args.n_max, args.m_max)
+            for d in bounds_mod.family_grid(args.family, n_max, m_max)
         ]
         if args.table == "csv":
             print("family,n,m,lower,upper,lower_source,upper_source")
@@ -286,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Super edge-magic labelings: constructions, verification, bounds, exact search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse passes a string default through type=, so SEMDEF_THREADS is
-    # checked exactly like --threads.
-    threads = os.environ.get("SEMDEF_THREADS", "1")
 
     p = sub.add_parser("gen", help="emit a family graph as JSON")
     p.add_argument("--family", type=_family_arg, required=True)
@@ -317,14 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
     p.add_argument("--table", choices=("md", "csv"), default=None)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--m-max", type=int, default=6)
+    p.add_argument("--n-max", type=int, default=None,
+                   help=f"largest n of a --table (default {TABLE_N_MAX})")
+    p.add_argument("--m-max", type=int, default=None,
+                   help=f"largest m of a --table (default {TABLE_M_MAX})")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("solve", help="exact deficiency by exhaustive search")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
-    p.add_argument("--threads", type=_threads_arg, default=threads)
     p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
     p.add_argument("--no-symmetry", action="store_true", help="disable complement symmetry")
     p.add_argument("--max-labels", type=int, default=16, help="label-count limit")
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the claim manifest")
     p.add_argument("--select", action="append", default=None, help="group or claim id (repeatable)")
-    p.add_argument("--threads", type=_threads_arg, default=threads)
     p.add_argument("--json", default=None, help="report JSON path")
     p.add_argument("--md", default=None, help="report Markdown path")
     p.set_defaults(func=_cmd_reproduce)

@@ -7,9 +7,10 @@ is recorded in ``errata_applied``; the original, failing variants are kept as
 ``uncorrected_*`` fixtures so the failure itself stays machine-checkable
 (see ``erratum_demos``).
 
-The isolated-vertex (filler) count of each family's construction is written
-once, in the filler formulas tabulated at ``CONSTRUCTIONS``; the constructors,
-the bounds, the report and the CLI all read it there.
+The isolated-vertex (filler) count of each family's construction, and which
+(n, m) have a construction at all, are written once, in the filler formulas
+tabulated at ``CONSTRUCTIONS``; every constructor and the bounds ask
+``filler_row``, and the report and the CLI ask them.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    FamilyDescriptor,
     Graph,
     empty_graph,
+    family_size,
     join,
     path,
     star,
@@ -79,30 +82,21 @@ _WHEEL_SMALL = {
 }
 
 
-def construct_wheel_minus_spoke_small(n: int) -> ConstructionResult:
-    """Hand labelings for H_n, 3 <= n <= 7."""
-    if n not in _WHEEL_SMALL:
-        raise ValueError(f"small wheel-minus-spoke constructions cover n in 3..7, got {n}")
-    return _certify(wheel_minus_spoke(n), list(_WHEEL_SMALL[n]), _wheel_fillers(n)[0])
+def construct_wheel_minus_spoke(n: int, m=None) -> ConstructionResult:
+    """Best known certificate for H_n (m is ignored).
 
+    3 <= n <= 7: the hand labelings of _WHEEL_SMALL.
 
-def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
-    """Pattern labelings for H_n, n >= 8 with n % 4 in {0, 1, 3}.
-
-    Odd n: hub gets (3n-1)/2, odd rim positions count up from 1, even rim
-    positions continue from ceil(n/2)+1.  The index ranges are taken as
+    Odd n >= 9: hub gets (3n-1)/2, odd rim positions count up from 1, even
+    rim positions continue from ceil(n/2)+1.  The index ranges are taken as
     "all odd i" / "all even i" in 1..n (see ERRATUM_WHEEL_RANGES).
 
-    n % 4 == 0: uses the variant graph whose missing spoke is c-x_{n/2};
-    hub gets (3n+2)/2 and the rim position n/2 gets 5n/4.
+    n >= 8, n % 4 == 0: uses the variant graph whose missing spoke is
+    c-x_{n/2}; hub gets (3n+2)/2 and the rim position n/2 gets 5n/4.
     """
-    if n < 8:
-        raise ValueError(f"general wheel-minus-spoke construction needs n >= 8, got {n}")
-    if n % 4 == 2:
-        raise ValueError(
-            f"no construction is known for n = {n} (n % 4 == 2); deficiency open"
-        )
-    t = _wheel_fillers(n)[0]
+    t = _fillers("wheel-minus-spoke", n)
+    if n in _WHEEL_SMALL:
+        return _certify(wheel_minus_spoke(n), list(_WHEEL_SMALL[n]), t)
     if n % 2 == 1:
         hub = (3 * n - 1) // 2
         x = [0] * (n + 1)
@@ -130,13 +124,6 @@ def construct_wheel_minus_spoke_general(n: int) -> ConstructionResult:
     return _certify(g, [hub] + x[1:], t)
 
 
-def construct_wheel_minus_spoke(n: int) -> ConstructionResult:
-    """Best known certificate for H_n (small table for n <= 7, pattern beyond)."""
-    if n in _WHEEL_SMALL:
-        return construct_wheel_minus_spoke_small(n)
-    return construct_wheel_minus_spoke_general(n)
-
-
 def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
     """Odd-n wheel labeling with the index ranges read literally.
 
@@ -154,7 +141,7 @@ def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
         elif i % 2 == 0 and i <= n - 2:
             x[i] = (n + 1) // 2 + i // 2
     g = wheel_minus_spoke(n)
-    return g, Labeling([hub] + x[1:], g.vertex_count + _wheel_fillers(n)[0])
+    return g, Labeling([hub] + x[1:], g.vertex_count + _fillers("wheel-minus-spoke", n))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +155,8 @@ def construct_path_join(n: int, m: int) -> ConstructionResult:
     n = 6 have special labelings meeting their counting lower bounds; other
     n use the generic pattern.
     """
-    if n < 1:
-        raise ValueError(f"path join needs n >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"path join constructions need m >= 2, got {m}")
+    t = _fillers("path-join", n, m)
     g = join(path(n), empty_graph(m))
-    t = _path_join_fillers(n, m)[0]
     if n == 1:
         return _certify(g, [1] + [1 + j for j in range(1, m + 1)], t)
     if n == 2:
@@ -208,7 +191,7 @@ def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
     u = [2, 1, 3, 3 * m + 2, 3 * m + 4, 3 * m + 3]
     v = [3 * j + 1 for j in range(1, m - 2)] + [2 * m - 5, 2 * m - 2, 3 * m + 1]
     g = join(path(6), empty_graph(m))
-    return g, Labeling(u + v, g.vertex_count + _path_join_fillers(6, m)[0])
+    return g, Labeling(u + v, g.vertex_count + _fillers("path-join", 6, m))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +205,10 @@ def construct_star_join(n: int, m: int) -> ConstructionResult:
     corrected single-vertex labeling (ERRATUM_STAR_CENTER): giving the
     center label n+1 instead produces colliding edge sums.
     m >= 2: center n+2, leaves 2..n+1, added vertices {1, 2(n+1), ..,
-    m(n+1)}.
+    m(n+1)}.  n = 1 is left to the path join P_2 + empty(m).
     """
-    if n < 2:
-        raise ValueError(
-            f"star join needs n >= 2 (n = 1 coincides with the path join P_2), got {n}"
-        )
-    if m < 1:
-        raise ValueError(f"star join needs m >= 1, got {m}")
+    t = _fillers("star-join", n, m)
     g = join(star(n), empty_graph(m))
-    t = _star_join_fillers(n, m)[0]
     x = [i + 1 for i in range(1, n + 1)]
     if m == 1:
         return _certify(g, [1] + x + [n + 2], t, errata=(ERRATUM_STAR_CENTER,))
@@ -263,16 +240,10 @@ def construct_cycle_join(n: int, m: int) -> ConstructionResult:
     quadratically and leaves the label range.  Added vertices get
     {1, 2n+1, 3n+1, ..., mn+1}.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(
-            f"cycle join constructions cover odd n >= 3 (even n open), got {n}"
-        )
-    if m < 2:
-        raise ValueError(f"cycle join needs m >= 2, got {m}")
+    t = _fillers("cycle-join", n, m)
     g = join(cycle(n), empty_graph(m))
     u = [(n + 2 + i) // 2 if i % 2 == 1 else n + 1 + i // 2 for i in range(1, n + 1)]
     v = [1] + [j * n + 1 for j in range(2, m + 1)]
-    t = _cycle_join_fillers(n, m)[0]
     return _certify(g, u + v, t, errata=(ERRATUM_CYCLE_EVEN,))
 
 
@@ -291,7 +262,7 @@ def uncorrected_cycle_join_labeling(n: int, m: int) -> tuple[Graph, Labeling]:
         for i in range(1, n + 1)
     ]
     v = [1] + [j * n + 1 for j in range(2, m + 1)]
-    return g, Labeling(u + v, g.vertex_count + _cycle_join_fillers(n, m)[0])
+    return g, Labeling(u + v, g.vertex_count + _fillers("cycle-join", n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +312,8 @@ SOURCE_CYCLE_JOIN_CONSTRUCTION = "cycle-join-construction"
 
 
 # Filler formulas: (t, upper-bound source, whether t is the exact deficiency)
-# for an (n, m) of the family's domain, or None where no construction is
-# known.
+# for an (n, m) that filler_row has checked, or None where the family has no
+# construction.
 
 def _wheel_fillers(n: int, m=None):
     if n <= 4:
@@ -376,8 +347,9 @@ def _cycle_join_fillers(n: int, m: int):
     return m * n - (n + m) + 1, SOURCE_CYCLE_JOIN_CONSTRUCTION, False
 
 
-# family -> (constructor taking (n, m), least n and m of the domain covered by
-# bounds, filler formula).  The filler counts the formulas give:
+# family -> (constructor taking (n, m), least n and m the constructions cover
+# (m None for a family without m), filler formula).  The filler counts the
+# formulas give:
 #
 #   wheel-minus-spoke H_n    n = 3, 4 -> 0; n = 5..7 -> 1    (exact)
 #                            n >= 8 odd       -> (n-3)/2
@@ -395,13 +367,47 @@ def _cycle_join_fillers(n: int, m: int):
 # base G, s + (m-2)|V(G)| - m fillers with s the largest edge sum of G) is
 # not tabulated: its count depends on the base certificate.
 CONSTRUCTIONS = {
-    "wheel-minus-spoke": (
-        lambda n, m: construct_wheel_minus_spoke(n), 3, None, _wheel_fillers,
-    ),
+    "wheel-minus-spoke": (construct_wheel_minus_spoke, 3, None, _wheel_fillers),
     "path-join": (construct_path_join, 1, 2, _path_join_fillers),
     "star-join": (construct_star_join, 2, 1, _star_join_fillers),
     "cycle-join": (construct_cycle_join, 3, 2, _cycle_join_fillers),
 }
+
+
+def coverage(kind: str) -> tuple[int, int | None]:
+    """The least n and m (None for a family without m) the constructions of
+    kind cover; an untabulated kind raises ValueError."""
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(f"no closed-form deficiency bounds for family {kind!r}")
+    return CONSTRUCTIONS[kind][1:3]
+
+
+def filler_row(kind: str, n: int, m: int | None = None):
+    """The filler formula's (t, source, exact) for kind at (n, m), or None
+    where the family has no construction.
+
+    This is the one coverage rule: every constructor and
+    bounds.family_bounds ask it.  An untabulated kind, and an (n, m)
+    below a limit of coverage(kind) that is tighter than the family's own,
+    raise ValueError; any other invalid descriptor raises make_family's
+    ValueError.
+    """
+    n_lo, m_lo = coverage(kind)
+    family_size(FamilyDescriptor(kind, n=n, m=m))
+    if n < n_lo:
+        raise ValueError(f"{kind} constructions cover n >= {n_lo}, got n={n}")
+    if m_lo is not None and m < m_lo:
+        raise ValueError(f"{kind} constructions cover m >= {m_lo}, got m={m}")
+    return CONSTRUCTIONS[kind][3](n, m)
+
+
+def _fillers(kind: str, n: int, m: int | None = None) -> int:
+    """The filler count t of kind's construction at (n, m)."""
+    row = filler_row(kind, n, m)
+    if row is None:
+        where = f"n={n}" if m is None else f"n={n}, m={m}"
+        raise ValueError(f"no construction is known for {kind} {where}; deficiency open")
+    return row[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +478,7 @@ def erratum_demos() -> list[ErratumDemo]:
             g,
             bad,
             REASON_OUT_OF_RANGE,
-            construct_wheel_minus_spoke_general(9),
+            construct_wheel_minus_spoke(9),
         )
     )
     return demos

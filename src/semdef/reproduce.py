@@ -107,7 +107,7 @@ def _bounds_str(b: DeficiencyBounds) -> str:
 def _run_construct_wheel_small(params):
     errata: set[str] = set()
     for n in range(3, 8):
-        _check_result(cons.construct_wheel_minus_spoke_small(n), errata)
+        _check_result(cons.construct_wheel_minus_spoke(n), errata)
     return "5/5 small cases verified", errata
 
 
@@ -115,9 +115,9 @@ def _run_construct_wheel_general(params):
     errata: set[str] = set()
     count = 0
     for n in range(8, params["n_max"] + 1):
-        if n % 4 == 2:
+        if cons.filler_row("wheel-minus-spoke", n) is None:
             continue
-        _check_result(cons.construct_wheel_minus_spoke_general(n), errata)
+        _check_result(cons.construct_wheel_minus_spoke(n), errata)
         count += 1
     return f"{count} cases verified (n % 4 == 2 skipped: open)", errata
 
@@ -125,9 +125,9 @@ def _run_construct_wheel_general(params):
 def _run_construct_grid(params):
     errata: set[str] = set()
     count = 0
-    construct, _, _, fillers = cons.CONSTRUCTIONS[params["family"]]
+    construct = cons.CONSTRUCTIONS[params["family"]][0]
     for d in family_grid(params["family"], params["n_max"], params["m_max"]):
-        if fillers(d.n, d.m) is None:  # no construction known
+        if cons.filler_row(d.kind, d.n, d.m) is None:
             continue
         _check_result(construct(d.n, d.m), errata)
         count += 1
@@ -236,15 +236,13 @@ def _run_bounds_consistency(params):
         construct = cons.CONSTRUCTIONS[family][0]
         for d in family_grid(family, n_max, m_max):
             b = family_bounds(d)
-            try:
-                r = construct(d.n, d.m)
-            except ValueError:  # no construction is known
-                r = None
-            isolated = None if r is None else r.certificate.isolated
-            if b.upper != isolated:
-                raise AssertionError(f"{d}: upper {b.upper} != construction fillers {isolated}")
-            if r is None:
+            if b.upper is None:
                 continue
+            r = construct(d.n, d.m)
+            if b.upper != r.certificate.isolated:
+                raise AssertionError(
+                    f"{d}: upper {b.upper} != construction fillers {r.certificate.isolated}"
+                )
             _check_result(r, set())
             if b.lower > b.upper:
                 raise AssertionError(f"{d}: lower {b.lower} > upper {b.upper}")

@@ -32,9 +32,8 @@ with a cache directory that cannot be written, every search runs in
 _run_search; so does every unpruned search.  SearchResult.backend names the
 one used; there is no setting to choose it.
 
-Every search runs in one process; the CLI's --threads and SEMDEF_THREADS
-are accepted for compatibility and have no effect.  Searches beyond the
-configured label-count limit raise SearchLimitError rather than guessing.
+Every search runs in one process.  Searches beyond the configured
+label-count limit raise SearchLimitError rather than guessing.
 """
 
 from __future__ import annotations

@@ -8,13 +8,14 @@ from semdef.bounds import (
     family_bounds,
 )
 from semdef.constructions import (
+    CONSTRUCTIONS,
     construct_cycle_join,
     construct_path_join,
     construct_star_join,
     construct_wheel_minus_spoke,
 )
 from semdef.cli import main
-from semdef.graphs import FamilyDescriptor, make_family
+from semdef.graphs import FAMILY_KINDS, FamilyDescriptor, make_family
 
 
 def test_counting_examples():
@@ -142,12 +143,40 @@ def test_cycle_join_infeasible_below_lower_bound(n, m):
     ("star-join", 3, -1, "join families need m >= 1, got -1"),
     ("cycle-join", 2, 2, "cycle needs n >= 3, got 2"),
     ("cycle-join", 0, 3, "cycle needs n >= 3, got 0"),
-    ("cycle-join", 3, 1, "cycle-join bounds cover m >= 2, got m=1"),
+    ("cycle-join", 3, 1, "cycle-join constructions cover m >= 2, got m=1"),
 ])
 def test_family_bounds_edge_descriptors(kind, n, m, message):
     with pytest.raises(ValueError) as exc:
         family_bounds(FamilyDescriptor(kind, n=n, m=m))
     assert str(exc.value) == message
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("kind", list(CONSTRUCTIONS))
+@pytest.mark.parametrize("n", range(-1, 21))
+def test_constructors_and_bounds_share_one_coverage_rule(kind, n):
+    # a constructor fails exactly where family_bounds fails or knows no
+    # upper bound, with family_bounds' message for a domain error
+    construct = CONSTRUCTIONS[kind][0]
+    for m in range(-1, 8) if FAMILY_KINDS[kind][0] else [None]:
+        b, bounds_error = _outcome(lambda: family_bounds(FamilyDescriptor(kind, n=n, m=m)))
+        r, construct_error = _outcome(lambda: construct(n, m))
+        where = (kind, n, m)
+        if bounds_error is not None:
+            assert construct_error == bounds_error, where
+        elif b.upper is None:
+            assert construct_error is not None and "open" in construct_error, where
+        else:
+            assert construct_error is None, where
+            assert r.claimed_isolated == b.upper, where
+    if kind == "wheel-minus-spoke" and n == 2:
+        assert construct_error == "wheel-minus-spoke needs n >= 3, got 2"
 
 
 def _counting_from_built_graph(d):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semdef.cli import build_parser, main
+from semdef.cli import main
 from semdef.labeling import certificate_from_json_dict
 
 # A filler-free SEM certificate of P_3: edge sums 4, 5.
@@ -224,6 +224,34 @@ def test_m_on_a_family_without_m_is_a_usage_error(capsys, argv):
     assert err == f"error: -m does not apply to --family {argv[2]}, which takes only -n\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "generic-join", "-n", "5", "-m", "2"],
+    ["construct", "--family", "generic-join", "-n", "5", "-m", "2", "--base", "base.json"],
+    ["bounds", "--family", "generic-join", "-n", "5", "-m", "2"],
+])
+def test_n_on_a_family_without_n_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: -n does not apply to --family generic-join, which takes only -m\n"
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max"])
+def test_bounds_without_table_rejects_n_max_and_m_max(capsys, flag):
+    code, out, err = run_cli("bounds", "--family", "path-join", "-n", "3", "-m", "2", flag, "4",
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} applies only to bounds --table\n"
+
+
+def test_bounds_table_default_extent(capsys):
+    code, out, _ = run_cli("bounds", "--family", "path-join", "--table", "csv", capsys=capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert (rows[0][1:3], rows[-1][1:3]) == (["1", "2"], ["10", "6"])
+
+
 @pytest.mark.parametrize("flag", ["-n", "-m"])
 def test_bounds_table_rejects_n_and_m(capsys, flag):
     code, out, err = run_cli("bounds", "--family", "path-join", "--table", "md", flag, "3",
@@ -290,6 +318,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
                            capsys=capsys)
     assert code == 2
     assert "open" in err
+    with pytest.raises(SystemExit) as exc:  # --threads is not an option
+        main(["solve", "--threads", "2", "--graph", str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -373,42 +405,6 @@ def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
-
-
-@pytest.mark.parametrize("command", ["solve", "reproduce"])
-@pytest.mark.parametrize("threads", ["0", "-1", "two"])
-def test_threads_below_one_is_a_usage_error(capsys, tmp_path, command, threads):
-    args = [command, "--threads", threads]
-    if command == "solve":
-        args += ["--graph", str(tmp_path / "g.json")]
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["solve", "reproduce"])
-@pytest.mark.parametrize("threads", ["0", "abc"])
-def test_bad_semdef_threads_is_a_usage_error(capsys, monkeypatch, tmp_path, command, threads):
-    monkeypatch.setenv("SEMDEF_THREADS", threads)
-    args = [command]
-    if command == "solve":
-        args += ["--graph", str(tmp_path / "g.json")]
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
-    assert f"argument --threads: must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
-
-
-def test_semdef_threads_sets_the_default(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("SEMDEF_THREADS", "2")
-    graph_path = tmp_path / "g.json"
-    graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))
-    code, _, err = run_cli("solve", "--graph", str(graph_path), "--cap", "1", capsys=capsys)
-    assert code == 0
-    assert build_parser().parse_args(["reproduce"]).threads == 2
-    code, _, _ = run_cli("reproduce", "--select", "magic-constants", capsys=capsys)
-    assert code == 0
 
 
 def test_solve_stats_name_the_backend(capsys, tmp_path):

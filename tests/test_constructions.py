@@ -11,8 +11,6 @@ from semdef.constructions import (
     construct_path_join,
     construct_star_join,
     construct_wheel_minus_spoke,
-    construct_wheel_minus_spoke_general,
-    construct_wheel_minus_spoke_small,
     erratum_demos,
     uncorrected_cycle_join_labeling,
     uncorrected_star_join_single,
@@ -28,28 +26,28 @@ def sums_of(result: ConstructionResult) -> list[int]:
 # ---------------------------------------------------------------- wheel cases
 
 def test_wheel_small_n3():
-    r = construct_wheel_minus_spoke_small(3)
+    r = construct_wheel_minus_spoke(3)
     assert r.certificate.labeling.labels == (1, 4, 3, 2)
     assert r.claimed_isolated == 0
     assert sums_of(r) == list(range(3, 8))
 
 
 def test_wheel_small_n6_filler_label():
-    r = construct_wheel_minus_spoke_small(6)
+    r = construct_wheel_minus_spoke(6)
     assert r.certificate.labeling.labels == (2, 3, 1, 4, 8, 5, 6)
     assert r.certificate.labeling.total_labels == 8
     assert 7 not in r.certificate.labeling.labels  # the filler takes 7
 
 
 def test_wheel_small_n7():
-    r = construct_wheel_minus_spoke_small(7)
+    r = construct_wheel_minus_spoke(7)
     assert r.certificate.labeling.labels == (2, 3, 1, 4, 8, 5, 9, 6)
     assert r.claimed_isolated == 1
     assert r.certificate.labeling.total_labels == 9
 
 
 def test_wheel_general_n9():
-    r = construct_wheel_minus_spoke_general(9)
+    r = construct_wheel_minus_spoke(9)
     assert r.certificate.labeling.labels == (13, 1, 6, 2, 7, 3, 8, 4, 9, 5)
     assert r.claimed_isolated == 3
     assert sums_of(r) == list(range(6, 23))
@@ -57,7 +55,7 @@ def test_wheel_general_n9():
 
 
 def test_wheel_general_n8_uses_mid_spoke_variant():
-    r = construct_wheel_minus_spoke_general(8)
+    r = construct_wheel_minus_spoke(8)
     assert r.certificate.labeling.labels == (13, 1, 5, 2, 10, 3, 6, 4, 7)
     assert r.claimed_isolated == 4
     assert sums_of(r) == list(range(6, 21))
@@ -66,23 +64,21 @@ def test_wheel_general_n8_uses_mid_spoke_variant():
 
 
 def test_wheel_general_n11_filler_count():
-    assert construct_wheel_minus_spoke_general(11).claimed_isolated == 4
+    assert construct_wheel_minus_spoke(11).claimed_isolated == 4
 
 
 def test_wheel_dispatcher_and_range_errors():
     assert construct_wheel_minus_spoke(5).claimed_isolated == 1
     assert construct_wheel_minus_spoke(12).claimed_isolated == 6
-    with pytest.raises(ValueError):
-        construct_wheel_minus_spoke_small(8)
     with pytest.raises(ValueError, match="open"):
-        construct_wheel_minus_spoke_general(10)
-    with pytest.raises(ValueError):
-        construct_wheel_minus_spoke_general(7)
+        construct_wheel_minus_spoke(10)
+    with pytest.raises(ValueError, match=r"^wheel-minus-spoke needs n >= 3, got 2$"):
+        construct_wheel_minus_spoke(2)
 
 
 @pytest.mark.parametrize("n", [n for n in range(8, 20) if n % 4 != 2])
 def test_wheel_general_grid(n):
-    r = construct_wheel_minus_spoke_general(n)
+    r = construct_wheel_minus_spoke(n)
     expected_t = (n - 3) // 2 if n % 2 else n // 2
     assert r.claimed_isolated == expected_t
 
@@ -176,7 +172,7 @@ def test_star_join_grid(n, m):
 
 
 def test_star_join_parameter_errors():
-    with pytest.raises(ValueError, match="path join"):
+    with pytest.raises(ValueError, match=r"^star-join constructions cover n >= 2, got n=1$"):
         construct_star_join(1, 2)
     with pytest.raises(ValueError):
         construct_star_join(3, 0)
@@ -210,7 +206,7 @@ def test_cycle_join_grid(n, m):
 
 
 def test_cycle_join_parameter_errors():
-    with pytest.raises(ValueError, match="even n open"):
+    with pytest.raises(ValueError, match=r"no construction is known for cycle-join n=4, m=2.*open"):
         construct_cycle_join(4, 2)
     with pytest.raises(ValueError):
         construct_cycle_join(5, 1)

@@ -102,3 +102,41 @@ def test_solver_claim_details_are_pinned():
     assert all(e.status == "pass" for e in rep.entries)
     assert {e.claim.id: e.details for e in rep.entries} == SOLVER_DETAILS
     assert [e.claim.id for e in rep.entries] == list(SOLVER_DETAILS)
+
+
+# The details of the construction, bounds-consistency and erratum claims,
+# byte for byte: a change to the constructors or the coverage rule must not
+# move them.
+CONSTRUCT_DETAILS = {
+    "wms-small-constructions": "5/5 small cases verified",
+    "wms-general-constructions": "9 cases verified (n % 4 == 2 skipped: open)",
+    "path-join-constructions": "50 (n, m) cases verified",
+    "path-join-special-constructions": "14 special cases meet their counting bounds",
+    "star-join-constructions": "54 (n, m) cases verified",
+    "cycle-join-constructions": "30 (n, m) cases verified",
+    "general-join-constructions": "60 (base, m) cases verified",
+    "bounds-consistency": "148 descriptors consistent with their constructions",
+    "erratum-cycle-join-even-position": (
+        "uncorrected labeling rejected (label-out-of-range); "
+        "corrected verifies with 4 fillers"
+    ),
+    "erratum-star-join-center-label": (
+        "uncorrected labeling rejected (duplicate-sum); "
+        "corrected verifies with 0 fillers"
+    ),
+    "erratum-path6-v-list": (
+        "uncorrected labeling rejected (duplicate-label); "
+        "corrected verifies with 10 fillers"
+    ),
+    "erratum-wheel-odd-index-ranges": (
+        "uncorrected labeling rejected (label-out-of-range); "
+        "corrected verifies with 3 fillers"
+    ),
+}
+
+
+def test_construction_claim_details_are_pinned():
+    rep = reproduce.run(selection=set(CONSTRUCT_DETAILS))
+    assert all(e.status != "fail" for e in rep.entries)
+    assert {e.claim.id: e.details for e in rep.entries} == CONSTRUCT_DETAILS
+    assert [e.claim.id for e in rep.entries] == list(CONSTRUCT_DETAILS)
