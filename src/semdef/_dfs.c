@@ -1,8 +1,8 @@
 /* Compiled port of the pruned branch of semdef.solver._run_search.
  *
- * Same assignment order, candidate order, pruning rules and node count as
- * the Python reference, so it returns the same witness after the same
- * number of label placements.  semdef/_kernel.py builds it with
+ * Same assignment order, candidate order, pruning and symmetry rules and
+ * node count as the Python reference, so it returns the same witness after
+ * the same number of label placements.  semdef/_kernel.py builds it with
  * `cc -O2 -shared -fPIC` and calls semdef_dfs through ctypes.
  */
 #include <stdlib.h>
@@ -14,6 +14,8 @@ typedef struct {
                                   prior[pstart[i] .. pstart[i + 1]) */
     const int *top;            /* candidate labels of position 0 */
     int ntop;
+    const int *twin_prev;      /* previous position of the same twin class,
+                                  or -1; position i takes a larger label */
     long long max_start, target_base;
     int *lab_at;               /* label per order position */
     char *used, *seen;         /* labels placed, edge sums realized */
@@ -25,8 +27,9 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     if (idx == s->p)
         return 1;
     const int q = s->q, beg = s->pstart[idx], end = s->pstart[idx + 1];
-    const int count = idx == 0 ? s->ntop : s->n;
-    for (int c = 0; c < count; c++) {
+    const int count = idx == 0 ? s->ntop : s->n, tp = s->twin_prev[idx];
+    /* twin rule: candidates start above the previous twin's label */
+    for (int c = tp >= 0 ? s->lab_at[tp] : 0; c < count; c++) {
         const int lab = idx == 0 ? s->top[c] : c + 1;
         if (s->used[lab])
             continue;
@@ -86,13 +89,13 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
 int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
-               const int *prior, const int *top, int ntop, int *lab_at,
-               long long *nodes)
+               const int *prior, const int *top, int ntop,
+               const int *twin_prev, int *lab_at, long long *nodes)
 {
     char *used = calloc(3 * (size_t)n + 2, 1);  /* used[0..n], seen[0..2n] */
     if (!used)
         return -1;
-    Search s = {p, q, n, deg, pstart, prior, top, ntop,
+    Search s = {p, q, n, deg, pstart, prior, top, ntop, twin_prev,
                 2LL * n - q, (long long)q * (q - 1) / 2, lab_at, used, used + n + 1, 0};
     const int found = rec(&s, 0, 10 * n, -1, 0);
     free(used);

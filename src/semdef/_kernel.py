@@ -52,11 +52,12 @@ def _compile(target: Path) -> None:
 
 @functools.cache
 def load():
-    """The kernel as a function dfs(n_total, deg, prior, top) -> (labels per
-    order position or None, nodes), taking the degrees (descending) and
-    prior-neighbour lists of solver._search_order and the first vertex's
-    candidate labels; None when it cannot be built or loaded.  The outcome
-    is kept for the life of the process."""
+    """The kernel as a function dfs(n_total, deg, prior, top, twin_prev) ->
+    (labels per order position or None, nodes), taking the degrees
+    (descending), prior-neighbour lists and previous-twin positions of
+    solver._search_order and the first vertex's candidate labels; None when
+    it cannot be built or loaded.  The outcome is kept for the life of the
+    process."""
     import ctypes
 
     try:
@@ -68,13 +69,14 @@ def load():
         return None
     i32p = ctypes.POINTER(ctypes.c_int)
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p, i32p,
-                   ctypes.c_int, i32p, ctypes.POINTER(ctypes.c_longlong)]
+                   ctypes.c_int, i32p, i32p, ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
 
     def ints(values: list[int]):
         return (ctypes.c_int * len(values))(*values)
 
-    def dfs(n_total: int, deg: list[int], prior: list[list[int]], top: list[int]):
+    def dfs(n_total: int, deg: list[int], prior: list[list[int]], top: list[int],
+            twin_prev: list[int]):
         p = len(deg)
         starts = [0]
         for nbrs in prior:
@@ -83,7 +85,7 @@ def load():
         labels = ints([0] * p)
         nodes = ctypes.c_longlong()
         found = fn(p, len(flat), n_total, ints(deg), ints(starts), ints(flat), ints(top),
-                   len(top), labels, ctypes.byref(nodes))
+                   len(top), ints(twin_prev), labels, ctypes.byref(nodes))
         if found < 0:
             raise MemoryError("search kernel could not allocate its tables")
         return (list(labels[:p]) if found else None), nodes.value

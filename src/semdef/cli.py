@@ -214,6 +214,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_labels < 0:
+        raise ValueError(f"--max-labels must be >= 0, got {args.max_labels}")
     g = Graph.from_json_dict(_read_json(args.graph))
     try:
         out = deficiency(
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
     p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
-    p.add_argument("--no-symmetry", action="store_true", help="disable complement symmetry")
+    p.add_argument("--no-symmetry", action="store_true", help="disable complement and twin symmetry")
     p.add_argument("--max-labels", type=int, default=16, help="label-count limit")
     p.add_argument("--json", default=None, help="outcome output path ('-' = stdout)")
     p.set_defaults(func=_cmd_solve)

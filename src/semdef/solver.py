@@ -21,6 +21,22 @@ reflected; the first assigned vertex may therefore be restricted to labels
 1..ceil(N/2) without losing any witness with minimal first label, so the
 returned witness is unchanged.
 
+Twin symmetry: two vertices are twins when they have the same open
+neighbourhood N(v) (the added vertices of a join, the leaves of a star,
+isolated vertices) or the same closed neighbourhood N[v] (the triangle of
+C_3+mK_1).  Swapping the labels of two twins leaves the set of edge sums
+unchanged, so of the orderings of labels on a twin class only the ascending
+one is searched: each vertex takes a label above that of the previous twin
+in the assignment order.  This cuts up to m! orderings of the m added
+vertices of G+mK_1 (a lex-leader symmetry-breaking predicate, Crawford,
+Ginsberg, Luks and Roy, KR 1996).  It never changes the returned witness:
+if the lexicographically least witness with its first label in 1..ceil(N/2)
+had two twins labelled in descending order, swapping them would give a
+smaller witness, still valid and with a first label no larger, so that
+witness already ascends on every twin class.  Both cuts are under the
+`symmetry` flag; the twin cut applies to pruned searches only, so the
+unpruned enumeration keeps just the complement cut.
+
 Backends: _run_search is the pure-Python reference.  Pruned searches run in
 a compiled port of it, _dfs.c, when that can be built: it is compiled with
 `cc -O2 -shared -fPIC` at the first pruned search (never at import), cached
@@ -93,19 +109,35 @@ class SearchOutcome:
         return self.deficiency is not None
 
 
-def _search_order(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+def _search_order(
+    g: Graph,
+) -> tuple[list[int], list[list[int]], list[int], list[int]]:
     """Assignment order (descending degree, ties by index) and, per order
-    position, the positions of already-assigned neighbors."""
+    position, the positions of already-assigned neighbors, the degree, and
+    the previous position of the same twin class (-1 if none).
+
+    Twins have equal open neighbourhoods N(v) or equal closed ones N[v].
+    No N(u) equals an N[w] (w would be in N(u), so u in N(w) = N(u)), so one
+    table keyed by both finds both kinds of class."""
     deg = g.degrees()
     order = sorted(range(g.vertex_count), key=lambda v: (-deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     prior: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
     for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
         iu, iv = pos[u], pos[v]
         if iu > iv:
             iu, iv = iv, iu
         prior[iv].append(iu)
-    return order, prior, [deg[v] for v in order]
+    twin_prev = []
+    last: dict[frozenset[int], int] = {}
+    for i, v in enumerate(order):
+        open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
+        twin_prev.append(last.get(open_nbhd, last.get(closed_nbhd, -1)))
+        last[open_nbhd] = last[closed_nbhd] = i
+    return order, prior, [deg[v] for v in order], twin_prev
 
 
 def _run_search(
@@ -125,7 +157,9 @@ def _run_search(
     if prune and q > 0 and q > 2 * n_total - 3:
         # counting bound: no SEM graph with an edge has q > 2p - 3
         return None, 0
-    order, prior, deg_in_order = _search_order(g)
+    order, prior, deg_in_order, twin_prev = _search_order(g)
+    if not (prune and symmetry):
+        twin_prev = [-1] * p
     suffix_degs = [sorted(deg_in_order[i:], reverse=True) for i in range(p + 1)]
     target_base = q * (q - 1) // 2
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -153,7 +187,11 @@ def _run_search(
                 return out
             return None
 
-        candidates = top if idx == 0 else range(1, n_total + 1)
+        if idx == 0:
+            candidates = top
+        else:  # twin rule: above the label of the previous twin
+            tp = twin_prev[idx]
+            candidates = range(labels_at[tp] + 1 if tp >= 0 else 1, n_total + 1)
         nbrs = prior[idx]
         for lab in candidates:
             if used[lab]:
@@ -238,9 +276,11 @@ def _search(
 
         dfs = _kernel.load()
         if dfs is not None:
-            order, prior, deg_in_order = _search_order(g)
+            order, prior, deg_in_order, twin_prev = _search_order(g)
             top = list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1))
-            at, nodes = dfs(n_total, deg_in_order, prior, top)
+            if not symmetry:
+                twin_prev = [-1] * len(order)
+            at, nodes = dfs(n_total, deg_in_order, prior, top, twin_prev)
             labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
             return labels, nodes, "c"
     labels, nodes = _run_search(g, n_total, prune, symmetry)

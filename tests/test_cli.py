@@ -324,6 +324,20 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_negative_max_labels_is_a_usage_error(capsys, tmp_path):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))
+    code, out, err = run_cli("solve", "--graph", str(graph_path), "--max-labels", "-3",
+                             capsys=capsys)
+    assert code == 2  # not 4, which means "over the limit"
+    assert out == ""
+    assert err == "error: --max-labels must be >= 0, got -3\n"
+    code, _, err = run_cli("solve", "--graph", str(graph_path), "--max-labels", "0",
+                           capsys=capsys)
+    assert code == 4
+    assert err.startswith("limit: ")
+
+
 @pytest.mark.parametrize(
     "command, flag, data",
     [

@@ -2,6 +2,8 @@ import contextlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import random_graph, sem_exists_bruteforce
 
@@ -141,14 +143,19 @@ def test_monotonicity_in_filler_count():
 
 def test_prune_and_symmetry_toggles_only_change_node_counts():
     for g, t in _corpus()[:20]:
-        base = find_sem(g, t)
-        for kwargs in ({"prune": False}, {"symmetry": False}, {"prune": False, "symmetry": False}):
-            other = find_sem(g, t, **kwargs)
-            assert (other.witness is None) == (base.witness is None), (g, t, kwargs)
+        runs = {
+            (prune, symmetry): find_sem(g, t, prune=prune, symmetry=symmetry)
+            for prune in (True, False)
+            for symmetry in (True, False)
+        }
+        base = runs[True, True]
+        for key, other in runs.items():
+            assert (other.witness is None) == (base.witness is None), (g, t, key)
             if base.witness is not None:
-                assert other.witness.labeling == base.witness.labeling, (g, t, kwargs)
-        unpruned = find_sem(g, t, prune=False)
-        assert unpruned.nodes >= base.nodes
+                assert other.witness.labeling == base.witness.labeling, (g, t, key)
+        assert runs[False, True].nodes >= base.nodes
+        for prune in (True, False):
+            assert runs[prune, False].nodes >= runs[prune, True].nodes, (g, t, prune)
 
 
 def test_repeated_runs_are_deterministic():
@@ -165,6 +172,63 @@ def test_stats_populated():
     assert res.nodes > 0
     assert res.seconds >= 0.0
     assert res.total_labels == 5
+
+
+# ---------------------------------------------------------------------------
+# Twin classes: equal open neighbourhoods N(v) or equal closed ones N[v]
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g, order, twin_prev", [
+    # C_4+2K_1: the opposite cycle vertices and the added pair are open twins
+    (join(cycle(4), empty_graph(2)), [0, 1, 2, 3, 4, 5], [-1, -1, 0, 1, -1, 4]),
+    # C_3+4K_1: the triangle is one closed-twin class, the added four open
+    (join(cycle(3), empty_graph(4)), [0, 1, 2, 3, 4, 5, 6], [-1, 0, 1, -1, 3, 4, 5]),
+    # K_{1,3}+4K_1: the leaves and the added vertices; the centre has no twin
+    (join(star(3), empty_graph(4)), list(range(8)), [-1, -1, 1, 2, -1, 4, 5, 6]),
+    # P_3 with two isolated vertices: the path's ends, and the isolated pair
+    (Graph(5, [(0, 1), (1, 2)]), [1, 0, 2, 3, 4], [-1, -1, 1, -1, 3]),
+    (wheel_minus_spoke(9), [0, 2, 3, 4, 5, 6, 7, 8, 9, 1], [-1] * 10),
+    (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7], [-1] * 9),
+])
+def test_search_order_twin_classes(g, order, twin_prev):
+    got = solver._search_order(g)
+    assert (got[0], got[3]) == (order, twin_prev)
+
+
+@pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry", [
+    (join(star(5), empty_graph(3)), 4, 56_908, 2_298_865),
+    (join(path(5), empty_graph(3)), 5, 195_941, 1_839_429),
+    (join(cycle(4), empty_graph(2)), 6, 23_495, 170_976),
+    (join(cycle(3), empty_graph(4)), 3, 3_448, 69_268),
+])
+def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_without_symmetry):
+    assert _assert_same_search(g, t).nodes == nodes
+    # symmetry=False skips both cuts; its counts are those of the search
+    # before the twin rule existed
+    assert find_sem(g, t, symmetry=False).nodes == nodes_without_symmetry
+
+
+@st.composite
+def _twin_rich(draw):
+    """(G + mK_1) U kK_1 with at most 9 vertices, and a filler count that
+    keeps the labels at most 9."""
+    p = draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    joined = join(Graph(p, edges), empty_graph(draw(st.integers(1, 3))))
+    g = Graph(joined.vertex_count + draw(st.integers(0, 2)), joined.edges)
+    return g, draw(st.integers(0, 9 - g.vertex_count))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_twin_rich())
+def test_twin_rule_keeps_witness_on_twin_rich_graphs(c_backend, case):
+    g, t = case
+    on = _assert_same_search(g, t)
+    off = _assert_same_search(g, t, symmetry=False)
+    assert (on.witness and on.witness.labeling) == (off.witness and off.witness.labeling)
+    assert off.nodes >= on.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +251,17 @@ def c_backend():
 
 
 @contextlib.contextmanager
-def _python_only(monkeypatch):
-    with monkeypatch.context() as m:
+def _python_only():
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(_kernel, "load", lambda: None)
         yield
 
 
-def _assert_same_search(monkeypatch, g, t, **kwargs):
+def _assert_same_search(g, t, **kwargs):
+    """The kernel's find_sem result, after checking that _run_search returns
+    the same witness after the same number of nodes."""
     c = find_sem(g, t, **kwargs)
-    with _python_only(monkeypatch):
+    with _python_only():
         py = find_sem(g, t, **kwargs)
     assert py.backend == "python"
     # searches that the counting bound or p == 0 settle place no label
@@ -203,6 +269,7 @@ def _assert_same_search(monkeypatch, g, t, **kwargs):
     got = (c.witness and c.witness.labeling, c.nodes, c.total_labels)
     want = (py.witness and py.witness.labeling, py.nodes, py.total_labels)
     assert got == want, (g, t, kwargs)
+    return c
 
 
 def _manifest_searches(monkeypatch):
@@ -222,9 +289,9 @@ def _manifest_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("symmetry", [True, False])
-def test_backends_agree_on_oracle_corpus(monkeypatch, c_backend, symmetry):
+def test_backends_agree_on_oracle_corpus(c_backend, symmetry):
     for g, t in _corpus() + [(wheel_minus_spoke(6), 1), (join(path(4), empty_graph(3)), 2)]:
-        _assert_same_search(monkeypatch, g, t, symmetry=symmetry)
+        _assert_same_search(g, t, symmetry=symmetry)
 
 
 @pytest.mark.parametrize("symmetry", [True, False])
@@ -232,7 +299,7 @@ def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
     calls = _manifest_searches(monkeypatch)
     assert len(calls) > 20
     for g, t in calls:
-        _assert_same_search(monkeypatch, g, t, symmetry=symmetry)
+        _assert_same_search(g, t, symmetry=symmetry)
 
 
 def test_unpruned_search_stays_in_python(c_backend):
@@ -268,7 +335,7 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, fresh_kernel, 
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
     (tmp_path / "cache").mkdir()
     breakage(monkeypatch, tmp_path)
-    with _python_only(monkeypatch):
+    with _python_only():
         want = deficiency(wheel_minus_spoke(5), 2)
     got = deficiency(wheel_minus_spoke(5), 2)
     assert got.backend == "python"
