@@ -5,6 +5,10 @@ Conventions:
     are 1-based, so formulas written for labels {1..p} apply unchanged.
   * Edges are stored as (u, v) with u < v, sorted lexicographically, so that
     equal graphs compare equal and certificates serialize reproducibly.
+  * Only Graph(...) and the JSON reader validate edges.  The builders in this
+    module (the families and join) emit canonical edges by construction and
+    hand them to the unchecked Graph._canonical, which nothing outside this
+    module may call; tests compare every builder with Graph(p, edges).
   * The wheel-minus-spoke family H_n is W_n = C_n + K_1 with one hub-to-rim
     edge removed: vertex 0 is the hub c, vertices 1..n are the rim x_1..x_n,
     and the missing spoke is c-x_1 by default.  The variant with the missing
@@ -16,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -49,6 +54,16 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
 
+    @classmethod
+    def _canonical(cls, vertex_count: int, edges) -> "Graph":
+        """A Graph from edges that are already canonical: distinct (u, v)
+        with 0 <= u < v < vertex_count, in sorted order.  Checks nothing, so
+        only this module's builders may call it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", tuple(edges))
+        return g
+
     @property
     def q(self) -> int:
         return len(self.edges)
@@ -61,7 +76,10 @@ class Graph:
         return deg
 
     def to_json_dict(self) -> dict:
-        return {"schema": SCHEMA, "p": self.vertex_count, "edges": list(map(list, self.edges))}
+        """The graph as a JSON-ready dict.  Its edges are (u, v) tuples:
+        json.dumps writes them as the same bytes as lists, and from_json_dict
+        reads either."""
+        return {"schema": SCHEMA, "p": self.vertex_count, "edges": list(self.edges)}
 
     @classmethod
     def from_json_dict(cls, data) -> "Graph":
@@ -123,33 +141,36 @@ def _check_n(kind: str, n: int) -> None:
 def empty_graph(n: int) -> Graph:
     """n isolated vertices (the empty graph on n vertices)."""
     _check_n("empty", n)
-    return Graph(n)
+    return Graph._canonical(n, ())
 
 
 def path(n: int) -> Graph:
     """Path P_n on n vertices (P_1 is a single vertex)."""
     _check_n("path", n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._canonical(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _ring(first: int, last: int) -> list[tuple[int, int]]:
+    """The cycle on first..last, first + 2 <= last, in canonical order."""
+    return [(first, first + 1), (first, last)] + [(i, i + 1) for i in range(first + 1, last)]
 
 
 def cycle(n: int) -> Graph:
     """Cycle C_n, n >= 3."""
     _check_n("cycle", n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._canonical(n, _ring(0, n - 1))
 
 
 def star(n: int) -> Graph:
     """Star K_{1,n}: center 0 joined to leaves 1..n."""
     _check_n("star", n)
-    return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return Graph._canonical(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def wheel(n: int) -> Graph:
     """Wheel W_n = C_n + K_1: hub 0, rim 1..n."""
     _check_n("wheel", n)
-    spokes = [(0, i) for i in range(1, n + 1)]
-    rim = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n + 1, spokes + rim)
+    return Graph._canonical(n + 1, [(0, i) for i in range(1, n + 1)] + _ring(1, n))
 
 
 def wheel_minus_spoke(n: int, missing_spoke: int = 1) -> Graph:
@@ -163,8 +184,7 @@ def wheel_minus_spoke(n: int, missing_spoke: int = 1) -> Graph:
     if not (1 <= missing_spoke <= n):
         raise ValueError(f"missing_spoke must be in 1..{n}, got {missing_spoke}")
     spokes = [(0, i) for i in range(1, n + 1) if i != missing_spoke]
-    rim = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph(n + 1, spokes + rim)
+    return Graph._canonical(n + 1, spokes + _ring(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +198,19 @@ def join(g: Graph, h: Graph) -> Graph:
     g.vertex_count.
     """
     shift = g.vertex_count
-    edges = list(g.edges)
+    # one tuple, so every cross edge shares its int objects
+    right = tuple(range(shift, shift + h.vertex_count))
+    # canonical order: per vertex u of g, g's edges (u, v) and then the cross
+    # edges (u, shift..), since v < shift; h's shifted edges come last
+    edges = []
+    start = 0
+    for u in range(shift):
+        stop = bisect_left(g.edges, (u + 1,), start)
+        edges += g.edges[start:stop]
+        edges += product((u,), right)
+        start = stop
     edges += [(u + shift, v + shift) for u, v in h.edges]
-    edges += product(range(shift), range(shift, shift + h.vertex_count))
-    return Graph(g.vertex_count + h.vertex_count, edges)
+    return Graph._canonical(shift + h.vertex_count, edges)
 
 
 # ---------------------------------------------------------------------------

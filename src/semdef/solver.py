@@ -75,6 +75,8 @@ class SearchResult:
     witness None means the search was exhaustive over all injective
     labelings into {1..total_labels} and found none.  backend is "c" when
     the compiled kernel ran the search, "python" when _run_search did.
+    seconds is the search's own time: it leaves out building and loading
+    the kernel and re-verifying the witness.
     """
 
     witness: SemCertificate | None
@@ -94,7 +96,8 @@ class SearchOutcome:
     deficiency is the exact value when a witness exists (every smaller
     filler count was exhausted or excluded by counting); None means no
     witness exists for any t <= cap.  backend is that of the last search
-    run, "python" when none ran.
+    run, "python" when none ran.  seconds is the sum of the searches'
+    SearchResult.seconds.
     """
 
     deficiency: int | None
@@ -267,24 +270,32 @@ def _search(
     n_total: int,
     prune: bool,
     symmetry: bool,
-) -> tuple[list[int] | None, int, str]:
-    """_run_search's result and the backend that computed it: the compiled
-    kernel for a pruned search that reaches the DFS, when the kernel loads."""
+) -> tuple[list[int] | None, int, str, float]:
+    """_run_search's result, the backend that computed it and the seconds it
+    took: the compiled kernel for a pruned search that reaches the DFS, when
+    the kernel loads.  The seconds leave out building and loading the kernel."""
     q = g.q
+    dfs = None
     if prune and g.vertex_count > 0 and not (q > 0 and q > 2 * n_total - 3):
         from . import _kernel  # on first use, so `import semdef` loads no kernel code
 
         dfs = _kernel.load()
-        if dfs is not None:
-            order, prior, deg_in_order, twin_prev = _search_order(g)
-            top = list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1))
-            if not symmetry:
-                twin_prev = [-1] * len(order)
-            at, nodes = dfs(n_total, deg_in_order, prior, top, twin_prev)
-            labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
-            return labels, nodes, "c"
-    labels, nodes = _run_search(g, n_total, prune, symmetry)
-    return labels, nodes, "python"
+    start = time.perf_counter()
+    if dfs is None:
+        labels, nodes = _run_search(g, n_total, prune, symmetry)
+        return labels, nodes, "python", time.perf_counter() - start
+    order, prior, deg_in_order, twin_prev = _search_order(g)
+    top = list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1))
+    if not symmetry:
+        twin_prev = [-1] * len(order)
+    at, nodes = dfs(n_total, deg_in_order, prior, top, twin_prev)
+    labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
+    return labels, nodes, "c", time.perf_counter() - start
+
+
+def _check_max_labels(max_labels: int | None) -> None:
+    if max_labels is not None and max_labels < 0:
+        raise ValueError(f"max_labels must be >= 0, got {max_labels}")
 
 
 def find_sem(
@@ -300,19 +311,19 @@ def find_sem(
     Returns a SearchResult whose witness, when present, has been re-verified
     by the checker; witness None is a proof by exhaustion over total_labels
     = p + t labels.  Raises SearchLimitError when p + t exceeds max_labels
-    (pass max_labels=None to accept the runtime risk).
+    (pass max_labels=None to accept the runtime risk), and ValueError for a
+    negative t or max_labels.
     """
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
+    _check_max_labels(max_labels)
     n_total = g.vertex_count + t
     if max_labels is not None and n_total > max_labels:
         raise SearchLimitError(
             f"search needs {n_total} labels, over the limit of {max_labels}; "
             "raise max_labels to run anyway"
         )
-    start = time.perf_counter()
-    labels, nodes, backend = _search(g, n_total, prune, symmetry)
-    seconds = time.perf_counter() - start
+    labels, nodes, backend, seconds = _search(g, n_total, prune, symmetry)
     if labels is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
     cert = verify_sem(g, Labeling(labels, n_total))
@@ -336,20 +347,21 @@ def deficiency(
     Iterates the filler count from the counting lower bound (smaller values
     cannot work: q <= 2(p+t)-3 fails) up to cap; the first witness gives the
     exact value.  Exceeding the label limit raises SearchLimitError rather
-    than returning a wrong or weakened answer.
+    than returning a wrong or weakened answer; a negative cap or max_labels
+    raises ValueError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    start = time.perf_counter()
+    _check_max_labels(max_labels)
     nodes = 0
+    seconds = 0.0
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
         res = find_sem(g, t, prune=prune, symmetry=symmetry, max_labels=max_labels)
         nodes += res.nodes
+        seconds += res.seconds
         backend = res.backend
         if res.witness is not None:
-            return SearchOutcome(
-                t, res.witness, cap, nodes, time.perf_counter() - start, backend
-            )
-    return SearchOutcome(None, None, cap, nodes, time.perf_counter() - start, backend)
+            return SearchOutcome(t, res.witness, cap, nodes, seconds, backend)
+    return SearchOutcome(None, None, cap, nodes, seconds, backend)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semdef
 from semdef.graphs import (
     FAMILY_KINDS,
     FamilyDescriptor,
@@ -170,3 +173,47 @@ def test_family_size_matches_make_family(kind, n, m):
     else:
         assert family_size(d) == (g.vertex_count, g.q)
 
+
+
+# ---------------------------------------------------------------------------
+# The builders emit canonical edges and skip Graph's checks
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(g):
+    """g equals the checked Graph of its own edges, edge tuple included."""
+    checked = Graph(g.vertex_count, list(g.edges))
+    assert type(g.edges) is tuple
+    assert (g.vertex_count, g.edges) == (checked.vertex_count, checked.edges)
+
+
+@st.composite
+def _small_graphs(draw):
+    p = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    return Graph(p, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs(), _small_graphs())
+def test_join_is_canonical(g, h):
+    _assert_canonical(join(g, h))
+
+
+@pytest.mark.parametrize("kind", [k for k, row in FAMILY_KINDS.items() if row[3]])
+def test_family_builders_are_canonical(kind):
+    needs_m, least_n, _, build, _ = FAMILY_KINDS[kind]
+    for n in range(least_n, 41):
+        for args in [(n, m) for m in range(1, 9)] if needs_m else [(n,)]:
+            _assert_canonical(build(*args))
+
+
+def test_wheel_minus_spoke_is_canonical_for_every_missing_spoke():
+    for n in range(3, 41):
+        for s in range(1, n + 1):
+            _assert_canonical(wheel_minus_spoke(n, s))
+
+
+def test_canonical_constructor_stays_in_graphs_module():
+    package = Path(semdef.__file__).parent
+    users = sorted(f.name for f in package.glob("*.py") if "_canonical" in f.read_text())
+    assert users == ["graphs.py"]

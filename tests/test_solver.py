@@ -1,5 +1,6 @@
 import contextlib
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -96,6 +97,9 @@ def test_search_limit():
     # the counting bound alone pushes this one past the label limit
     with pytest.raises(SearchLimitError):
         deficiency(join(cycle(5), empty_graph(8)), 12)
+    # zero is a limit like any other, not a malformed one
+    with pytest.raises(SearchLimitError):
+        find_sem(path(2), 0, max_labels=0)
     # explicit override admits larger label counts
     res = find_sem(path(2), 15, max_labels=None)
     assert res.witness is not None
@@ -106,6 +110,17 @@ def test_deficiency_cap_validation():
         deficiency(path(2), -1)
     with pytest.raises(ValueError):
         find_sem(path(2), -1)
+
+
+@pytest.mark.parametrize("search", [
+    lambda limit: find_sem(path(2), 0, max_labels=limit),
+    lambda limit: deficiency(path(2), 2, max_labels=limit),
+    # no filler count is searched: the counting bound exceeds the cap
+    lambda limit: deficiency(join(cycle(5), empty_graph(8)), 0, max_labels=limit),
+], ids=["find_sem", "deficiency", "deficiency-no-search"])
+def test_negative_max_labels_is_a_value_error(search):
+    with pytest.raises(ValueError, match="^max_labels must be >= 0, got -3$"):
+        search(-3)
 
 
 def _corpus():
@@ -300,6 +315,24 @@ def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
     assert len(calls) > 20
     for g, t in calls:
         _assert_same_search(g, t, symmetry=symmetry)
+
+
+def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
+    g = join(star(3), empty_graph(2))
+    want_res, want_out = find_sem(g, 2), deficiency(g, 3)
+    load = _kernel.load
+
+    def slow_load():
+        time.sleep(0.2)
+        return load()
+
+    monkeypatch.setattr(_kernel, "load", slow_load)
+    res, out = find_sem(g, 2), deficiency(g, 3)
+    assert res.seconds < 0.2 and out.seconds < 0.2
+    assert (res.nodes, res.witness, res.backend) == (
+        want_res.nodes, want_res.witness, want_res.backend)
+    assert (out.deficiency, out.nodes, out.witness, out.backend) == (
+        want_out.deficiency, want_out.nodes, want_out.witness, want_out.backend)
 
 
 def test_unpruned_search_stays_in_python(c_backend):
