@@ -25,7 +25,6 @@ from .labeling import (
     edge_sums,
     total_edge_labels,
     verify_sem,
-    weighted_sum_feasible,
     weighted_sum_required,
 )
 from .constructions import (
@@ -70,7 +69,6 @@ __all__ = [
     "edge_sums",
     "total_edge_labels",
     "verify_sem",
-    "weighted_sum_feasible",
     "weighted_sum_required",
     "ConstructionResult",
     "construct_cycle_join",

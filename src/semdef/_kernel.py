@@ -52,12 +52,11 @@ def _compile(target: Path) -> None:
 
 @functools.cache
 def load():
-    """The kernel as a function dfs(n_total, deg, prior, top, twin_prev) ->
-    (labels per order position or None, nodes), taking the degrees
-    (descending), prior-neighbour lists and previous-twin positions of
-    solver._search_order and the first vertex's candidate labels; None when
-    it cannot be built or loaded.  The outcome is kept for the life of the
-    process."""
+    """The kernel as a function dfs(n_total, deg, pstart, prior, top,
+    twin_prev) -> (labels per order position or None, nodes), taking the
+    arrays of the plan that solver._plan builds for both backends, as they
+    are; None when it cannot be built or loaded.  The outcome is kept for
+    the life of the process."""
     import ctypes
 
     try:
@@ -75,19 +74,15 @@ def load():
     def ints(values: list[int]):
         return (ctypes.c_int * len(values))(*values)
 
-    def dfs(n_total: int, deg: list[int], prior: list[list[int]], top: list[int],
-            twin_prev: list[int]):
+    def dfs(n_total: int, deg: list[int], pstart: list[int], prior: list[int],
+            top: list[int], twin_prev: list[int]):
         p = len(deg)
-        starts = [0]
-        for nbrs in prior:
-            starts.append(starts[-1] + len(nbrs))
-        flat = [j for nbrs in prior for j in nbrs]
-        labels = ints([0] * p)
+        labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
-        found = fn(p, len(flat), n_total, ints(deg), ints(starts), ints(flat), ints(top),
+        found = fn(p, len(prior), n_total, ints(deg), ints(pstart), ints(prior), ints(top),
                    len(top), ints(twin_prev), labels, ctypes.byref(nodes))
         if found < 0:
             raise MemoryError("search kernel could not allocate its tables")
-        return (list(labels[:p]) if found else None), nodes.value
+        return (list(labels) if found else None), nodes.value
 
     return dfs

@@ -256,11 +256,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    selection = set(args.select) if args.select else None
-    report = reproduce_mod.run(selection=selection)
-    if selection and not report.entries:
-        print(f"no claims match selection {sorted(selection)}", file=sys.stderr)
-        return EXIT_USAGE
+    report = reproduce_mod.run(selection=args.select)
     for e in report.entries:
         tag = f" [{', '.join(e.errata)}]" if e.errata else ""
         print(f"{e.status.upper():>11}  {e.claim.id}: {e.details}{tag}")

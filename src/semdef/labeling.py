@@ -189,23 +189,3 @@ def weighted_sum_required(q: int, s: int) -> int:
         raise ValueError(f"q must be >= 0, got {q}")
     return q * s + q * (q - 1) // 2
 
-
-def weighted_sum_feasible(g: Graph, total_labels: int, s: int) -> bool:
-    """Necessary test: can any injective labeling meet the weighted-sum target?
-
-    sum(deg(v) * f(v)) must equal weighted_sum_required(q, s); over injections
-    of {1..total_labels} that weighted sum ranges over an interval whose
-    endpoints pair the largest degrees with the smallest resp. largest labels.
-    Interval membership is necessary but not sufficient (a cheap pruning
-    filter; completeness comes from the solver).
-    """
-    target = weighted_sum_required(g.q, s)
-    degs = sorted(g.degrees(), reverse=True)
-    p = g.vertex_count
-    if total_labels < p:
-        return False
-    low_labels = range(1, p + 1)
-    high_labels = range(total_labels, total_labels - p, -1)
-    lo = sum(d * lab for d, lab in zip(degs, low_labels))
-    hi = sum(d * lab for d, lab in zip(degs, high_labels))
-    return lo <= target <= hi

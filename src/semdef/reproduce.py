@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .graphs import FamilyDescriptor, cycle, family_size, make_family, path, star
 from .labeling import Rejection, verify_sem
-from .manifest import CLAIMS, Claim
+from .manifest import CLAIMS, Claim, claim_ids, groups
 from .solver import deficiency, find_sem
 
 STATUS_PASS = "pass"
@@ -332,8 +332,14 @@ _RUNNERS = {
 
 
 def run(selection=None) -> ReproductionReport:
-    """Run the selected claims (by group or id; None = all) in manifest order."""
+    """Run the selected claims (by group or id; None = all) in manifest order.
+
+    Raises ValueError, before any claim runs, when a selector names neither
+    a group nor a claim id."""
     wanted = set(selection) if selection else None
+    unknown = sorted(wanted.difference(groups(), claim_ids())) if wanted else []
+    if unknown:
+        raise ValueError(f"no claim group or id matches selection {unknown}")
     entries = []
     for claim in CLAIMS:
         if wanted is not None and claim.group not in wanted and claim.id not in wanted:

@@ -41,12 +41,16 @@ Backends: _run_search is the pure-Python reference.  Pruned searches run in
 a compiled port of it, _dfs.c, when that can be built: it is compiled with
 `cc -O2 -shared -fPIC` at the first pruned search (never at import), cached
 in this package's __pycache__ under a hash of its source and the
-interpreter's tag, and loaded with ctypes (see _kernel.py).  It follows the
-same order, candidates and pruning, so it returns the same witness after the
-same number of nodes.  Without a compiler, on a compile or load error, or
-with a cache directory that cannot be written, every search runs in
-_run_search; so does every unpruned search.  SearchResult.backend names the
-one used; there is no setting to choose it.
+interpreter's tag, and loaded with ctypes (see _kernel.py).  One plan feeds
+both: _search settles the searches that place no label (p = 0, and a pruned
+search past the counting bound), then builds the order, degrees, prior
+neighbours, first candidates and twin links once with _plan, in the flat
+layout _dfs.c takes, and hands that plan unchanged to the backend that
+runs.  So both follow the same order, candidates and pruning, and return
+the same witness after the same number of nodes.  Without a compiler, on a
+compile or load error, or with a cache directory that cannot be written,
+every search runs in _run_search; so does every unpruned search.
+SearchResult.backend names the one used; there is no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.
@@ -56,10 +60,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .bounds import counting_lower_bound
 from .graphs import Graph
-from .labeling import Labeling, Rejection, SemCertificate, verify_sem
+from .labeling import Labeling, Rejection, SemCertificate, verify_sem, weighted_sum_required
 
 DEFAULT_MAX_LABELS = 16
 
@@ -112,59 +118,79 @@ class SearchOutcome:
         return self.deficiency is not None
 
 
-def _search_order(
-    g: Graph,
-) -> tuple[list[int], list[list[int]], list[int], list[int]]:
-    """Assignment order (descending degree, ties by index) and, per order
-    position, the positions of already-assigned neighbors, the degree, and
-    the previous position of the same twin class (-1 if none).
+class _Plan(NamedTuple):
+    """What both backends run, in the layout semdef_dfs takes: per assignment
+    position i, the vertex order[i], its degree deg[i] (descending), the
+    positions of its already-assigned neighbours prior[pstart[i] ..
+    pstart[i + 1]), and the previous position of its twin class twin_prev[i]
+    (-1 if none); top lists the candidate labels of position 0."""
+
+    order: list[int]
+    deg: list[int]
+    pstart: list[int]
+    prior: list[int]
+    top: list[int]
+    twin_prev: list[int]
+
+
+def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
+    """The search plan of g with labels 1..n_total: descending-degree order
+    (ties by index), the complement cut on the first position's labels under
+    `symmetry`, and twin classes only when both `prune` and `symmetry` are set.
 
     Twins have equal open neighbourhoods N(v) or equal closed ones N[v].
     No N(u) equals an N[w] (w would be in N(u), so u in N(w) = N(u)), so one
     table keyed by both finds both kinds of class."""
+    p = g.vertex_count
     deg = g.degrees()
-    order = sorted(range(g.vertex_count), key=lambda v: (-deg[v], v))
+    order = sorted(range(p), key=lambda v: (-deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
-    prior: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    prior_at: list[list[int]] = [[] for _ in range(p)]
+    nbrs: list[set[int]] = [set() for _ in range(p)]
     for u, v in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
         iu, iv = pos[u], pos[v]
         if iu > iv:
             iu, iv = iv, iu
-        prior[iv].append(iu)
-    twin_prev = []
-    last: dict[frozenset[int], int] = {}
-    for i, v in enumerate(order):
-        open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
-        twin_prev.append(last.get(open_nbhd, last.get(closed_nbhd, -1)))
-        last[open_nbhd] = last[closed_nbhd] = i
-    return order, prior, [deg[v] for v in order], twin_prev
+        prior_at[iv].append(iu)
+    twin_prev = [-1] * p
+    if prune and symmetry:
+        last: dict[frozenset[int], int] = {}
+        for i, v in enumerate(order):
+            open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
+            twin_prev[i] = last.get(open_nbhd, last.get(closed_nbhd, -1))
+            last[open_nbhd] = last[closed_nbhd] = i
+    return _Plan(
+        order,
+        [deg[v] for v in order],
+        [0, *accumulate(map(len, prior_at))],
+        [j for js in prior_at for j in js],
+        list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1)),
+        twin_prev,
+    )
 
 
-def _run_search(
-    g: Graph,
-    n_total: int,
-    prune: bool,
-    symmetry: bool,
-) -> tuple[list[int] | None, int]:
-    """Core DFS.  Returns (labels in vertex order, nodes) or (None, nodes).
+def _by_vertex(order: list[int], at: list[int]) -> list[int]:
+    """Labels per assignment position, rearranged into vertex order."""
+    out = [0] * len(order)
+    for v, lab in zip(order, at):
+        out[v] = lab
+    return out
+
+
+def _run_search(g: Graph, plan: _Plan, n_total: int,
+                prune: bool) -> tuple[list[int] | None, int]:
+    """Core DFS over plan.  Returns (labels per assignment position, nodes)
+    or (None, nodes).
 
     nodes counts label placements attempted.
     """
     p = g.vertex_count
     q = g.q
-    if p == 0:
-        return [], 0
-    if prune and q > 0 and q > 2 * n_total - 3:
-        # counting bound: no SEM graph with an edge has q > 2p - 3
-        return None, 0
-    order, prior, deg_in_order, twin_prev = _search_order(g)
-    if not (prune and symmetry):
-        twin_prev = [-1] * p
-    suffix_degs = [sorted(deg_in_order[i:], reverse=True) for i in range(p + 1)]
-    target_base = q * (q - 1) // 2
+    order, deg, pstart, prior, top, twin_prev = plan
+    suffix_degs = [deg[i:] for i in range(p + 1)]
+    target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
 
     labels_at = [0] * p
@@ -172,22 +198,11 @@ def _run_search(
     sum_seen = bytearray(2 * n_total + 1)
     nodes = 0
 
-    if symmetry:
-        top = list(range(1, (n_total + 1) // 2 + 1))
-    else:
-        top = list(range(1, n_total + 1))
-
-    def available_ascending() -> list[int]:
-        return [lab for lab in range(1, n_total + 1) if not used[lab]]
-
     def rec(idx: int, lo: int, hi: int, wsum: int) -> list[int] | None:
         nonlocal nodes
         if idx == p:
-            out = [0] * p
-            for i, v in enumerate(order):
-                out[v] = labels_at[i]
-            if prune or verify_sem(g, Labeling(out, n_total)):
-                return out
+            if prune or verify_sem(g, Labeling(_by_vertex(order, labels_at), n_total)):
+                return list(labels_at)
             return None
 
         if idx == 0:
@@ -195,12 +210,14 @@ def _run_search(
         else:  # twin rule: above the label of the previous twin
             tp = twin_prev[idx]
             candidates = range(labels_at[tp] + 1 if tp >= 0 else 1, n_total + 1)
-        nbrs = prior[idx]
+        nbrs = prior[pstart[idx]:pstart[idx + 1]]
         for lab in candidates:
             if used[lab]:
                 continue
             nodes += 1
             if prune:
+                # The new sums pair lab with distinct placed labels, so they
+                # are distinct from each other; only a realized sum can collide.
                 new_lo, new_hi = lo, hi
                 ok = True
                 new_sums = []
@@ -209,12 +226,6 @@ def _run_search(
                     if sum_seen[sm]:
                         ok = False
                         break
-                    for prev in new_sums:
-                        if prev == sm:
-                            ok = False
-                            break
-                    if not ok:
-                        break
                     new_sums.append(sm)
                     if sm < new_lo:
                         new_lo = sm
@@ -222,12 +233,12 @@ def _run_search(
                         new_hi = sm
                 if not ok or (new_hi >= 0 and new_hi - new_lo > q - 1):
                     continue
-                wsum2 = wsum + deg_in_order[idx] * lab
+                wsum2 = wsum + deg[idx] * lab
                 if q > 0 and idx + 1 < p:
-                    # completion interval for the degree-weighted label sum
+                    # completion interval for the degree-weighted label sum;
+                    # the remaining degrees are already descending
                     rem_degs = suffix_degs[idx + 1]
-                    avail = available_ascending()
-                    avail.remove(lab)
+                    avail = [a for a in range(1, n_total + 1) if not used[a] and a != lab]
                     minc = 0
                     maxc = 0
                     last = len(avail) - 1
@@ -271,26 +282,32 @@ def _search(
     prune: bool,
     symmetry: bool,
 ) -> tuple[list[int] | None, int, str, float]:
-    """_run_search's result, the backend that computed it and the seconds it
-    took: the compiled kernel for a pruned search that reaches the DFS, when
-    the kernel loads.  The seconds leave out building and loading the kernel."""
+    """(labels in vertex order or None, nodes, backend, seconds) of one
+    search.  The label-free cases are settled here: p = 0, and a pruned search
+    past the counting bound.  Otherwise the plan is built once and run by the
+    compiled kernel for a pruned search when it loads, else by _run_search.
+    The seconds leave out building and loading the kernel."""
     q = g.q
+    if g.vertex_count == 0:
+        return [], 0, "python", 0.0
+    if prune and q > 0 and q > 2 * n_total - 3:
+        # counting bound: no SEM graph with an edge has q > 2p - 3
+        return None, 0, "python", 0.0
     dfs = None
-    if prune and g.vertex_count > 0 and not (q > 0 and q > 2 * n_total - 3):
+    if prune:
         from . import _kernel  # on first use, so `import semdef` loads no kernel code
 
         dfs = _kernel.load()
     start = time.perf_counter()
+    plan = _plan(g, n_total, prune, symmetry)
     if dfs is None:
-        labels, nodes = _run_search(g, n_total, prune, symmetry)
-        return labels, nodes, "python", time.perf_counter() - start
-    order, prior, deg_in_order, twin_prev = _search_order(g)
-    top = list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1))
-    if not symmetry:
-        twin_prev = [-1] * len(order)
-    at, nodes = dfs(n_total, deg_in_order, prior, top, twin_prev)
-    labels = None if at is None else [lab for _, lab in sorted(zip(order, at))]
-    return labels, nodes, "c", time.perf_counter() - start
+        at, nodes = _run_search(g, plan, n_total, prune)
+        backend = "python"
+    else:
+        at, nodes = dfs(n_total, plan.deg, plan.pstart, plan.prior, plan.top, plan.twin_prev)
+        backend = "c"
+    labels = None if at is None else _by_vertex(plan.order, at)
+    return labels, nodes, backend, time.perf_counter() - start
 
 
 def _check_max_labels(max_labels: int | None) -> None:

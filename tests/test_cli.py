@@ -299,6 +299,20 @@ def test_reproduce_selection_and_reports(capsys, tmp_path):
     assert "| claim |" in md_path.read_text()
 
 
+@pytest.mark.parametrize("selectors, unknown", [
+    (["errata", "erata"], "['erata']"),  # a typo next to a valid group
+    (["bogus"], "['bogus']"),
+])
+def test_reproduce_rejects_a_selector_that_matches_nothing(capsys, tmp_path, selectors, unknown):
+    json_path = tmp_path / "report.json"
+    argv = [arg for sel in selectors for arg in ("--select", sel)]
+    code, out, err = run_cli("reproduce", *argv, "--json", str(json_path), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no claim group or id matches selection {unknown}\n"
+    assert not json_path.exists()
+
+
 def test_reproduce_reports_are_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("reproduce", "--select", "magic-constants", "--json", str(a), capsys=capsys)
@@ -431,11 +445,12 @@ def test_solve_stats_name_the_backend(capsys, tmp_path):
     assert err.strip().endswith("backend=python")
 
 
-def test_installed_entry_point():
+def test_installed_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "semdef.cli", "gen", "--family", "star", "-n", "3"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "p=4, q=3" in proc.stdout

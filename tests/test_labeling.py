@@ -19,7 +19,6 @@ from semdef.labeling import (
     edge_sums,
     total_edge_labels,
     verify_sem,
-    weighted_sum_feasible,
     weighted_sum_required,
 )
 
@@ -152,16 +151,6 @@ def test_weighted_sum_required_matches_accepted_certificates():
         assert sum(edge_sums(g, cert.labeling)) == weighted_sum_required(
             g.q, cert.min_edge_sum
         )
-
-
-def test_weighted_sum_feasible():
-    assert weighted_sum_feasible(path(2), 2, 3)
-    assert not weighted_sum_feasible(path(2), 2, 4)
-    # necessary only: the wheel-minus-spoke on 5 rim vertices passes the
-    # interval test at s=3 although no labeling attains it
-    assert weighted_sum_feasible(wheel_minus_spoke(5), 6, 3)
-    # C_3 with labels {1,2,3}: forced window is achievable
-    assert weighted_sum_feasible(cycle(3), 3, 3)
 
 
 @pytest.mark.parametrize(

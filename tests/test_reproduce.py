@@ -1,3 +1,5 @@
+import pytest
+
 from semdef.manifest import CLAIMS, claim_ids, groups
 from semdef import reproduce
 
@@ -36,6 +38,13 @@ def test_selection_by_group_and_id():
     rep = reproduce.run(selection={"bound-identities"})
     assert len(rep.entries) == 1
     assert rep.entries[0].status == "pass"
+
+
+def test_unknown_selector_is_rejected_before_any_claim_runs(monkeypatch):
+    # with no runners, running any claim would raise KeyError instead
+    monkeypatch.setattr(reproduce, "_RUNNERS", {})
+    with pytest.raises(ValueError, match=r"selection \['bogus', 'erata'\]$"):
+        reproduce.run(selection={"errata", "erata", "bogus", "bound-identities"})
 
 
 def test_open_problems_reported_open_not_failed():

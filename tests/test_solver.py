@@ -206,8 +206,27 @@ def test_stats_populated():
     (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7], [-1] * 9),
 ])
 def test_search_order_twin_classes(g, order, twin_prev):
-    got = solver._search_order(g)
-    assert (got[0], got[3]) == (order, twin_prev)
+    got = solver._plan(g, g.vertex_count, prune=True, symmetry=True)
+    assert (got.order, got.twin_prev) == (order, twin_prev)
+
+
+def test_plan_of_c4_plus_2k1():
+    # cycle 0-1-2-3-0 joined to 4 and 5: every degree is 4, so the order is
+    # the index order and each position's prior neighbours are its earlier
+    # neighbours
+    g = join(cycle(4), empty_graph(2))
+    plan = solver._plan(g, 7, prune=True, symmetry=True)
+    assert plan.order == [0, 1, 2, 3, 4, 5]
+    assert plan.deg == [4] * 6
+    assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
+    assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
+    assert plan.top == [1, 2, 3, 4]  # complement cut: labels 1..ceil(7/2)
+    assert plan.twin_prev == [-1, -1, 0, 1, -1, 4]
+    for prune, symmetry in [(True, False), (False, True), (False, False)]:
+        other = solver._plan(g, 7, prune=prune, symmetry=symmetry)
+        assert other.twin_prev == [-1] * 6
+        assert other.top == ([1, 2, 3, 4] if symmetry else [1, 2, 3, 4, 5, 6, 7])
+        assert other[:4] == plan[:4]
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry", [
@@ -395,7 +414,7 @@ def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_
     assert _kernel.library_path() != before
 
 
-def test_kernel_is_not_loaded_at_import():
+def test_kernel_is_not_loaded_at_import(child_env):
     import subprocess
     import sys
 
@@ -403,5 +422,5 @@ def test_kernel_is_not_loaded_at_import():
             "print(*(m in sys.modules for m in "
             "('semdef._kernel', 'ctypes', 'subprocess', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+                         env=child_env, check=True).stdout
     assert out.split() == ["False", "False", "False", "False"]
