@@ -26,14 +26,14 @@ import sys
 from . import bounds as bounds_mod
 from . import constructions as cons
 from . import reproduce as reproduce_mod
-from .graphs import FAMILY_KINDS, FamilyDescriptor, Graph, make_family, wheel_minus_spoke
+from .graphs import FAMILY_KINDS, FamilyDescriptor, Graph, SCHEMA, make_family, wheel_minus_spoke
 from .labeling import (
     Rejection,
     SemCertificate,
     certificate_from_json_dict,
     verify_sem,
 )
-from .solver import SearchLimitError, deficiency
+from .solver import DEFAULT_MAX_LABELS, SearchLimitError, deficiency
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -234,7 +234,7 @@ def _cmd_solve(args) -> int:
     )
     human = _summary_stream(args.json)
     payload: dict = {
-        "schema": "semdef/1",
+        "schema": SCHEMA,
         "cap": out.cap,
         "deficiency": out.deficiency,
         "certificate": None,
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
     p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
     p.add_argument("--no-symmetry", action="store_true", help="disable complement and twin symmetry")
-    p.add_argument("--max-labels", type=int, default=16, help="label-count limit")
+    p.add_argument("--max-labels", type=int, default=DEFAULT_MAX_LABELS, help="label-count limit")
     p.add_argument("--json", default=None, help="outcome output path ('-' = stdout)")
     p.set_defaults(func=_cmd_solve)
 

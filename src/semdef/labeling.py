@@ -96,8 +96,8 @@ def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
     """Unpack a certificate JSON dict into (graph, labeling, claimed fields).
 
     The claimed fields ({"isolated", "s", "k"}) are returned unverified;
-    callers re-verify and cross-check them (see cli.verify).  Any malformed
-    input raises ValueError.
+    callers re-verify and cross-check them (see cli.verify).  Malformed
+    input, a label count other than p included, raises ValueError.
     """
     data = json_object(data, "certificate")
     graph = Graph.from_json_dict(data.get("graph"))
@@ -105,6 +105,8 @@ def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
     if isolated < 0:
         raise ValueError(f"isolated count must be >= 0, got {isolated}")
     labels = json_int_list(data.get("labels"), "certificate 'labels'")
+    if len(labels) != graph.vertex_count:
+        raise ValueError(f"certificate has {len(labels)} labels for {graph.vertex_count} vertices")
     labeling = Labeling(labels, graph.vertex_count + isolated)
     claimed = {"isolated": isolated, "s": data.get("s"), "k": data.get("k")}
     return graph, labeling, claimed
@@ -127,7 +129,9 @@ def verify_sem(g: Graph, f: Labeling) -> SemCertificate | Rejection:
     edge sums are pairwise distinct consecutive integers.  Returns a
     certificate on acceptance and a Rejection naming the failure otherwise.
     For q == 0 the sum condition is vacuous; min_edge_sum is 0 by convention.
+    A label count other than p raises ValueError before any label is checked.
     """
+    sums = edge_sums(g, f)  # checks the label count first
     n_total = f.total_labels
     if f.labels and not (1 <= min(f.labels) and max(f.labels) <= n_total):
         for v, lab in enumerate(f.labels):
@@ -146,7 +150,6 @@ def verify_sem(g: Graph, f: Labeling) -> SemCertificate | Rejection:
                 )
             seen[lab] = v
 
-    sums = edge_sums(g, f)
     q = len(sums)
     if q == 0:
         s = 0

@@ -4,6 +4,19 @@ Each claim is data (id, group, human statement, runner kind, parameters); the
 runners live in the reproduce module.  Keeping the table declarative makes
 coverage auditable by inspection, and the report preserves this order.
 
+The parameters (reproduce._cases alone reads the case keys, n to cases):
+  family                the graph family (graphs.FAMILY_KINDS) of the cases
+  n / n_range / n_list  one n, an inclusive (lo, hi), or a list
+  m / m_range           one m or an inclusive (lo, hi); the cases are every n
+                        with every m, n-major, None for an n or m not given
+  cases                 explicit (n, m) pairs instead
+  details               a construct-grid report line; {verified} and {cases}
+                        count the cases constructed and listed
+  grids                 the construct-grid claims bounds-consistency re-checks
+  bases                 (kind, n) general-join bases, each joined with every m
+Keys of one runner only: cap, expect, t (searches), tag (erratum-demo) and
+formula (magic-constant).
+
 Statuses produced by the runners:
   pass         the claim holds as stated
   errata-pass  the claim holds after a documented formula correction
@@ -39,15 +52,20 @@ CLAIMS: tuple[Claim, ...] = (
         "wheel-minus-spoke",
         "H_n (wheel minus one spoke) carries a verified SEM labeling with "
         "0 fillers for n=3,4 and 1 filler for n=5,6,7.",
-        "construct-wheel-small",
+        "construct-grid",
+        family="wheel-minus-spoke",
+        n_range=(3, 7),
+        details="{verified}/{cases} small cases verified",
     ),
     _claim(
         "wms-general-constructions",
         "wheel-minus-spoke",
         "For 8 <= n <= 19 with n % 4 != 2, the H_n pattern labeling verifies "
         "with (n-3)/2 fillers for odd n and n/2 fillers for n % 4 == 0.",
-        "construct-wheel-general",
-        n_max=19,
+        "construct-grid",
+        family="wheel-minus-spoke",
+        n_range=(8, 19),
+        details="{verified} cases verified (n % 4 == 2 skipped: open)",
     ),
     _claim(
         "wms-deficiency-n3",
@@ -143,8 +161,9 @@ CLAIMS: tuple[Claim, ...] = (
         "0 (n<=2), m-1 (n=4), 2(m-1) (n=6), else (n-1)(m-1)-1.",
         "construct-grid",
         family="path-join",
-        n_max=10,
-        m_max=6,
+        n_range=(1, 10),
+        m_range=(2, 6),
+        details="{verified} (n, m) cases verified",
     ),
     _claim(
         "path-join-special-constructions",
@@ -152,7 +171,9 @@ CLAIMS: tuple[Claim, ...] = (
         "The P_4 and P_6 join labelings meet their counting lower bounds "
         "(m-1 and 2(m-1) fillers) for every m <= 8.",
         "construct-path-special",
-        m_max=8,
+        family="path-join",
+        n_list=(4, 6),
+        m_range=(2, 8),
     ),
     _claim(
         "path-join-p2-sem",
@@ -208,8 +229,9 @@ CLAIMS: tuple[Claim, ...] = (
         "fillers 0 (m=1), else n(m-1)-1.",
         "construct-grid",
         family="star-join",
-        n_max=10,
-        m_max=6,
+        n_range=(2, 10),
+        m_range=(1, 6),
+        details="{verified} (n, m) cases verified",
     ),
     _claim(
         "star-join-single-sem",
@@ -254,17 +276,19 @@ CLAIMS: tuple[Claim, ...] = (
         "mn-(n+m)+1 fillers.",
         "construct-grid",
         family="cycle-join",
-        n_max=13,
-        m_max=6,
+        n_range=(3, 13),
+        m_range=(2, 6),
+        details="{verified} (n, m) cases verified",
     ),
     _claim(
         "cycle-join-counting-infeasible",
         "cycle-join",
         "One filler below the counting bound, C_n + mK_1-join has too many "
         "edges to be SEM (q > 2p-3), for 3 <= n <= 10, 2 <= m <= 6.",
-        "counting-infeasible-cycle",
-        n_max=10,
-        m_max=6,
+        "counting-infeasible",
+        family="cycle-join",
+        n_range=(3, 10),
+        m_range=(2, 6),
     ),
     _claim(
         "cycle-join-c3-m2-exact",
@@ -287,7 +311,9 @@ CLAIMS: tuple[Claim, ...] = (
         "independent vertices verifies with s+(m-2)p-m fillers, s the base's "
         "largest edge sum.",
         "construct-general-grid",
-        m_max=5,
+        bases=(("path", 2), ("path", 3), ("path", 4), ("path", 5), ("path", 6), ("star", 2),
+               ("star", 3), ("star", 4), ("star", 5), ("cycle", 3), ("cycle", 5), ("cycle", 7)),
+        m_range=(1, 5),
     ),
     # --------------------------------------------------------------------- bounds
     _claim(
@@ -297,8 +323,8 @@ CLAIMS: tuple[Claim, ...] = (
         "lower-bound formulas for path, star, and cycle joins over all "
         "3 <= n <= 50, 2 <= m <= 50.",
         "bound-identities",
-        n_max=50,
-        m_max=50,
+        n_range=(3, 50),
+        m_range=(2, 50),
     ),
     _claim(
         "bounds-consistency",
@@ -307,10 +333,11 @@ CLAIMS: tuple[Claim, ...] = (
         "construction's filler count and never falls below the lower bound.",
         "bounds-consistency",
         grids=(
-            ("wheel-minus-spoke", 19, None),
-            ("path-join", 10, 6),
-            ("star-join", 10, 6),
-            ("cycle-join", 13, 6),
+            "wms-small-constructions",
+            "wms-general-constructions",
+            "path-join-constructions",
+            "star-join-constructions",
+            "cycle-join-constructions",
         ),
     ),
     # --------------------------------------------------------------------- errata
@@ -398,8 +425,9 @@ CLAIMS: tuple[Claim, ...] = (
         "largest edge sum, not the magic constant (which is (n+1)(2m+1)+2); "
         "the labeling itself verifies.  Checked for 2 <= n <= 8, 2 <= m <= 6.",
         "magic-star-multi-mismatch",
-        n_max=8,
-        m_max=6,
+        family="star-join",
+        n_range=(2, 8),
+        m_range=(2, 6),
     ),
     # -------------------------------------------------------------- open problems
     _claim(

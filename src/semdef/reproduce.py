@@ -13,14 +13,8 @@ import datetime as _dt
 from dataclasses import dataclass
 
 from . import constructions as cons
-from .bounds import (
-    DeficiencyBounds,
-    check_bound_identities,
-    counting_lower_bound,
-    family_bounds,
-    family_grid,
-)
-from .graphs import FamilyDescriptor, cycle, family_size, make_family, path, star
+from .bounds import bound_identity_mismatch, counting_lower_bound, family_bounds
+from .graphs import SCHEMA, FamilyDescriptor, family_size, make_family
 from .labeling import Rejection, verify_sem
 from .manifest import CLAIMS, Claim, claim_ids, groups
 from .solver import deficiency, find_sem
@@ -70,20 +64,23 @@ _MAGIC_FORMULAS = {
     "2mn+floor((3n+2)/2)": lambda n, m: 2 * m * n + (3 * n + 2) // 2,
 }
 
-_GENERAL_JOIN_BASES = (
-    ("P2", lambda: path(2)),
-    ("P3", lambda: path(3)),
-    ("P4", lambda: path(4)),
-    ("P5", lambda: path(5)),
-    ("P6", lambda: path(6)),
-    ("K1,2", lambda: star(2)),
-    ("K1,3", lambda: star(3)),
-    ("K1,4", lambda: star(4)),
-    ("K1,5", lambda: star(5)),
-    ("C3", lambda: cycle(3)),
-    ("C5", lambda: cycle(5)),
-    ("C7", lambda: cycle(7)),
-)
+
+def _cases(params) -> list[tuple[int | None, int | None]]:
+    """The (n, m) cases of a claim: its explicit cases, or n from n_list,
+    n_range or n times m from m_range or m (None where neither is given)."""
+    if "cases" in params:
+        return list(params["cases"])
+    if "n_list" in params:
+        n_values = list(params["n_list"])
+    elif "n_range" in params:
+        n_values = list(range(params["n_range"][0], params["n_range"][1] + 1))
+    else:
+        n_values = [params.get("n")]
+    if "m_range" in params:
+        m_values = list(range(params["m_range"][0], params["m_range"][1] + 1))
+    else:
+        m_values = [params.get("m")]
+    return [(n, m) for n in n_values for m in m_values]
 
 
 def _check_result(r: cons.ConstructionResult, errata: set[str]) -> None:
@@ -95,87 +92,50 @@ def _check_result(r: cons.ConstructionResult, errata: set[str]) -> None:
     errata.update(r.errata_applied)
 
 
-def _bounds_str(b: DeficiencyBounds) -> str:
-    upper = "unknown" if b.upper is None else str(b.upper)
-    return f"{b.lower} <= deficiency <= {upper}"
+def _constructions(params, errata: set[str]):
+    """Yield (n, m, result) for each case of the claim where its family has
+    a construction, after _check_result; the errata applied go into errata."""
+    family = params["family"]
+    for n, m in _cases(params):
+        if cons.filler_row(family, n, m) is None:
+            continue
+        r = cons.CONSTRUCTIONS[family][0](n, m)
+        _check_result(r, errata)
+        yield n, m, r
 
 
 # ---------------------------------------------------------------------------
 # Claim runners (one per manifest kind)
 # ---------------------------------------------------------------------------
 
-def _run_construct_wheel_small(params):
-    errata: set[str] = set()
-    for n in range(3, 8):
-        _check_result(cons.construct_wheel_minus_spoke(n), errata)
-    return "5/5 small cases verified", errata
-
-
-def _run_construct_wheel_general(params):
-    errata: set[str] = set()
-    count = 0
-    for n in range(8, params["n_max"] + 1):
-        if cons.filler_row("wheel-minus-spoke", n) is None:
-            continue
-        _check_result(cons.construct_wheel_minus_spoke(n), errata)
-        count += 1
-    return f"{count} cases verified (n % 4 == 2 skipped: open)", errata
-
-
 def _run_construct_grid(params):
     errata: set[str] = set()
-    count = 0
-    construct = cons.CONSTRUCTIONS[params["family"]][0]
-    for d in family_grid(params["family"], params["n_max"], params["m_max"]):
-        if cons.filler_row(d.kind, d.n, d.m) is None:
-            continue
-        _check_result(construct(d.n, d.m), errata)
-        count += 1
-    return f"{count} (n, m) cases verified", errata
+    verified = sum(1 for _ in _constructions(params, errata))
+    return params["details"].format(verified=verified, cases=len(_cases(params))), errata
 
 
 def _run_construct_path_special(params):
     errata: set[str] = set()
     count = 0
-    for n in (4, 6):
-        for m in range(2, params["m_max"] + 1):
-            r = cons.construct_path_join(n, m)
-            _check_result(r, errata)
-            g = r.certificate.graph
-            if counting_lower_bound(g.vertex_count, g.q) != r.claimed_isolated:
-                raise AssertionError(f"n={n}, m={m}: filler count above the counting bound")
-            count += 1
+    for n, m, r in _constructions(params, errata):
+        g = r.certificate.graph
+        if counting_lower_bound(g.vertex_count, g.q) != r.claimed_isolated:
+            raise AssertionError(f"n={n}, m={m}: filler count above the counting bound")
+        count += 1
     return f"{count} special cases meet their counting bounds", errata
 
 
 def _run_construct_general_grid(params):
     errata: set[str] = set()
     count = 0
-    for name, build in _GENERAL_JOIN_BASES:
-        g = build()
-        base = find_sem(g, 0).witness
+    for kind, n in params["bases"]:
+        base = find_sem(make_family(FamilyDescriptor(kind, n=n)), 0).witness
         if base is None:
-            raise AssertionError(f"base {name} unexpectedly has no SEM labeling")
-        for m in range(1, params["m_max"] + 1):
+            raise AssertionError(f"base {kind} n={n} unexpectedly has no SEM labeling")
+        for _, m in _cases(params):
             _check_result(cons.construct_general_join(base, m), errata)
             count += 1
     return f"{count} (base, m) cases verified", errata
-
-
-def _cases(params) -> list[tuple[int, int | None]]:
-    """The (n, m) cases of a claim: n from n_list, n_range or n, times m from
-    m_range or m (None for families without m)."""
-    if "n_list" in params:
-        n_values = list(params["n_list"])
-    elif "n_range" in params:
-        n_values = list(range(params["n_range"][0], params["n_range"][1] + 1))
-    else:
-        n_values = [params["n"]]
-    if "m_range" in params:
-        m_values = list(range(params["m_range"][0], params["m_range"][1] + 1))
-    else:
-        m_values = [params.get("m")]
-    return [(n, m) for n in n_values for m in m_values]
 
 
 def _run_solver(params):
@@ -202,48 +162,43 @@ def _run_solver(params):
         return f"deficiency {out.deficiency}; witness {out.witness.labeling.labels}", set()
     if len(cases) == 1:
         return f"exhausted all labelings into 1..{res.total_labels}: none SEM", set()
-    if "m_range" in params:
+    if len({m for _, m in cases}) > 1:
         return f"no SEM labeling in any of the {len(cases)} cases", set()
-    lo, hi = params["n_range"]
-    return f"no SEM labeling for n in {lo}..{hi}", set()
+    return f"no SEM labeling for n in {cases[0][0]}..{cases[-1][0]}", set()
 
 
-def _run_counting_infeasible_cycle(params):
-    count = 0
-    for n in range(3, params["n_max"] + 1):
-        for m in range(2, params["m_max"] + 1):
-            p, q = family_size(FamilyDescriptor("cycle-join", n=n, m=m))
-            lower = counting_lower_bound(p, q)
-            if lower < 1:
-                raise AssertionError(f"(n={n}, m={m}): lower bound {lower} < 1")
-            t = lower - 1
-            if not q > 2 * (p + t) - 3:
-                raise AssertionError(f"(n={n}, m={m}): t={t} not excluded by counting")
-            count += 1
-    return f"{count} cases excluded one filler below the bound", set()
+def _run_counting_infeasible(params):
+    cases = _cases(params)
+    for n, m in cases:
+        p, q = family_size(FamilyDescriptor(params["family"], n=n, m=m))
+        lower = counting_lower_bound(p, q)
+        if lower < 1:
+            raise AssertionError(f"(n={n}, m={m}): lower bound {lower} < 1")
+        t = lower - 1
+        if not q > 2 * (p + t) - 3:
+            raise AssertionError(f"(n={n}, m={m}): t={t} not excluded by counting")
+    return f"{len(cases)} cases excluded one filler below the bound", set()
 
 
 def _run_bound_identities(params):
-    bad = check_bound_identities(params["n_max"], params["m_max"])
-    if bad is not None:
-        raise AssertionError(f"first mismatch at {bad}")
-    return f"all identities agree up to n={params['n_max']}, m={params['m_max']}", set()
+    for n, m in _cases(params):
+        family = bound_identity_mismatch(n, m)
+        if family is not None:
+            raise AssertionError(f"first mismatch at {(family, n, m)}")
+    return f"all identities agree up to n={n}, m={m}", set()
 
 
 def _run_bounds_consistency(params):
     checked = 0
-    for family, n_max, m_max in params["grids"]:
-        construct = cons.CONSTRUCTIONS[family][0]
-        for d in family_grid(family, n_max, m_max):
+    for claim_id in params["grids"]:
+        grid = next(c.params for c in CLAIMS if c.id == claim_id)
+        for n, m, r in _constructions(grid, set()):
+            d = FamilyDescriptor(grid["family"], n=n, m=m)
             b = family_bounds(d)
-            if b.upper is None:
-                continue
-            r = construct(d.n, d.m)
             if b.upper != r.certificate.isolated:
                 raise AssertionError(
                     f"{d}: upper {b.upper} != construction fillers {r.certificate.isolated}"
                 )
-            _check_result(r, set())
             if b.lower > b.upper:
                 raise AssertionError(f"{d}: lower {b.lower} > upper {b.upper}")
             checked += 1
@@ -267,29 +222,28 @@ def _run_erratum_demo(params):
 
 def _run_magic_constant(params):
     formula = _MAGIC_FORMULAS[params["formula"]]
-    cases = _cases(params)
-    for n, m in cases:
-        k = cons.CONSTRUCTIONS[params["family"]][0](n, m).certificate.magic_constant
+    count = 0
+    for n, m, r in _constructions(params, set()):
+        k = r.certificate.magic_constant
         if k != formula(n, m):
             raise AssertionError(f"(n={n}, m={m}): k={k}, formula gives {formula(n, m)}")
-    return f"magic constant {params['formula']} confirmed in {len(cases)} cases", set()
+        count += 1
+    return f"magic constant {params['formula']} confirmed in {count} cases", set()
 
 
 def _run_magic_star_multi_mismatch(params):
     count = 0
-    for n in range(2, params["n_max"] + 1):
-        for m in range(2, params["m_max"] + 1):
-            r = cons.construct_star_join(n, m)
-            cert = r.certificate
-            stated = (n + 1) * (m + 1) + 1
-            top_sum = cert.min_edge_sum + cert.graph.q - 1
-            if cert.magic_constant == stated:
-                raise AssertionError(f"(n={n}, m={m}): no discrepancy after all")
-            if stated != top_sum:
-                raise AssertionError(
-                    f"(n={n}, m={m}): stated constant {stated} is not the top sum {top_sum}"
-                )
-            count += 1
+    for n, m, r in _constructions(params, set()):
+        cert = r.certificate
+        stated = (n + 1) * (m + 1) + 1
+        top_sum = cert.min_edge_sum + cert.graph.q - 1
+        if cert.magic_constant == stated:
+            raise AssertionError(f"(n={n}, m={m}): no discrepancy after all")
+        if stated != top_sum:
+            raise AssertionError(
+                f"(n={n}, m={m}): stated constant {stated} is not the top sum {top_sum}"
+            )
+        count += 1
     return (
         f"in all {count} cases the stated constant equals the largest edge sum; "
         "certificates carry the recomputed magic constant",
@@ -300,11 +254,12 @@ def _run_magic_star_multi_mismatch(params):
 def _run_open_problem(params):
     family = params["family"]
     parts = []
-    for n, m in params["cases"]:
+    for n, m in _cases(params):
         d = FamilyDescriptor(family, n=n, m=m)
         b = family_bounds(d)
         label = f"n={n}" if m is None else f"n={n}, m={m}"
-        parts.append(f"{label}: {_bounds_str(b)}")
+        upper = "unknown" if b.upper is None else b.upper
+        parts.append(f"{label}: {b.lower} <= deficiency <= {upper}")
         if "cap" in params:
             out = deficiency(make_family(d), params["cap"])
             if out.deficiency is None:
@@ -315,13 +270,11 @@ def _run_open_problem(params):
 
 
 _RUNNERS = {
-    "construct-wheel-small": _run_construct_wheel_small,
-    "construct-wheel-general": _run_construct_wheel_general,
     "construct-grid": _run_construct_grid,
     "construct-path-special": _run_construct_path_special,
     "construct-general-grid": _run_construct_general_grid,
     "solver": _run_solver,
-    "counting-infeasible-cycle": _run_counting_infeasible_cycle,
+    "counting-infeasible": _run_counting_infeasible,
     "bound-identities": _run_bound_identities,
     "bounds-consistency": _run_bounds_consistency,
     "erratum-demo": _run_erratum_demo,
@@ -364,7 +317,7 @@ def report_json_dict(report: ReproductionReport, generated_at: str | None = None
     if generated_at is None:
         generated_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
     return {
-        "schema": "semdef/1",
+        "schema": SCHEMA,
         "generated_at": generated_at,
         "entries": [
             {

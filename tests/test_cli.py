@@ -125,6 +125,16 @@ def test_verify_rejects_wrong_claimed_constant(capsys, tmp_path):
     assert "claimed k" in err
 
 
+@pytest.mark.parametrize("labels", [[1, 2], [1, 9]])
+def test_wrong_label_count_is_a_usage_error(capsys, tmp_path, labels):
+    # a 3-vertex certificate with 2 labels is malformed, whatever the labels
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({**BASE_CERT, "labels": labels}))
+    code, _, err = run_cli("verify", "--cert", str(cert_path), capsys=capsys)
+    assert code == 2
+    assert "certificate has 2 labels for 3 vertices" in err
+
+
 def test_verify_graph_cross_check(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     graph_path = tmp_path / "g.json"

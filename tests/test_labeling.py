@@ -42,6 +42,11 @@ def test_edge_sums_length_mismatch_raises():
         edge_sums(path(3), Labeling([1, 2]))
 
 
+def test_verify_checks_the_label_count_before_the_labels():
+    with pytest.raises(ValueError, match="2 labels but the graph has 3 vertices"):
+        verify_sem(path(3), Labeling([1, 9], 3))
+
+
 def test_verify_wheel_minus_spoke_4():
     cert = verify_sem(wheel_minus_spoke(4), Labeling([2, 3, 1, 4, 5]))
     assert isinstance(cert, SemCertificate)

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from semdef.constructions import filler_row
 from semdef.manifest import CLAIMS, claim_ids, groups
 from semdef import reproduce
 
@@ -14,6 +18,19 @@ def test_every_claim_has_a_runner():
 
     for claim in CLAIMS:
         assert claim.kind in _RUNNERS, claim.id
+
+
+def test_every_runner_has_a_claim():
+    assert set(reproduce._RUNNERS) == {c.kind for c in CLAIMS}
+
+
+def test_only_cases_reads_the_case_keys():
+    case_keys = {"n", "n_range", "n_list", "m", "m_range", "cases"}
+    tree = ast.parse(Path(reproduce.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_cases":
+            keys = {c.value for c in ast.walk(fn) if isinstance(c, ast.Constant)}
+            assert not keys & case_keys, fn.name
 
 
 def test_groups_cover_expected_topics():
@@ -149,3 +166,95 @@ def test_construction_claim_details_are_pinned():
     assert all(e.status != "fail" for e in rep.entries)
     assert {e.claim.id: e.details for e in rep.entries} == CONSTRUCT_DETAILS
     assert [e.claim.id for e in rep.entries] == list(CONSTRUCT_DETAILS)
+
+
+# The details of the claims pinned by neither table above, byte for byte.
+OTHER_DETAILS = {
+    "cycle-join-counting-infeasible": "40 cases excluded one filler below the bound",
+    "bound-identities": "all identities agree up to n=50, m=50",
+    "magic-p2-join": "magic constant 3m+6 confirmed in 7 cases",
+    "magic-star-single": "magic constant 3n+6 confirmed in 7 cases",
+    "magic-p4-join": "magic constant 6m+9 confirmed in 7 cases",
+    "magic-path-general": "magic constant 2mn+floor((3n+2)/2) confirmed in 24 cases",
+    "magic-star-multi-mismatch": (
+        "in all 35 cases the stated constant equals the largest edge sum; "
+        "certificates carry the recomputed magic constant"
+    ),
+    "open-wheel-2mod4": (
+        "n=10: 0 <= deficiency <= unknown; n=14: 0 <= deficiency <= unknown; "
+        "n=18: 0 <= deficiency <= unknown"
+    ),
+    "open-path-join-exact": "n=8, m=3: 6 <= deficiency <= 13; n=8, m=6: 15 <= deficiency <= 34",
+    "open-star-join-exact": "n=5, m=3: 4 <= deficiency <= 9; n=5, m=6: 10 <= deficiency <= 24",
+    "open-cycle-join-even": (
+        "n=4, m=2: 2 <= deficiency <= unknown; exhaustive search: deficiency > 6"
+    ),
+}
+
+# The status and errata tags of every claim that is not a plain pass.
+NOT_PLAIN_PASS = {
+    "wms-general-constructions": ("errata-pass", ("wheel-odd-index-ranges",)),
+    "path-join-constructions": ("errata-pass", ("path6-join-v-list",)),
+    "path-join-special-constructions": ("errata-pass", ("path6-join-v-list",)),
+    "star-join-constructions": ("errata-pass", ("star-join-center-label",)),
+    "cycle-join-constructions": ("errata-pass", ("cycle-join-even-position-formula",)),
+    "erratum-cycle-join-even-position": ("errata-pass", ("cycle-join-even-position-formula",)),
+    "erratum-star-join-center-label": ("errata-pass", ("star-join-center-label",)),
+    "erratum-path6-v-list": ("errata-pass", ("path6-join-v-list",)),
+    "erratum-wheel-odd-index-ranges": ("errata-pass", ("wheel-odd-index-ranges",)),
+    "magic-star-multi-mismatch": ("errata-pass", ("star-join-magic-constant",)),
+    "open-wheel-2mod4": ("open", ()),
+    "open-path-join-exact": ("open", ()),
+    "open-star-join-exact": ("open", ()),
+    "open-cycle-join-even": ("open", ()),
+}
+
+
+def test_whole_report_is_pinned():
+    rep = reproduce.run()
+    details = {**SOLVER_DETAILS, **CONSTRUCT_DETAILS, **OTHER_DETAILS}
+    assert len(details) == len(CLAIMS) == 40
+    assert {e.claim.id: e.details for e in rep.entries} == details
+    assert [e.claim.id for e in rep.entries] == claim_ids()
+    assert {e.claim.id: (e.status, e.errata) for e in rep.entries} == {
+        cid: NOT_PLAIN_PASS.get(cid, ("pass", ())) for cid in claim_ids()
+    }
+
+
+def _bench_constants() -> dict:
+    """The module-level literal assignments of bench/run.py, read without
+    importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            try:
+                out[node.targets[0].id] = ast.literal_eval(node.value)
+            except (AttributeError, ValueError):
+                pass
+    return out
+
+
+def test_bench_reads_the_manifest_it_is_given():
+    # the benchmark sums per-kind seconds by each kind's first word and
+    # checks the report's claim count; a renamed kind or a new claim must
+    # show up here, not only in a traced benchmark run
+    bench = _bench_constants()
+    assert bench["MANIFEST_CLAIMS"] == len(CLAIMS)
+    for claim in CLAIMS:
+        assert claim.kind.split("-")[0] in bench["KIND_CLASSES"], claim.id
+
+
+def test_bounds_consistency_rechecks_the_construction_claims():
+    params = next(c.params for c in CLAIMS if c.id == "bounds-consistency")
+    named = [c for c in CLAIMS if c.id in params["grids"]]
+    assert [c.id for c in named] == list(params["grids"])
+    assert all(c.kind == "construct-grid" for c in named)
+    sizes = [
+        sum(filler_row(c.params["family"], n, m) is not None for n, m in reproduce._cases(c.params))
+        for c in named
+    ]
+    assert sizes == [5, 9, 50, 54, 30]
+    (entry,) = reproduce.run(selection={"bounds-consistency"}).entries
+    assert entry.details == f"{sum(sizes)} descriptors consistent with their constructions"
+    assert sum(sizes) == 148
