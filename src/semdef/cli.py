@@ -102,11 +102,9 @@ def _cmd_gen(args) -> int:
     _check_family_flags(args)
     if args.mid_spoke:
         if args.family != "wheel-minus-spoke":
-            print("--mid-spoke applies only to --family wheel-minus-spoke", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--mid-spoke applies only to --family wheel-minus-spoke")
         if args.n is None or args.n < 4 or args.n % 2:
-            print("--mid-spoke needs an even -n >= 4", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--mid-spoke needs an even -n >= 4")
         g = wheel_minus_spoke(args.n, missing_spoke=args.n // 2)
     else:
         g = make_family(FamilyDescriptor(args.family, n=args.n, m=args.m))

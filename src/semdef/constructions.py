@@ -1,11 +1,12 @@
 """Explicit super edge-magic labelings for the supported families.
 
 Every constructor re-verifies its labeling through the consecutive-edge-sums
-checker before returning, so a wrong formula cannot ship silently.  Where the
-source formulas fail that check, the corrected form is used and the correction
-is recorded in ``errata_applied``; the original, failing variants are kept as
-``uncorrected_*`` fixtures so the failure itself stays machine-checkable
-(see ``erratum_demos``).
+checker, and checks that its largest label is p + t, before returning, so a
+wrong formula cannot ship silently.  Where the source formulas fail that
+check, the corrected form is used and the correction is recorded in
+``errata_applied``.  The stated, failing labels are kept as ``uncorrected_*``
+fixtures, and ``ERRATA`` pairs each with its corrected construction, so
+``erratum_demo(tag)`` re-demonstrates the failure and its fix.
 
 The isolated-vertex (filler) count of each family's construction, and which
 (n, m) have a construction at all, are written once, in the filler formulas
@@ -55,15 +56,20 @@ class ConstructionResult:
 
 
 class ConstructionError(RuntimeError):
-    """A constructor produced a labeling its own verifier rejected (a bug)."""
+    """A constructor produced a labeling its own checks rejected (a bug)."""
 
 
 def _certify(g: Graph, labels: list[int], isolated: int, errata=()) -> ConstructionResult:
+    """Verify the labeling, whose largest label must be p + t (t is minimal)."""
     lab = Labeling(labels, g.vertex_count + isolated)
     result = verify_sem(g, lab)
     if isinstance(result, Rejection):
         raise ConstructionError(
             f"internal error: construction rejected ({result.reason}: {result.detail})"
+        )
+    if max(labels) != lab.total_labels:
+        raise ConstructionError(
+            f"internal error: largest label {max(labels)} is not p + t = {lab.total_labels}"
         )
     return ConstructionResult(result, isolated, tuple(errata))
 
@@ -124,8 +130,8 @@ def construct_wheel_minus_spoke(n: int, m=None) -> ConstructionResult:
     return _certify(g, [hub] + x[1:], t)
 
 
-def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
-    """Odd-n wheel labeling with the index ranges read literally.
+def uncorrected_wheel_odd_labeling(n: int) -> list[int]:
+    """Odd-n wheel labels (hub first) with the index ranges read literally.
 
     The ranges "odd i up to n-1" and "even i up to n-2" leave the last rim
     positions unlabeled for odd n (marked 0), so the verifier rejects with
@@ -140,8 +146,7 @@ def uncorrected_wheel_odd_labeling(n: int) -> tuple[Graph, Labeling]:
             x[i] = (i + 1) // 2
         elif i % 2 == 0 and i <= n - 2:
             x[i] = (n + 1) // 2 + i // 2
-    g = wheel_minus_spoke(n)
-    return g, Labeling([hub] + x[1:], g.vertex_count + _fillers("wheel-minus-spoke", n))
+    return [hub] + x[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +184,8 @@ def construct_path_join(n: int, m: int) -> ConstructionResult:
     return _certify(g, u[1:] + v, t)
 
 
-def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
-    """P_6 join labeling with the broken v-list read literally.
+def uncorrected_path6_v_list(m: int) -> list[int]:
+    """P_6 join labels with the broken v-list read literally.
 
     The list "4, 7, 10, ..., 2m-5, 2m-2, 3m+1" is not an arithmetic
     progression; materialized term by term (step-3 prefix, then the three
@@ -190,8 +195,7 @@ def uncorrected_path6_v_list(m: int) -> tuple[Graph, Labeling]:
         raise ValueError(f"fixture needs m >= 4 for the tail to overlap, got {m}")
     u = [2, 1, 3, 3 * m + 2, 3 * m + 4, 3 * m + 3]
     v = [3 * j + 1 for j in range(1, m - 2)] + [2 * m - 5, 2 * m - 2, 3 * m + 1]
-    g = join(path(6), empty_graph(m))
-    return g, Labeling(u + v, g.vertex_count + _fillers("path-join", 6, m))
+    return u + v
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +220,15 @@ def construct_star_join(n: int, m: int) -> ConstructionResult:
     return _certify(g, [n + 2] + x + y, t)
 
 
-def uncorrected_star_join_single(n: int) -> tuple[Graph, Labeling]:
-    """K_{1,n} + empty(1) with the center labeled n+1 (leaves 1..n, extra n+2).
+def uncorrected_star_join_single(n: int) -> list[int]:
+    """K_{1,n} + empty(1) labels with the center n+1 (leaves 1..n, extra n+2).
 
     Edge sums collide: center-to-leaf i+1 and leaf-i-to-extra both give
     n+2+i, so the verifier rejects with duplicate-sum.
     """
     if n < 2:
         raise ValueError(f"fixture needs n >= 2, got {n}")
-    g = join(star(n), empty_graph(1))
-    return g, Labeling([n + 1] + list(range(1, n + 1)) + [n + 2], n + 2)
+    return [n + 1] + list(range(1, n + 1)) + [n + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +250,8 @@ def construct_cycle_join(n: int, m: int) -> ConstructionResult:
     return _certify(g, u + v, t, errata=(ERRATUM_CYCLE_EVEN,))
 
 
-def uncorrected_cycle_join_labeling(n: int, m: int) -> tuple[Graph, Labeling]:
-    """Cycle join labeling with the quadratic even-position formula.
+def uncorrected_cycle_join_labeling(n: int, m: int) -> list[int]:
+    """Cycle join labels with the quadratic even-position formula.
 
     Even rim position i gets (i/2)(2n+2+i), which already exceeds the label
     budget mn+1 at i = 2 for small m, so the verifier rejects with
@@ -256,13 +259,11 @@ def uncorrected_cycle_join_labeling(n: int, m: int) -> tuple[Graph, Labeling]:
     """
     if n < 3 or n % 2 == 0 or m < 2:
         raise ValueError(f"fixture needs odd n >= 3 and m >= 2, got n={n} m={m}")
-    g = join(cycle(n), empty_graph(m))
     u = [
         (n + 2 + i) // 2 if i % 2 == 1 else (i // 2) * (2 * n + 2 + i)
         for i in range(1, n + 1)
     ]
-    v = [1] + [j * n + 1 for j in range(2, m + 1)]
-    return g, Labeling(u + v, g.vertex_count + _fillers("cycle-join", n, m))
+    return u + [1] + [j * n + 1 for j in range(2, m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,69 +417,38 @@ def _fillers(kind: str, n: int, m: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class ErratumDemo:
-    """A paired fixture: the original labeling fails, the corrected one passes."""
+    """A paired fixture: the stated labeling fails, the corrected one passes."""
 
     tag: str
-    description: str
     graph: Graph
     rejected_labeling: Labeling
     expected_reason: str
     corrected: ConstructionResult
 
 
+# tag -> (corrected construction, stated labels, the verifier's reason for
+# rejecting them on the corrected certificate's graph and label budget).
+ERRATA = {
+    ERRATUM_CYCLE_EVEN: (lambda: construct_cycle_join(5, 2),
+                         lambda: uncorrected_cycle_join_labeling(5, 2), REASON_OUT_OF_RANGE),
+    ERRATUM_STAR_CENTER: (lambda: construct_star_join(3, 1),
+                          lambda: uncorrected_star_join_single(3), REASON_DUPLICATE_SUM),
+    ERRATUM_P6_VLIST: (lambda: construct_path_join(6, 6),
+                       lambda: uncorrected_path6_v_list(6), REASON_DUPLICATE_LABEL),
+    ERRATUM_WHEEL_RANGES: (lambda: construct_wheel_minus_spoke(9),
+                           lambda: uncorrected_wheel_odd_labeling(9), REASON_OUT_OF_RANGE),
+}
+
+
+def erratum_demo(tag: str) -> ErratumDemo:
+    """The machine-checkable demonstration of one correction in ERRATA."""
+    construct, stated, reason = ERRATA[tag]
+    corrected = construct()
+    cert = corrected.certificate
+    rejected = Labeling(stated(), cert.labeling.total_labels)
+    return ErratumDemo(tag, cert.graph, rejected, reason, corrected)
+
+
 def erratum_demos() -> list[ErratumDemo]:
-    """One machine-checkable demonstration per applied correction."""
-    demos = []
-
-    g, bad = uncorrected_cycle_join_labeling(5, 2)
-    demos.append(
-        ErratumDemo(
-            ERRATUM_CYCLE_EVEN,
-            "cycle join, even rim positions: quadratic label formula leaves the "
-            "label range; corrected to n+1+i/2",
-            g,
-            bad,
-            REASON_OUT_OF_RANGE,
-            construct_cycle_join(5, 2),
-        )
-    )
-
-    g, bad = uncorrected_star_join_single(3)
-    demos.append(
-        ErratumDemo(
-            ERRATUM_STAR_CENTER,
-            "star join with one added vertex: center label n+1 duplicates edge "
-            "sums; corrected to center 1, leaves 2..n+1, added vertex n+2",
-            g,
-            bad,
-            REASON_DUPLICATE_SUM,
-            construct_star_join(3, 1),
-        )
-    )
-
-    g, bad = uncorrected_path6_v_list(6)
-    demos.append(
-        ErratumDemo(
-            ERRATUM_P6_VLIST,
-            "P_6 join: stated v-list is not an arithmetic progression and "
-            "repeats labels; corrected to v_j = 3j+1",
-            g,
-            bad,
-            REASON_DUPLICATE_LABEL,
-            construct_path_join(6, 6),
-        )
-    )
-
-    g, bad = uncorrected_wheel_odd_labeling(9)
-    demos.append(
-        ErratumDemo(
-            ERRATUM_WHEEL_RANGES,
-            "wheel minus spoke, odd n: literal index ranges leave rim vertices "
-            "unlabeled; corrected to all odd/even i in 1..n",
-            g,
-            bad,
-            REASON_OUT_OF_RANGE,
-            construct_wheel_minus_spoke(9),
-        )
-    )
-    return demos
+    """One demonstration per correction, in ERRATA order."""
+    return [erratum_demo(tag) for tag in ERRATA]

@@ -39,7 +39,10 @@ class Graph:
             raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
         canon = []
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair") from None
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if u > v:

@@ -95,9 +95,9 @@ class SemCertificate:
 def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
     """Unpack a certificate JSON dict into (graph, labeling, claimed fields).
 
-    The claimed fields ({"isolated", "s", "k"}) are returned unverified;
-    callers re-verify and cross-check them (see cli.verify).  Malformed
-    input, a label count other than p included, raises ValueError.
+    The claimed fields ({"isolated", "s", "k"}, s and k None if absent) are
+    not verified; callers cross-check them (see cli.verify).  Malformed
+    input, a label count other than p or a non-integer s or k, raises ValueError.
     """
     data = json_object(data, "certificate")
     graph = Graph.from_json_dict(data.get("graph"))
@@ -109,6 +109,9 @@ def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
         raise ValueError(f"certificate has {len(labels)} labels for {graph.vertex_count} vertices")
     labeling = Labeling(labels, graph.vertex_count + isolated)
     claimed = {"isolated": isolated, "s": data.get("s"), "k": data.get("k")}
+    for key in ("s", "k"):
+        if claimed[key] is not None:
+            json_int(claimed[key], f"certificate {key!r}")
     return graph, labeling, claimed
 
 

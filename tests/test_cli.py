@@ -276,7 +276,12 @@ def test_mid_spoke_on_another_family_is_a_usage_error(capsys):
                              capsys=capsys)
     assert code == 2
     assert out == ""
-    assert err == "--mid-spoke applies only to --family wheel-minus-spoke\n"
+    assert err == "error: --mid-spoke applies only to --family wheel-minus-spoke\n"
+    code, out, err = run_cli("gen", "--family", "wheel-minus-spoke", "-n", "5",
+                             "--mid-spoke", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --mid-spoke needs an even -n >= 4\n"
 
 
 def test_base_on_another_family_is_a_usage_error(capsys, tmp_path):
@@ -374,6 +379,10 @@ def test_negative_max_labels_is_a_usage_error(capsys, tmp_path):
                               "isolated": 0}),
         ("verify", "--cert", {"graph": [], "labels": [1, 2], "isolated": 0}),
         ("verify", "--cert", {"graph": {"p": 2, "edges": [[0, 1]]}, "labels": [1, 2]}),
+        ("verify", "--cert", {"graph": {"p": 2, "edges": [[0, 1]]}, "labels": [1, 2],
+                              "isolated": 0, "s": "x"}),
+        ("verify", "--cert", {"graph": {"p": 2, "edges": [[0, 1]]}, "labels": [1, 2],
+                              "isolated": 0, "k": True}),
     ],
 )
 def test_malformed_json_is_a_usage_error(capsys, tmp_path, command, flag, data):

@@ -1,6 +1,8 @@
 import pytest
 
 from semdef.constructions import (
+    ERRATA,
+    ConstructionError,
     ConstructionResult,
     ERRATUM_CYCLE_EVEN,
     ERRATUM_P6_VLIST,
@@ -11,9 +13,13 @@ from semdef.constructions import (
     construct_path_join,
     construct_star_join,
     construct_wheel_minus_spoke,
+    _certify,
+    erratum_demo,
     erratum_demos,
     uncorrected_cycle_join_labeling,
+    uncorrected_path6_v_list,
     uncorrected_star_join_single,
+    uncorrected_wheel_odd_labeling,
 )
 from semdef.graphs import Graph, cycle, empty_graph, join, path
 from semdef.labeling import Labeling, Rejection, edge_sums, verify_sem
@@ -274,11 +280,44 @@ def test_all_four_errata_demos():
 
 
 def test_uncorrected_star_join_collision_detail():
-    g, bad = uncorrected_star_join_single(3)
-    rej = verify_sem(g, bad)
+    demo = erratum_demo(ERRATUM_STAR_CENTER)
+    rej = verify_sem(demo.graph, demo.rejected_labeling)
     assert rej.reason == "duplicate-sum"
 
 
 def test_uncorrected_cycle_join_leaves_range():
-    g, bad = uncorrected_cycle_join_labeling(5, 2)
+    bad = erratum_demo(ERRATUM_CYCLE_EVEN).rejected_labeling
     assert max(bad.labels) > bad.total_labels
+
+
+def test_erratum_demos_follow_the_errata_table():
+    assert [d.tag for d in erratum_demos()] == list(ERRATA)
+    for tag, (_, stated, reason) in ERRATA.items():
+        demo = erratum_demo(tag)
+        assert demo.graph == demo.corrected.certificate.graph
+        assert demo.rejected_labeling == Labeling(
+            stated(), demo.corrected.certificate.labeling.total_labels
+        )
+        assert demo.expected_reason == reason
+        assert tag in demo.corrected.errata_applied
+
+
+@pytest.mark.parametrize("fixture, args", [
+    (uncorrected_wheel_odd_labeling, (8,)),
+    (uncorrected_wheel_odd_labeling, (7,)),
+    (uncorrected_path6_v_list, (3,)),
+    (uncorrected_star_join_single, (1,)),
+    (uncorrected_cycle_join_labeling, (4, 2)),
+    (uncorrected_cycle_join_labeling, (5, 1)),
+])
+def test_uncorrected_fixtures_check_their_parameters(fixture, args):
+    with pytest.raises(ValueError, match="fixture"):
+        fixture(*args)
+
+
+def test_certify_requires_the_largest_label_to_be_p_plus_t():
+    # [1, 2] verifies with one spare label, but then t = 1 is not minimal
+    assert verify_sem(path(2), Labeling([1, 2], total_labels=3))
+    with pytest.raises(ConstructionError, match="largest label 2 is not p \\+ t = 3"):
+        _certify(path(2), [1, 2], 1)
+    assert _certify(path(2), [1, 2], 0).claimed_isolated == 0

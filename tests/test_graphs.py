@@ -123,6 +123,17 @@ def test_graph_rejects_loops_multiedges_and_bad_endpoints():
         Graph(-1)
 
 
+def test_graph_rejects_an_edge_that_is_not_a_pair():
+    with pytest.raises(ValueError, match=r"^edge \[0, 1, 2\] is not a pair$"):
+        Graph(3, [[0, 1, 2]])
+    with pytest.raises(ValueError, match=r"^edge \[0\] is not a pair$"):
+        Graph(3, [[0]])
+    with pytest.raises(ValueError, match=r"^edge 5 is not a pair$"):
+        Graph(3, [5])
+    with pytest.raises(ValueError, match=r"^edge \[0, 1, 2\] is not a pair$"):
+        Graph.from_json_dict({"p": 3, "edges": [[0, 1, 2]]})
+
+
 def test_edges_canonically_sorted():
     g = Graph(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))

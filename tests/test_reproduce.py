@@ -1,9 +1,10 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from semdef.constructions import filler_row
+from semdef.constructions import ERRATA, filler_row
 from semdef.manifest import CLAIMS, claim_ids, groups
 from semdef import reproduce
 
@@ -258,3 +259,25 @@ def test_bounds_consistency_rechecks_the_construction_claims():
     (entry,) = reproduce.run(selection={"bounds-consistency"}).entries
     assert entry.details == f"{sum(sizes)} descriptors consistent with their constructions"
     assert sum(sizes) == 148
+
+
+def test_statements_name_their_cases():
+    # a range edit that leaves stale prose fails here
+    for claim in CLAIMS:
+        numbers = {int(x) for x in re.findall(r"\d+", claim.statement)}
+        for key in ("n", "m", "n_range", "m_range", "n_list"):
+            value = claim.params.get(key)
+            values = value if isinstance(value, (tuple, list)) else [value]
+            for x in values:
+                assert x is None or x in numbers, (claim.id, key, x)
+
+
+def test_every_correction_is_applied_by_a_construction_claim():
+    # a correction added to the constructions needs an ERRATA demo, and the
+    # other way round
+    applied: set[str] = set()
+    for claim in CLAIMS:
+        if claim.kind in ("construct-grid", "construct-path-special"):
+            for _ in reproduce._constructions(claim.params, applied):
+                pass
+    assert applied == set(ERRATA)
