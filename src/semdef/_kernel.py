@@ -52,11 +52,12 @@ def _compile(target: Path) -> None:
 
 @functools.cache
 def load():
-    """The kernel as a function dfs(n_total, deg, pstart, prior, top,
-    twin_prev) -> (labels per order position or None, nodes), taking the
-    arrays of the plan that solver._plan builds for both backends, as they
-    are; None when it cannot be built or loaded.  The outcome is kept for
-    the life of the process."""
+    """The kernel as a function dfs(n_total, plan) -> (labels per order
+    position or None, nodes).  plan is the solver._Plan that solver._plan
+    builds for both backends; its arrays are passed to semdef_dfs as they
+    are: deg, pstart and prior, top, twin_prev, and the window-support
+    arrays inner, ostart and open.  None when the kernel cannot be built or
+    loaded.  The outcome is kept for the life of the process."""
     import ctypes
 
     try:
@@ -68,19 +69,21 @@ def load():
         return None
     i32p = ctypes.POINTER(ctypes.c_int)
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p, i32p,
-                   ctypes.c_int, i32p, i32p, ctypes.POINTER(ctypes.c_longlong)]
+                   ctypes.c_int, i32p, i32p, i32p, i32p, i32p,
+                   ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
 
     def ints(values: list[int]):
         return (ctypes.c_int * len(values))(*values)
 
-    def dfs(n_total: int, deg: list[int], pstart: list[int], prior: list[int],
-            top: list[int], twin_prev: list[int]):
-        p = len(deg)
+    def dfs(n_total: int, plan):
+        p = len(plan.deg)
         labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
-        found = fn(p, len(prior), n_total, ints(deg), ints(pstart), ints(prior), ints(top),
-                   len(top), ints(twin_prev), labels, ctypes.byref(nodes))
+        found = fn(p, len(plan.prior), n_total, ints(plan.deg), ints(plan.pstart),
+                   ints(plan.prior), ints(plan.top), len(plan.top), ints(plan.twin_prev),
+                   ints(plan.inner), ints(plan.ostart), ints(plan.open), labels,
+                   ctypes.byref(nodes))
         if found < 0:
             raise MemoryError("search kernel could not allocate its tables")
         return (list(labels) if found else None), nodes.value

@@ -10,6 +10,14 @@ pruning never changes the returned witness.
 Pruning (all sound -- disabling changes node counts, never outcomes):
   * each new edge sum must be distinct from the realized ones and keep
     max - min <= q - 1;
+  * window support: the q edge sums fill a window s..s+q-1 exactly once, so
+    on entering a position every sum that lies in every window still
+    possible must be realized already or still be realizable -- by two free
+    labels on an edge between unassigned vertices, or by a free label at an
+    unassigned neighbour of an assigned vertex.  The lowest and the highest
+    unrealized such sum are checked (the support reasoning of Regin's
+    alldifferent filtering, AAAI 1994, on the bijection from edges to window
+    values); checking every one prunes more but costs more than it saves;
   * the degree-weighted label sum must stay inside the interval achievable
     by any completion, intersected with the interval forced by the possible
     starting sums (see labeling.weighted_sum_required);
@@ -44,12 +52,15 @@ in this package's __pycache__ under a hash of its source and the
 interpreter's tag, and loaded with ctypes (see _kernel.py).  One plan feeds
 both: _search settles the searches that place no label (p = 0, and a pruned
 search past the counting bound), then builds the order, degrees, prior
-neighbours, first candidates and twin links once with _plan, in the flat
-layout _dfs.c takes, and hands that plan unchanged to the backend that
-runs.  So both follow the same order, candidates and pruning, and return
-the same witness after the same number of nodes.  Without a compiler, on a
-compile or load error, or with a cache directory that cannot be written,
-every search runs in _run_search; so does every unpruned search.
+neighbours, first candidates, twin links and window-support arrays once
+with _plan, in the flat layout _dfs.c takes, and hands that plan unchanged
+to the backend that runs.  So both follow the same order, candidates and
+pruning, and return the same witness after the same number of nodes.  The
+kernel also computes the weighted-sum interval in O(1) per candidate from
+per-position tables, where _run_search rescans the labels; the decisions
+are the same.  Without a compiler, on a compile or load error, or with a
+cache directory that cannot be written, every search runs in _run_search;
+so does every unpruned search.
 SearchResult.backend names the one used; there is no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
@@ -123,7 +134,10 @@ class _Plan(NamedTuple):
     position i, the vertex order[i], its degree deg[i] (descending), the
     positions of its already-assigned neighbours prior[pstart[i] ..
     pstart[i + 1]), and the previous position of its twin class twin_prev[i]
-    (-1 if none); top lists the candidate labels of position 0."""
+    (-1 if none); top lists the candidate labels of position 0.  For the
+    window-support cut on entering position i: inner[i] edges join two
+    positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
+    < i with a neighbour at a position >= i."""
 
     order: list[int]
     deg: list[int]
@@ -131,6 +145,9 @@ class _Plan(NamedTuple):
     prior: list[int]
     top: list[int]
     twin_prev: list[int]
+    inner: list[int]
+    ostart: list[int]
+    open: list[int]
 
 
 def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
@@ -147,6 +164,8 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
     pos = {v: i for i, v in enumerate(order)}
     prior_at: list[list[int]] = [[] for _ in range(p)]
     nbrs: list[set[int]] = [set() for _ in range(p)]
+    first_end = [0] * p  # edges by the position of their earlier endpoint
+    last_nbr = [-1] * p  # latest position of a neighbour, per position
     for u, v in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
@@ -154,6 +173,9 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
         if iu > iv:
             iu, iv = iv, iu
         prior_at[iv].append(iu)
+        first_end[iu] += 1
+        last_nbr[iu] = max(last_nbr[iu], iv)
+    open_at = [[j for j in range(i) if last_nbr[j] >= i] for i in range(p)]
     twin_prev = [-1] * p
     if prune and symmetry:
         last: dict[frozenset[int], int] = {}
@@ -168,6 +190,9 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
         [j for js in prior_at for j in js],
         list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1)),
         twin_prev,
+        list(accumulate(reversed(first_end)))[::-1],
+        [0, *accumulate(map(len, open_at))],
+        [j for js in open_at for j in js],
     )
 
 
@@ -188,7 +213,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     """
     p = g.vertex_count
     q = g.q
-    order, deg, pstart, prior, top, twin_prev = plan
+    order, deg, pstart, prior, top, twin_prev, inner, ostart, open_ = plan
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -198,12 +223,46 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     sum_seen = bytearray(2 * n_total + 1)
     nodes = 0
 
+    def window(lo: int, hi: int) -> tuple[int, int]:
+        """The least and greatest starting sum s of a window s..s+q-1 that
+        still holds every realized sum (lo..hi; none when hi < 0)."""
+        if hi < 0:
+            return 3, max_start
+        return max(3, hi - (q - 1)), min(lo, max_start)
+
+    def realizable(idx: int, x: int) -> bool:
+        """Whether an edge still to be labelled can take the sum x: a free
+        label x - f(j) at an unassigned neighbour of an open position j, or
+        two distinct free labels on an edge between unassigned vertices."""
+        for j in open_[ostart[idx]:ostart[idx + 1]]:
+            b = x - labels_at[j]
+            if 1 <= b <= n_total and not used[b]:
+                return True
+        if inner[idx]:
+            for a in range(max(1, x - n_total), (x + 1) // 2):
+                if not used[a] and not used[x - a]:
+                    return True
+        return False
+
     def rec(idx: int, lo: int, hi: int, wsum: int) -> list[int] | None:
         nonlocal nodes
         if idx == p:
             if prune or verify_sem(g, Labeling(_by_vertex(order, labels_at), n_total)):
                 return list(labels_at)
             return None
+
+        if prune and idx > 0:
+            # window-support cut: the sums s_hi..s_lo+q-1 lie in every window
+            # still possible, so each is realized or still realizable; only
+            # the lowest and the highest unrealized one are checked
+            s_lo, s_hi = window(lo, hi)
+            x, y = s_hi, s_lo + q - 1
+            while x <= y and sum_seen[x]:
+                x += 1
+            while y > x and sum_seen[y]:
+                y -= 1
+            if x <= y and not (realizable(idx, x) and (y == x or realizable(idx, y))):
+                return None
 
         if idx == 0:
             candidates = top
@@ -245,8 +304,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
                     for i, d in enumerate(rem_degs):
                         minc += d * avail[i]
                         maxc += d * avail[last - i]
-                    s_lo = 3 if new_hi < 0 else max(3, new_hi - (q - 1))
-                    s_hi = max_start if new_hi < 0 else min(new_lo, max_start)
+                    s_lo, s_hi = window(new_lo, new_hi)
                     if (
                         wsum2 + minc > q * s_hi + target_base
                         or wsum2 + maxc < q * s_lo + target_base
@@ -304,7 +362,7 @@ def _search(
         at, nodes = _run_search(g, plan, n_total, prune)
         backend = "python"
     else:
-        at, nodes = dfs(n_total, plan.deg, plan.pstart, plan.prior, plan.top, plan.twin_prev)
+        at, nodes = dfs(n_total, plan)
         backend = "c"
     labels = None if at is None else _by_vertex(plan.order, at)
     return labels, nodes, backend, time.perf_counter() - start

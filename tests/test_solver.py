@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_graph, sem_exists_bruteforce
+from oracles import labeling_is_sem_bruteforce, random_graph, sem_exists_bruteforce
 
 from semdef.graphs import (
     FamilyDescriptor,
@@ -222,23 +223,30 @@ def test_plan_of_c4_plus_2k1():
     assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
     assert plan.top == [1, 2, 3, 4]  # complement cut: labels 1..ceil(7/2)
     assert plan.twin_prev == [-1, -1, 0, 1, -1, 4]
+    # window support: the edges among positions >= i (4-5 is no edge, so
+    # none from 4 on), and the earlier positions with a neighbour at i or
+    # later (all of them: 4 and 5 see the whole cycle)
+    assert plan.inner == [12, 8, 5, 2, 0, 0]
+    assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
+    assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
     for prune, symmetry in [(True, False), (False, True), (False, False)]:
         other = solver._plan(g, 7, prune=prune, symmetry=symmetry)
         assert other.twin_prev == [-1] * 6
         assert other.top == ([1, 2, 3, 4] if symmetry else [1, 2, 3, 4, 5, 6, 7])
         assert other[:4] == plan[:4]
+        assert other[6:] == plan[6:]
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry", [
-    (join(star(5), empty_graph(3)), 4, 56_908, 2_298_865),
-    (join(path(5), empty_graph(3)), 5, 195_941, 1_839_429),
-    (join(cycle(4), empty_graph(2)), 6, 23_495, 170_976),
-    (join(cycle(3), empty_graph(4)), 3, 3_448, 69_268),
-])
+    (join(star(5), empty_graph(3)), 4, 17_128, 616_953),
+    (join(path(5), empty_graph(3)), 5, 172_684, 1_589_141),
+    (join(cycle(4), empty_graph(2)), 6, 21_647, 154_220),
+    (join(cycle(3), empty_graph(4)), 3, 2_602, 47_788),
+], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
 def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_without_symmetry):
     assert _assert_same_search(g, t).nodes == nodes
-    # symmetry=False skips both cuts; its counts are those of the search
-    # before the twin rule existed
+    # symmetry=False skips both symmetry cuts but keeps every pruning rule,
+    # the window-support cut included
     assert find_sem(g, t, symmetry=False).nodes == nodes_without_symmetry
 
 
@@ -334,6 +342,52 @@ def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
     assert len(calls) > 20
     for g, t in calls:
         _assert_same_search(g, t, symmetry=symmetry)
+
+
+@st.composite
+def _small_search(draw):
+    """(G1 U G2 U kK_1, t) with at most 8 vertices and at most 11 labels.
+    With two components and isolated vertices, positions with no edge left
+    among the later ones (inner = 0) and positions with no earlier one
+    still open (empty open) both occur often."""
+    sizes = [draw(st.integers(1, 8))]
+    sizes.append(draw(st.integers(0, 8 - sizes[0])))
+    edges, base = [], 0
+    for size in sizes:
+        pairs = [(base + u, base + v) for u in range(size) for v in range(u + 1, size)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges += [e for e, k in zip(pairs, keep) if k]
+        base += size
+    g = Graph(base + draw(st.integers(0, 8 - base)), edges)
+    return g, draw(st.integers(0, 11 - g.vertex_count))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_small_search())
+def test_backends_agree_with_the_oracle_on_small_searches(c_backend, case):
+    g, t = case
+    res = _assert_same_search(g, t)
+    n_total = g.vertex_count + t
+    if res.witness is not None:
+        assert labeling_is_sem_bruteforce(g, res.witness.labeling.labels, n_total)
+    # the oracle enumerates n!/(n-p)! injections: keep each call short
+    if math.perm(n_total, g.vertex_count) <= 60_000:
+        assert (res.witness is not None) == sem_exists_bruteforce(g, t), (g, t)
+
+
+def test_window_support_cut_refutes_h14(c_backend):
+    # 42,388,556 nodes without the cut
+    res = find_sem(wheel_minus_spoke(14), 0)
+    assert (res.witness, res.nodes, res.backend) == (None, 1_398_524, "c")
+
+
+@pytest.mark.parametrize("g", [star(200), join(path(2), empty_graph(150))],
+                         ids=["star-200", "path-2-join-150"])
+def test_kernel_tables_hold_hundreds_of_labels(c_backend, g):
+    res = find_sem(g, 0, max_labels=None)
+    assert res.backend == "c" and res.total_labels == g.vertex_count
+    assert isinstance(verify_sem(g, res.witness.labeling), SemCertificate)
 
 
 def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
