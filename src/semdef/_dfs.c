@@ -2,11 +2,13 @@
  *
  * Same assignment order, candidate order, pruning and symmetry rules and
  * node count as the Python reference, so it returns the same witness after
- * the same number of label placements.  The rules are the duplicate-sum and
- * span checks, the window-support cut on entering a position, the
- * weighted-sum interval and the twin rule.  The weighted-sum interval is
- * computed in O(1) per candidate: on the first candidate of a position that
- * reaches it, the position's free labels are sorted once into two tables of
+ * the same number of label placements.  Position 0 tries labels 1..ntop
+ * (ceil(n/2) under the complement cut), every other position 1..n above
+ * its previous twin's label.  The rules are the duplicate-sum and span
+ * checks, the window-support cut on entering a position, the weighted-sum
+ * interval and the twin rule.  The weighted-sum interval is computed in
+ * O(1) per candidate: on the first candidate of a position that reaches
+ * it, the position's free labels are sorted once into two tables of
  * completion sums indexed by the candidate's rank among them (the reference
  * rescans the labels per candidate; the decisions are the same).
  * semdef/_kernel.py builds it with `cc -O2 -shared -fPIC` and calls
@@ -19,8 +21,7 @@ typedef struct {
     const int *deg;            /* degree per order position, descending */
     const int *pstart, *prior; /* prior-neighbour positions of position i:
                                   prior[pstart[i] .. pstart[i + 1]) */
-    const int *top;            /* candidate labels of position 0 */
-    int ntop;
+    int ntop;                  /* position 0 takes labels 1..ntop */
     const int *twin_prev;      /* previous position of the same twin class,
                                   or -1; position i takes a larger label */
     const int *inner;          /* edges joining two positions >= i */
@@ -102,14 +103,13 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
         if (x <= y && !(realizable(s, idx, x) && (y == x || realizable(s, idx, y))))
             return 0;
     }
-    const int count = idx == 0 ? s->ntop : s->n, tp = s->twin_prev[idx];
+    const int last = idx == 0 ? s->ntop : s->n, tp = s->twin_prev[idx];
     const int *rem = s->deg + idx + 1, m = s->p - idx - 1, nfree = s->n - idx;
     const long long row = (long long)idx * s->p - (long long)idx * (idx - 1) / 2;
     long long *minc = s->minc + row, *maxc = s->maxc + row;
     int rank = -1;  /* of lab among the free labels, once the rows are built */
     /* twin rule: candidates start above the previous twin's label */
-    for (int c = tp >= 0 ? s->lab_at[tp] : 0; c < count; c++) {
-        const int lab = idx == 0 ? s->top[c] : c + 1;
+    for (int lab = (tp >= 0 ? s->lab_at[tp] : 0) + 1; lab <= last; lab++) {
         if (s->used[lab])
             continue;
         s->nodes++;
@@ -164,9 +164,8 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
 int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
-               const int *prior, const int *top, int ntop,
-               const int *twin_prev, const int *inner, const int *ostart,
-               const int *open, int *lab_at, long long *nodes)
+               const int *prior, int ntop, const int *twin_prev, const int *inner,
+               const int *ostart, const int *open, int *lab_at, long long *nodes)
 {
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     char *used = calloc(3 * (size_t)n + 2, 1);  /* used[0..n], seen[0..2n] */
@@ -174,7 +173,7 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (used && rows && free_lab) {
-        Search s = {p, q, n, deg, pstart, prior, top, ntop, twin_prev, inner, ostart, open,
+        Search s = {p, q, n, deg, pstart, prior, ntop, twin_prev, inner, ostart, open,
                     2LL * n - q, (long long)q * (q - 1) / 2, lab_at, used, used + n + 1,
                     rows, rows + cells, free_lab, 0};
         found = rec(&s, 0, 10 * n, -1, 0);

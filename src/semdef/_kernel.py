@@ -55,9 +55,10 @@ def load():
     """The kernel as a function dfs(n_total, plan) -> (labels per order
     position or None, nodes).  plan is the solver._Plan that solver._plan
     builds for both backends; its arrays are passed to semdef_dfs as they
-    are: deg, pstart and prior, top, twin_prev, and the window-support
-    arrays inner, ostart and open.  None when the kernel cannot be built or
-    loaded.  The outcome is kept for the life of the process."""
+    are: deg, pstart and prior, twin_prev, and the window-support arrays
+    inner, ostart and open, with ntop (position 0 takes labels 1..ntop) as
+    an int.  None when the kernel cannot be built or loaded.  The outcome
+    is kept for the life of the process."""
     import ctypes
 
     try:
@@ -68,7 +69,7 @@ def load():
     except OSError:
         return None
     i32p = ctypes.POINTER(ctypes.c_int)
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p, i32p,
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p,
                    ctypes.c_int, i32p, i32p, i32p, i32p, i32p,
                    ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
@@ -81,7 +82,7 @@ def load():
         labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
         found = fn(p, len(plan.prior), n_total, ints(plan.deg), ints(plan.pstart),
-                   ints(plan.prior), ints(plan.top), len(plan.top), ints(plan.twin_prev),
+                   ints(plan.prior), plan.ntop, ints(plan.twin_prev),
                    ints(plan.inner), ints(plan.ostart), ints(plan.open), labels,
                    ctypes.byref(nodes))
         if found < 0:

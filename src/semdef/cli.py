@@ -216,13 +216,7 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"--max-labels must be >= 0, got {args.max_labels}")
     g = Graph.from_json_dict(_read_json(args.graph))
     try:
-        out = deficiency(
-            g,
-            args.cap,
-            prune=not args.no_prune,
-            symmetry=not args.no_symmetry,
-            max_labels=args.max_labels,
-        )
+        out = deficiency(g, args.cap, max_labels=args.max_labels)
     except SearchLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -318,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact deficiency by exhaustive search")
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
-    p.add_argument("--no-prune", action="store_true", help="enumerate without pruning")
-    p.add_argument("--no-symmetry", action="store_true", help="disable complement and twin symmetry")
     p.add_argument("--max-labels", type=int, default=DEFAULT_MAX_LABELS, help="label-count limit")
     p.add_argument("--json", default=None, help="outcome output path ('-' = stdout)")
     p.set_defaults(func=_cmd_solve)

@@ -51,8 +51,12 @@ class ConstructionResult:
     """A verified certificate plus the construction's bookkeeping."""
 
     certificate: SemCertificate
-    claimed_isolated: int
     errata_applied: tuple[str, ...] = ()
+
+    @property
+    def claimed_isolated(self) -> int:
+        """The construction's filler count t (its labels end at p + t)."""
+        return self.certificate.isolated
 
 
 class ConstructionError(RuntimeError):
@@ -71,7 +75,7 @@ def _certify(g: Graph, labels: list[int], isolated: int, errata=()) -> Construct
         raise ConstructionError(
             f"internal error: largest label {max(labels)} is not p + t = {lab.total_labels}"
         )
-    return ConstructionResult(result, isolated, tuple(errata))
+    return ConstructionResult(result, tuple(errata))
 
 
 # ---------------------------------------------------------------------------

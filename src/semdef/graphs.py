@@ -262,7 +262,8 @@ FAMILY_KINDS = {
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """A named graph family with its integer parameters."""
+    """A named graph family with exactly the integer parameters it takes:
+    n for every kind but generic-join, m for the joins."""
 
     kind: str
     n: int | None = None
@@ -272,10 +273,11 @@ class FamilyDescriptor:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; known: {sorted(FAMILY_KINDS)}")
         needs_m, least_n = FAMILY_KINDS[self.kind][:2]
-        if least_n is not None and self.n is None:
-            raise ValueError(f"family {self.kind!r} requires parameter n")
-        if needs_m and self.m is None:
-            raise ValueError(f"family {self.kind!r} requires parameter m")
+        for name, value, takes in (("n", self.n, least_n is not None), ("m", self.m, needs_m)):
+            if takes and value is None:
+                raise ValueError(f"family {self.kind!r} requires parameter {name}")
+            if not takes and value is not None:
+                raise ValueError(f"family {self.kind!r} takes no parameter {name}")
 
 
 def _family_row(d: FamilyDescriptor):

@@ -41,9 +41,12 @@ Ginsberg, Luks and Roy, KR 1996).  It never changes the returned witness:
 if the lexicographically least witness with its first label in 1..ceil(N/2)
 had two twins labelled in descending order, swapping them would give a
 smaller witness, still valid and with a first label no larger, so that
-witness already ascends on every twin class.  Both cuts are under the
-`symmetry` flag; the twin cut applies to pruned searches only, so the
-unpruned enumeration keeps just the complement cut.
+witness already ascends on every twin class.
+
+Every cut is on in deficiency and the CLI.  Only find_sem can switch them
+off, as the reference the tests compare against: `symmetry` covers both
+symmetry cuts, and the twin cut applies to pruned searches only, so the
+unpruned enumeration (`prune=False`) keeps just the complement cut.
 
 Backends: _run_search is the pure-Python reference.  Pruned searches run in
 a compiled port of it, _dfs.c, when that can be built: it is compiled with
@@ -52,7 +55,7 @@ in this package's __pycache__ under a hash of its source and the
 interpreter's tag, and loaded with ctypes (see _kernel.py).  One plan feeds
 both: _search settles the searches that place no label (p = 0, and a pruned
 search past the counting bound), then builds the order, degrees, prior
-neighbours, first candidates, twin links and window-support arrays once
+neighbours, first label count, twin links and window-support arrays once
 with _plan, in the flat layout _dfs.c takes, and hands that plan unchanged
 to the backend that runs.  So both follow the same order, candidates and
 pruning, and return the same witness after the same number of nodes.  The
@@ -134,7 +137,7 @@ class _Plan(NamedTuple):
     position i, the vertex order[i], its degree deg[i] (descending), the
     positions of its already-assigned neighbours prior[pstart[i] ..
     pstart[i + 1]), and the previous position of its twin class twin_prev[i]
-    (-1 if none); top lists the candidate labels of position 0.  For the
+    (-1 if none); position 0 takes the labels 1..ntop.  For the
     window-support cut on entering position i: inner[i] edges join two
     positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
     < i with a neighbour at a position >= i."""
@@ -143,7 +146,7 @@ class _Plan(NamedTuple):
     deg: list[int]
     pstart: list[int]
     prior: list[int]
-    top: list[int]
+    ntop: int
     twin_prev: list[int]
     inner: list[int]
     ostart: list[int]
@@ -188,7 +191,7 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
         [deg[v] for v in order],
         [0, *accumulate(map(len, prior_at))],
         [j for js in prior_at for j in js],
-        list(range(1, (n_total + 1) // 2 + 1 if symmetry else n_total + 1)),
+        (n_total + 1) // 2 if symmetry else n_total,
         twin_prev,
         list(accumulate(reversed(first_end)))[::-1],
         [0, *accumulate(map(len, open_at))],
@@ -213,7 +216,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     """
     p = g.vertex_count
     q = g.q
-    order, deg, pstart, prior, top, twin_prev, inner, ostart, open_ = plan
+    order, deg, pstart, prior, ntop, twin_prev, inner, ostart, open_ = plan
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -264,13 +267,10 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
             if x <= y and not (realizable(idx, x) and (y == x or realizable(idx, y))):
                 return None
 
-        if idx == 0:
-            candidates = top
-        else:  # twin rule: above the label of the previous twin
-            tp = twin_prev[idx]
-            candidates = range(labels_at[tp] + 1 if tp >= 0 else 1, n_total + 1)
         nbrs = prior[pstart[idx]:pstart[idx + 1]]
-        for lab in candidates:
+        # twin rule: above the label of the previous twin (position 0 has none)
+        tp = twin_prev[idx]
+        for lab in range(labels_at[tp] + 1 if tp >= 0 else 1, (ntop if idx == 0 else n_total) + 1):
             if used[lab]:
                 continue
             nodes += 1
@@ -345,11 +345,9 @@ def _search(
     past the counting bound.  Otherwise the plan is built once and run by the
     compiled kernel for a pruned search when it loads, else by _run_search.
     The seconds leave out building and loading the kernel."""
-    q = g.q
     if g.vertex_count == 0:
         return [], 0, "python", 0.0
-    if prune and q > 0 and q > 2 * n_total - 3:
-        # counting bound: no SEM graph with an edge has q > 2p - 3
+    if prune and counting_lower_bound(n_total, g.q) > 0:
         return None, 0, "python", 0.0
     dfs = None
     if prune:
@@ -413,8 +411,6 @@ def deficiency(
     g: Graph,
     cap: int,
     *,
-    prune: bool = True,
-    symmetry: bool = True,
     max_labels: int | None = DEFAULT_MAX_LABELS,
 ) -> SearchOutcome:
     """Exact deficiency of g, provided it is at most cap.
@@ -433,7 +429,7 @@ def deficiency(
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
-        res = find_sem(g, t, prune=prune, symmetry=symmetry, max_labels=max_labels)
+        res = find_sem(g, t, max_labels=max_labels)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

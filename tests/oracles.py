@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
-These deliberately avoid the library's verifier internals: consecutiveness
-is tested by sorting and stepping, and existence by enumerating every
-injection of {1..p+t} into the vertices.  Only usable for p + t <= ~9.
+These deliberately avoid the library's verifier and solver internals:
+consecutiveness is tested by sorting and stepping, and existence by
+labelling the vertices in index order with every injection of {1..p+t},
+abandoning a partial labeling only where no completion can work.
 """
 
 from __future__ import annotations
@@ -32,16 +33,39 @@ def labeling_is_sem_bruteforce(g: Graph, labels, total_labels: int) -> bool:
 
 
 def sem_exists_bruteforce(g: Graph, t: int) -> bool:
-    """Enumerate every injection {1..p+t} -> V and test consecutiveness."""
-    p = g.vertex_count
+    """Whether some injection {1..p+t} -> V makes the edge sums consecutive.
+
+    Vertices take labels in index order.  Once both ends of an edge are
+    labelled its sum is fixed, so a partial labeling is dropped as soon as
+    two labelled edges share a sum or the labelled sums span more than
+    q - 1: no completion can repair either.  Full labelings are tested
+    directly.
+    """
+    p, q = g.vertex_count, g.q
     n_total = p + t
-    if p == 0:
-        return True
-    for chosen in combinations(range(1, n_total + 1), p):
-        for perm in permutations(chosen):
-            if sums_are_consecutive([perm[u] + perm[v] for u, v in g.edges]):
+    closing = [[] for _ in range(p)]  # earlier ends of the edges at each vertex
+    for u, v in g.edges:
+        closing[max(u, v)].append(min(u, v))
+    labels = [0] * p
+    used = [False] * (n_total + 1)
+
+    def extend(i: int, sums: set) -> bool:
+        if i == p:
+            return sums_are_consecutive([labels[u] + labels[v] for u, v in g.edges])
+        for lab in range(1, n_total + 1):
+            if used[lab]:
+                continue
+            new = {lab + labels[j] for j in closing[i]}
+            placed = sums | new
+            if new and (len(placed) < len(sums) + len(new) or max(placed) - min(placed) > q - 1):
+                continue
+            labels[i], used[lab] = lab, True
+            if extend(i + 1, placed):
                 return True
-    return False
+            used[lab] = False
+        return False
+
+    return extend(0, set())
 
 
 def all_injections(p: int, n_total: int):

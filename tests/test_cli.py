@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semdef import _kernel
 from semdef.cli import main
 from semdef.labeling import certificate_from_json_dict
 
@@ -454,14 +455,25 @@ def test_failed_json_write_prints_no_summary(capsys, tmp_path, argv):
     assert "error:" in err
 
 
-def test_solve_stats_name_the_backend(capsys, tmp_path):
+def test_solve_stats_name_the_backend(capsys, tmp_path, monkeypatch):
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", "wheel-minus-spoke", "-n", "5",
             "--json", str(graph_path), capsys=capsys)
     _, _, err = run_cli("solve", "--graph", str(graph_path), capsys=capsys)
     assert re.search(r"stats: .* backend=(c|python)$", err.strip())
-    _, _, err = run_cli("solve", "--graph", str(graph_path), "--no-prune", capsys=capsys)
+    monkeypatch.setattr(_kernel, "load", lambda: None)  # no kernel: the reference runs
+    _, _, err = run_cli("solve", "--graph", str(graph_path), capsys=capsys)
     assert err.strip().endswith("backend=python")
+
+
+@pytest.mark.parametrize("flag", ["--no-prune", "--no-symmetry"])
+def test_solve_has_no_cut_switches(capsys, tmp_path, flag):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))
+    with pytest.raises(SystemExit) as exc:  # every cut is always on in solve
+        main(["solve", "--graph", str(graph_path), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_installed_entry_point(child_env):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semdef
+from semdef.bounds import family_bounds
 from semdef.graphs import (
     FAMILY_KINDS,
     FamilyDescriptor,
@@ -162,6 +163,18 @@ def test_descriptor_validation():
         make_family(FamilyDescriptor("generic-join", m=2))
 
 
+@pytest.mark.parametrize("kind, n, m, message", [
+    ("wheel-minus-spoke", 8, 3, "takes no parameter m"),
+    ("path", 3, 7, "takes no parameter m"),
+    ("empty", 0, 1, "takes no parameter m"),
+    ("generic-join", 4, 2, "takes no parameter n"),
+])
+def test_descriptor_rejects_a_parameter_its_family_does_not_take(kind, n, m, message):
+    for call in (make_family, family_size, family_bounds):
+        with pytest.raises(ValueError, match=message):
+            call(FamilyDescriptor(kind, n=n, m=m))
+
+
 def test_family_parameter_errors():
     with pytest.raises(ValueError):
         wheel_minus_spoke(2)
@@ -174,7 +187,8 @@ def test_family_parameter_errors():
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from(sorted(FAMILY_KINDS)), st.integers(-2, 40), st.integers(-2, 40))
 def test_family_size_matches_make_family(kind, n, m):
-    d = FamilyDescriptor(kind, n=n, m=m)
+    needs_m, least_n = FAMILY_KINDS[kind][:2]
+    d = FamilyDescriptor(kind, n=None if least_n is None else n, m=m if needs_m else None)
     try:
         g = make_family(d)
     except ValueError as exc:

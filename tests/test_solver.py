@@ -1,5 +1,4 @@
 import contextlib
-import math
 import random
 import time
 
@@ -221,7 +220,7 @@ def test_plan_of_c4_plus_2k1():
     assert plan.deg == [4] * 6
     assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
     assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
-    assert plan.top == [1, 2, 3, 4]  # complement cut: labels 1..ceil(7/2)
+    assert plan.ntop == 4  # complement cut: labels 1..ceil(7/2)
     assert plan.twin_prev == [-1, -1, 0, 1, -1, 4]
     # window support: the edges among positions >= i (4-5 is no edge, so
     # none from 4 on), and the earlier positions with a neighbour at i or
@@ -232,7 +231,7 @@ def test_plan_of_c4_plus_2k1():
     for prune, symmetry in [(True, False), (False, True), (False, False)]:
         other = solver._plan(g, 7, prune=prune, symmetry=symmetry)
         assert other.twin_prev == [-1] * 6
-        assert other.top == ([1, 2, 3, 4] if symmetry else [1, 2, 3, 4, 5, 6, 7])
+        assert other.ntop == (4 if symmetry else 7)
         assert other[:4] == plan[:4]
         assert other[6:] == plan[6:]
 
@@ -371,9 +370,7 @@ def test_backends_agree_with_the_oracle_on_small_searches(c_backend, case):
     n_total = g.vertex_count + t
     if res.witness is not None:
         assert labeling_is_sem_bruteforce(g, res.witness.labeling.labels, n_total)
-    # the oracle enumerates n!/(n-p)! injections: keep each call short
-    if math.perm(n_total, g.vertex_count) <= 60_000:
-        assert (res.witness is not None) == sem_exists_bruteforce(g, t), (g, t)
+    assert (res.witness is not None) == sem_exists_bruteforce(g, t), (g, t)
 
 
 def test_window_support_cut_refutes_h14(c_backend):
