@@ -5,12 +5,14 @@
  * the same number of label placements.  Position 0 tries labels 1..ntop
  * (ceil(n/2) under the complement cut), every other position 1..n above
  * its previous twin's label.  The rules are the duplicate-sum and span
- * checks, the window-support cut on entering a position, the weighted-sum
- * interval and the twin rule.  The weighted-sum interval is computed in
- * O(1) per candidate: on the first candidate of a position that reaches
- * it, the position's free labels are sorted once into two tables of
- * completion sums indexed by the candidate's rank among them (the reference
- * rescans the labels per candidate; the decisions are the same).
+ * checks, the pinned-label and window-support cuts on entering a position,
+ * the weighted-sum interval and the twin rule.  Each pinned label carries
+ * the position that last supported it down the recursion, and the others
+ * are scanned only when that one no longer can take it.  The weighted-sum
+ * interval is computed in O(1) per candidate: on the first candidate of a
+ * position that reaches it, the position's free labels are sorted once
+ * into two tables of completion sums indexed by the candidate's rank among
+ * them.  The reference rescans in both places; the decisions are the same.
  * semdef/_kernel.py builds it with `cc -O2 -shared -fPIC` and calls
  * semdef_dfs through ctypes.
  */
@@ -22,6 +24,7 @@ typedef struct {
     const int *pstart, *prior; /* prior-neighbour positions of position i:
                                   prior[pstart[i] .. pstart[i + 1]) */
     int ntop;                  /* position 0 takes labels 1..ntop */
+    int pins;                  /* a witness uses the first pins of 1, n */
     const int *twin_prev;      /* previous position of the same twin class,
                                   or -1; position i takes a larger label */
     const int *inner;          /* edges joining two positions >= i */
@@ -67,6 +70,54 @@ static int realizable(const Search *s, int idx, int x)
     return 0;
 }
 
+/* Whether the unassigned position j can take the free label x on entering
+   position idx: its sums with the assigned neighbours repeat no realized sum
+   and keep the span lo..hi within q - 1, label 1 goes on no later twin, and
+   position 0 takes only 1..ntop. */
+static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
+{
+    if ((x == 1 && s->twin_prev[j] >= 0) || (j == 0 && x > s->ntop))
+        return 0;
+    for (int k = s->pstart[j]; k < s->pstart[j + 1]; k++) {
+        const int i = s->prior[k];
+        if (i >= idx)
+            continue;
+        const int sm = x + s->lab_at[i];
+        if (s->seen[sm])
+            return 0;
+        if (sm < lo)
+            lo = sm;
+        if (sm > hi)
+            hi = sm;
+    }
+    return hi < 0 || hi - lo <= s->q - 1;
+}
+
+/* Whether every pinned label still free has an unassigned position that can
+   take it, and there are as many unassigned positions as free pinned labels.
+   sup[k] is the position that last supported pin k: it is tried first, and
+   the positions idx..p-1 are scanned only when it no longer fits. */
+static int pins_supported(const Search *s, int idx, int lo, int hi, int *sup)
+{
+    int need = 0;
+    for (int k = 0; k < s->pins; k++)
+        need += !s->used[k ? s->n : 1];
+    if (need > s->p - idx)
+        return 0;
+    for (int k = 0; k < s->pins; k++) {
+        const int x = k ? s->n : 1;
+        if (s->used[x] || (sup[k] >= idx && fits(s, idx, sup[k], x, lo, hi)))
+            continue;
+        int j = idx;
+        while (j < s->p && !fits(s, idx, j, x, lo, hi))
+            j++;
+        if (j == s->p)
+            return 0;
+        sup[k] = j;
+    }
+    return 1;
+}
+
 /* out[k], k = 0..m: sum of rem[i] * l_i over the first m free labels l_i
    taken from the low end (step 1) or the high end (step -1), skipping the
    one of rank k from that end; for k = m none is skipped. */
@@ -84,8 +135,11 @@ static void completion_row(Search *s, const int *rem, int m, int step, long long
         out[k] = out[k + 1] + (long long)rem[k] * (f[k + 1] - f[k]);
 }
 
-static int rec(Search *s, int idx, int lo, int hi, long long wsum)
+static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int sup1)
 {
+    int sup[2] = {sup0, sup1};
+    if (s->pins && !pins_supported(s, idx, lo, hi, sup))
+        return 0;
     if (idx == s->p)
         return 1;
     const int q = s->q, beg = s->pstart[idx], end = s->pstart[idx + 1];
@@ -150,7 +204,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
         s->used[lab] = 1;
         for (k = beg; k < end; k++)
             s->seen[lab + s->lab_at[s->prior[k]]] = 1;
-        const int hit = rec(s, idx + 1, nlo, nhi, wsum2);
+        const int hit = rec(s, idx + 1, nlo, nhi, wsum2, sup[0], sup[1]);
         for (k = beg; k < end; k++)
             s->seen[lab + s->lab_at[s->prior[k]]] = 0;
         s->used[lab] = 0;
@@ -164,7 +218,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
 int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
-               const int *prior, int ntop, const int *twin_prev, const int *inner,
+               const int *prior, int ntop, int pins, const int *twin_prev, const int *inner,
                const int *ostart, const int *open, int *lab_at, long long *nodes)
 {
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
@@ -173,10 +227,10 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (used && rows && free_lab) {
-        Search s = {p, q, n, deg, pstart, prior, ntop, twin_prev, inner, ostart, open,
+        Search s = {p, q, n, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open,
                     2LL * n - q, (long long)q * (q - 1) / 2, lab_at, used, used + n + 1,
                     rows, rows + cells, free_lab, 0};
-        found = rec(&s, 0, 10 * n, -1, 0);
+        found = rec(&s, 0, 10 * n, -1, 0, -1, -1);
         *nodes = s.nodes;
     }
     free(free_lab);

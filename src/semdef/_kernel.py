@@ -56,8 +56,9 @@ def load():
     position or None, nodes).  plan is the solver._Plan that solver._plan
     builds for both backends; its arrays are passed to semdef_dfs as they
     are: deg, pstart and prior, twin_prev, and the window-support arrays
-    inner, ostart and open, with ntop (position 0 takes labels 1..ntop) as
-    an int.  None when the kernel cannot be built or loaded.  The outcome
+    inner, ostart and open, with ntop (position 0 takes labels 1..ntop) and
+    pins (a witness uses the first pins of the labels 1 and n_total) as
+    ints.  None when the kernel cannot be built or loaded.  The outcome
     is kept for the life of the process."""
     import ctypes
 
@@ -70,7 +71,7 @@ def load():
         return None
     i32p = ctypes.POINTER(ctypes.c_int)
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p,
-                   ctypes.c_int, i32p, i32p, i32p, i32p, i32p,
+                   ctypes.c_int, ctypes.c_int, i32p, i32p, i32p, i32p, i32p,
                    ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
 
@@ -82,7 +83,7 @@ def load():
         labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
         found = fn(p, len(plan.prior), n_total, ints(plan.deg), ints(plan.pstart),
-                   ints(plan.prior), plan.ntop, ints(plan.twin_prev),
+                   ints(plan.prior), plan.ntop, plan.pins, ints(plan.twin_prev),
                    ints(plan.inner), ints(plan.ostart), ints(plan.open), labels,
                    ctypes.byref(nodes))
         if found < 0:

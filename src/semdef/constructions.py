@@ -92,8 +92,10 @@ _WHEEL_SMALL = {
 }
 
 
-def construct_wheel_minus_spoke(n: int, m=None) -> ConstructionResult:
-    """Best known certificate for H_n (m is ignored).
+def construct_wheel_minus_spoke(n: int, m: int | None = None) -> ConstructionResult:
+    """Best known certificate for H_n.  The family takes no m: m is accepted
+    only as None, for callers that pass every constructor (n, m), and any
+    other m raises ValueError.
 
     3 <= n <= 7: the hand labelings of _WHEEL_SMALL.
 
@@ -104,7 +106,7 @@ def construct_wheel_minus_spoke(n: int, m=None) -> ConstructionResult:
     n >= 8, n % 4 == 0: uses the variant graph whose missing spoke is
     c-x_{n/2}; hub gets (3n+2)/2 and the rim position n/2 gets 5n/4.
     """
-    t = _fillers("wheel-minus-spoke", n)
+    t = _fillers("wheel-minus-spoke", n, m)
     if n in _WHEEL_SMALL:
         return _certify(wheel_minus_spoke(n), list(_WHEEL_SMALL[n]), t)
     if n % 2 == 1:
@@ -320,7 +322,7 @@ SOURCE_CYCLE_JOIN_CONSTRUCTION = "cycle-join-construction"
 # for an (n, m) that filler_row has checked, or None where the family has no
 # construction.
 
-def _wheel_fillers(n: int, m=None):
+def _wheel_fillers(n: int):
     if n <= 4:
         return 0, SOURCE_SMALL_CASE, True
     if n <= 7:
@@ -353,7 +355,8 @@ def _cycle_join_fillers(n: int, m: int):
 
 
 # family -> (constructor taking (n, m), least n and m the constructions cover
-# (m None for a family without m), filler formula).  The filler counts the
+# (m None for a family without m), filler formula taking (n, m), or n alone
+# for a family without m).  The filler counts the
 # formulas give:
 #
 #   wheel-minus-spoke H_n    n = 3, 4 -> 0; n = 5..7 -> 1    (exact)
@@ -403,7 +406,8 @@ def filler_row(kind: str, n: int, m: int | None = None):
         raise ValueError(f"{kind} constructions cover n >= {n_lo}, got n={n}")
     if m_lo is not None and m < m_lo:
         raise ValueError(f"{kind} constructions cover m >= {m_lo}, got m={m}")
-    return CONSTRUCTIONS[kind][3](n, m)
+    fillers = CONSTRUCTIONS[kind][3]
+    return fillers(n) if m_lo is None else fillers(n, m)
 
 
 def _fillers(kind: str, n: int, m: int | None = None) -> int:

@@ -43,10 +43,36 @@ had two twins labelled in descending order, swapping them would give a
 smaller witness, still valid and with a first label no larger, so that
 witness already ascends on every twin class.
 
+Shift symmetry (pinned labels): adding a constant to every label adds twice
+that constant to every edge sum, so the sums stay consecutive and a witness
+shifted within 1..N stays a witness.  Shifting the lexicographically least
+witness W down until its least label is 1 would lower every label, so W
+already uses label 1, and find_sem pins it: on entering a position, the leaf
+past the last one included, a pinned label that is still free needs an
+unassigned position that can take it (its sums with the assigned neighbours
+repeat no realized sum and keep the span <= q-1, it is no later twin when the
+label is 1, and it is not position 0 when the label exceeds ntop), and at
+least as many positions must be unassigned as pinned labels are free.  This
+is again a lex-leader predicate.  The three symmetry cuts compose because
+each keeps the same witness W, the least one overall: W uses label 1 by the
+shift argument; its first label is at most ceil(N/2), since the complement
+N+1-W is a witness too; and it ascends on every twin class, since swapping
+twins gives a witness too.  So no cut drops a prefix of W, every leaf the
+search accepts is a witness, and the first one it reaches is still W.
+
+deficiency pins label N as well.  Its loop runs t upwards from t0, the
+counting bound, so t-1 is known to fail: at t0 by counting (q > 2(p+t0-1)-3,
+or t0 = 0, where p vertices do not fit in p-1 labels), and at any later t
+because the search at t-1 was exhausted.  W at t has least label 1, and if
+its largest label were below N it would be a witness in 1..N-1, at t-1; so W
+uses N.  Nowhere else is that known: at t = D+1 the least witness of H_5
+(D = 1) fits in 1..N-1, so find_sem pins label 1 only.
+
 Every cut is on in deficiency and the CLI.  Only find_sem can switch them
 off, as the reference the tests compare against: `symmetry` covers both
-symmetry cuts, and the twin cut applies to pruned searches only, so the
-unpruned enumeration (`prune=False`) keeps just the complement cut.
+symmetry cuts and the pin of label 1, and the twin cut and the pin apply
+to pruned searches only, so the unpruned enumeration (`prune=False`) keeps
+just the complement cut.
 
 Backends: _run_search is the pure-Python reference.  Pruned searches run in
 a compiled port of it, _dfs.c, when that can be built: it is compiled with
@@ -55,13 +81,14 @@ in this package's __pycache__ under a hash of its source and the
 interpreter's tag, and loaded with ctypes (see _kernel.py).  One plan feeds
 both: _search settles the searches that place no label (p = 0, and a pruned
 search past the counting bound), then builds the order, degrees, prior
-neighbours, first label count, twin links and window-support arrays once
-with _plan, in the flat layout _dfs.c takes, and hands that plan unchanged
-to the backend that runs.  So both follow the same order, candidates and
-pruning, and return the same witness after the same number of nodes.  The
-kernel also computes the weighted-sum interval in O(1) per candidate from
-per-position tables, where _run_search rescans the labels; the decisions
-are the same.  Without a compiler, on a compile or load error, or with a
+neighbours, first label count, pinned labels, twin links and window-support
+arrays once with _plan, in the flat layout _dfs.c takes, and hands that plan
+unchanged to the backend that runs.  So both follow the same order,
+candidates and pruning, and return the same witness after the same number of
+nodes.  The kernel also computes the weighted-sum interval in O(1) per
+candidate from per-position tables, and re-checks a pinned label first at
+the position that supported it last, where _run_search rescans; the
+decisions are the same.  Without a compiler, on a compile or load error, or with a
 cache directory that cannot be written, every search runs in _run_search;
 so does every unpruned search.
 SearchResult.backend names the one used; there is no setting to choose it.
@@ -137,8 +164,9 @@ class _Plan(NamedTuple):
     position i, the vertex order[i], its degree deg[i] (descending), the
     positions of its already-assigned neighbours prior[pstart[i] ..
     pstart[i + 1]), and the previous position of its twin class twin_prev[i]
-    (-1 if none); position 0 takes the labels 1..ntop.  For the
-    window-support cut on entering position i: inner[i] edges join two
+    (-1 if none); position 0 takes the labels 1..ntop.  A witness must use
+    the first `pins` of the labels 1 and N (0, 1 or 2; 1 when N = 1).  For
+    the window-support cut on entering position i: inner[i] edges join two
     positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
     < i with a neighbour at a position >= i."""
 
@@ -147,16 +175,18 @@ class _Plan(NamedTuple):
     pstart: list[int]
     prior: list[int]
     ntop: int
+    pins: int
     twin_prev: list[int]
     inner: list[int]
     ostart: list[int]
     open: list[int]
 
 
-def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
+def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool, pins: int) -> _Plan:
     """The search plan of g with labels 1..n_total: descending-degree order
     (ties by index), the complement cut on the first position's labels under
-    `symmetry`, and twin classes only when both `prune` and `symmetry` are set.
+    `symmetry`, twin classes only when both `prune` and `symmetry` are set,
+    and the first `pins` of the labels 1 and n_total pinned.
 
     Twins have equal open neighbourhoods N(v) or equal closed ones N[v].
     No N(u) equals an N[w] (w would be in N(u), so u in N(w) = N(u)), so one
@@ -192,6 +222,7 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool) -> _Plan:
         [0, *accumulate(map(len, prior_at))],
         [j for js in prior_at for j in js],
         (n_total + 1) // 2 if symmetry else n_total,
+        min(pins, n_total),
         twin_prev,
         list(accumulate(reversed(first_end)))[::-1],
         [0, *accumulate(map(len, open_at))],
@@ -216,7 +247,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     """
     p = g.vertex_count
     q = g.q
-    order, deg, pstart, prior, ntop, twin_prev, inner, ostart, open_ = plan
+    order, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open_ = plan
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -247,8 +278,35 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
                     return True
         return False
 
+    pinned = [1, n_total][:pins]
+
+    def fits(idx: int, j: int, x: int, lo: int, hi: int) -> bool:
+        """Whether the unassigned position j can take the free label x: its
+        sums with the assigned neighbours repeat no realized sum and keep
+        the span <= q-1, label 1 goes on no later twin, and position 0 takes
+        only 1..ntop."""
+        if (x == 1 and twin_prev[j] >= 0) or (j == 0 and x > ntop):
+            return False
+        for k in prior[pstart[j]:pstart[j + 1]]:
+            if k < idx:
+                sm = x + labels_at[k]
+                if sum_seen[sm]:
+                    return False
+                lo, hi = min(lo, sm), max(hi, sm)
+        return hi < 0 or hi - lo <= q - 1
+
+    def pins_supported(idx: int, lo: int, hi: int) -> bool:
+        """Whether every pinned label still free has an unassigned position
+        that can take it, and there are as many unassigned positions as
+        free pinned labels."""
+        free = [x for x in pinned if not used[x]]
+        return len(free) <= p - idx and all(
+            any(fits(idx, j, x, lo, hi) for j in range(idx, p)) for x in free)
+
     def rec(idx: int, lo: int, hi: int, wsum: int) -> list[int] | None:
         nonlocal nodes
+        if pins and not pins_supported(idx, lo, hi):
+            return None
         if idx == p:
             if prune or verify_sem(g, Labeling(_by_vertex(order, labels_at), n_total)):
                 return list(labels_at)
@@ -339,6 +397,7 @@ def _search(
     n_total: int,
     prune: bool,
     symmetry: bool,
+    pins: int,
 ) -> tuple[list[int] | None, int, str, float]:
     """(labels in vertex order or None, nodes, backend, seconds) of one
     search.  The label-free cases are settled here: p = 0, and a pruned search
@@ -355,7 +414,7 @@ def _search(
 
         dfs = _kernel.load()
     start = time.perf_counter()
-    plan = _plan(g, n_total, prune, symmetry)
+    plan = _plan(g, n_total, prune, symmetry, pins)
     if dfs is None:
         at, nodes = _run_search(g, plan, n_total, prune)
         backend = "python"
@@ -387,6 +446,12 @@ def find_sem(
     (pass max_labels=None to accept the runtime risk), and ValueError for a
     negative t or max_labels.
     """
+    return _find(g, t, prune, symmetry, max_labels, 1 if prune and symmetry else 0)
+
+
+def _find(g: Graph, t: int, prune: bool, symmetry: bool, max_labels: int | None,
+          pins: int) -> SearchResult:
+    """find_sem with the first `pins` of the labels 1 and p + t pinned."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     _check_max_labels(max_labels)
@@ -396,7 +461,7 @@ def find_sem(
             f"search needs {n_total} labels, over the limit of {max_labels}; "
             "raise max_labels to run anyway"
         )
-    labels, nodes, backend, seconds = _search(g, n_total, prune, symmetry)
+    labels, nodes, backend, seconds = _search(g, n_total, prune, symmetry, pins)
     if labels is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
     cert = verify_sem(g, Labeling(labels, n_total))
@@ -417,7 +482,9 @@ def deficiency(
 
     Iterates the filler count from the counting lower bound (smaller values
     cannot work: q <= 2(p+t)-3 fails) up to cap; the first witness gives the
-    exact value.  Exceeding the label limit raises SearchLimitError rather
+    exact value.  Each search pins labels 1 and p + t, which only holds where
+    t - 1 is known to fail (see the module docstring): the witness is
+    find_sem's, after fewer nodes.  Exceeding the label limit raises SearchLimitError rather
     than returning a wrong or weakened answer; a negative cap or max_labels
     raises ValueError.
     """
@@ -429,7 +496,7 @@ def deficiency(
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
-        res = find_sem(g, t, max_labels=max_labels)
+        res = _find(g, t, True, True, max_labels, 2)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

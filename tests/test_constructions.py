@@ -1,6 +1,7 @@
 import pytest
 
 from semdef.constructions import (
+    CONSTRUCTIONS,
     ERRATA,
     ConstructionError,
     ConstructionResult,
@@ -80,6 +81,16 @@ def test_wheel_dispatcher_and_range_errors():
         construct_wheel_minus_spoke(10)
     with pytest.raises(ValueError, match=r"^wheel-minus-spoke needs n >= 3, got 2$"):
         construct_wheel_minus_spoke(2)
+
+
+def test_wheel_constructor_rejects_an_m():
+    # H_n has no m: None is accepted from callers that pass (n, m) to every
+    # constructor, any other m is an error rather than an H_n certificate
+    assert construct_wheel_minus_spoke(8, None) == construct_wheel_minus_spoke(8)
+    with pytest.raises(ValueError, match="takes no parameter m"):
+        construct_wheel_minus_spoke(8, 3)
+    with pytest.raises(ValueError, match="takes no parameter m"):
+        CONSTRUCTIONS["wheel-minus-spoke"][0](9, 0)
 
 
 @pytest.mark.parametrize("n", [n for n in range(8, 20) if n % 4 != 2])

@@ -54,6 +54,8 @@ def test_find_sem_with_real_isolated_vertex():
     # K_2 plus a degree-0 vertex: any completion works
     res = find_sem(Graph(3, [(0, 1)]), 0)
     assert res.witness is not None
+    # one vertex and no filler: labels 1 and N are the one label 1
+    assert deficiency(Graph(1, []), 0).deficiency == 0
 
 
 def test_deficiency_wheel_4():
@@ -206,7 +208,7 @@ def test_stats_populated():
     (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7], [-1] * 9),
 ])
 def test_search_order_twin_classes(g, order, twin_prev):
-    got = solver._plan(g, g.vertex_count, prune=True, symmetry=True)
+    got = solver._plan(g, g.vertex_count, prune=True, symmetry=True, pins=1)
     assert (got.order, got.twin_prev) == (order, twin_prev)
 
 
@@ -215,12 +217,13 @@ def test_plan_of_c4_plus_2k1():
     # the index order and each position's prior neighbours are its earlier
     # neighbours
     g = join(cycle(4), empty_graph(2))
-    plan = solver._plan(g, 7, prune=True, symmetry=True)
+    plan = solver._plan(g, 7, prune=True, symmetry=True, pins=1)
     assert plan.order == [0, 1, 2, 3, 4, 5]
     assert plan.deg == [4] * 6
     assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
     assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
     assert plan.ntop == 4  # complement cut: labels 1..ceil(7/2)
+    assert plan.pins == 1  # a witness uses label 1
     assert plan.twin_prev == [-1, -1, 0, 1, -1, 4]
     # window support: the edges among positions >= i (4-5 is no edge, so
     # none from 4 on), and the earlier positions with a neighbour at i or
@@ -229,24 +232,31 @@ def test_plan_of_c4_plus_2k1():
     assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
     assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
     for prune, symmetry in [(True, False), (False, True), (False, False)]:
-        other = solver._plan(g, 7, prune=prune, symmetry=symmetry)
+        other = solver._plan(g, 7, prune=prune, symmetry=symmetry, pins=0)
         assert other.twin_prev == [-1] * 6
         assert other.ntop == (4 if symmetry else 7)
+        assert other.pins == 0
         assert other[:4] == plan[:4]
-        assert other[6:] == plan[6:]
+        assert other[7:] == plan[7:]
+    # labels 1 and N are one label when N = 1
+    assert solver._plan(g, 2, True, True, pins=2).pins == 2
+    assert solver._plan(g, 1, True, True, pins=2).pins == 1
 
 
-@pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry", [
-    (join(star(5), empty_graph(3)), 4, 17_128, 616_953),
-    (join(path(5), empty_graph(3)), 5, 172_684, 1_589_141),
-    (join(cycle(4), empty_graph(2)), 6, 21_647, 154_220),
-    (join(cycle(3), empty_graph(4)), 3, 2_602, 47_788),
+@pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry, nodes_both_pins", [
+    (join(star(5), empty_graph(3)), 4, 12_190, 616_953, 9_260),
+    (join(path(5), empty_graph(3)), 5, 121_843, 1_589_141, 83_639),
+    (join(cycle(4), empty_graph(2)), 6, 9_987, 154_220, 2_001),
+    (join(cycle(3), empty_graph(4)), 3, 1_695, 47_788, 1_017),
 ], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
-def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_without_symmetry):
+def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_without_symmetry, nodes_both_pins):
+    # find_sem pins label 1
     assert _assert_same_search(g, t).nodes == nodes
-    # symmetry=False skips both symmetry cuts but keeps every pruning rule,
-    # the window-support cut included
+    # symmetry=False skips both symmetry cuts and the pin but keeps every
+    # pruning rule, the window-support cut included
     assert find_sem(g, t, symmetry=False).nodes == nodes_without_symmetry
+    # deficiency pins labels 1 and N
+    assert _assert_same_search(g, t, pins=2).nodes == nodes_both_pins
 
 
 @st.composite
@@ -298,12 +308,18 @@ def _python_only():
         yield
 
 
-def _assert_same_search(g, t, **kwargs):
-    """The kernel's find_sem result, after checking that _run_search returns
-    the same witness after the same number of nodes."""
-    c = find_sem(g, t, **kwargs)
+def _assert_same_search(g, t, pins=None, **kwargs):
+    """The kernel's find_sem result, or with pins that of the search
+    deficiency runs with those labels pinned, after checking that
+    _run_search returns the same witness after the same number of nodes."""
+    def search():
+        if pins is None:
+            return find_sem(g, t, **kwargs)
+        return solver._find(g, t, True, True, None, pins)
+
+    c = search()
     with _python_only():
-        py = find_sem(g, t, **kwargs)
+        py = search()
     assert py.backend == "python"
     # searches that the counting bound or p == 0 settle place no label
     assert c.backend == ("c" if c.nodes else "python"), (g, t, kwargs)
@@ -314,16 +330,17 @@ def _assert_same_search(g, t, **kwargs):
 
 
 def _manifest_searches(monkeypatch):
-    """(graph, t) of every find_sem call the manifest's solver claims make."""
+    """(graph, t, pins) of every search the manifest's solver claims make,
+    through find_sem (pins 1) or deficiency (pins 2)."""
     calls = []
+    find = solver._find
 
-    def recording(g, t, **kwargs):
-        calls.append((g, t))
-        return find_sem(g, t, **kwargs)
+    def recording(g, t, prune, symmetry, max_labels, pins):
+        calls.append((g, t, pins))
+        return find(g, t, prune, symmetry, max_labels, pins)
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "find_sem", recording)
-        m.setattr(reproduce, "find_sem", recording)
+        m.setattr(solver, "_find", recording)
         report = reproduce.run(selection={c.id for c in CLAIMS if c.kind.startswith("solver")})
     assert not report.failed
     return calls
@@ -339,8 +356,11 @@ def test_backends_agree_on_oracle_corpus(c_backend, symmetry):
 def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
     calls = _manifest_searches(monkeypatch)
     assert len(calls) > 20
-    for g, t in calls:
+    assert {pins for _, _, pins in calls} == {1, 2}
+    for g, t, pins in calls:
         _assert_same_search(g, t, symmetry=symmetry)
+        if symmetry and pins == 2:
+            _assert_same_search(g, t, pins=2)
 
 
 @st.composite
@@ -373,10 +393,72 @@ def test_backends_agree_with_the_oracle_on_small_searches(c_backend, case):
     assert (res.witness is not None) == sem_exists_bruteforce(g, t), (g, t)
 
 
+def _assert_same_deficiency(g, cap):
+    """The kernel's deficiency outcome, after checking that _run_search gives
+    the same deficiency and witness after the same number of nodes."""
+    c = deficiency(g, cap)
+    with _python_only():
+        py = deficiency(g, cap)
+    got = (c.deficiency, c.witness and c.witness.labeling, c.nodes)
+    want = (py.deficiency, py.witness and py.witness.labeling, py.nodes)
+    assert got == want, (g, cap)
+    return c
+
+
+def _deficiency_by_find_sem(g, cap):
+    """(deficiency, witness labeling) from find_sem without the symmetry cuts
+    and pins, filler count by filler count; (None, None) past cap."""
+    for t in range(cap + 1):
+        res = find_sem(g, t, symmetry=False)
+        if res.witness is not None:
+            return t, res.witness.labeling
+    return None, None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("cases", [_small_search(), _twin_rich()], ids=["small", "twin-rich"])
+def test_pinned_deficiency_matches_find_sem_without_symmetry(c_backend, cases, data):
+    g, cap = data.draw(cases)
+    out = _assert_same_deficiency(g, cap)
+    assert (out.deficiency, out.witness and out.witness.labeling) == _deficiency_by_find_sem(g, cap)
+
+
+def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
+    # 49,169 nodes with neither label 1 nor N pinned
+    out = _assert_same_deficiency(join(cycle(4), empty_graph(2)), 6)
+    assert (out.deficiency, out.nodes, out.backend) == (None, 8_619, "c")
+
+
+def test_label_n_is_pinned_only_where_t_minus_1_fails():
+    # D(H_5) = 1, so at t = 2 the least witness fits in 1..N-1 like the t = 1
+    # one; pinning N there finds another labeling.  deficiency pins N only
+    # where t - 1 has no witness.
+    g, n_total = wheel_minus_spoke(5), 8
+    assert deficiency(g, 2).deficiency == 1
+    least = find_sem(g, 2).witness.labeling.labels
+    assert least == find_sem(g, 2, symmetry=False).witness.labeling.labels
+    assert least == (1, 7, 3, 6, 2, 4) and n_total not in least
+    pinned = solver._find(g, 2, True, True, None, 2).witness.labeling.labels
+    assert pinned == (1, 4, 6, 8, 5, 7)
+
+
+def test_kernel_compiles_without_warnings():
+    import shutil
+    import subprocess
+
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-std=c99", "-fsyntax-only",
+                           str(_kernel.SOURCE)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_window_support_cut_refutes_h14(c_backend):
-    # 42,388,556 nodes without the cut
+    # 42,388,556 nodes without the cut, 1,398,524 with it but no pinned label
     res = find_sem(wheel_minus_spoke(14), 0)
-    assert (res.witness, res.nodes, res.backend) == (None, 1_398_524, "c")
+    assert (res.witness, res.nodes, res.backend) == (None, 1_260_052, "c")
 
 
 @pytest.mark.parametrize("g", [star(200), join(path(2), empty_graph(150))],
