@@ -1,9 +1,9 @@
-/* Compiled port of the pruned branch of semdef.solver._run_search.
+/* Compiled port of semdef.solver._run_search.
  *
  * Same assignment order, candidate order, pruning and symmetry rules and
  * node count as the Python reference, so it returns the same witness after
  * the same number of label placements.  Position 0 tries labels 1..ntop
- * (ceil(n/2) under the complement cut), every other position 1..n above
+ * (ceil(n/2), the complement cut), every other position 1..n above
  * its previous twin's label.  The rules are the duplicate-sum and span
  * checks, the pinned-label and window-support cuts on entering a position,
  * the weighted-sum interval and the twin rule.  Each pinned label carries
@@ -13,8 +13,9 @@
  * position that reaches it, the position's free labels are sorted once
  * into two tables of completion sums indexed by the candidate's rank among
  * them.  The reference rescans in both places; the decisions are the same.
- * semdef/_kernel.py builds it with `cc -O2 -shared -fPIC` and calls
- * semdef_dfs through ctypes.
+ * The tests check both backends against tests/oracles.py, an independent
+ * search for the same least witness.  semdef/_kernel.py builds the kernel
+ * with `cc -O2 -shared -fPIC` and calls semdef_dfs through ctypes.
  */
 #include <stdlib.h>
 

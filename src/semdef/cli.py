@@ -63,8 +63,13 @@ def _summary_stream(json_path: str | None):
 
 
 def _read_json(path: str) -> dict:
+    """The decoded JSON file at path.  Nesting too deep for the decoder is a
+    ValueError, like malformed JSON, so main reports it as a usage error."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _family_arg(value: str) -> str:
@@ -249,13 +254,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     report = reproduce_mod.run(selection=args.select)
+    human = _summary_stream(args.json)
     for e in report.entries:
         tag = f" [{', '.join(e.errata)}]" if e.errata else ""
-        print(f"{e.status.upper():>11}  {e.claim.id}: {e.details}{tag}")
+        print(f"{e.status.upper():>11}  {e.claim.id}: {e.details}{tag}", file=human)
     s = report.summary()
     print(
         f"summary: {s['total']} claims, {s['pass']} pass, {s['errata-pass']} errata-pass, "
-        f"{s['fail']} fail, {s['open']} open"
+        f"{s['fail']} fail, {s['open']} open",
+        file=human,
     )
     if args.json:
         _write_json(reproduce_mod.report_json_dict(report), args.json)

@@ -4,10 +4,10 @@ find_sem(g, t) decides whether G U tK_1 has a SEM labeling by depth-first
 assignment of labels {1..p+t} to vertices in descending-degree order (ties by
 index): high-degree vertices constrain the edge sums fastest.  Labels are
 tried in ascending order, so the first witness found is the lexicographically
-least labeling along that fixed assignment order; re-running or toggling
-pruning never changes the returned witness.
+least labeling along that fixed assignment order, and re-running never
+changes it.
 
-Pruning (all sound -- disabling changes node counts, never outcomes):
+Pruning (all sound: no rule drops a prefix of that least witness):
   * each new edge sum must be distinct from the realized ones and keep
     max - min <= q - 1;
   * window support: the q edge sums fill a window s..s+q-1 exactly once, so
@@ -20,9 +20,7 @@ Pruning (all sound -- disabling changes node counts, never outcomes):
     values); checking every one prunes more but costs more than it saves;
   * the degree-weighted label sum must stay inside the interval achievable
     by any completion, intersected with the interval forced by the possible
-    starting sums (see labeling.weighted_sum_required);
-  * with pruning off entirely, every full injection is enumerated and leaves
-    are checked by the verifier.
+    starting sums (see labeling.weighted_sum_required).
 
 Complement symmetry: if f is a witness then so is N+1-f, with the edge sums
 reflected; the first assigned vertex may therefore be restricted to labels
@@ -68,30 +66,29 @@ its largest label were below N it would be a witness in 1..N-1, at t-1; so W
 uses N.  Nowhere else is that known: at t = D+1 the least witness of H_5
 (D = 1) fits in 1..N-1, so find_sem pins label 1 only.
 
-Every cut is on in deficiency and the CLI.  Only find_sem can switch them
-off, as the reference the tests compare against: `symmetry` covers both
-symmetry cuts and the pin of label 1, and the twin cut and the pin apply
-to pruned searches only, so the unpruned enumeration (`prune=False`) keeps
-just the complement cut.
+Every cut is always on; no parameter switches one off.  The tests' reference
+is tests/oracles.py, an independent search in the same order that drops a
+partial labeling only on a repeated sum or a span above q-1, so it returns
+the least witness by construction; find_sem and deficiency must return it.
 
-Backends: _run_search is the pure-Python reference.  Pruned searches run in
-a compiled port of it, _dfs.c, when that can be built: it is compiled with
-`cc -O2 -shared -fPIC` at the first pruned search (never at import), cached
-in this package's __pycache__ under a hash of its source and the
-interpreter's tag, and loaded with ctypes (see _kernel.py).  One plan feeds
-both: _search settles the searches that place no label (p = 0, and a pruned
-search past the counting bound), then builds the order, degrees, prior
-neighbours, first label count, pinned labels, twin links and window-support
-arrays once with _plan, in the flat layout _dfs.c takes, and hands that plan
-unchanged to the backend that runs.  So both follow the same order,
-candidates and pruning, and return the same witness after the same number of
-nodes.  The kernel also computes the weighted-sum interval in O(1) per
-candidate from per-position tables, and re-checks a pinned label first at
-the position that supported it last, where _run_search rescans; the
-decisions are the same.  Without a compiler, on a compile or load error, or with a
-cache directory that cannot be written, every search runs in _run_search;
-so does every unpruned search.
-SearchResult.backend names the one used; there is no setting to choose it.
+Backends: _run_search is the pure-Python reference.  Searches run in a
+compiled port of it, _dfs.c, when that can be built: it is compiled with
+`cc -O2 -shared -fPIC` at the first search that places a label (never at
+import), cached in this package's __pycache__ under a hash of its source
+and the interpreter's tag, and loaded with ctypes (see _kernel.py).  One
+plan feeds both: _search settles the searches that place no label (p = 0,
+and a search past the counting bound), then builds the order, degrees,
+prior neighbours, first label count, pinned labels, twin links and
+window-support arrays once with _plan, in the flat layout _dfs.c takes, and
+hands that plan unchanged to the backend that runs.  So both follow the
+same order, candidates and pruning, and return the same witness after the
+same number of nodes.  The kernel also computes the weighted-sum interval
+in O(1) per candidate from per-position tables, and re-checks a pinned
+label first at the position that supported it last, where _run_search
+rescans; the decisions are the same.  Without a compiler, on a compile or
+load error, or with a cache directory that cannot be written, every search
+runs in _run_search.  SearchResult.backend names the one used; there is no
+setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.
@@ -182,11 +179,10 @@ class _Plan(NamedTuple):
     open: list[int]
 
 
-def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool, pins: int) -> _Plan:
+def _plan(g: Graph, n_total: int, pins: int) -> _Plan:
     """The search plan of g with labels 1..n_total: descending-degree order
-    (ties by index), the complement cut on the first position's labels under
-    `symmetry`, twin classes only when both `prune` and `symmetry` are set,
-    and the first `pins` of the labels 1 and n_total pinned.
+    (ties by index), the complement cut on the first position's labels, the
+    twin classes, and the first `pins` of the labels 1 and n_total pinned.
 
     Twins have equal open neighbourhoods N(v) or equal closed ones N[v].
     No N(u) equals an N[w] (w would be in N(u), so u in N(w) = N(u)), so one
@@ -210,18 +206,17 @@ def _plan(g: Graph, n_total: int, prune: bool, symmetry: bool, pins: int) -> _Pl
         last_nbr[iu] = max(last_nbr[iu], iv)
     open_at = [[j for j in range(i) if last_nbr[j] >= i] for i in range(p)]
     twin_prev = [-1] * p
-    if prune and symmetry:
-        last: dict[frozenset[int], int] = {}
-        for i, v in enumerate(order):
-            open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
-            twin_prev[i] = last.get(open_nbhd, last.get(closed_nbhd, -1))
-            last[open_nbhd] = last[closed_nbhd] = i
+    last: dict[frozenset[int], int] = {}
+    for i, v in enumerate(order):
+        open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
+        twin_prev[i] = last.get(open_nbhd, last.get(closed_nbhd, -1))
+        last[open_nbhd] = last[closed_nbhd] = i
     return _Plan(
         order,
         [deg[v] for v in order],
         [0, *accumulate(map(len, prior_at))],
         [j for js in prior_at for j in js],
-        (n_total + 1) // 2 if symmetry else n_total,
+        (n_total + 1) // 2,
         min(pins, n_total),
         twin_prev,
         list(accumulate(reversed(first_end)))[::-1],
@@ -238,8 +233,7 @@ def _by_vertex(order: list[int], at: list[int]) -> list[int]:
     return out
 
 
-def _run_search(g: Graph, plan: _Plan, n_total: int,
-                prune: bool) -> tuple[list[int] | None, int]:
+def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, int]:
     """Core DFS over plan.  Returns (labels per assignment position, nodes)
     or (None, nodes).
 
@@ -247,7 +241,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     """
     p = g.vertex_count
     q = g.q
-    order, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open_ = plan
+    _, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open_ = plan
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -308,11 +302,9 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
         if pins and not pins_supported(idx, lo, hi):
             return None
         if idx == p:
-            if prune or verify_sem(g, Labeling(_by_vertex(order, labels_at), n_total)):
-                return list(labels_at)
-            return None
+            return list(labels_at)
 
-        if prune and idx > 0:
+        if idx > 0:
             # window-support cut: the sums s_hi..s_lo+q-1 lie in every window
             # still possible, so each is realized or still realizable; only
             # the lowest and the highest unrealized one are checked
@@ -332,59 +324,51 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
             if used[lab]:
                 continue
             nodes += 1
-            if prune:
-                # The new sums pair lab with distinct placed labels, so they
-                # are distinct from each other; only a realized sum can collide.
-                new_lo, new_hi = lo, hi
-                ok = True
-                new_sums = []
-                for j in nbrs:
-                    sm = lab + labels_at[j]
-                    if sum_seen[sm]:
-                        ok = False
-                        break
-                    new_sums.append(sm)
-                    if sm < new_lo:
-                        new_lo = sm
-                    if sm > new_hi:
-                        new_hi = sm
-                if not ok or (new_hi >= 0 and new_hi - new_lo > q - 1):
+            # The new sums pair lab with distinct placed labels, so they are
+            # distinct from each other; only a realized sum can collide.
+            new_lo, new_hi = lo, hi
+            ok = True
+            new_sums = []
+            for j in nbrs:
+                sm = lab + labels_at[j]
+                if sum_seen[sm]:
+                    ok = False
+                    break
+                new_sums.append(sm)
+                if sm < new_lo:
+                    new_lo = sm
+                if sm > new_hi:
+                    new_hi = sm
+            if not ok or (new_hi >= 0 and new_hi - new_lo > q - 1):
+                continue
+            wsum2 = wsum + deg[idx] * lab
+            if q > 0 and idx + 1 < p:
+                # completion interval for the degree-weighted label sum;
+                # the remaining degrees are already descending
+                rem_degs = suffix_degs[idx + 1]
+                avail = [a for a in range(1, n_total + 1) if not used[a] and a != lab]
+                minc = 0
+                maxc = 0
+                last = len(avail) - 1
+                for i, d in enumerate(rem_degs):
+                    minc += d * avail[i]
+                    maxc += d * avail[last - i]
+                s_lo, s_hi = window(new_lo, new_hi)
+                if (
+                    wsum2 + minc > q * s_hi + target_base
+                    or wsum2 + maxc < q * s_lo + target_base
+                ):
                     continue
-                wsum2 = wsum + deg[idx] * lab
-                if q > 0 and idx + 1 < p:
-                    # completion interval for the degree-weighted label sum;
-                    # the remaining degrees are already descending
-                    rem_degs = suffix_degs[idx + 1]
-                    avail = [a for a in range(1, n_total + 1) if not used[a] and a != lab]
-                    minc = 0
-                    maxc = 0
-                    last = len(avail) - 1
-                    for i, d in enumerate(rem_degs):
-                        minc += d * avail[i]
-                        maxc += d * avail[last - i]
-                    s_lo, s_hi = window(new_lo, new_hi)
-                    if (
-                        wsum2 + minc > q * s_hi + target_base
-                        or wsum2 + maxc < q * s_lo + target_base
-                    ):
-                        continue
-                labels_at[idx] = lab
-                used[lab] = True
-                for sm in new_sums:
-                    sum_seen[sm] = 1
-                hit = rec(idx + 1, new_lo, new_hi, wsum2)
-                for sm in new_sums:
-                    sum_seen[sm] = 0
-                used[lab] = False
-                if hit is not None:
-                    return hit
-            else:
-                labels_at[idx] = lab
-                used[lab] = True
-                hit = rec(idx + 1, lo, hi, 0)
-                used[lab] = False
-                if hit is not None:
-                    return hit
+            labels_at[idx] = lab
+            used[lab] = True
+            for sm in new_sums:
+                sum_seen[sm] = 1
+            hit = rec(idx + 1, new_lo, new_hi, wsum2)
+            for sm in new_sums:
+                sum_seen[sm] = 0
+            used[lab] = False
+            if hit is not None:
+                return hit
         return None
 
     big = 10 * n_total
@@ -392,31 +376,23 @@ def _run_search(g: Graph, plan: _Plan, n_total: int,
     return found, nodes
 
 
-def _search(
-    g: Graph,
-    n_total: int,
-    prune: bool,
-    symmetry: bool,
-    pins: int,
-) -> tuple[list[int] | None, int, str, float]:
+def _search(g: Graph, n_total: int, pins: int) -> tuple[list[int] | None, int, str, float]:
     """(labels in vertex order or None, nodes, backend, seconds) of one
-    search.  The label-free cases are settled here: p = 0, and a pruned search
-    past the counting bound.  Otherwise the plan is built once and run by the
-    compiled kernel for a pruned search when it loads, else by _run_search.
-    The seconds leave out building and loading the kernel."""
+    search.  The label-free cases are settled here: p = 0, and a search past
+    the counting bound.  Otherwise the plan is built once and run by the
+    compiled kernel when it loads, else by _run_search.  The seconds leave
+    out building and loading the kernel."""
     if g.vertex_count == 0:
         return [], 0, "python", 0.0
-    if prune and counting_lower_bound(n_total, g.q) > 0:
+    if counting_lower_bound(n_total, g.q) > 0:
         return None, 0, "python", 0.0
-    dfs = None
-    if prune:
-        from . import _kernel  # on first use, so `import semdef` loads no kernel code
+    from . import _kernel  # on first use, so `import semdef` loads no kernel code
 
-        dfs = _kernel.load()
+    dfs = _kernel.load()
     start = time.perf_counter()
-    plan = _plan(g, n_total, prune, symmetry, pins)
+    plan = _plan(g, n_total, pins)
     if dfs is None:
-        at, nodes = _run_search(g, plan, n_total, prune)
+        at, nodes = _run_search(g, plan, n_total)
         backend = "python"
     else:
         at, nodes = dfs(n_total, plan)
@@ -434,8 +410,6 @@ def find_sem(
     g: Graph,
     t: int,
     *,
-    prune: bool = True,
-    symmetry: bool = True,
     max_labels: int | None = DEFAULT_MAX_LABELS,
 ) -> SearchResult:
     """Search exhaustively for a SEM labeling of g U tK_1.
@@ -446,11 +420,10 @@ def find_sem(
     (pass max_labels=None to accept the runtime risk), and ValueError for a
     negative t or max_labels.
     """
-    return _find(g, t, prune, symmetry, max_labels, 1 if prune and symmetry else 0)
+    return _find(g, t, max_labels, 1)
 
 
-def _find(g: Graph, t: int, prune: bool, symmetry: bool, max_labels: int | None,
-          pins: int) -> SearchResult:
+def _find(g: Graph, t: int, max_labels: int | None, pins: int) -> SearchResult:
     """find_sem with the first `pins` of the labels 1 and p + t pinned."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
@@ -461,7 +434,7 @@ def _find(g: Graph, t: int, prune: bool, symmetry: bool, max_labels: int | None,
             f"search needs {n_total} labels, over the limit of {max_labels}; "
             "raise max_labels to run anyway"
         )
-    labels, nodes, backend, seconds = _search(g, n_total, prune, symmetry, pins)
+    labels, nodes, backend, seconds = _search(g, n_total, pins)
     if labels is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
     cert = verify_sem(g, Labeling(labels, n_total))
@@ -496,7 +469,7 @@ def deficiency(
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
     for t in range(t0, cap + 1):
-        res = _find(g, t, True, True, max_labels, 2)
+        res = _find(g, t, max_labels, 2)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's verifier and solver internals:
-consecutiveness is tested by sorting and stepping, and existence by
-labelling the vertices in index order with every injection of {1..p+t},
+consecutiveness is tested by sorting and stepping, and the least labeling
+by trying every injection of {1..p+t} in the solver's documented order,
 abandoning a partial labeling only where no completion can work.
 """
 
@@ -32,40 +32,51 @@ def labeling_is_sem_bruteforce(g: Graph, labels, total_labels: int) -> bool:
     return sums_are_consecutive([labels[u] + labels[v] for u, v in g.edges])
 
 
-def sem_exists_bruteforce(g: Graph, t: int) -> bool:
-    """Whether some injection {1..p+t} -> V makes the edge sums consecutive.
+def least_sem_labeling(g: Graph, t: int):
+    """The lexicographically least SEM labeling of g U tK_1 along the
+    solver's assignment order, as labels per vertex, or None if none exists.
 
-    Vertices take labels in index order.  Once both ends of an edge are
-    labelled its sum is fixed, so a partial labeling is dropped as soon as
-    two labelled edges share a sum or the labelled sums span more than
-    q - 1: no completion can repair either.  Full labelings are tested
-    directly.
+    Vertices take labels in descending-degree order, ties by index, each
+    trying 1..p+t in ascending order, so the first full labeling found is the
+    least one along that order.  Once both ends of an edge are labelled its
+    sum is fixed, so a partial labeling is dropped as soon as two labelled
+    edges share a sum or the labelled sums span more than q - 1: no
+    completion can repair either.  Nothing else is cut, and full labelings
+    are tested directly.
     """
     p, q = g.vertex_count, g.q
     n_total = p + t
-    closing = [[] for _ in range(p)]  # earlier ends of the edges at each vertex
+    deg = [0] * p
     for u, v in g.edges:
-        closing[max(u, v)].append(min(u, v))
+        deg[u] += 1
+        deg[v] += 1
+    order = sorted(range(p), key=lambda v: (-deg[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    closing = [[] for _ in range(p)]  # earlier-labelled ends of each vertex's edges
+    for u, v in g.edges:
+        early, late = sorted((u, v), key=rank.__getitem__)
+        closing[late].append(early)
     labels = [0] * p
     used = [False] * (n_total + 1)
 
     def extend(i: int, sums: set) -> bool:
         if i == p:
             return sums_are_consecutive([labels[u] + labels[v] for u, v in g.edges])
+        v = order[i]
         for lab in range(1, n_total + 1):
             if used[lab]:
                 continue
-            new = {lab + labels[j] for j in closing[i]}
+            new = {lab + labels[j] for j in closing[v]}
             placed = sums | new
             if new and (len(placed) < len(sums) + len(new) or max(placed) - min(placed) > q - 1):
                 continue
-            labels[i], used[lab] = lab, True
+            labels[v], used[lab] = lab, True
             if extend(i + 1, placed):
                 return True
             used[lab] = False
         return False
 
-    return extend(0, set())
+    return tuple(labels) if extend(0, set()) else None
 
 
 def all_injections(p: int, n_total: int):

@@ -329,6 +329,15 @@ def test_reproduce_rejects_a_selector_that_matches_nothing(capsys, tmp_path, sel
     assert not json_path.exists()
 
 
+def test_reproduce_json_to_stdout_is_pure_json(capsys):
+    code, out, err = run_cli("reproduce", "--select", "errata", "--json", "-", capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["fail"] == 0
+    # the claim lines and the summary move to stderr
+    assert "erratum-path6-v-list" in err and "summary: " in err
+
+
 def test_reproduce_reports_are_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("reproduce", "--select", "magic-constants", "--json", str(a), capsys=capsys)
@@ -393,6 +402,20 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, command, flag, data):
     assert code == 2  # not 1, which means "rejected"
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph"],
+    ["verify", "--cert"],
+    ["construct", "--family", "generic-join", "-m", "2", "--base"],
+], ids=["solve", "verify", "construct"])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(*argv, str(path), capsys=capsys)
+    assert code == 2  # not 1, which for verify means "rejected"
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 # Arbitrary decoded JSON, and objects shaped like graph and certificate files

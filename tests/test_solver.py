@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import labeling_is_sem_bruteforce, random_graph, sem_exists_bruteforce
+from oracles import least_sem_labeling, random_graph
 
 from semdef.graphs import (
     FamilyDescriptor,
@@ -146,33 +146,20 @@ def _corpus():
     return graphs
 
 
+def _labels(res):
+    """The witness labels of a SearchResult or SearchOutcome, or None."""
+    return None if res.witness is None else res.witness.labeling.labels
+
+
 def test_solver_matches_bruteforce_oracle_on_corpus():
     for g, t in _corpus():
-        got = find_sem(g, t).witness is not None
-        assert got == sem_exists_bruteforce(g, t), (g, t)
+        assert _labels(find_sem(g, t)) == least_sem_labeling(g, t), (g, t)
 
 
 def test_monotonicity_in_filler_count():
     for g, t in _corpus():
         if find_sem(g, t).witness is not None and g.vertex_count + t < 9:
             assert find_sem(g, t + 1).witness is not None, (g, t)
-
-
-def test_prune_and_symmetry_toggles_only_change_node_counts():
-    for g, t in _corpus()[:20]:
-        runs = {
-            (prune, symmetry): find_sem(g, t, prune=prune, symmetry=symmetry)
-            for prune in (True, False)
-            for symmetry in (True, False)
-        }
-        base = runs[True, True]
-        for key, other in runs.items():
-            assert (other.witness is None) == (base.witness is None), (g, t, key)
-            if base.witness is not None:
-                assert other.witness.labeling == base.witness.labeling, (g, t, key)
-        assert runs[False, True].nodes >= base.nodes
-        for prune in (True, False):
-            assert runs[prune, False].nodes >= runs[prune, True].nodes, (g, t, prune)
 
 
 def test_repeated_runs_are_deterministic():
@@ -208,7 +195,7 @@ def test_stats_populated():
     (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7], [-1] * 9),
 ])
 def test_search_order_twin_classes(g, order, twin_prev):
-    got = solver._plan(g, g.vertex_count, prune=True, symmetry=True, pins=1)
+    got = solver._plan(g, g.vertex_count, pins=1)
     assert (got.order, got.twin_prev) == (order, twin_prev)
 
 
@@ -217,7 +204,7 @@ def test_plan_of_c4_plus_2k1():
     # the index order and each position's prior neighbours are its earlier
     # neighbours
     g = join(cycle(4), empty_graph(2))
-    plan = solver._plan(g, 7, prune=True, symmetry=True, pins=1)
+    plan = solver._plan(g, 7, pins=1)
     assert plan.order == [0, 1, 2, 3, 4, 5]
     assert plan.deg == [4] * 6
     assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
@@ -231,30 +218,22 @@ def test_plan_of_c4_plus_2k1():
     assert plan.inner == [12, 8, 5, 2, 0, 0]
     assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
     assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
-    for prune, symmetry in [(True, False), (False, True), (False, False)]:
-        other = solver._plan(g, 7, prune=prune, symmetry=symmetry, pins=0)
-        assert other.twin_prev == [-1] * 6
-        assert other.ntop == (4 if symmetry else 7)
-        assert other.pins == 0
-        assert other[:4] == plan[:4]
-        assert other[7:] == plan[7:]
+    # deficiency's plan pins label N too and differs in nothing else
+    assert solver._plan(g, 7, pins=2) == plan._replace(pins=2)
     # labels 1 and N are one label when N = 1
-    assert solver._plan(g, 2, True, True, pins=2).pins == 2
-    assert solver._plan(g, 1, True, True, pins=2).pins == 1
+    assert solver._plan(g, 2, pins=2).pins == 2
+    assert solver._plan(g, 1, pins=2).pins == 1
 
 
-@pytest.mark.parametrize("g, t, nodes, nodes_without_symmetry, nodes_both_pins", [
-    (join(star(5), empty_graph(3)), 4, 12_190, 616_953, 9_260),
-    (join(path(5), empty_graph(3)), 5, 121_843, 1_589_141, 83_639),
-    (join(cycle(4), empty_graph(2)), 6, 9_987, 154_220, 2_001),
-    (join(cycle(3), empty_graph(4)), 3, 1_695, 47_788, 1_017),
+@pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
+    (join(star(5), empty_graph(3)), 4, 12_190, 9_260),
+    (join(path(5), empty_graph(3)), 5, 121_843, 83_639),
+    (join(cycle(4), empty_graph(2)), 6, 9_987, 2_001),
+    (join(cycle(3), empty_graph(4)), 3, 1_695, 1_017),
 ], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
-def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_without_symmetry, nodes_both_pins):
+def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_both_pins):
     # find_sem pins label 1
     assert _assert_same_search(g, t).nodes == nodes
-    # symmetry=False skips both symmetry cuts and the pin but keeps every
-    # pruning rule, the window-support cut included
-    assert find_sem(g, t, symmetry=False).nodes == nodes_without_symmetry
     # deficiency pins labels 1 and N
     assert _assert_same_search(g, t, pins=2).nodes == nodes_both_pins
 
@@ -276,10 +255,7 @@ def _twin_rich(draw):
 @given(case=_twin_rich())
 def test_twin_rule_keeps_witness_on_twin_rich_graphs(c_backend, case):
     g, t = case
-    on = _assert_same_search(g, t)
-    off = _assert_same_search(g, t, symmetry=False)
-    assert (on.witness and on.witness.labeling) == (off.witness and off.witness.labeling)
-    assert off.nodes >= on.nodes
+    assert _labels(_assert_same_search(g, t)) == least_sem_labeling(g, t), (g, t)
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +284,24 @@ def _python_only():
         yield
 
 
-def _assert_same_search(g, t, pins=None, **kwargs):
+def _assert_same_search(g, t, pins=None):
     """The kernel's find_sem result, or with pins that of the search
     deficiency runs with those labels pinned, after checking that
     _run_search returns the same witness after the same number of nodes."""
     def search():
         if pins is None:
-            return find_sem(g, t, **kwargs)
-        return solver._find(g, t, True, True, None, pins)
+            return find_sem(g, t)
+        return solver._find(g, t, None, pins)
 
     c = search()
     with _python_only():
         py = search()
     assert py.backend == "python"
     # searches that the counting bound or p == 0 settle place no label
-    assert c.backend == ("c" if c.nodes else "python"), (g, t, kwargs)
+    assert c.backend == ("c" if c.nodes else "python"), (g, t, pins)
     got = (c.witness and c.witness.labeling, c.nodes, c.total_labels)
     want = (py.witness and py.witness.labeling, py.nodes, py.total_labels)
-    assert got == want, (g, t, kwargs)
+    assert got == want, (g, t, pins)
     return c
 
 
@@ -335,9 +311,9 @@ def _manifest_searches(monkeypatch):
     calls = []
     find = solver._find
 
-    def recording(g, t, prune, symmetry, max_labels, pins):
+    def recording(g, t, max_labels, pins):
         calls.append((g, t, pins))
-        return find(g, t, prune, symmetry, max_labels, pins)
+        return find(g, t, max_labels, pins)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_find", recording)
@@ -346,21 +322,21 @@ def _manifest_searches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
-def test_backends_agree_on_oracle_corpus(c_backend, symmetry):
+def test_backends_agree_on_oracle_corpus(c_backend):
     for g, t in _corpus() + [(wheel_minus_spoke(6), 1), (join(path(4), empty_graph(3)), 2)]:
-        _assert_same_search(g, t, symmetry=symmetry)
+        _assert_same_search(g, t)
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
-def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, symmetry):
+def test_backends_agree_on_manifest_searches(monkeypatch, c_backend):
     calls = _manifest_searches(monkeypatch)
     assert len(calls) > 20
     assert {pins for _, _, pins in calls} == {1, 2}
     for g, t, pins in calls:
-        _assert_same_search(g, t, symmetry=symmetry)
-        if symmetry and pins == 2:
-            _assert_same_search(g, t, pins=2)
+        least = least_sem_labeling(g, t)
+        assert _labels(_assert_same_search(g, t)) == least, (g, t)
+        if pins == 2:
+            # deficiency searches t only once t - 1 fails
+            assert _labels(_assert_same_search(g, t, pins=2)) == least, (g, t)
 
 
 @st.composite
@@ -386,11 +362,7 @@ def _small_search(draw):
 @given(case=_small_search())
 def test_backends_agree_with_the_oracle_on_small_searches(c_backend, case):
     g, t = case
-    res = _assert_same_search(g, t)
-    n_total = g.vertex_count + t
-    if res.witness is not None:
-        assert labeling_is_sem_bruteforce(g, res.witness.labeling.labels, n_total)
-    assert (res.witness is not None) == sem_exists_bruteforce(g, t), (g, t)
+    assert _labels(_assert_same_search(g, t)) == least_sem_labeling(g, t), (g, t)
 
 
 def _assert_same_deficiency(g, cap):
@@ -405,13 +377,13 @@ def _assert_same_deficiency(g, cap):
     return c
 
 
-def _deficiency_by_find_sem(g, cap):
-    """(deficiency, witness labeling) from find_sem without the symmetry cuts
-    and pins, filler count by filler count; (None, None) past cap."""
+def _least_deficiency(g, cap):
+    """(deficiency, least witness labels) from the oracle, filler count by
+    filler count from 0; (None, None) past cap."""
     for t in range(cap + 1):
-        res = find_sem(g, t, symmetry=False)
-        if res.witness is not None:
-            return t, res.witness.labeling
+        least = least_sem_labeling(g, t)
+        if least is not None:
+            return t, least
     return None, None
 
 
@@ -419,10 +391,10 @@ def _deficiency_by_find_sem(g, cap):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 @pytest.mark.parametrize("cases", [_small_search(), _twin_rich()], ids=["small", "twin-rich"])
-def test_pinned_deficiency_matches_find_sem_without_symmetry(c_backend, cases, data):
+def test_pinned_deficiency_matches_the_oracle(c_backend, cases, data):
     g, cap = data.draw(cases)
     out = _assert_same_deficiency(g, cap)
-    assert (out.deficiency, out.witness and out.witness.labeling) == _deficiency_by_find_sem(g, cap)
+    assert (out.deficiency, _labels(out)) == _least_deficiency(g, cap), (g, cap)
 
 
 def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
@@ -438,9 +410,9 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     g, n_total = wheel_minus_spoke(5), 8
     assert deficiency(g, 2).deficiency == 1
     least = find_sem(g, 2).witness.labeling.labels
-    assert least == find_sem(g, 2, symmetry=False).witness.labeling.labels
+    assert least == least_sem_labeling(g, 2)
     assert least == (1, 7, 3, 6, 2, 4) and n_total not in least
-    pinned = solver._find(g, 2, True, True, None, 2).witness.labeling.labels
+    pinned = solver._find(g, 2, None, 2).witness.labeling.labels
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
@@ -485,12 +457,6 @@ def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
         want_res.nodes, want_res.witness, want_res.backend)
     assert (out.deficiency, out.nodes, out.witness, out.backend) == (
         want_out.deficiency, want_out.nodes, want_out.witness, want_out.backend)
-
-
-def test_unpruned_search_stays_in_python(c_backend):
-    res = find_sem(wheel_minus_spoke(4), 0, prune=False)
-    assert res.backend == "python"
-    assert find_sem(wheel_minus_spoke(4), 0).backend == "c"
 
 
 def _break_source(monkeypatch, tmp_path):
