@@ -6,17 +6,27 @@
  * (ceil(n/2), the complement cut), every other position 1..n above
  * its previous twin's label.  The rules are the duplicate-sum and span
  * checks, the pinned-label and window-support cuts on entering a position,
- * the weighted-sum interval and the twin rule.  Each pinned label carries
- * the position that last supported it down the recursion, and the others
- * are scanned only when that one no longer can take it.  The weighted-sum
- * interval is computed in O(1) per candidate: on the first candidate of a
- * position that reaches it, the position's free labels are sorted once
- * into two tables of completion sums indexed by the candidate's rank among
- * them.  The reference rescans in both places; the decisions are the same.
- * The tests check both backends against tests/oracles.py, an independent
- * search for the same least witness.  semdef/_kernel.py builds the kernel
- * with `cc -O2 -shared -fPIC` and calls semdef_dfs through ctypes.
+ * the weighted-sum interval and the twin rule.
+ *
+ * The free labels (bit a), the same reflected (bit n + 1 - a) and the
+ * realized edge sums are bitsets of W = (2n + 64) / 64 words, for every n.
+ * On entering a position one candidate mask holds its free labels from the
+ * twin start up, within the range the span rule allows given the least and
+ * greatest prior-neighbour label, less those whose sum with a prior
+ * neighbour is realized (the OR of seen >> L over the prior labels L).
+ * Only those are visited; the rejected labels the reference also tries are
+ * counted by popcount, so the node count is the reference's.  Each pinned
+ * label carries the position that last supported it down the recursion,
+ * and the others are scanned only when that one no longer can take it.  The
+ * weighted-sum interval is computed in O(1) per candidate from two tables
+ * of completion sums, built once per position from its free labels and
+ * indexed by the candidate's rank among them.  The reference rescans in
+ * these places; the decisions are the same.  The tests check both backends
+ * against tests/oracles.py, an independent search for the same least
+ * witness.  semdef/_kernel.py builds the kernel with `cc -O2 -shared -fPIC`
+ * and calls semdef_dfs through ctypes.
  */
+#include <stdint.h>
 #include <stdlib.h>
 
 typedef struct {
@@ -33,12 +43,80 @@ typedef struct {
                                   open[ostart[i] .. ostart[i + 1]) */
     long long max_start, target_base;
     int *lab_at;               /* label per order position */
-    char *used, *seen;         /* labels placed, edge sums realized */
+    int w;                     /* words per bitset */
+    uint64_t *free, *rfree;    /* free labels a, as bit a and bit n + 1 - a */
+    uint64_t *seen;            /* realized edge sums */
     long long *minc, *maxc;    /* completion-sum rows: p - i entries for
                                   position i, after those of 0 .. i - 1 */
     int *free_lab;             /* scratch: free labels from one end */
     long long nodes;
 } Search;
+
+static int has(const uint64_t *set, int i)
+{
+    return (int)(set[i >> 6] >> (i & 63) & 1);
+}
+
+static void flip(uint64_t *set, int i)
+{
+    set[i >> 6] ^= (uint64_t)1 << (i & 63);
+}
+
+/* Bits o .. o + 63 of the w-word set, with 0 outside it; o may be negative. */
+static uint64_t bits_at(const uint64_t *set, int w, int o)
+{
+    if (o <= -64 || o >= 64 * w)
+        return 0;
+    if (o < 0)
+        return set[0] << -o;
+    const int k = o >> 6, r = o & 63;
+    uint64_t v = set[k] >> r;
+    if (r && k + 1 < w)
+        v |= set[k + 1] << (64 - r);
+    return v;
+}
+
+/* The bits of word k that lie in a..b, for 0 <= a <= b. */
+static uint64_t range(int k, int a, int b)
+{
+    const int lo = 64 * k, hi = lo + 63;
+    if (b < lo || a > hi)
+        return 0;
+    return (a > lo ? ~(uint64_t)0 << (a - lo) : ~(uint64_t)0) &
+           (b < hi ? ~(uint64_t)0 >> (hi - b) : ~(uint64_t)0);
+}
+
+/* The number of bits below x in set, for x >= 0. */
+static int count_below(const uint64_t *set, int x)
+{
+    int c = 0, k = 0;
+    for (; k < x >> 6; k++)
+        c += __builtin_popcountll(set[k]);
+    if (x & 63)
+        c += __builtin_popcountll(set[k] & ~(~(uint64_t)0 << (x & 63)));
+    return c;
+}
+
+/* The least bit in a..b clear in set, or b + 1; 0 <= a. */
+static int first_clear(const uint64_t *set, int a, int b)
+{
+    for (int k = a >> 6; a <= b && k <= b >> 6; k++) {
+        const uint64_t v = ~set[k] & range(k, a, b);
+        if (v)
+            return 64 * k + __builtin_ctzll(v);
+    }
+    return b + 1;
+}
+
+/* The greatest bit in a..b clear in set, for 0 <= a <= b with one clear. */
+static int last_clear(const uint64_t *set, int a, int b)
+{
+    for (int k = b >> 6;; k--) {
+        const uint64_t v = ~set[k] & range(k, a, b);
+        if (v)
+            return 64 * k + 63 - __builtin_clzll(v);
+    }
+}
 
 /* The least and greatest starting sum of a window s..s+q-1 that still holds
    every realized sum lo..hi (none when hi < 0). */
@@ -56,18 +134,21 @@ static void window(const Search *s, int lo, int hi, long long *s_lo, long long *
 
 /* Whether an edge still to be labelled at position idx can take the sum x:
    a free label x - f(j) at an unassigned neighbour of an open position j, or
-   two distinct free labels on an edge between unassigned vertices. */
+   two distinct free labels on an edge between unassigned vertices: a free
+   label a < x - a whose partner x - a is free, bit a + n + 1 - x of rfree. */
 static int realizable(const Search *s, int idx, int x)
 {
     for (int k = s->ostart[idx]; k < s->ostart[idx + 1]; k++) {
         const int b = x - s->lab_at[s->open[k]];
-        if (b >= 1 && b <= s->n && !s->used[b])
+        if (b >= 1 && b <= s->n && has(s->free, b))
             return 1;
     }
-    if (s->inner[idx])
-        for (int a = x > s->n ? x - s->n : 1; 2 * a < x; a++)
-            if (!s->used[a] && !s->used[x - a])
+    if (s->inner[idx]) {
+        const int top = (x - 1) / 2, d = s->n + 1 - x;
+        for (int k = 0; k <= top >> 6; k++)
+            if (s->free[k] & range(k, 1, top) & bits_at(s->rfree, s->w, 64 * k + d))
                 return 1;
+    }
     return 0;
 }
 
@@ -84,7 +165,7 @@ static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
         if (i >= idx)
             continue;
         const int sm = x + s->lab_at[i];
-        if (s->seen[sm])
+        if (has(s->seen, sm))
             return 0;
         if (sm < lo)
             lo = sm;
@@ -102,12 +183,12 @@ static int pins_supported(const Search *s, int idx, int lo, int hi, int *sup)
 {
     int need = 0;
     for (int k = 0; k < s->pins; k++)
-        need += !s->used[k ? s->n : 1];
+        need += has(s->free, k ? s->n : 1);
     if (need > s->p - idx)
         return 0;
     for (int k = 0; k < s->pins; k++) {
         const int x = k ? s->n : 1;
-        if (s->used[x] || (sup[k] >= idx && fits(s, idx, sup[k], x, lo, hi)))
+        if (!has(s->free, x) || (sup[k] >= idx && fits(s, idx, sup[k], x, lo, hi)))
             continue;
         int j = idx;
         while (j < s->p && !fits(s, idx, j, x, lo, hi))
@@ -120,14 +201,18 @@ static int pins_supported(const Search *s, int idx, int lo, int hi, int *sup)
 }
 
 /* out[k], k = 0..m: sum of rem[i] * l_i over the first m free labels l_i
-   taken from the low end (step 1) or the high end (step -1), skipping the
-   one of rank k from that end; for k = m none is skipped. */
-static void completion_row(Search *s, const int *rem, int m, int step, long long *out)
+   taken from the low end (from free) or the high end (from rfree, whose bit
+   r is the label n + 1 - r), skipping the one of rank k from that end; for
+   k = m none is skipped. */
+static void completion_row(Search *s, const int *rem, int m, int high, long long *out)
 {
     int *f = s->free_lab;
-    for (int a = step > 0 ? 1 : s->n, k = 0; k <= m; a += step)
-        if (!s->used[a])
-            f[k++] = a;
+    const uint64_t *set = high ? s->rfree : s->free;
+    for (int k = 0, i = 0; i <= m; k++)
+        for (uint64_t v = set[k]; v && i <= m; v &= v - 1) {
+            const int b = 64 * k + __builtin_ctzll(v);
+            f[i++] = high ? s->n + 1 - b : b;
+        }
     long long sum = 0;
     for (int i = 0; i < m; i++)
         sum += (long long)rem[i] * f[i];
@@ -150,68 +235,81 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int
            still possible, so each is realized or still realizable; only the
            lowest and the highest unrealized one are checked */
         window(s, lo, hi, &s_lo, &s_hi);
-        int x = (int)s_hi, y = (int)(s_lo + q - 1);
-        while (x <= y && s->seen[x])
-            x++;
-        while (y > x && s->seen[y])
-            y--;
-        if (x <= y && !(realizable(s, idx, x) && (y == x || realizable(s, idx, y))))
-            return 0;
+        const int top = (int)(s_lo + q - 1), x = first_clear(s->seen, (int)s_hi, top);
+        if (x <= top) {
+            const int y = last_clear(s->seen, x, top);
+            if (!(realizable(s, idx, x) && (y == x || realizable(s, idx, y))))
+                return 0;
+        }
     }
-    const int last = idx == 0 ? s->ntop : s->n, tp = s->twin_prev[idx];
+    /* twin rule: candidates start above the previous twin's label */
+    const int tp = s->twin_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
+    const int last = idx == 0 ? s->ntop : s->n;
+    /* span rule: with prior labels lmin..lmax, the sums of lab span
+       min(lo, lab + lmin)..max(hi, lab + lmax), at most q - 1; with no
+       prior neighbour, lmin = 10n and lmax = -10n leave lo, hi and a0..a1
+       as they are */
+    int lmin = 10 * s->n, lmax = -10 * s->n, a0 = start, a1 = last;
+    for (int k = beg; k < end; k++) {
+        const int l = s->lab_at[s->prior[k]];
+        if (l < lmin)
+            lmin = l;
+        if (l > lmax)
+            lmax = l;
+    }
+    if (lmax - lmin > q - 1)
+        a1 = 0;
+    if (hi - (q - 1) - lmin > a0)
+        a0 = hi - (q - 1) - lmin;
+    if (lo + (q - 1) - lmax < a1)
+        a1 = lo + (q - 1) - lmax;
     const int *rem = s->deg + idx + 1, m = s->p - idx - 1, nfree = s->n - idx;
     const long long row = (long long)idx * s->p - (long long)idx * (idx - 1) / 2;
     long long *minc = s->minc + row, *maxc = s->maxc + row;
-    int rank = -1;  /* of lab among the free labels, once the rows are built */
-    /* twin rule: candidates start above the previous twin's label */
-    for (int lab = (tp >= 0 ? s->lab_at[tp] : 0) + 1; lab <= last; lab++) {
-        if (s->used[lab])
-            continue;
-        s->nodes++;
-        if (rank >= 0)
-            rank++;
+    const int before = count_below(s->free, start);
+    int rows = 0;  /* whether minc and maxc are built */
+    for (int w = a0 >> 6; a0 <= a1 && w <= a1 >> 6; w++) {
         /* The new sums pair lab with distinct labels, so they are distinct
            from each other; only an already realized sum can collide. */
-        int nlo = lo, nhi = hi, k;
-        for (k = beg; k < end; k++) {
-            const int sm = lab + s->lab_at[s->prior[k]];
-            if (s->seen[sm])
-                break;
-            if (sm < nlo)
-                nlo = sm;
-            if (sm > nhi)
-                nhi = sm;
-        }
-        if (k < end || (nhi >= 0 && nhi - nlo > q - 1))
-            continue;
-        const long long wsum2 = wsum + (long long)s->deg[idx] * lab;
-        if (q > 0 && m > 0) {
-            /* completion interval for the degree-weighted label sum: the
-               remaining degrees rem[0 .. m) are already descending */
-            if (rank < 0) {
-                completion_row(s, rem, m, 1, minc);
-                completion_row(s, rem, m, -1, maxc);
-                rank = 0;
-                for (int a = 1; a < lab; a++)
-                    rank += !s->used[a];
+        uint64_t cand = s->free[w] & range(w, a0, a1);
+        for (int k = beg; k < end && cand; k++)
+            cand &= ~bits_at(s->seen, s->w, 64 * w + s->lab_at[s->prior[k]]);
+        for (; cand; cand &= cand - 1) {
+            const int lab = 64 * w + __builtin_ctzll(cand);
+            const int nlo = lab + lmin < lo ? lab + lmin : lo;
+            const int nhi = lab + lmax > hi ? lab + lmax : hi;
+            const long long wsum2 = wsum + (long long)s->deg[idx] * lab;
+            if (q > 0 && m > 0) {
+                /* completion interval for the degree-weighted label sum: the
+                   remaining degrees rem[0 .. m) are already descending */
+                if (!rows) {
+                    completion_row(s, rem, m, 0, minc);
+                    completion_row(s, rem, m, 1, maxc);
+                    rows = 1;
+                }
+                const int rank = count_below(s->free, lab), up = nfree - 1 - rank;
+                window(s, nlo, nhi, &s_lo, &s_hi);
+                if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base ||
+                    wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
+                    continue;
             }
-            const int up = nfree - 1 - rank;
-            window(s, nlo, nhi, &s_lo, &s_hi);
-            if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base ||
-                wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
-                continue;
+            s->lab_at[idx] = lab;
+            flip(s->free, lab);
+            flip(s->rfree, s->n + 1 - lab);
+            for (int k = beg; k < end; k++)
+                flip(s->seen, lab + s->lab_at[s->prior[k]]);
+            const int hit = rec(s, idx + 1, nlo, nhi, wsum2, sup[0], sup[1]);
+            for (int k = beg; k < end; k++)
+                flip(s->seen, lab + s->lab_at[s->prior[k]]);
+            flip(s->rfree, s->n + 1 - lab);
+            flip(s->free, lab);
+            if (hit) {
+                s->nodes += count_below(s->free, lab + 1) - before;
+                return 1;
+            }
         }
-        s->lab_at[idx] = lab;
-        s->used[lab] = 1;
-        for (k = beg; k < end; k++)
-            s->seen[lab + s->lab_at[s->prior[k]]] = 1;
-        const int hit = rec(s, idx + 1, nlo, nhi, wsum2, sup[0], sup[1]);
-        for (k = beg; k < end; k++)
-            s->seen[lab + s->lab_at[s->prior[k]]] = 0;
-        s->used[lab] = 0;
-        if (hit)
-            return 1;
     }
+    s->nodes += count_below(s->free, last + 1) - before;
     return 0;
 }
 
@@ -223,19 +321,24 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
                const int *ostart, const int *open, int *lab_at, long long *nodes)
 {
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
-    char *used = calloc(3 * (size_t)n + 2, 1);  /* used[0..n], seen[0..2n] */
+    const int w = (2 * n + 64) / 64;               /* bits 0..2n */
+    uint64_t *bits = calloc(3 * (size_t)w, sizeof *bits);
     long long *rows = malloc(2 * cells * sizeof *rows);
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
-    if (used && rows && free_lab) {
+    if (bits && rows && free_lab) {
         Search s = {p, q, n, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open,
-                    2LL * n - q, (long long)q * (q - 1) / 2, lab_at, used, used + n + 1,
-                    rows, rows + cells, free_lab, 0};
+                    2LL * n - q, (long long)q * (q - 1) / 2, lab_at, w, bits, bits + w,
+                    bits + 2 * w, rows, rows + cells, free_lab, 0};
+        for (int a = 1; a <= n; a++) {
+            flip(s.free, a);
+            flip(s.rfree, a);
+        }
         found = rec(&s, 0, 10 * n, -1, 0, -1, -1);
         *nodes = s.nodes;
     }
     free(free_lab);
     free(rows);
-    free(used);
+    free(bits);
     return found;
 }

@@ -82,13 +82,18 @@ prior neighbours, first label count, pinned labels, twin links and
 window-support arrays once with _plan, in the flat layout _dfs.c takes, and
 hands that plan unchanged to the backend that runs.  So both follow the
 same order, candidates and pruning, and return the same witness after the
-same number of nodes.  The kernel also computes the weighted-sum interval
+same number of nodes.  The kernel keeps the free labels, the same labels
+reflected (bit N+1-a) and the realized sums as 64-bit word bitsets.  On
+entering a position it builds one candidate mask: the free labels from the
+twin start up, within the range the span rule allows, less those whose sum
+with a prior neighbour is realized.  It visits only those and counts the
+rejected labels by popcount.  It also computes the weighted-sum interval
 in O(1) per candidate from per-position tables, and re-checks a pinned
 label first at the position that supported it last, where _run_search
-rescans; the decisions are the same.  Without a compiler, on a compile or
-load error, or with a cache directory that cannot be written, every search
-runs in _run_search.  SearchResult.backend names the one used; there is no
-setting to choose it.
+rescans; the decisions and the node counts are those of _run_search.
+Without a compiler, on a compile or load error, or with a cache directory
+that cannot be written, every search runs in _run_search.
+SearchResult.backend names the one used; there is no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.

@@ -20,7 +20,7 @@ from semdef.graphs import (
     wheel_minus_spoke,
 )
 from semdef import _kernel, reproduce, solver
-from semdef.labeling import SemCertificate, verify_sem
+from semdef.labeling import Labeling, SemCertificate, verify_sem
 from semdef.manifest import CLAIMS
 from semdef.solver import SearchLimitError, deficiency, find_sem
 
@@ -442,12 +442,116 @@ def test_window_support_cut_refutes_h14(c_backend):
     assert (res.witness, res.nodes, res.backend) == (None, 1_260_052, "c")
 
 
+# Searches whose labels and edge sums 3..2N-1 spread over two or three of
+# the kernel's 64-bit words: (graph, t, nodes of find_sem on both backends,
+# whether a witness exists), with N = p + t of 36, 69, 68 and 68.
+WORD_BOUNDARY = [
+    (join(cycle(4), empty_graph(2)), 30, 126_468, False),
+    (join(path(4), empty_graph(3)), 62, 61_029, True),
+    (wheel_minus_spoke(5), 62, 2_384, True),
+    (join(cycle(5), empty_graph(1)), 62, 11_404, True),
+]
+
+
+@pytest.mark.parametrize("g, t, nodes, found", WORD_BOUNDARY,
+                         ids=["cycle-4-join-2-t30", "path-4-join-3-t62", "h5-t62",
+                              "cycle-5-join-1-t62"])
+def test_backends_agree_past_word_boundaries(c_backend, g, t, nodes, found):
+    res = _assert_same_search(g, t, pins=1)
+    assert (res.nodes, res.witness is not None) == (nodes, found)
+
+
+# Run in a child interpreter: reads [[kind, graph JSON, t], ...] on stdin,
+# runs find_sem(g, t) with no label limit (kind "find") or deficiency(g, t),
+# and prints [backend, nodes, witness total labels, witness labels] per
+# search as JSON, the last two null without a witness.  Given a path, it
+# loads the kernel from that file and exits 77 if it cannot.
+_CHILD_SEARCHES = """
+import json, sys
+from pathlib import Path
+from semdef import _kernel
+from semdef.graphs import Graph
+from semdef.solver import deficiency, find_sem
+if len(sys.argv) > 1:
+    _kernel.library_path = lambda: Path(sys.argv[1])
+    if _kernel.load() is None:
+        sys.exit(77)
+out = []
+for kind, data, t in json.load(sys.stdin):
+    g = Graph.from_json_dict(data)
+    res = find_sem(g, t, max_labels=None) if kind == "find" else deficiency(g, t)
+    lab = res.witness and res.witness.labeling
+    out.append([res.backend, res.nodes, lab and lab.total_labels, lab and list(lab.labels)])
+print(json.dumps(out))
+"""
+
+
+def _searches_in_child(env, searches, timeout, library=None):
+    """The finished child that ran searches, (kind, graph, t) triples, with
+    _CHILD_SEARCHES; a child still running after timeout seconds is killed
+    and fails the test with subprocess.TimeoutExpired."""
+    import json
+    import subprocess
+    import sys
+
+    payload = json.dumps([[kind, g.to_json_dict(), t] for kind, g, t in searches])
+    args = [sys.executable, "-c", _CHILD_SEARCHES, *([str(library)] if library else [])]
+    return subprocess.run(args, input=payload, capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 @pytest.mark.parametrize("g", [star(200), join(path(2), empty_graph(150))],
                          ids=["star-200", "path-2-join-150"])
-def test_kernel_tables_hold_hundreds_of_labels(c_backend, g):
-    res = find_sem(g, 0, max_labels=None)
-    assert res.backend == "c" and res.total_labels == g.vertex_count
-    assert isinstance(verify_sem(g, res.witness.labeling), SemCertificate)
+def test_kernel_tables_hold_hundreds_of_labels(c_backend, child_env, g):
+    # each witness takes milliseconds; the 200 leaves of the star are one twin
+    # class, so a slip in the twin rule can turn its search into one that
+    # runs for minutes or more, and the time limit makes that a failure
+    import json
+
+    proc = _searches_in_child(child_env, [("find", g, 0)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    [(backend, _, total_labels, labels)] = json.loads(proc.stdout)
+    assert backend == "c" and total_labels == g.vertex_count
+    assert isinstance(verify_sem(g, Labeling(labels, total_labels)), SemCertificate)
+
+
+def _solve_instance(name):
+    """(graph, cap) of the solve instance name in bench/inputs.py."""
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    [(_, family, n, m, cap)] = [i for i in inputs.SOLVE_INSTANCES if i[0] == name]
+    return make_family(FamilyDescriptor(family, n=n, m=m)), cap
+
+
+def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
+    # shifts by 64 or more and right shifts of negative ints are the slips
+    # word bitsets invite; the sanitized build aborts on the first one
+    import json
+    import shutil
+    import subprocess
+
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    lib = tmp_path / "_dfs_ubsan.so"
+    build = subprocess.run(["cc", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-shared",
+                            "-fPIC", "-o", str(lib), str(_kernel.SOURCE)],
+                           capture_output=True, text=True)
+    if build.returncode != 0:
+        pytest.skip(f"cc cannot build with -fsanitize=undefined: {build.stderr[-300:]}")
+    g, cap = _solve_instance("C8+2K1")
+    searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
+    proc = _searches_in_child(child_env, searches, timeout=300, library=lib)
+    if proc.returncode == 77:
+        pytest.skip("the sanitized build does not load (no UBSan runtime)")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
+    assert [(b, nodes, labels) for b, nodes, _, labels in json.loads(proc.stdout)] == [
+        ("c", r.nodes, r.witness and list(r.witness.labeling.labels)) for r in want]
 
 
 def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
