@@ -3,17 +3,19 @@
  * Same assignment order, candidate order, pruning and symmetry rules and
  * node count as the Python reference, so it returns the same witness after
  * the same number of label placements.  Position 0 tries labels 1..ntop
- * (ceil(n/2), the complement cut), every other position 1..n above
- * its previous twin's label.  The rules are the duplicate-sum and span
- * checks, the pinned-label and window-support cuts on entering a position,
- * the weighted-sum interval and the twin rule.
+ * (ceil(n/2), the complement cut), every other position 1..n above the
+ * label of its orbit predecessor, the last earlier position whose orbit
+ * under the automorphisms fixing the positions before it holds this one.
+ * The rules are the duplicate-sum and span checks, the pinned-label and
+ * window-support cuts on entering a position, the weighted-sum interval and
+ * the orbit rule.
  *
  * The free labels (bit a), the same reflected (bit n + 1 - a) and the
  * realized edge sums are bitsets of W = (2n + 64) / 64 words, for every n.
- * On entering a position one candidate mask holds its free labels from the
- * twin start up, within the range the span rule allows given the least and
- * greatest prior-neighbour label, less those whose sum with a prior
- * neighbour is realized (the OR of seen >> L over the prior labels L).
+ * On entering a position one candidate mask holds its free labels above
+ * the orbit predecessor's, within the range the span rule allows given the
+ * least and greatest prior-neighbour label, less those whose sum with a
+ * prior neighbour is realized (the OR of seen >> L over the prior labels L).
  * Only those are visited; the rejected labels the reference also tries are
  * counted by popcount, so the node count is the reference's.  Each pinned
  * label carries the position that last supported it down the recursion,
@@ -36,8 +38,8 @@ typedef struct {
                                   prior[pstart[i] .. pstart[i + 1]) */
     int ntop;                  /* position 0 takes labels 1..ntop */
     int pins;                  /* a witness uses the first pins of 1, n */
-    const int *twin_prev;      /* previous position of the same twin class,
-                                  or -1; position i takes a larger label */
+    const int *orbit_prev;     /* orbit predecessor, or -1: position i
+                                  takes a larger label than it */
     const int *inner;          /* edges joining two positions >= i */
     const int *ostart, *open;  /* positions < i with a neighbour >= i:
                                   open[ostart[i] .. ostart[i + 1]) */
@@ -154,11 +156,11 @@ static int realizable(const Search *s, int idx, int x)
 
 /* Whether the unassigned position j can take the free label x on entering
    position idx: its sums with the assigned neighbours repeat no realized sum
-   and keep the span lo..hi within q - 1, label 1 goes on no later twin, and
-   position 0 takes only 1..ntop. */
+   and keep the span lo..hi within q - 1, label 1 goes on no position with an
+   orbit predecessor, and position 0 takes only 1..ntop. */
 static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 {
-    if ((x == 1 && s->twin_prev[j] >= 0) || (j == 0 && x > s->ntop))
+    if ((x == 1 && s->orbit_prev[j] >= 0) || (j == 0 && x > s->ntop))
         return 0;
     for (int k = s->pstart[j]; k < s->pstart[j + 1]; k++) {
         const int i = s->prior[k];
@@ -242,8 +244,8 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int
                 return 0;
         }
     }
-    /* twin rule: candidates start above the previous twin's label */
-    const int tp = s->twin_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
+    /* orbit rule: candidates start above the orbit predecessor's label */
+    const int tp = s->orbit_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
     const int last = idx == 0 ? s->ntop : s->n;
     /* span rule: with prior labels lmin..lmax, the sums of lab span
        min(lo, lab + lmin)..max(hi, lab + lmax), at most q - 1; with no
@@ -317,8 +319,9 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
 int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
-               const int *prior, int ntop, int pins, const int *twin_prev, const int *inner,
-               const int *ostart, const int *open, int *lab_at, long long *nodes)
+               const int *prior, int ntop, int pins, const int *orbit_prev,
+               const int *inner, const int *ostart, const int *open, int *lab_at,
+               long long *nodes)
 {
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     const int w = (2 * n + 64) / 64;               /* bits 0..2n */
@@ -327,7 +330,7 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (bits && rows && free_lab) {
-        Search s = {p, q, n, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open,
+        Search s = {p, q, n, deg, pstart, prior, ntop, pins, orbit_prev, inner, ostart, open,
                     2LL * n - q, (long long)q * (q - 1) / 2, lab_at, w, bits, bits + w,
                     bits + 2 * w, rows, rows + cells, free_lab, 0};
         for (int a = 1; a <= n; a++) {

@@ -55,7 +55,8 @@ def load():
     """The kernel as a function dfs(n_total, plan) -> (labels per order
     position or None, nodes).  plan is the solver._Plan that solver._plan
     builds for both backends; its arrays are passed to semdef_dfs as they
-    are: deg, pstart and prior, twin_prev, and the window-support arrays
+    are: deg, pstart and prior, orbit_prev (the earlier position whose label
+    each position's must exceed, or -1), and the window-support arrays
     inner, ostart and open, with ntop (position 0 takes labels 1..ntop) and
     pins (a witness uses the first pins of the labels 1 and n_total) as
     ints.  None when the kernel cannot be built or loaded.  The outcome
@@ -83,7 +84,7 @@ def load():
         labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
         found = fn(p, len(plan.prior), n_total, ints(plan.deg), ints(plan.pstart),
-                   ints(plan.prior), plan.ntop, plan.pins, ints(plan.twin_prev),
+                   ints(plan.prior), plan.ntop, plan.pins, ints(plan.orbit_prev),
                    ints(plan.inner), ints(plan.ostart), ints(plan.open), labels,
                    ctypes.byref(nodes))
         if found < 0:

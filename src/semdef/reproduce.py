@@ -83,32 +83,38 @@ def _cases(params) -> list[tuple[int | None, int | None]]:
     return [(n, m) for n in n_values for m in m_values]
 
 
-def _constructions(params, errata: set[str]):
+def _constructions(params, errata: set[str], built: dict):
     """Yield (n, m, result) for each case of the claim where its family has
-    a construction; the errata applied go into errata."""
+    a construction; the errata applied go into errata.  built holds the
+    results constructed so far in this run, by (family, n, m), so claims
+    that share a case build it once."""
     family = params["family"]
     for n, m in _cases(params):
         if cons.filler_row(family, n, m) is None:
             continue
-        r = cons.CONSTRUCTIONS[family][0](n, m)
+        key = (family, n, m)
+        if key not in built:
+            built[key] = cons.CONSTRUCTIONS[family][0](n, m)
+        r = built[key]
         errata.update(r.errata_applied)
         yield n, m, r
 
 
 # ---------------------------------------------------------------------------
-# Claim runners (one per manifest kind)
+# Claim runners (one per manifest kind), each called with the claim's params
+# and the run's construction results (see _constructions)
 # ---------------------------------------------------------------------------
 
-def _run_construct_grid(params):
+def _run_construct_grid(params, built):
     errata: set[str] = set()
-    verified = sum(1 for _ in _constructions(params, errata))
+    verified = sum(1 for _ in _constructions(params, errata, built))
     return params["details"].format(verified=verified, cases=len(_cases(params))), errata
 
 
-def _run_construct_path_special(params):
+def _run_construct_path_special(params, built):
     errata: set[str] = set()
     count = 0
-    for n, m, r in _constructions(params, errata):
+    for n, m, r in _constructions(params, errata, built):
         g = r.certificate.graph
         if counting_lower_bound(g.vertex_count, g.q) != r.claimed_isolated:
             raise AssertionError(f"n={n}, m={m}: filler count above the counting bound")
@@ -116,7 +122,7 @@ def _run_construct_path_special(params):
     return f"{count} special cases meet their counting bounds", errata
 
 
-def _run_construct_general_grid(params):
+def _run_construct_general_grid(params, built):
     errata: set[str] = set()
     count = 0
     for kind, n in params["bases"]:
@@ -129,7 +135,7 @@ def _run_construct_general_grid(params):
     return f"{count} (base, m) cases verified", errata
 
 
-def _run_solver(params):
+def _run_solver(params, built):
     """A claim with cap and expect asserts each case's exact deficiency; one
     with t asserts that no case has a SEM labeling with t fillers."""
     cases = _cases(params)
@@ -158,7 +164,7 @@ def _run_solver(params):
     return f"no SEM labeling for n in {cases[0][0]}..{cases[-1][0]}", set()
 
 
-def _run_counting_infeasible(params):
+def _run_counting_infeasible(params, built):
     cases = _cases(params)
     for n, m in cases:
         p, q = family_size(FamilyDescriptor(params["family"], n=n, m=m))
@@ -171,7 +177,7 @@ def _run_counting_infeasible(params):
     return f"{len(cases)} cases excluded one filler below the bound", set()
 
 
-def _run_bound_identities(params):
+def _run_bound_identities(params, built):
     for n, m in _cases(params):
         family = bound_identity_mismatch(n, m)
         if family is not None:
@@ -179,11 +185,11 @@ def _run_bound_identities(params):
     return f"all identities agree up to n={n}, m={m}", set()
 
 
-def _run_bounds_consistency(params):
+def _run_bounds_consistency(params, built):
     checked = 0
     for claim_id in params["grids"]:
         grid = next(c.params for c in CLAIMS if c.id == claim_id)
-        for n, m, r in _constructions(grid, set()):
+        for n, m, r in _constructions(grid, set(), built):
             d = FamilyDescriptor(grid["family"], n=n, m=m)
             b = family_bounds(d)
             if b.upper != r.certificate.isolated:
@@ -196,7 +202,7 @@ def _run_bounds_consistency(params):
     return f"{checked} descriptors consistent with their constructions", set()
 
 
-def _run_erratum_demo(params):
+def _run_erratum_demo(params, built):
     demo = cons.erratum_demo(params["tag"])
     rej = verify_sem(demo.graph, demo.rejected_labeling)
     if not isinstance(rej, Rejection):
@@ -210,10 +216,10 @@ def _run_erratum_demo(params):
     )
 
 
-def _run_magic_constant(params):
+def _run_magic_constant(params, built):
     formula = _MAGIC_FORMULAS[params["formula"]]
     count = 0
-    for n, m, r in _constructions(params, set()):
+    for n, m, r in _constructions(params, set(), built):
         k = r.certificate.magic_constant
         if k != formula(n, m):
             raise AssertionError(f"(n={n}, m={m}): k={k}, formula gives {formula(n, m)}")
@@ -221,9 +227,9 @@ def _run_magic_constant(params):
     return f"magic constant {params['formula']} confirmed in {count} cases", set()
 
 
-def _run_magic_star_multi_mismatch(params):
+def _run_magic_star_multi_mismatch(params, built):
     count = 0
-    for n, m, r in _constructions(params, set()):
+    for n, m, r in _constructions(params, set(), built):
         cert = r.certificate
         stated = (n + 1) * (m + 1) + 1
         top_sum = cert.min_edge_sum + cert.graph.q - 1
@@ -241,7 +247,7 @@ def _run_magic_star_multi_mismatch(params):
     )
 
 
-def _run_open_problem(params):
+def _run_open_problem(params, built):
     family = params["family"]
     parts = []
     for n, m in _cases(params):
@@ -284,12 +290,13 @@ def run(selection=None) -> ReproductionReport:
     if unknown:
         raise ValueError(f"no claim group or id matches selection {unknown}")
     entries = []
+    built: dict = {}
     for claim in CLAIMS:
         if wanted is not None and claim.group not in wanted and claim.id not in wanted:
             continue
         runner = _RUNNERS[claim.kind]
         try:
-            details, errata = runner(claim.params)
+            details, errata = runner(claim.params, built)
         except Exception as exc:  # record, never abort the run
             entries.append(ClaimOutcome(claim, STATUS_FAIL, f"{exc}", ()))
             continue

@@ -27,19 +27,25 @@ reflected; the first assigned vertex may therefore be restricted to labels
 1..ceil(N/2) without losing any witness with minimal first label, so the
 returned witness is unchanged.
 
-Twin symmetry: two vertices are twins when they have the same open
-neighbourhood N(v) (the added vertices of a join, the leaves of a star,
-isolated vertices) or the same closed neighbourhood N[v] (the triangle of
-C_3+mK_1).  Swapping the labels of two twins leaves the set of edge sums
-unchanged, so of the orderings of labels on a twin class only the ascending
-one is searched: each vertex takes a label above that of the previous twin
-in the assignment order.  This cuts up to m! orderings of the m added
-vertices of G+mK_1 (a lex-leader symmetry-breaking predicate, Crawford,
-Ginsberg, Luks and Roy, KR 1996).  It never changes the returned witness:
-if the lexicographically least witness with its first label in 1..ceil(N/2)
-had two twins labelled in descending order, swapping them would give a
-smaller witness, still valid and with a first label no larger, so that
-witness already ascends on every twin class.
+Automorphism symmetry: if sigma is an automorphism of G and f a witness,
+then f o sigma is a witness too, with the same edge sums.  Let v_k be the
+vertex at position k and O_k its orbit under the automorphisms that fix
+v_0..v_{k-1}.  Each sigma there makes W o sigma agree with the least witness
+W before position k and take W(sigma(v_k)) at k, so W(v_k) < W(u) for every
+u in O_k other than v_k (the stabilizer form of a lex-leader predicate:
+Crawford, Ginsberg, Luks and Roy, KR 1996; Puget, CP 2003).  The search
+keeps one of these constraints per position: position i takes a label above
+that of orbit_prev[i], the greatest k < i with v_i in O_k (see _orbits.py).
+The others follow: if v_i is in O_k and O_k' with k < k', sigma fixing
+v_0..v_{k'-1} and tau fixing v_0..v_{k-1} map v_k' and v_k to v_i, then
+tau^-1 sigma fixes v_0..v_{k-1} and maps v_k' to v_k, so v_k' is in O_k and
+W(v_k) < W(v_k') < W(v_i) already holds, by induction on the position.
+Twins -- vertices with the same open neighbourhood N(v), like the added
+vertices of a join, or the same closed one N[v], like the triangle of
+C_3+mK_1 -- are the case of sigma a transposition, so every twin class is
+searched in ascending order, which cuts up to m! orderings of the m added
+vertices of G+mK_1.  The wheels and cycle joins add the rotations and
+reflections of the cycle.
 
 Shift symmetry (pinned labels): adding a constant to every label adds twice
 that constant to every edge sum, so the sums stay consecutive and a witness
@@ -48,14 +54,14 @@ witness W down until its least label is 1 would lower every label, so W
 already uses label 1, and find_sem pins it: on entering a position, the leaf
 past the last one included, a pinned label that is still free needs an
 unassigned position that can take it (its sums with the assigned neighbours
-repeat no realized sum and keep the span <= q-1, it is no later twin when the
-label is 1, and it is not position 0 when the label exceeds ntop), and at
-least as many positions must be unassigned as pinned labels are free.  This
-is again a lex-leader predicate.  The three symmetry cuts compose because
-each keeps the same witness W, the least one overall: W uses label 1 by the
-shift argument; its first label is at most ceil(N/2), since the complement
-N+1-W is a witness too; and it ascends on every twin class, since swapping
-twins gives a witness too.  So no cut drops a prefix of W, every leaf the
+repeat no realized sum and keep the span <= q-1, it has no orbit predecessor
+when the label is 1, and it is not position 0 when the label exceeds ntop),
+and at least as many positions must be unassigned as pinned labels are free.
+This is again a lex-leader predicate.  The three symmetry cuts compose
+because each keeps the same witness W, the least one overall: W uses label 1
+by the shift argument; its first label is at most ceil(N/2), since the
+complement N+1-W is a witness too; and W(v_k) < W(u) for u in O_k, since
+W o sigma is a witness too.  So no cut drops a prefix of W, every leaf the
 search accepts is a witness, and the first one it reaches is still W.
 
 deficiency pins label N as well.  Its loop runs t upwards from t0, the
@@ -78,19 +84,20 @@ import), cached in this package's __pycache__ under a hash of its source
 and the interpreter's tag, and loaded with ctypes (see _kernel.py).  One
 plan feeds both: _search settles the searches that place no label (p = 0,
 and a search past the counting bound), then builds the order, degrees,
-prior neighbours, first label count, pinned labels, twin links and
+prior neighbours, first label count, pinned labels, orbit links and
 window-support arrays once with _plan, in the flat layout _dfs.c takes, and
 hands that plan unchanged to the backend that runs.  So both follow the
 same order, candidates and pruning, and return the same witness after the
 same number of nodes.  The kernel keeps the free labels, the same labels
 reflected (bit N+1-a) and the realized sums as 64-bit word bitsets.  On
-entering a position it builds one candidate mask: the free labels from the
-twin start up, within the range the span rule allows, less those whose sum
-with a prior neighbour is realized.  It visits only those and counts the
-rejected labels by popcount.  It also computes the weighted-sum interval
-in O(1) per candidate from per-position tables, and re-checks a pinned
-label first at the position that supported it last, where _run_search
-rescans; the decisions and the node counts are those of _run_search.
+entering a position it builds one candidate mask: the free labels above
+the orbit predecessor's, within the range the span rule allows, less those
+whose sum with a prior neighbour is realized.  It visits only those and
+counts the rejected labels by popcount.  It also computes the weighted-sum
+interval in O(1) per candidate from per-position tables, and re-checks a
+pinned label first at the position that supported it last, where
+_run_search rescans; the decisions and the node counts are those of
+_run_search.
 Without a compiler, on a compile or load error, or with a cache directory
 that cannot be written, every search runs in _run_search.
 SearchResult.backend names the one used; there is no setting to choose it.
@@ -101,7 +108,9 @@ label-count limit raise SearchLimitError rather than guessing.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -165,8 +174,9 @@ class _Plan(NamedTuple):
     """What both backends run, in the layout semdef_dfs takes: per assignment
     position i, the vertex order[i], its degree deg[i] (descending), the
     positions of its already-assigned neighbours prior[pstart[i] ..
-    pstart[i + 1]), and the previous position of its twin class twin_prev[i]
-    (-1 if none); position 0 takes the labels 1..ntop.  A witness must use
+    pstart[i + 1]), and orbit_prev[i], the last earlier position whose
+    stabilizer orbit holds position i (-1 if none), whose label position i
+    must exceed; position 0 takes the labels 1..ntop.  A witness must use
     the first `pins` of the labels 1 and N (0, 1 or 2; 1 when N = 1).  For
     the window-support cut on entering position i: inner[i] edges join two
     positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
@@ -178,56 +188,58 @@ class _Plan(NamedTuple):
     prior: list[int]
     ntop: int
     pins: int
-    twin_prev: list[int]
+    orbit_prev: list[int]
     inner: list[int]
     ostart: list[int]
     open: list[int]
 
 
-def _plan(g: Graph, n_total: int, pins: int) -> _Plan:
-    """The search plan of g with labels 1..n_total: descending-degree order
-    (ties by index), the complement cut on the first position's labels, the
-    twin classes, and the first `pins` of the labels 1 and n_total pinned.
+def _layout(g: Graph) -> _Plan:
+    """The part of g's search plan that does not depend on the label count:
+    everything but ntop and pins, which are left 0 for _plan to set."""
+    from . import _orbits  # on first use, so `import semdef` compiles no orbit code
 
-    Twins have equal open neighbourhoods N(v) or equal closed ones N[v].
-    No N(u) equals an N[w] (w would be in N(u), so u in N(w) = N(u)), so one
-    table keyed by both finds both kinds of class."""
     p = g.vertex_count
     deg = g.degrees()
     order = sorted(range(p), key=lambda v: (-deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     prior_at: list[list[int]] = [[] for _ in range(p)]
-    nbrs: list[set[int]] = [set() for _ in range(p)]
+    adj = [0] * p  # neighbours per position, as a bitmask over positions
     first_end = [0] * p  # edges by the position of their earlier endpoint
     last_nbr = [-1] * p  # latest position of a neighbour, per position
     for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
         iu, iv = pos[u], pos[v]
         if iu > iv:
             iu, iv = iv, iu
+        adj[iu] |= 1 << iv
+        adj[iv] |= 1 << iu
         prior_at[iv].append(iu)
         first_end[iu] += 1
         last_nbr[iu] = max(last_nbr[iu], iv)
     open_at = [[j for j in range(i) if last_nbr[j] >= i] for i in range(p)]
-    twin_prev = [-1] * p
-    last: dict[frozenset[int], int] = {}
-    for i, v in enumerate(order):
-        open_nbhd, closed_nbhd = frozenset(nbrs[v]), frozenset(nbrs[v] | {v})
-        twin_prev[i] = last.get(open_nbhd, last.get(closed_nbhd, -1))
-        last[open_nbhd] = last[closed_nbhd] = i
     return _Plan(
         order,
         [deg[v] for v in order],
         [0, *accumulate(map(len, prior_at))],
         [j for js in prior_at for j in js],
-        (n_total + 1) // 2,
-        min(pins, n_total),
-        twin_prev,
+        0,
+        0,
+        _orbits.orbit_prev(adj),
         list(accumulate(reversed(first_end)))[::-1],
         [0, *accumulate(map(len, open_at))],
         [j for js in open_at for j in js],
     )
+
+
+def _plan(
+    g: Graph, n_total: int, pins: int, layout: Callable[[Graph], _Plan] = _layout
+) -> _Plan:
+    """The search plan of g with labels 1..n_total: descending-degree order
+    (ties by index), the complement cut on the first position's labels, the
+    orbit links, and the first `pins` of the labels 1 and n_total pinned.
+    layout(g) gives the rest of the plan; deficiency passes a cached
+    _layout, so the orbits are computed once for all its filler counts."""
+    return layout(g)._replace(ntop=(n_total + 1) // 2, pins=min(pins, n_total))
 
 
 def _by_vertex(order: list[int], at: list[int]) -> list[int]:
@@ -246,7 +258,7 @@ def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, 
     """
     p = g.vertex_count
     q = g.q
-    _, deg, pstart, prior, ntop, pins, twin_prev, inner, ostart, open_ = plan
+    _, deg, pstart, prior, ntop, pins, orbit_prev, inner, ostart, open_ = plan
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -282,9 +294,9 @@ def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, 
     def fits(idx: int, j: int, x: int, lo: int, hi: int) -> bool:
         """Whether the unassigned position j can take the free label x: its
         sums with the assigned neighbours repeat no realized sum and keep
-        the span <= q-1, label 1 goes on no later twin, and position 0 takes
-        only 1..ntop."""
-        if (x == 1 and twin_prev[j] >= 0) or (j == 0 and x > ntop):
+        the span <= q-1, label 1 goes on no position with an orbit
+        predecessor, and position 0 takes only 1..ntop."""
+        if (x == 1 and orbit_prev[j] >= 0) or (j == 0 and x > ntop):
             return False
         for k in prior[pstart[j]:pstart[j + 1]]:
             if k < idx:
@@ -323,8 +335,9 @@ def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, 
                 return None
 
         nbrs = prior[pstart[idx]:pstart[idx + 1]]
-        # twin rule: above the label of the previous twin (position 0 has none)
-        tp = twin_prev[idx]
+        # orbit rule: above the label of the orbit predecessor (position 0
+        # has none)
+        tp = orbit_prev[idx]
         for lab in range(labels_at[tp] + 1 if tp >= 0 else 1, (ntop if idx == 0 else n_total) + 1):
             if used[lab]:
                 continue
@@ -381,12 +394,14 @@ def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, 
     return found, nodes
 
 
-def _search(g: Graph, n_total: int, pins: int) -> tuple[list[int] | None, int, str, float]:
+def _search(
+    g: Graph, n_total: int, pins: int, layout: Callable[[Graph], _Plan]
+) -> tuple[list[int] | None, int, str, float]:
     """(labels in vertex order or None, nodes, backend, seconds) of one
     search.  The label-free cases are settled here: p = 0, and a search past
-    the counting bound.  Otherwise the plan is built once and run by the
-    compiled kernel when it loads, else by _run_search.  The seconds leave
-    out building and loading the kernel."""
+    the counting bound.  Otherwise the plan is built once, from layout(g)
+    (see _plan), and run by the compiled kernel when it loads, else by
+    _run_search.  The seconds leave out building and loading the kernel."""
     if g.vertex_count == 0:
         return [], 0, "python", 0.0
     if counting_lower_bound(n_total, g.q) > 0:
@@ -395,7 +410,7 @@ def _search(g: Graph, n_total: int, pins: int) -> tuple[list[int] | None, int, s
 
     dfs = _kernel.load()
     start = time.perf_counter()
-    plan = _plan(g, n_total, pins)
+    plan = _plan(g, n_total, pins, layout)
     if dfs is None:
         at, nodes = _run_search(g, plan, n_total)
         backend = "python"
@@ -428,8 +443,12 @@ def find_sem(
     return _find(g, t, max_labels, 1)
 
 
-def _find(g: Graph, t: int, max_labels: int | None, pins: int) -> SearchResult:
-    """find_sem with the first `pins` of the labels 1 and p + t pinned."""
+def _find(
+    g: Graph, t: int, max_labels: int | None, pins: int,
+    layout: Callable[[Graph], _Plan] = _layout,
+) -> SearchResult:
+    """find_sem with the first `pins` of the labels 1 and p + t pinned, and
+    the plan built from layout(g)."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     _check_max_labels(max_labels)
@@ -439,7 +458,7 @@ def _find(g: Graph, t: int, max_labels: int | None, pins: int) -> SearchResult:
             f"search needs {n_total} labels, over the limit of {max_labels}; "
             "raise max_labels to run anyway"
         )
-    labels, nodes, backend, seconds = _search(g, n_total, pins)
+    labels, nodes, backend, seconds = _search(g, n_total, pins, layout)
     if labels is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
     cert = verify_sem(g, Labeling(labels, n_total))
@@ -462,8 +481,10 @@ def deficiency(
     cannot work: q <= 2(p+t)-3 fails) up to cap; the first witness gives the
     exact value.  Each search pins labels 1 and p + t, which only holds where
     t - 1 is known to fail (see the module docstring): the witness is
-    find_sem's, after fewer nodes.  Exceeding the label limit raises SearchLimitError rather
-    than returning a wrong or weakened answer; a negative cap or max_labels
+    find_sem's, after fewer nodes.  The part of the search plan that does
+    not depend on t, the orbit links included, is built once, at the first
+    search.  Exceeding the label limit raises SearchLimitError rather than
+    returning a wrong or weakened answer; a negative cap or max_labels
     raises ValueError.
     """
     if cap < 0:
@@ -473,8 +494,9 @@ def deficiency(
     seconds = 0.0
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
+    layout = functools.cache(_layout)
     for t in range(t0, cap + 1):
-        res = _find(g, t, max_labels, 2)
+        res = _find(g, t, max_labels, 2, layout)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's verifier and solver internals:
-consecutiveness is tested by sorting and stepping, and the least labeling
-by trying every injection of {1..p+t} in the solver's documented order,
-abandoning a partial labeling only where no completion can work.
+consecutiveness is tested by sorting and stepping, the least labeling by
+trying every injection of {1..p+t} in the solver's documented order,
+abandoning a partial labeling only where no completion can work, and the
+stabilizer orbits by enumerating every permutation of the vertices.
 """
 
 from __future__ import annotations
@@ -77,6 +78,27 @@ def least_sem_labeling(g: Graph, t: int):
         return False
 
     return tuple(labels) if extend(0, set()) else None
+
+
+def orbit_predecessors(g: Graph, order) -> list[int]:
+    """For each position i of order, the greatest k < i such that an
+    automorphism of g fixing order[0..k-1] maps order[k] to order[i], or -1.
+
+    Every permutation of the p vertices is tried, so keep p <= 7."""
+    p = g.vertex_count
+    edges = set(g.edges)
+    autos = [
+        s for s in permutations(range(p))
+        if all((min(s[u], s[v]), max(s[u], s[v])) in edges for u, v in g.edges)
+    ]
+    out = []
+    for i, v in enumerate(order):
+        ks = [
+            k for k in range(i)
+            if any(s[order[k]] == v and all(s[w] == w for w in order[:k]) for s in autos)
+        ]
+        out.append(max(ks, default=-1))
+    return out
 
 
 def all_injections(p: int, n_total: int):

@@ -90,7 +90,7 @@ def test_report_serialization():
 def test_failures_recorded_not_raised(monkeypatch):
     from semdef import reproduce as rep_mod
 
-    def boom(params):
+    def boom(params, built):
         raise AssertionError("synthetic failure")
 
     monkeypatch.setitem(rep_mod._RUNNERS, "bound-identities", boom)
@@ -261,6 +261,26 @@ def test_bounds_consistency_rechecks_the_construction_claims():
     assert sum(sizes) == 148
 
 
+def test_a_run_builds_each_construction_once(monkeypatch):
+    # bounds-consistency and the magic-constant claims re-read the grids'
+    # certificates; one run builds each (family, n, m) once
+    from collections import Counter
+
+    from semdef import constructions
+
+    calls = Counter()
+    table = dict(constructions.CONSTRUCTIONS)
+    for family, (fn, *rest) in table.items():
+        def counted(n, m, family=family, fn=fn):
+            calls[family, n, m] += 1
+            return fn(n, m)
+        table[family] = (counted, *rest)
+    monkeypatch.setattr(constructions, "CONSTRUCTIONS", table)
+    rep = reproduce.run(selection={"bounds-consistency", *CONSTRUCT_DETAILS, "magic-constants"})
+    assert not rep.failed
+    assert len(calls) >= 148 and set(calls.values()) == {1}
+
+
 def test_statements_name_their_cases():
     # a range edit that leaves stale prose fails here
     for claim in CLAIMS:
@@ -278,6 +298,6 @@ def test_every_correction_is_applied_by_a_construction_claim():
     applied: set[str] = set()
     for claim in CLAIMS:
         if claim.kind in ("construct-grid", "construct-path-special"):
-            for _ in reproduce._constructions(claim.params, applied):
+            for _ in reproduce._constructions(claim.params, applied, {}):
                 pass
     assert applied == set(ERRATA)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import least_sem_labeling, random_graph
+from oracles import least_sem_labeling, orbit_predecessors, random_graph
 
 from semdef.graphs import (
     FamilyDescriptor,
@@ -19,7 +19,7 @@ from semdef.graphs import (
     star,
     wheel_minus_spoke,
 )
-from semdef import _kernel, reproduce, solver
+from semdef import _kernel, _orbits, reproduce, solver
 from semdef.labeling import Labeling, SemCertificate, verify_sem
 from semdef.manifest import CLAIMS
 from semdef.solver import SearchLimitError, deficiency, find_sem
@@ -179,24 +179,59 @@ def test_stats_populated():
 
 
 # ---------------------------------------------------------------------------
-# Twin classes: equal open neighbourhoods N(v) or equal closed ones N[v]
+# Orbit links: the last earlier position whose stabilizer orbit holds each one
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("g, order, twin_prev", [
-    # C_4+2K_1: the opposite cycle vertices and the added pair are open twins
-    (join(cycle(4), empty_graph(2)), [0, 1, 2, 3, 4, 5], [-1, -1, 0, 1, -1, 4]),
-    # C_3+4K_1: the triangle is one closed-twin class, the added four open
-    (join(cycle(3), empty_graph(4)), [0, 1, 2, 3, 4, 5, 6], [-1, 0, 1, -1, 3, 4, 5]),
-    # K_{1,3}+4K_1: the leaves and the added vertices; the centre has no twin
+@pytest.mark.parametrize("g, order, orbit_prev", [
+    # W_8: the rim is one orbit of the dihedral group; fixing rim vertex 0
+    # leaves its reflection, which swaps 1 and 7
+    (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7],
+     [-1, -1, 1, 1, 1, 1, 1, 1, 2]),
+    # C_4+2K_1, the octahedron: one orbit; fixing 0 fixes its antipode 2 and
+    # leaves 1, 3, 4 and 5 one orbit; fixing 0..3 still lets 4 and 5 swap
+    (join(cycle(4), empty_graph(2)), [0, 1, 2, 3, 4, 5], [-1, 0, 0, 1, 1, 4]),
+    # C_3 U C_4: one equitable cell of seven degree-2 vertices, but two
+    # orbits, so neither cycle links to the other
+    (Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]), list(range(7)),
+     [-1, 0, 1, -1, 3, 3, 4]),
+    # K_{1,200}: the leaves are twins, each linked to the previous one
+    (star(200), list(range(201)), [-1, -1, *range(1, 200)]),
+    # C_3+4K_1: the triangle and the added four
+    (join(cycle(3), empty_graph(4)), list(range(7)), [-1, 0, 1, -1, 3, 4, 5]),
+    # K_{1,3}+4K_1: the leaves and the added vertices; the centre has none
     (join(star(3), empty_graph(4)), list(range(8)), [-1, -1, 1, 2, -1, 4, 5, 6]),
     # P_3 with two isolated vertices: the path's ends, and the isolated pair
     (Graph(5, [(0, 1), (1, 2)]), [1, 0, 2, 3, 4], [-1, -1, 1, -1, 3]),
-    (wheel_minus_spoke(9), [0, 2, 3, 4, 5, 6, 7, 8, 9, 1], [-1] * 10),
-    (join(cycle(8), empty_graph(1)), [8, 0, 1, 2, 3, 4, 5, 6, 7], [-1] * 9),
-])
-def test_search_order_twin_classes(g, order, twin_prev):
+    # H_9: only the reflection fixing rim vertex 1 is left, swapping 2 and 9
+    (wheel_minus_spoke(9), [0, 2, 3, 4, 5, 6, 7, 8, 9, 1], [-1] * 8 + [1, -1]),
+], ids=["c8-join-1", "c4-join-2", "c3-u-c4", "star-200", "c3-join-4", "k13-join-4",
+        "p3-u-2k1", "h9"])
+def test_search_order_orbit_links(g, order, orbit_prev):
     got = solver._plan(g, g.vertex_count, pins=1)
-    assert (got.order, got.twin_prev) == (order, twin_prev)
+    assert (got.order, got.orbit_prev) == (order, orbit_prev)
+    if g.vertex_count <= 7:
+        assert orbit_prev == orbit_predecessors(g, order)
+
+
+@st.composite
+def _orbit_case(draw):
+    """A graph on at most 7 vertices: two random components with isolated
+    vertices, or a regular circulant graph, whose degrees tell no vertex
+    apart."""
+    if draw(st.booleans()):
+        g, _ = draw(_small_search(max_vertices=7))
+        return g
+    p = draw(st.integers(1, 7))
+    jumps = draw(st.sets(st.integers(1, p // 2))) if p > 1 else set()
+    return Graph(p, {(min(v, (v + j) % p), max(v, (v + j) % p))
+                     for v in range(p) for j in jumps if (v + j) % p != v})
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_orbit_case())
+def test_orbit_links_match_brute_force(g):
+    plan = solver._plan(g, g.vertex_count, pins=1)
+    assert plan.orbit_prev == orbit_predecessors(g, plan.order), g
 
 
 def test_plan_of_c4_plus_2k1():
@@ -211,7 +246,9 @@ def test_plan_of_c4_plus_2k1():
     assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
     assert plan.ntop == 4  # complement cut: labels 1..ceil(7/2)
     assert plan.pins == 1  # a witness uses label 1
-    assert plan.twin_prev == [-1, -1, 0, 1, -1, 4]
+    # one orbit; fixing 0 fixes its antipode 2 and leaves 1, 3, 4 and 5 one
+    # orbit; fixing 0..3 still lets 4 and 5 swap
+    assert plan.orbit_prev == [-1, 0, 0, 1, 1, 4]
     # window support: the edges among positions >= i (4-5 is no edge, so
     # none from 4 on), and the earlier positions with a neighbour at i or
     # later (all of them: 4 and 5 see the whole cycle)
@@ -227,8 +264,8 @@ def test_plan_of_c4_plus_2k1():
 
 @pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
     (join(star(5), empty_graph(3)), 4, 12_190, 9_260),
-    (join(path(5), empty_graph(3)), 5, 121_843, 83_639),
-    (join(cycle(4), empty_graph(2)), 6, 9_987, 2_001),
+    (join(path(5), empty_graph(3)), 5, 93_538, 63_319),
+    (join(cycle(4), empty_graph(2)), 6, 2_627, 423),
     (join(cycle(3), empty_graph(4)), 3, 1_695, 1_017),
 ], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
 def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_both_pins):
@@ -311,9 +348,9 @@ def _manifest_searches(monkeypatch):
     calls = []
     find = solver._find
 
-    def recording(g, t, max_labels, pins):
+    def recording(g, t, max_labels, pins, *layout):
         calls.append((g, t, pins))
-        return find(g, t, max_labels, pins)
+        return find(g, t, max_labels, pins, *layout)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_find", recording)
@@ -349,20 +386,21 @@ def test_backends_agree_on_manifest_searches(monkeypatch, c_backend, pin_n):
 
 
 @st.composite
-def _small_search(draw):
-    """(G1 U G2 U kK_1, t) with at most 8 vertices and at most 11 labels.
+def _small_search(draw, max_vertices=8):
+    """(G1 U G2 U kK_1, t) with at most max_vertices vertices and at most 11
+    labels.
     With two components and isolated vertices, positions with no edge left
     among the later ones (inner = 0) and positions with no earlier one
     still open (empty open) both occur often."""
-    sizes = [draw(st.integers(1, 8))]
-    sizes.append(draw(st.integers(0, 8 - sizes[0])))
+    sizes = [draw(st.integers(1, max_vertices))]
+    sizes.append(draw(st.integers(0, max_vertices - sizes[0])))
     edges, base = [], 0
     for size in sizes:
         pairs = [(base + u, base + v) for u in range(size) for v in range(u + 1, size)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges += [e for e, k in zip(pairs, keep) if k]
         base += size
-    g = Graph(base + draw(st.integers(0, 8 - base)), edges)
+    g = Graph(base + draw(st.integers(0, max_vertices - base)), edges)
     return g, draw(st.integers(0, 11 - g.vertex_count))
 
 
@@ -407,9 +445,25 @@ def test_pinned_deficiency_matches_the_oracle(c_backend, cases, data):
 
 
 def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
-    # 49,169 nodes with neither label 1 nor N pinned
+    # 17,081 nodes with neither label 1 nor N pinned
     out = _assert_same_deficiency(join(cycle(4), empty_graph(2)), 6)
-    assert (out.deficiency, out.nodes, out.backend) == (None, 8_619, "c")
+    assert (out.deficiency, out.nodes, out.backend) == (None, 1_970, "c")
+
+
+def test_deficiency_builds_the_layout_once(monkeypatch):
+    # every filler count's plan is _plan's, from one orbit computation
+    g = join(cycle(4), empty_graph(2))
+    plans, orbits = [], []
+    run, orbit_prev = solver._run_search, _orbits.orbit_prev
+    monkeypatch.setattr(solver, "_run_search",
+                        lambda g, plan, n: plans.append((plan, n)) or run(g, plan, n))
+    monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
+    with _python_only():
+        assert deficiency(g, 6).deficiency is None
+    assert len(orbits) == 1
+    assert [n for _, n in plans] == [8, 9, 10, 11, 12]
+    monkeypatch.undo()
+    assert all(plan == solver._plan(g, n, 2) for plan, n in plans)
 
 
 def test_label_n_is_pinned_only_where_t_minus_1_fails():
@@ -446,10 +500,10 @@ def test_window_support_cut_refutes_h14(c_backend):
 # the kernel's 64-bit words: (graph, t, nodes of find_sem on both backends,
 # whether a witness exists), with N = p + t of 36, 69, 68 and 68.
 WORD_BOUNDARY = [
-    (join(cycle(4), empty_graph(2)), 30, 126_468, False),
+    (join(cycle(4), empty_graph(2)), 30, 38_200, False),
     (join(path(4), empty_graph(3)), 62, 61_029, True),
-    (wheel_minus_spoke(5), 62, 2_384, True),
-    (join(cycle(5), empty_graph(1)), 62, 11_404, True),
+    (wheel_minus_spoke(5), 62, 2_379, True),
+    (join(cycle(5), empty_graph(1)), 62, 7_018, True),
 ]
 
 
@@ -503,8 +557,8 @@ def _searches_in_child(env, searches, timeout, library=None):
 @pytest.mark.parametrize("g", [star(200), join(path(2), empty_graph(150))],
                          ids=["star-200", "path-2-join-150"])
 def test_kernel_tables_hold_hundreds_of_labels(c_backend, child_env, g):
-    # each witness takes milliseconds; the 200 leaves of the star are one twin
-    # class, so a slip in the twin rule can turn its search into one that
+    # each witness takes milliseconds; the 200 leaves of the star are one
+    # orbit, so a slip in the orbit rule can turn its search into one that
     # runs for minutes or more, and the time limit makes that a failure
     import json
 
@@ -632,7 +686,7 @@ def test_kernel_is_not_loaded_at_import(child_env):
 
     code = ("import sys, semdef, semdef.cli; "
             "print(*(m in sys.modules for m in "
-            "('semdef._kernel', 'ctypes', 'subprocess', 'multiprocessing')))")
+            "('semdef._kernel', 'semdef._orbits', 'ctypes', 'subprocess', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True).stdout
-    assert out.split() == ["False", "False", "False", "False"]
+    assert out.split() == ["False"] * 5
