@@ -1,32 +1,22 @@
 /* Compiled port of semdef.solver._run_search.
  *
- * Same assignment order, candidate order, pruning and symmetry rules and
- * node count as the Python reference, so it returns the same witness after
- * the same number of label placements.  Position 0 tries labels 1..ntop
- * (ceil(n/2), the complement cut), every other position 1..n above the
- * label of its orbit predecessor, the last earlier position whose orbit
- * under the automorphisms fixing the positions before it holds this one.
- * The rules are the duplicate-sum and span checks, the pinned-label and
- * window-support cuts on entering a position, the weighted-sum interval and
- * the orbit rule.
- *
- * The free labels (bit a), the same reflected (bit n + 1 - a) and the
- * realized edge sums are bitsets of W = (2n + 64) / 64 words, for every n.
- * On entering a position one candidate mask holds its free labels above
- * the orbit predecessor's, within the range the span rule allows given the
- * least and greatest prior-neighbour label, less those whose sum with a
- * prior neighbour is realized (the OR of seen >> L over the prior labels L).
- * Only those are visited; the rejected labels the reference also tries are
- * counted by popcount, so the node count is the reference's.  Each pinned
- * label carries the position that last supported it down the recursion,
- * and the others are scanned only when that one no longer can take it.  The
- * weighted-sum interval is computed in O(1) per candidate from two tables
- * of completion sums, built once per position from its free labels and
- * indexed by the candidate's rank among them.  The reference rescans in
- * these places; the decisions are the same.  The tests check both backends
- * against tests/oracles.py, an independent search for the same least
- * witness.  semdef/_kernel.py builds the kernel with `cc -O2 -shared -fPIC`
- * and calls semdef_dfs through ctypes.
+ * semdef_dfs takes what _run_search takes, as solver._find passes both: the
+ * arrays of the solver's _Plan, q, n, ntop and pins.  It follows the same
+ * order, candidates, cuts and symmetry rules (the solver docstring gives
+ * them), so it returns the same witness after the same number of label
+ * placements.  Only the state differs.  The free labels (bit a), the same
+ * reflected (bit n + 1 - a) and the realized edge sums are bitsets of
+ * W = (2n + 64) / 64 words, for every n.  On entering a position one
+ * candidate mask holds its free labels above the orbit predecessor's, within
+ * the range the span rule allows given the least and greatest prior-neighbour
+ * label, less those whose sum with a prior neighbour is realized (the OR of
+ * seen >> L over the prior labels L).  Only those are visited; the rejected
+ * labels the reference also tries are counted by popcount, so the node count
+ * is the reference's.  The weighted-sum interval is computed in O(1) per
+ * candidate from two tables of completion sums, built once per position from
+ * its free labels and indexed by the candidate's rank among them, where the
+ * reference rescans.  semdef/_kernel.py builds the kernel and calls
+ * semdef_dfs through ctypes.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -178,10 +168,8 @@ static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 }
 
 /* Whether every pinned label still free has an unassigned position that can
-   take it, and there are as many unassigned positions as free pinned labels.
-   sup[k] is the position that last supported pin k: it is tried first, and
-   the positions idx..p-1 are scanned only when it no longer fits. */
-static int pins_supported(const Search *s, int idx, int lo, int hi, int *sup)
+   take it, and there are as many unassigned positions as free pinned labels. */
+static int pins_supported(const Search *s, int idx, int lo, int hi)
 {
     int need = 0;
     for (int k = 0; k < s->pins; k++)
@@ -190,14 +178,13 @@ static int pins_supported(const Search *s, int idx, int lo, int hi, int *sup)
         return 0;
     for (int k = 0; k < s->pins; k++) {
         const int x = k ? s->n : 1;
-        if (!has(s->free, x) || (sup[k] >= idx && fits(s, idx, sup[k], x, lo, hi)))
+        if (!has(s->free, x))
             continue;
         int j = idx;
         while (j < s->p && !fits(s, idx, j, x, lo, hi))
             j++;
         if (j == s->p)
             return 0;
-        sup[k] = j;
     }
     return 1;
 }
@@ -223,10 +210,9 @@ static void completion_row(Search *s, const int *rem, int m, int high, long long
         out[k] = out[k + 1] + (long long)rem[k] * (f[k + 1] - f[k]);
 }
 
-static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int sup1)
+static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 {
-    int sup[2] = {sup0, sup1};
-    if (s->pins && !pins_supported(s, idx, lo, hi, sup))
+    if (s->pins && !pins_supported(s, idx, lo, hi))
         return 0;
     if (idx == s->p)
         return 1;
@@ -300,7 +286,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum, int sup0, int
             flip(s->rfree, s->n + 1 - lab);
             for (int k = beg; k < end; k++)
                 flip(s->seen, lab + s->lab_at[s->prior[k]]);
-            const int hit = rec(s, idx + 1, nlo, nhi, wsum2, sup[0], sup[1]);
+            const int hit = rec(s, idx + 1, nlo, nhi, wsum2);
             for (int k = beg; k < end; k++)
                 flip(s->seen, lab + s->lab_at[s->prior[k]]);
             flip(s->rfree, s->n + 1 - lab);
@@ -337,7 +323,7 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
             flip(s.free, a);
             flip(s.rfree, a);
         }
-        found = rec(&s, 0, 10 * n, -1, 0, -1, -1);
+        found = rec(&s, 0, 10 * n, -1, 0);
         *nodes = s.nodes;
     }
     free(free_lab);

@@ -1,6 +1,6 @@
 """Build, cache and load the compiled DFS kernel (_dfs.c).
 
-The kernel is compiled on first use with `cc -O2 -shared -fPIC` into this
+The kernel is compiled on first use with `cc` and CFLAGS into this
 package's __pycache__ directory, under a name keyed by a hash of the C
 source and the interpreter's extension tag, so a changed source or another
 interpreter gets its own build.  The library is written to a temporary file
@@ -20,6 +20,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_dfs.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
+CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 def library_path() -> Path:
@@ -38,7 +39,7 @@ def _compile(target: Path) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            ["cc", *CFLAGS, "-o", tmp, str(SOURCE)],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
@@ -52,15 +53,11 @@ def _compile(target: Path) -> None:
 
 @functools.cache
 def load():
-    """The kernel as a function dfs(n_total, plan) -> (labels per order
-    position or None, nodes).  plan is the solver._Plan that solver._plan
-    builds for both backends; its arrays are passed to semdef_dfs as they
-    are: deg, pstart and prior, orbit_prev (the earlier position whose label
-    each position's must exceed, or -1), and the window-support arrays
-    inner, ostart and open, with ntop (position 0 takes labels 1..ntop) and
-    pins (a witness uses the first pins of the labels 1 and n_total) as
-    ints.  None when the kernel cannot be built or loaded.  The outcome
-    is kept for the life of the process."""
+    """The kernel as a function dfs(plan, q, n_total, ntop, pins) -> (labels
+    per order position or None, nodes), with the arguments and the result of
+    solver._run_search; plan's arrays go to semdef_dfs as they are.  None
+    when the kernel cannot be built or loaded.  The outcome is kept for the
+    life of the process."""
     import ctypes
 
     try:
@@ -79,14 +76,13 @@ def load():
     def ints(values: list[int]):
         return (ctypes.c_int * len(values))(*values)
 
-    def dfs(n_total: int, plan):
+    def dfs(plan, q: int, n_total: int, ntop: int, pins: int):
         p = len(plan.deg)
         labels = (ctypes.c_int * p)()
         nodes = ctypes.c_longlong()
-        found = fn(p, len(plan.prior), n_total, ints(plan.deg), ints(plan.pstart),
-                   ints(plan.prior), plan.ntop, plan.pins, ints(plan.orbit_prev),
-                   ints(plan.inner), ints(plan.ostart), ints(plan.open), labels,
-                   ctypes.byref(nodes))
+        found = fn(p, q, n_total, ints(plan.deg), ints(plan.pstart), ints(plan.prior),
+                   ntop, pins, ints(plan.orbit_prev), ints(plan.inner), ints(plan.ostart),
+                   ints(plan.open), labels, ctypes.byref(nodes))
         if found < 0:
             raise MemoryError("search kernel could not allocate its tables")
         return (list(labels) if found else None), nodes.value

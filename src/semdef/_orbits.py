@@ -4,7 +4,7 @@ orbit_prev(adj) takes the graph as neighbour bitmasks over the positions of
 the search order and returns, for each position i, the greatest k < i such
 that an automorphism fixing positions 0..k-1 maps k to i (-1 if none): the
 position whose label position i must exceed (see the solver docstring).
-The solver imports this module at its first search that places a label, so
+The solver imports this module when it first builds a search plan, so
 `import semdef` does not load it.
 """
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 SCHEMA = "semdef/1"
 
@@ -35,6 +35,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, vertex_count: int, edges=()):
+        json_int(vertex_count, "vertex_count")
         if vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
         canon = []
@@ -43,6 +44,8 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair") from None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r} is not a pair of integers")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if u > v:
@@ -89,13 +92,9 @@ class Graph:
         """Read decoded graph JSON; any malformed input raises ValueError."""
         data = json_object(data, "graph")
         edges = data.get("edges")
-        try:
-            ok = type(edges) is list and _all_of_type(chain.from_iterable(edges), int)
-        except TypeError:  # an edge that is not a list
-            ok = False
-        if not ok:
+        if type(edges) is not list:
             raise ValueError("graph 'edges' must be a list of [u, v] integer pairs")
-        # the constructor rejects an edge that is not a pair
+        # the constructor rejects an edge that is not a pair of integers
         return cls(json_int(data.get("p"), "graph 'p'"), edges)
 
 

@@ -29,16 +29,19 @@ REASON_SUM_GAP = "sum-gap"
 class Labeling:
     """Labels of the p real vertices, drawn from {1..total_labels}.
 
-    total_labels = p + t where t is the isolated filler count.  The carrier
-    itself is unvalidated; verify_sem reports bad labels as rejections so
-    that tests and the CLI can observe the failure mode.
+    total_labels = p + t where t is the isolated filler count.  A label that
+    is not an int (a float, a string, True) raises ValueError; any other bad
+    label, out of range or repeated, is left for verify_sem to report as a
+    rejection, so that tests and the CLI can observe the failure mode.
     """
 
     labels: tuple[int, ...]
     total_labels: int
 
     def __init__(self, labels, total_labels: int | None = None):
-        labels = tuple(map(int, labels))
+        labels = tuple(labels)
+        for label in labels:
+            json_int(label, "label")
         if total_labels is None:
             total_labels = len(labels)
         if total_labels < len(labels):

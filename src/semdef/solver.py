@@ -55,8 +55,9 @@ already uses label 1, and find_sem pins it: on entering a position, the leaf
 past the last one included, a pinned label that is still free needs an
 unassigned position that can take it (its sums with the assigned neighbours
 repeat no realized sum and keep the span <= q-1, it has no orbit predecessor
-when the label is 1, and it is not position 0 when the label exceeds ntop),
-and at least as many positions must be unassigned as pinned labels are free.
+when the label is 1, and it is not position 0 when the label exceeds
+ceil(N/2)), and at least as many positions must be unassigned as pinned
+labels are free.  Both backends rescan those positions on every entry.
 This is again a lex-leader predicate.  The three symmetry cuts compose
 because each keeps the same witness W, the least one overall: W uses label 1
 by the shift argument; its first label is at most ceil(N/2), since the
@@ -77,30 +78,21 @@ is tests/oracles.py, an independent search in the same order that drops a
 partial labeling only on a repeated sum or a span above q-1, so it returns
 the least witness by construction; find_sem and deficiency must return it.
 
-Backends: _run_search is the pure-Python reference.  Searches run in a
-compiled port of it, _dfs.c, when that can be built: it is compiled with
-`cc -O2 -shared -fPIC` at the first search that places a label (never at
-import), cached in this package's __pycache__ under a hash of its source
-and the interpreter's tag, and loaded with ctypes (see _kernel.py).  One
-plan feeds both: _search settles the searches that place no label (p = 0,
-and a search past the counting bound), then builds the order, degrees,
-prior neighbours, first label count, pinned labels, orbit links and
-window-support arrays once with _plan, in the flat layout _dfs.c takes, and
-hands that plan unchanged to the backend that runs.  So both follow the
-same order, candidates and pruning, and return the same witness after the
-same number of nodes.  The kernel keeps the free labels, the same labels
-reflected (bit N+1-a) and the realized sums as 64-bit word bitsets.  On
-entering a position it builds one candidate mask: the free labels above
-the orbit predecessor's, within the range the span rule allows, less those
-whose sum with a prior neighbour is realized.  It visits only those and
-counts the rejected labels by popcount.  It also computes the weighted-sum
-interval in O(1) per candidate from per-position tables, and re-checks a
-pinned label first at the position that supported it last, where
-_run_search rescans; the decisions and the node counts are those of
-_run_search.
-Without a compiler, on a compile or load error, or with a cache directory
-that cannot be written, every search runs in _run_search.
-SearchResult.backend names the one used; there is no setting to choose it.
+Backends: _run_search is the pure-Python reference and _dfs.c a compiled
+port of it, built and loaded by _kernel.py at the first search that places
+a label (never at import).  _find alone calls them.  It settles the
+searches that place no label (p = 0, and a search past the counting bound)
+and runs the rest in `_kernel.load() or _run_search`, with the same
+arguments (plan, q, N, ntop, pins): g's _Plan, built once per find_sem or
+deficiency call; ntop = ceil(N/2), the complement cut; and pins, the number
+of the labels 1 and N pinned, at most N.  So both follow the same order,
+candidates and pruning, and return the same witness after the same number
+of nodes; _dfs.c's header says how the kernel gets there faster.  Without
+a compiler, on a compile or load error, or with a cache directory that
+cannot be written, every search runs in _run_search, which recurses once
+per position and raises SearchLimitError on a graph too large for the
+interpreter's recursion limit.  SearchResult.backend names the backend
+used; there is no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.
@@ -108,9 +100,7 @@ label-count limit raise SearchLimitError rather than guessing.
 
 from __future__ import annotations
 
-import functools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -123,7 +113,8 @@ DEFAULT_MAX_LABELS = 16
 
 
 class SearchLimitError(RuntimeError):
-    """The requested search exceeds the configured label-count limit."""
+    """The requested search exceeds a limit: the configured label count, or,
+    in the Python reference search, the interpreter's recursion depth."""
 
 
 @dataclass(frozen=True)
@@ -133,8 +124,8 @@ class SearchResult:
     witness None means the search was exhaustive over all injective
     labelings into {1..total_labels} and found none.  backend is "c" when
     the compiled kernel ran the search, "python" when _run_search did.
-    seconds is the search's own time: it leaves out building and loading
-    the kernel and re-verifying the witness.
+    seconds is the backend's own time: it leaves out building the plan,
+    building and loading the kernel, and re-verifying the witness.
     """
 
     witness: SemCertificate | None
@@ -171,14 +162,13 @@ class SearchOutcome:
 
 
 class _Plan(NamedTuple):
-    """What both backends run, in the layout semdef_dfs takes: per assignment
-    position i, the vertex order[i], its degree deg[i] (descending), the
-    positions of its already-assigned neighbours prior[pstart[i] ..
-    pstart[i + 1]), and orbit_prev[i], the last earlier position whose
-    stabilizer orbit holds position i (-1 if none), whose label position i
-    must exceed; position 0 takes the labels 1..ntop.  A witness must use
-    the first `pins` of the labels 1 and N (0, 1 or 2; 1 when N = 1).  For
-    the window-support cut on entering position i: inner[i] edges join two
+    """g's search plan, which depends on the graph alone, in the layout
+    semdef_dfs takes: per assignment position i, the vertex order[i]
+    (descending degree, ties by index), its degree deg[i], the positions of
+    its already-assigned neighbours prior[pstart[i] .. pstart[i + 1]), and
+    orbit_prev[i], the last earlier position whose stabilizer orbit holds
+    position i (-1 if none), whose label position i must exceed.  For the
+    window-support cut on entering position i: inner[i] edges join two
     positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
     < i with a neighbour at a position >= i."""
 
@@ -186,17 +176,14 @@ class _Plan(NamedTuple):
     deg: list[int]
     pstart: list[int]
     prior: list[int]
-    ntop: int
-    pins: int
     orbit_prev: list[int]
     inner: list[int]
     ostart: list[int]
     open: list[int]
 
 
-def _layout(g: Graph) -> _Plan:
-    """The part of g's search plan that does not depend on the label count:
-    everything but ntop and pins, which are left 0 for _plan to set."""
+def _plan(g: Graph) -> _Plan:
+    """The search plan of g; find_sem and deficiency build it once per call."""
     from . import _orbits  # on first use, so `import semdef` compiles no orbit code
 
     p = g.vertex_count
@@ -222,8 +209,6 @@ def _layout(g: Graph) -> _Plan:
         [deg[v] for v in order],
         [0, *accumulate(map(len, prior_at))],
         [j for js in prior_at for j in js],
-        0,
-        0,
         _orbits.orbit_prev(adj),
         list(accumulate(reversed(first_end)))[::-1],
         [0, *accumulate(map(len, open_at))],
@@ -231,34 +216,18 @@ def _layout(g: Graph) -> _Plan:
     )
 
 
-def _plan(
-    g: Graph, n_total: int, pins: int, layout: Callable[[Graph], _Plan] = _layout
-) -> _Plan:
-    """The search plan of g with labels 1..n_total: descending-degree order
-    (ties by index), the complement cut on the first position's labels, the
-    orbit links, and the first `pins` of the labels 1 and n_total pinned.
-    layout(g) gives the rest of the plan; deficiency passes a cached
-    _layout, so the orbits are computed once for all its filler counts."""
-    return layout(g)._replace(ntop=(n_total + 1) // 2, pins=min(pins, n_total))
-
-
-def _by_vertex(order: list[int], at: list[int]) -> list[int]:
-    """Labels per assignment position, rearranged into vertex order."""
-    out = [0] * len(order)
-    for v, lab in zip(order, at):
-        out[v] = lab
-    return out
-
-
-def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, int]:
-    """Core DFS over plan.  Returns (labels per assignment position, nodes)
-    or (None, nodes).
-
-    nodes counts label placements attempted.
+def _run_search(
+    plan: _Plan, q: int, n_total: int, ntop: int, pins: int
+) -> tuple[list[int] | None, int]:
+    """Core DFS over plan for a graph with q edges and labels 1..n_total:
+    position 0 takes the labels 1..ntop, and a witness uses the first `pins`
+    of the labels 1 and n_total.  Returns (labels per assignment position,
+    nodes) or (None, nodes); nodes counts label placements attempted.  It
+    recurses once per position, so a graph with more vertices than the
+    interpreter's recursion limit allows raises SearchLimitError.
     """
-    p = g.vertex_count
-    q = g.q
-    _, deg, pstart, prior, ntop, pins, orbit_prev, inner, ostart, open_ = plan
+    _, deg, pstart, prior, orbit_prev, inner, ostart, open_ = plan
+    p = len(deg)
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -389,36 +358,14 @@ def _run_search(g: Graph, plan: _Plan, n_total: int) -> tuple[list[int] | None, 
                 return hit
         return None
 
-    big = 10 * n_total
-    found = rec(0, big, -1, 0)
+    try:
+        found = rec(0, 10 * n_total, -1, 0)
+    except RecursionError:
+        raise SearchLimitError(
+            f"the Python search recurses once per vertex, and {p} vertices go past the "
+            "interpreter's recursion limit; it needs the compiled kernel (cc on PATH)"
+        ) from None
     return found, nodes
-
-
-def _search(
-    g: Graph, n_total: int, pins: int, layout: Callable[[Graph], _Plan]
-) -> tuple[list[int] | None, int, str, float]:
-    """(labels in vertex order or None, nodes, backend, seconds) of one
-    search.  The label-free cases are settled here: p = 0, and a search past
-    the counting bound.  Otherwise the plan is built once, from layout(g)
-    (see _plan), and run by the compiled kernel when it loads, else by
-    _run_search.  The seconds leave out building and loading the kernel."""
-    if g.vertex_count == 0:
-        return [], 0, "python", 0.0
-    if counting_lower_bound(n_total, g.q) > 0:
-        return None, 0, "python", 0.0
-    from . import _kernel  # on first use, so `import semdef` loads no kernel code
-
-    dfs = _kernel.load()
-    start = time.perf_counter()
-    plan = _plan(g, n_total, pins, layout)
-    if dfs is None:
-        at, nodes = _run_search(g, plan, n_total)
-        backend = "python"
-    else:
-        at, nodes = dfs(n_total, plan)
-        backend = "c"
-    labels = None if at is None else _by_vertex(plan.order, at)
-    return labels, nodes, backend, time.perf_counter() - start
 
 
 def _check_max_labels(max_labels: int | None) -> None:
@@ -444,11 +391,13 @@ def find_sem(
 
 
 def _find(
-    g: Graph, t: int, max_labels: int | None, pins: int,
-    layout: Callable[[Graph], _Plan] = _layout,
+    g: Graph, t: int, max_labels: int | None, pins: int, plan: _Plan | None = None
 ) -> SearchResult:
-    """find_sem with the first `pins` of the labels 1 and p + t pinned, and
-    the plan built from layout(g)."""
+    """find_sem with the first `pins` of the labels 1 and p + t pinned, on
+    plan, g's _plan, which is built here when not given.  The only caller of
+    the backends: it settles the searches that place no label (p = 0, and a
+    search past the counting bound) and runs the rest in the compiled kernel
+    when it loads, else in _run_search, with the same arguments."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     _check_max_labels(max_labels)
@@ -458,9 +407,25 @@ def _find(
             f"search needs {n_total} labels, over the limit of {max_labels}; "
             "raise max_labels to run anyway"
         )
-    labels, nodes, backend, seconds = _search(g, n_total, pins, layout)
-    if labels is None:
+    if g.vertex_count == 0:  # the empty labeling, with no search
+        return SearchResult(verify_sem(g, Labeling((), n_total)), n_total, 0, 0.0, "python")
+    if counting_lower_bound(n_total, g.q) > 0:
+        return SearchResult(None, n_total, 0, 0.0, "python")
+    from . import _kernel  # on first use, so `import semdef` loads no kernel code
+
+    kernel = _kernel.load()
+    if plan is None:
+        plan = _plan(g)
+    start = time.perf_counter()
+    at, nodes = (kernel or _run_search)(
+        plan, g.q, n_total, (n_total + 1) // 2, min(pins, n_total))
+    seconds = time.perf_counter() - start
+    backend = "python" if kernel is None else "c"
+    if at is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
+    labels = [0] * g.vertex_count
+    for v, lab in zip(plan.order, at):
+        labels[v] = lab
     cert = verify_sem(g, Labeling(labels, n_total))
     if isinstance(cert, Rejection):
         raise RuntimeError(
@@ -481,9 +446,8 @@ def deficiency(
     cannot work: q <= 2(p+t)-3 fails) up to cap; the first witness gives the
     exact value.  Each search pins labels 1 and p + t, which only holds where
     t - 1 is known to fail (see the module docstring): the witness is
-    find_sem's, after fewer nodes.  The part of the search plan that does
-    not depend on t, the orbit links included, is built once, at the first
-    search.  Exceeding the label limit raises SearchLimitError rather than
+    find_sem's, after fewer nodes.  The search plan, the orbit links
+    included, is built once for all filler counts.  Exceeding the label limit raises SearchLimitError rather than
     returning a wrong or weakened answer; a negative cap or max_labels
     raises ValueError.
     """
@@ -494,9 +458,9 @@ def deficiency(
     seconds = 0.0
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
-    layout = functools.cache(_layout)
+    plan = _plan(g)
     for t in range(t0, cap + 1):
-        res = _find(g, t, max_labels, 2, layout)
+        res = _find(g, t, max_labels, 2, plan)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

@@ -489,6 +489,16 @@ def test_solve_stats_name_the_backend(capsys, tmp_path, monkeypatch):
     assert err.strip().endswith("backend=python")
 
 
+def test_solve_too_deep_for_the_python_search_exits_4(capsys, tmp_path, monkeypatch):
+    graph_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "star", "-n", "1100", "--json", str(graph_path), capsys=capsys)
+    monkeypatch.setattr(_kernel, "load", lambda: None)  # no kernel: the reference runs
+    code, out, err = run_cli("solve", "--graph", str(graph_path), "--cap", "0",
+                             "--max-labels", "2000", capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("limit: the Python search recurses once per vertex, and 1101 vertices")
+
+
 @pytest.mark.parametrize("flag", ["--no-prune", "--no-symmetry"])
 def test_solve_has_no_cut_switches(capsys, tmp_path, flag):
     graph_path = tmp_path / "g.json"

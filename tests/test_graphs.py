@@ -135,6 +135,20 @@ def test_graph_rejects_an_edge_that_is_not_a_pair():
         Graph.from_json_dict({"p": 3, "edges": [[0, 1, 2]]})
 
 
+def test_graph_rejects_a_non_integer():
+    # a float endpoint used to pass every check and fail later, in the verifier
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\.5\) is not a pair of integers$"):
+        Graph(3, [(0, 1.5)])
+    with pytest.raises(ValueError, match=r"^edge \('a', 1\) is not a pair of integers$"):
+        Graph(3, [("a", 1)])
+    # types are compared exactly, as in the JSON reader, which leaves this
+    # check to the constructor
+    with pytest.raises(ValueError, match=r"^edge \[0, True\] is not a pair of integers$"):
+        Graph.from_json_dict({"p": 3, "edges": [[0, True]]})
+    with pytest.raises(ValueError, match=r"^vertex_count must be an integer, got 2\.0$"):
+        Graph(2.0, [(0, 1)])
+
+
 def test_edges_canonically_sorted():
     g = Graph(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))

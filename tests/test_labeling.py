@@ -118,6 +118,17 @@ def test_labeling_total_labels_validation():
         Labeling([1, 2, 3], total_labels=2)
 
 
+def test_labeling_rejects_a_non_integer_label():
+    # int() used to truncate 1.7 to 1, so verify_sem certified labels the
+    # caller never gave
+    with pytest.raises(ValueError, match=r"^label must be an integer, got 1\.7$"):
+        Labeling([1.7, 2, 3])
+    with pytest.raises(ValueError, match=r"^label must be an integer, got '2'$"):
+        Labeling(iter([1, "2", 3]))
+    with pytest.raises(ValueError, match=r"^label must be an integer, got True$"):
+        Labeling([True, 2, 3])
+
+
 @pytest.mark.parametrize(
     "g,labels,total",
     [

@@ -207,7 +207,7 @@ def test_stats_populated():
 ], ids=["c8-join-1", "c4-join-2", "c3-u-c4", "star-200", "c3-join-4", "k13-join-4",
         "p3-u-2k1", "h9"])
 def test_search_order_orbit_links(g, order, orbit_prev):
-    got = solver._plan(g, g.vertex_count, pins=1)
+    got = solver._plan(g)
     assert (got.order, got.orbit_prev) == (order, orbit_prev)
     if g.vertex_count <= 7:
         assert orbit_prev == orbit_predecessors(g, order)
@@ -230,22 +230,33 @@ def _orbit_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(g=_orbit_case())
 def test_orbit_links_match_brute_force(g):
-    plan = solver._plan(g, g.vertex_count, pins=1)
+    plan = solver._plan(g)
     assert plan.orbit_prev == orbit_predecessors(g, plan.order), g
 
 
-def test_plan_of_c4_plus_2k1():
+def _backend_calls(monkeypatch, *searches):
+    """The arguments (plan, q, n_total, ntop, pins) that _find passes to
+    _run_search in each of searches, run without the kernel."""
+    calls = []
+    run = solver._run_search
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        m.setattr(solver, "_run_search", lambda *args: calls.append(args) or run(*args))
+        for search in searches:
+            search()
+    return calls
+
+
+def test_plan_of_c4_plus_2k1(monkeypatch):
     # cycle 0-1-2-3-0 joined to 4 and 5: every degree is 4, so the order is
     # the index order and each position's prior neighbours are its earlier
     # neighbours
     g = join(cycle(4), empty_graph(2))
-    plan = solver._plan(g, 7, pins=1)
+    plan = solver._plan(g)
     assert plan.order == [0, 1, 2, 3, 4, 5]
     assert plan.deg == [4] * 6
     assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
     assert plan.prior == [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3]
-    assert plan.ntop == 4  # complement cut: labels 1..ceil(7/2)
-    assert plan.pins == 1  # a witness uses label 1
     # one orbit; fixing 0 fixes its antipode 2 and leaves 1, 3, 4 and 5 one
     # orbit; fixing 0..3 still lets 4 and 5 swap
     assert plan.orbit_prev == [-1, 0, 0, 1, 1, 4]
@@ -255,11 +266,14 @@ def test_plan_of_c4_plus_2k1():
     assert plan.inner == [12, 8, 5, 2, 0, 0]
     assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
     assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
-    # deficiency's plan pins label N too and differs in nothing else
-    assert solver._plan(g, 7, pins=2) == plan._replace(pins=2)
-    # labels 1 and N are one label when N = 1
-    assert solver._plan(g, 2, pins=2).pins == 2
-    assert solver._plan(g, 1, pins=2).pins == 1
+    # _find adds the complement cut, labels 1..ceil(8/2) at t = 2, and the
+    # pinned labels: label 1 for find_sem, labels 1 and N for deficiency's
+    k1 = Graph(1, [])
+    calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._find(g, 2, None, 2),
+                           lambda: solver._find(k1, 1, None, 2), lambda: solver._find(k1, 0, None, 2))
+    assert calls == [(plan, 12, 8, 4, 1), (plan, 12, 8, 4, 2),
+                     # labels 1 and N are one label when N = 1
+                     (solver._plan(k1), 0, 2, 1, 2), (solver._plan(k1), 0, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
@@ -348,9 +362,9 @@ def _manifest_searches(monkeypatch):
     calls = []
     find = solver._find
 
-    def recording(g, t, max_labels, pins, *layout):
+    def recording(g, t, max_labels, pins, *plan):
         calls.append((g, t, pins))
-        return find(g, t, max_labels, pins, *layout)
+        return find(g, t, max_labels, pins, *plan)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_find", recording)
@@ -450,20 +464,20 @@ def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
     assert (out.deficiency, out.nodes, out.backend) == (None, 1_970, "c")
 
 
-def test_deficiency_builds_the_layout_once(monkeypatch):
-    # every filler count's plan is _plan's, from one orbit computation
+@pytest.mark.parametrize("search, ns", [
+    (lambda g: deficiency(g, 6), [8, 9, 10, 11, 12]),
+    (lambda g: find_sem(g, 6), [12]),
+], ids=["deficiency", "find_sem"])
+def test_each_call_builds_the_plan_once(monkeypatch, search, ns):
+    # every search's plan is _plan's, from one orbit computation per call
     g = join(cycle(4), empty_graph(2))
-    plans, orbits = [], []
-    run, orbit_prev = solver._run_search, _orbits.orbit_prev
-    monkeypatch.setattr(solver, "_run_search",
-                        lambda g, plan, n: plans.append((plan, n)) or run(g, plan, n))
+    orbits, orbit_prev = [], _orbits.orbit_prev
     monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
-    with _python_only():
-        assert deficiency(g, 6).deficiency is None
+    calls = _backend_calls(monkeypatch, lambda: search(g))
     assert len(orbits) == 1
-    assert [n for _, n in plans] == [8, 9, 10, 11, 12]
+    assert [n for _, _, n, _, _ in calls] == ns
     monkeypatch.undo()
-    assert all(plan == solver._plan(g, n, 2) for plan, n in plans)
+    assert all(plan == solver._plan(g) for plan, *_ in calls)
 
 
 def test_label_n_is_pinned_only_where_t_minus_1_fails():
@@ -479,14 +493,16 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
-def test_kernel_compiles_without_warnings():
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the build load() makes, with the warnings that need the optimiser too
     import shutil
     import subprocess
 
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-std=c99", "-fsyntax-only",
-                           str(_kernel.SOURCE)], capture_output=True, text=True)
+    proc = subprocess.run(["cc", *_kernel.CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_dfs.so"), str(_kernel.SOURCE)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -660,6 +676,19 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, fresh_kernel, 
     assert (got.deficiency, got.witness.labeling, got.nodes) == (
         want.deficiency, want.witness.labeling, want.nodes)
     assert [p.name for p in (tmp_path / "cache").iterdir()] in ([], [_kernel.library_path().name])
+
+
+@pytest.mark.parametrize("breakage", [None, _no_compiler], ids=["python-only", "no-compiler"])
+def test_too_deep_for_the_python_search_is_a_limit(monkeypatch, tmp_path, fresh_kernel, breakage):
+    # _run_search recurses once per position, and the 1,101 of K_{1,1100} go
+    # past the recursion limit: a SearchLimitError, not a RecursionError
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    with _python_only() if breakage is None else contextlib.nullcontext():
+        if breakage is not None:
+            breakage(monkeypatch, tmp_path)
+        for search in (find_sem, deficiency):
+            with pytest.raises(SearchLimitError, match="recursion limit"):
+                search(star(1100), 0, max_labels=None)
 
 
 def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_backend):
