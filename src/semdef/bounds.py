@@ -13,7 +13,7 @@ an explicitly unknown upper bound rather than failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import coverage, filler_row
 from .graphs import FamilyDescriptor, family_size
@@ -21,8 +21,7 @@ from .graphs import FamilyDescriptor, family_size
 SOURCE_COUNTING = "counting"
 
 
-@dataclass(frozen=True)
-class DeficiencyBounds:
+class DeficiencyBounds(NamedTuple):
     """lower <= deficiency <= upper (upper None = no construction)."""
 
     lower: int

@@ -16,7 +16,7 @@ tabulated at ``CONSTRUCTIONS``; every constructor and the bounds ask
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     FamilyDescriptor,
@@ -46,8 +46,7 @@ ERRATUM_P6_VLIST = "path6-join-v-list"
 ERRATUM_WHEEL_RANGES = "wheel-odd-index-ranges"
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A verified certificate plus the construction's bookkeeping."""
 
     certificate: SemCertificate
@@ -423,8 +422,7 @@ def _fillers(kind: str, n: int, m: int | None = None) -> int:
 # Erratum demonstrations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErratumDemo:
+class ErratumDemo(NamedTuple):
     """A paired fixture: the stated labeling fails, the corrected one passes."""
 
     tag: str

@@ -5,10 +5,12 @@ Conventions:
     are 1-based, so formulas written for labels {1..p} apply unchanged.
   * Edges are stored as (u, v) with u < v, sorted lexicographically, so that
     equal graphs compare equal and certificates serialize reproducibly.
-  * Only Graph(...) and the JSON reader validate edges.  The builders in this
-    module (the families and join) emit canonical edges by construction and
-    hand them to the unchecked Graph._canonical, which nothing outside this
-    module may call; tests compare every builder with Graph(p, edges).
+  * Graph and FamilyDescriptor are immutable named tuples whose __new__
+    validates; _replace, _make, pickle and copy all build through it.  The
+    builders in this module (the families and join) emit canonical edges by
+    construction and hand them to the unchecked Graph._canonical, which
+    nothing outside this module may call; tests compare every builder with
+    Graph(p, edges).
   * The wheel-minus-spoke family H_n is W_n = C_n + K_1 with one hub-to-rim
     edge removed: vertex 0 is the hub c, vertices 1..n are the rim x_1..x_n,
     and the missing spoke is c-x_1 by default.  The variant with the missing
@@ -21,20 +23,37 @@ Conventions:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 SCHEMA = "semdef/1"
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A finite simple graph: vertex count plus a canonical sorted edge list."""
+class _Checked:
+    """Mixin for a named-tuple record whose __new__ checks its fields: _make,
+    and so _replace, and pickle and copy build through __new__ as well."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _GraphFields(NamedTuple):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, vertex_count: int, edges=()):
+
+class Graph(_Checked, _GraphFields):
+    """A finite simple graph: vertex count plus a canonical sorted edge list."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex_count: int, edges=()):
         json_int(vertex_count, "vertex_count")
         if vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {vertex_count}")
@@ -57,18 +76,14 @@ class Graph:
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a!r}")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(canon))
+        return tuple.__new__(cls, (vertex_count, tuple(canon)))
 
     @classmethod
     def _canonical(cls, vertex_count: int, edges) -> "Graph":
         """A Graph from edges that are already canonical: distinct (u, v)
         with 0 <= u < v < vertex_count, in sorted order.  Checks nothing, so
         only this module's builders may call it."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "edges", tuple(edges))
-        return g
+        return tuple.__new__(cls, (vertex_count, tuple(edges)))
 
     @property
     def q(self) -> int:
@@ -259,24 +274,28 @@ FAMILY_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class _FamilyFields(NamedTuple):
+    kind: str
+    n: int | None
+    m: int | None
+
+
+class FamilyDescriptor(_Checked, _FamilyFields):
     """A named graph family with exactly the integer parameters it takes:
     n for every kind but generic-join, m for the joins."""
 
-    kind: str
-    n: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; known: {sorted(FAMILY_KINDS)}")
-        needs_m, least_n = FAMILY_KINDS[self.kind][:2]
-        for name, value, takes in (("n", self.n, least_n is not None), ("m", self.m, needs_m)):
+    def __new__(cls, kind: str, n: int | None = None, m: int | None = None):
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}; known: {sorted(FAMILY_KINDS)}")
+        needs_m, least_n = FAMILY_KINDS[kind][:2]
+        for name, value, takes in (("n", n, least_n is not None), ("m", m, needs_m)):
             if takes and value is None:
-                raise ValueError(f"family {self.kind!r} requires parameter {name}")
+                raise ValueError(f"family {kind!r} requires parameter {name}")
             if not takes and value is not None:
-                raise ValueError(f"family {self.kind!r} takes no parameter {name}")
+                raise ValueError(f"family {kind!r} takes no parameter {name}")
+        return tuple.__new__(cls, (kind, n, m))
 
 
 def _family_row(d: FamilyDescriptor):

@@ -14,9 +14,9 @@ which is equivalent to "q consecutive integers" without sorting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import Graph, SCHEMA, json_int, json_int_list, json_object
+from .graphs import Graph, SCHEMA, _Checked, json_int, json_int_list, json_object
 
 # Rejection reasons, ordered by when the verifier can detect them.
 REASON_OUT_OF_RANGE = "label-out-of-range"
@@ -25,8 +25,12 @@ REASON_DUPLICATE_SUM = "duplicate-sum"
 REASON_SUM_GAP = "sum-gap"
 
 
-@dataclass(frozen=True)
-class Labeling:
+class _LabelingFields(NamedTuple):
+    labels: tuple[int, ...]
+    total_labels: int
+
+
+class Labeling(_Checked, _LabelingFields):
     """Labels of the p real vertices, drawn from {1..total_labels}.
 
     total_labels = p + t where t is the isolated filler count.  A label that
@@ -35,10 +39,9 @@ class Labeling:
     rejection, so that tests and the CLI can observe the failure mode.
     """
 
-    labels: tuple[int, ...]
-    total_labels: int
+    __slots__ = ()
 
-    def __init__(self, labels, total_labels: int | None = None):
+    def __new__(cls, labels, total_labels: int | None = None):
         labels = tuple(labels)
         for label in labels:
             json_int(label, "label")
@@ -48,16 +51,14 @@ class Labeling:
             raise ValueError(
                 f"total_labels={total_labels} is less than the vertex count {len(labels)}"
             )
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "total_labels", total_labels)
+        return tuple.__new__(cls, (labels, total_labels))
 
     @property
     def isolated(self) -> int:
         return self.total_labels - len(self.labels)
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """Why a labeling is not super edge-magic."""
 
     reason: str
@@ -67,8 +68,7 @@ class Rejection:
         return False
 
 
-@dataclass(frozen=True)
-class SemCertificate:
+class SemCertificate(NamedTuple):
     """A verified SEM labeling of graph U (isolated)K_1.
 
     min_edge_sum is min(S); magic_constant is (p + isolated) + q + min(S).
@@ -80,9 +80,6 @@ class SemCertificate:
     isolated: int
     min_edge_sum: int
     magic_constant: int
-
-    def __bool__(self) -> bool:
-        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,7 +100,9 @@ def certificate_from_json_dict(data) -> tuple[Graph, Labeling, dict]:
     input, a label count other than p or a non-integer s or k, raises ValueError.
     """
     data = json_object(data, "certificate")
-    graph = Graph.from_json_dict(data.get("graph"))
+    if "graph" not in data:
+        raise ValueError("certificate JSON has no 'graph' key")
+    graph = Graph.from_json_dict(data["graph"])
     isolated = json_int(data.get("isolated"), "certificate 'isolated'")
     if isolated < 0:
         raise ValueError(f"isolated count must be >= 0, got {isolated}")

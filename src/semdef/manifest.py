@@ -28,17 +28,16 @@ Statuses produced by the runners:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     group: str
     statement: str
     kind: str
-    params: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
+    params: MappingProxyType = MappingProxyType({})
 
 
 def _claim(id, group, statement, kind, **params):

@@ -10,7 +10,7 @@ never wall times or node counts.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import constructions as cons
 from .bounds import bound_identity_mismatch, counting_lower_bound, family_bounds
@@ -29,16 +29,14 @@ STATUS_OPEN = "open"
 ERRATUM_STAR_MAGIC = "star-join-magic-constant"
 
 
-@dataclass(frozen=True)
-class ClaimOutcome:
+class ClaimOutcome(NamedTuple):
     claim: Claim
     status: str
     details: str
     errata: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
+class ReproductionReport(NamedTuple):
     entries: tuple[ClaimOutcome, ...]
 
     def summary(self) -> dict:

@@ -101,7 +101,6 @@ label-count limit raise SearchLimitError rather than guessing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -117,8 +116,7 @@ class SearchLimitError(RuntimeError):
     in the Python reference search, the interpreter's recursion depth."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one exhaustive existence search at a fixed filler count.
 
     witness None means the search was exhaustive over all injective
@@ -138,8 +136,7 @@ class SearchResult:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of the deficiency minimization up to a cap.
 
     deficiency is the exact value when a witness exists (every smaller

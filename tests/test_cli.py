@@ -136,6 +136,16 @@ def test_wrong_label_count_is_a_usage_error(capsys, tmp_path, labels):
     assert "certificate has 2 labels for 3 vertices" in err
 
 
+def test_verify_names_a_missing_graph_key(capsys, tmp_path):
+    # a graph file passed as a certificate
+    cert_path = tmp_path / "graph.json"
+    cert_path.write_text(json.dumps(BASE_CERT["graph"]))
+    code, out, err = run_cli("verify", "--cert", str(cert_path), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: certificate JSON has no 'graph' key\n"
+
+
 def test_verify_graph_cross_check(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     graph_path = tmp_path / "g.json"

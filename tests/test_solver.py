@@ -719,3 +719,16 @@ def test_kernel_is_not_loaded_at_import(child_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True).stdout
     assert out.split() == ["False"] * 5
+
+
+def test_import_loads_no_code_generating_modules(child_env):
+    # the records are named tuples, not dataclasses, whose import pulls in
+    # inspect, ast, dis and tokenize; -S keeps site .pth files out of it
+    import subprocess
+    import sys
+
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, semdef, semdef.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=child_env, check=True).stdout
+    assert out == "[]\n"
