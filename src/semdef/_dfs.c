@@ -1,38 +1,51 @@
 /* Compiled port of semdef.solver._run_search.
  *
  * semdef_dfs takes what _run_search takes, as solver._find passes both: the
- * arrays of the solver's _Plan, q, n, ntop and pins.  It follows the same
- * order, candidates, cuts and symmetry rules (the solver docstring gives
- * them), so it returns the same witness after the same number of label
- * placements.  Only the state differs.  The free labels (bit a), the same
- * reflected (bit n + 1 - a) and the realized edge sums are bitsets of
- * W = (2n + 64) / 64 words, for every n.  On entering a position one
- * candidate mask holds its free labels above the orbit predecessor's, within
- * the range the span rule allows given the least and greatest prior-neighbour
- * label, less those whose sum with a prior neighbour is realized (the OR of
- * seen >> L over the prior labels L).  Only those are visited; the rejected
- * labels the reference also tries are counted by popcount, so the node count
- * is the reference's.  The weighted-sum interval is computed in O(1) per
- * candidate from two tables of completion sums, built once per position from
- * its free labels and indexed by the candidate's rank among them, where the
- * reference rescans.  semdef/_kernel.py builds the kernel and calls
- * semdef_dfs through ctypes.
+ * solver's _Plan, as the Plan struct below, then q, n, ntop and pins.
+ * semdef/_kernel.py converts each plan to that struct once, so deficiency
+ * converts one for all its filler counts, and calls semdef_dfs through
+ * ctypes.  The kernel follows the same order, candidates, cuts and symmetry
+ * rules (the solver docstring gives them), so it returns the same witness
+ * after the same number of label placements.  Only the state differs.  The
+ * free labels (bit a), the same reflected (bit n + 1 - a) and the realized
+ * edge sums are bitsets of W = (2n + 64) / 64 words, for every n.  On
+ * entering a position one candidate mask holds its free labels above the
+ * orbit predecessor's, within the range the span rule allows given the least
+ * and greatest prior-neighbour label, less those whose sum with a prior
+ * neighbour is realized (the OR of seen >> L over the prior labels L).  Only
+ * those are visited; the rejected labels the reference also tries are
+ * counted by popcount, so the node count is the reference's.  The
+ * weighted-sum interval is computed in O(1) per candidate from two tables of
+ * completion sums, built once per position from its free labels and indexed
+ * by the candidate's rank among them, where the reference rescans; the high
+ * end's table is built only once a candidate passes the low end's test.
+ * Every helper of rec is inlined into it, at every optimisation level.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
+#define INLINE static inline __attribute__((always_inline))
+
+/* solver._Plan field for field, less order and with p, its length; the
+   fields are named and ordered as there, and _kernel.py mirrors them. */
 typedef struct {
-    int p, q, n;               /* vertices, edges, labels 1..n */
+    int p;                     /* vertices, one per order position */
     const int *deg;            /* degree per order position, descending */
     const int *pstart, *prior; /* prior-neighbour positions of position i:
                                   prior[pstart[i] .. pstart[i + 1]) */
-    int ntop;                  /* position 0 takes labels 1..ntop */
-    int pins;                  /* a witness uses the first pins of 1, n */
     const int *orbit_prev;     /* orbit predecessor, or -1: position i
                                   takes a larger label than it */
     const int *inner;          /* edges joining two positions >= i */
     const int *ostart, *open;  /* positions < i with a neighbour >= i:
                                   open[ostart[i] .. ostart[i + 1]) */
+} Plan;
+
+typedef struct {
+    int p, q, n;               /* vertices, edges, labels 1..n */
+    const int *deg, *pstart, *prior, *orbit_prev, *inner, *ostart, *open;
+                               /* the Plan's arrays */
+    int ntop;                  /* position 0 takes labels 1..ntop */
+    int pins;                  /* a witness uses the first pins of 1, n */
     long long max_start, target_base;
     int *lab_at;               /* label per order position */
     int w;                     /* words per bitset */
@@ -44,18 +57,18 @@ typedef struct {
     long long nodes;
 } Search;
 
-static int has(const uint64_t *set, int i)
+INLINE int has(const uint64_t *set, int i)
 {
     return (int)(set[i >> 6] >> (i & 63) & 1);
 }
 
-static void flip(uint64_t *set, int i)
+INLINE void flip(uint64_t *set, int i)
 {
     set[i >> 6] ^= (uint64_t)1 << (i & 63);
 }
 
 /* Bits o .. o + 63 of the w-word set, with 0 outside it; o may be negative. */
-static uint64_t bits_at(const uint64_t *set, int w, int o)
+INLINE uint64_t bits_at(const uint64_t *set, int w, int o)
 {
     if (o <= -64 || o >= 64 * w)
         return 0;
@@ -69,7 +82,7 @@ static uint64_t bits_at(const uint64_t *set, int w, int o)
 }
 
 /* The bits of word k that lie in a..b, for 0 <= a <= b. */
-static uint64_t range(int k, int a, int b)
+INLINE uint64_t range(int k, int a, int b)
 {
     const int lo = 64 * k, hi = lo + 63;
     if (b < lo || a > hi)
@@ -79,7 +92,7 @@ static uint64_t range(int k, int a, int b)
 }
 
 /* The number of bits below x in set, for x >= 0. */
-static int count_below(const uint64_t *set, int x)
+INLINE int count_below(const uint64_t *set, int x)
 {
     int c = 0, k = 0;
     for (; k < x >> 6; k++)
@@ -90,7 +103,7 @@ static int count_below(const uint64_t *set, int x)
 }
 
 /* The least bit in a..b clear in set, or b + 1; 0 <= a. */
-static int first_clear(const uint64_t *set, int a, int b)
+INLINE int first_clear(const uint64_t *set, int a, int b)
 {
     for (int k = a >> 6; a <= b && k <= b >> 6; k++) {
         const uint64_t v = ~set[k] & range(k, a, b);
@@ -101,7 +114,7 @@ static int first_clear(const uint64_t *set, int a, int b)
 }
 
 /* The greatest bit in a..b clear in set, for 0 <= a <= b with one clear. */
-static int last_clear(const uint64_t *set, int a, int b)
+INLINE int last_clear(const uint64_t *set, int a, int b)
 {
     for (int k = b >> 6;; k--) {
         const uint64_t v = ~set[k] & range(k, a, b);
@@ -112,7 +125,7 @@ static int last_clear(const uint64_t *set, int a, int b)
 
 /* The least and greatest starting sum of a window s..s+q-1 that still holds
    every realized sum lo..hi (none when hi < 0). */
-static void window(const Search *s, int lo, int hi, long long *s_lo, long long *s_hi)
+INLINE void window(const Search *s, int lo, int hi, long long *s_lo, long long *s_hi)
 {
     *s_lo = 3;
     *s_hi = s->max_start;
@@ -128,7 +141,7 @@ static void window(const Search *s, int lo, int hi, long long *s_lo, long long *
    a free label x - f(j) at an unassigned neighbour of an open position j, or
    two distinct free labels on an edge between unassigned vertices: a free
    label a < x - a whose partner x - a is free, bit a + n + 1 - x of rfree. */
-static int realizable(const Search *s, int idx, int x)
+INLINE int realizable(const Search *s, int idx, int x)
 {
     for (int k = s->ostart[idx]; k < s->ostart[idx + 1]; k++) {
         const int b = x - s->lab_at[s->open[k]];
@@ -148,7 +161,7 @@ static int realizable(const Search *s, int idx, int x)
    position idx: its sums with the assigned neighbours repeat no realized sum
    and keep the span lo..hi within q - 1, label 1 goes on no position with an
    orbit predecessor, and position 0 takes only 1..ntop. */
-static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
+INLINE int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 {
     if ((x == 1 && s->orbit_prev[j] >= 0) || (j == 0 && x > s->ntop))
         return 0;
@@ -169,7 +182,7 @@ static int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 
 /* Whether every pinned label still free has an unassigned position that can
    take it, and there are as many unassigned positions as free pinned labels. */
-static int pins_supported(const Search *s, int idx, int lo, int hi)
+INLINE int pins_supported(const Search *s, int idx, int lo, int hi)
 {
     int need = 0;
     for (int k = 0; k < s->pins; k++)
@@ -193,7 +206,7 @@ static int pins_supported(const Search *s, int idx, int lo, int hi)
    taken from the low end (from free) or the high end (from rfree, whose bit
    r is the label n + 1 - r), skipping the one of rank k from that end; for
    k = m none is skipped. */
-static void completion_row(Search *s, const int *rem, int m, int high, long long *out)
+INLINE void completion_row(Search *s, const int *rem, int m, int high, long long *out)
 {
     int *f = s->free_lab;
     const uint64_t *set = high ? s->rfree : s->free;
@@ -212,7 +225,9 @@ static void completion_row(Search *s, const int *rem, int m, int high, long long
 
 static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 {
-    if (s->pins && !pins_supported(s, idx, lo, hi))
+    /* the pin check holds at once when no pinned label is free */
+    if (s->pins && (has(s->free, 1) || (s->pins > 1 && has(s->free, s->n))) &&
+        !pins_supported(s, idx, lo, hi))
         return 0;
     if (idx == s->p)
         return 1;
@@ -255,7 +270,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     const long long row = (long long)idx * s->p - (long long)idx * (idx - 1) / 2;
     long long *minc = s->minc + row, *maxc = s->maxc + row;
     const int before = count_below(s->free, start);
-    int rows = 0;  /* whether minc and maxc are built */
+    int low = 0, high = 0;  /* whether minc, maxc are built */
     for (int w = a0 >> 6; a0 <= a1 && w <= a1 >> 6; w++) {
         /* The new sums pair lab with distinct labels, so they are distinct
            from each other; only an already realized sum can collide. */
@@ -270,15 +285,19 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
             if (q > 0 && m > 0) {
                 /* completion interval for the degree-weighted label sum: the
                    remaining degrees rem[0 .. m) are already descending */
-                if (!rows) {
+                if (!low) {
                     completion_row(s, rem, m, 0, minc);
-                    completion_row(s, rem, m, 1, maxc);
-                    rows = 1;
+                    low = 1;
                 }
                 const int rank = count_below(s->free, lab), up = nfree - 1 - rank;
                 window(s, nlo, nhi, &s_lo, &s_hi);
-                if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base ||
-                    wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
+                if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base)
+                    continue;
+                if (!high) {
+                    completion_row(s, rem, m, 1, maxc);
+                    high = 1;
+                }
+                if (wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
                     continue;
             }
             s->lab_at[idx] = lab;
@@ -304,11 +323,10 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 /* Returns 1 and leaves the witness's label per order position in lab_at,
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
-int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
-               const int *prior, int ntop, int pins, const int *orbit_prev,
-               const int *inner, const int *ostart, const int *open, int *lab_at,
+int semdef_dfs(const Plan *plan, int q, int n, int ntop, int pins, int *lab_at,
                long long *nodes)
 {
+    const int p = plan->p;
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     const int w = (2 * n + 64) / 64;               /* bits 0..2n */
     uint64_t *bits = calloc(3 * (size_t)w, sizeof *bits);
@@ -316,9 +334,10 @@ int semdef_dfs(int p, int q, int n, const int *deg, const int *pstart,
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (bits && rows && free_lab) {
-        Search s = {p, q, n, deg, pstart, prior, ntop, pins, orbit_prev, inner, ostart, open,
-                    2LL * n - q, (long long)q * (q - 1) / 2, lab_at, w, bits, bits + w,
-                    bits + 2 * w, rows, rows + cells, free_lab, 0};
+        Search s = {p, q, n, plan->deg, plan->pstart, plan->prior, plan->orbit_prev,
+                    plan->inner, plan->ostart, plan->open, ntop, pins, 2LL * n - q,
+                    (long long)q * (q - 1) / 2, lab_at, w, bits, bits + w, bits + 2 * w,
+                    rows, rows + cells, free_lab, 0};
         for (int a = 1; a <= n; a++) {
             flip(s.free, a);
             flip(s.rfree, a);

@@ -52,12 +52,39 @@ def _compile(target: Path) -> None:
 
 
 @functools.cache
+def plan_type():
+    """The ctypes mirror of _dfs.c's Plan struct: p, the number of
+    positions, then solver._Plan's fields but order, named and ordered as
+    there."""
+    import ctypes
+
+    i32p = ctypes.POINTER(ctypes.c_int)
+
+    class Plan(ctypes.Structure):
+        _fields_ = [("p", ctypes.c_int), ("deg", i32p), ("pstart", i32p), ("prior", i32p),
+                    ("orbit_prev", i32p), ("inner", i32p), ("ostart", i32p), ("open", i32p)]
+
+    return Plan
+
+
+def plan_struct(plan):
+    """plan as a plan_type() struct, which keeps its int arrays alive."""
+    import ctypes
+
+    struct = plan_type()
+    arrays = (getattr(plan, name) for name, _ in struct._fields_[1:])
+    return struct(len(plan.deg), *((ctypes.c_int * len(a))(*a) for a in arrays))
+
+
+@functools.cache
 def load():
     """The kernel as a function dfs(plan, q, n_total, ntop, pins) -> (labels
     per order position or None, nodes), with the arguments and the result of
-    solver._run_search; plan's arrays go to semdef_dfs as they are.  None
-    when the kernel cannot be built or loaded.  The outcome is kept for the
-    life of the process."""
+    solver._run_search.  dfs hands semdef_dfs the plan as a plan_struct,
+    converted once per plan: it keeps the struct of the last plan it saw and
+    reuses it while the same plan object comes back, as it does for every
+    filler count of one deficiency call.  None when the kernel cannot be
+    built or loaded.  The outcome is kept for the life of the process."""
     import ctypes
 
     try:
@@ -67,22 +94,20 @@ def load():
         fn = ctypes.CDLL(str(path)).semdef_dfs
     except OSError:
         return None
-    i32p = ctypes.POINTER(ctypes.c_int)
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i32p, i32p, i32p,
-                   ctypes.c_int, ctypes.c_int, i32p, i32p, i32p, i32p, i32p,
-                   ctypes.POINTER(ctypes.c_longlong)]
+    fn.argtypes = [ctypes.POINTER(plan_type()), ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                   ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
-
-    def ints(values: list[int]):
-        return (ctypes.c_int * len(values))(*values)
+    last = (None, None)  # the last plan seen and its struct
 
     def dfs(plan, q: int, n_total: int, ntop: int, pins: int):
-        p = len(plan.deg)
-        labels = (ctypes.c_int * p)()
+        nonlocal last
+        seen, struct = last
+        if seen is not plan:
+            struct = plan_struct(plan)
+            last = plan, struct
+        labels = (ctypes.c_int * len(plan.deg))()
         nodes = ctypes.c_longlong()
-        found = fn(p, q, n_total, ints(plan.deg), ints(plan.pstart), ints(plan.prior),
-                   ntop, pins, ints(plan.orbit_prev), ints(plan.inner), ints(plan.ostart),
-                   ints(plan.open), labels, ctypes.byref(nodes))
+        found = fn(struct, q, n_total, ntop, pins, labels, ctypes.byref(nodes))
         if found < 0:
             raise MemoryError("search kernel could not allocate its tables")
         return (list(labels) if found else None), nodes.value

@@ -33,8 +33,9 @@ class _LabelingFields(NamedTuple):
 class Labeling(_Checked, _LabelingFields):
     """Labels of the p real vertices, drawn from {1..total_labels}.
 
-    total_labels = p + t where t is the isolated filler count.  A label that
-    is not an int (a float, a string, True) raises ValueError; any other bad
+    total_labels = p + t where t is the isolated filler count, p when not
+    given.  A label or a total_labels that is not an int (a float, a string,
+    True) raises ValueError, as does a total_labels below p; any other bad
     label, out of range or repeated, is left for verify_sem to report as a
     rejection, so that tests and the CLI can observe the failure mode.
     """
@@ -47,7 +48,7 @@ class Labeling(_Checked, _LabelingFields):
             json_int(label, "label")
         if total_labels is None:
             total_labels = len(labels)
-        if total_labels < len(labels):
+        elif json_int(total_labels, "total_labels") < len(labels):
             raise ValueError(
                 f"total_labels={total_labels} is less than the vertex count {len(labels)}"
             )

@@ -85,9 +85,11 @@ searches that place no label (p = 0, and a search past the counting bound)
 and runs the rest in `_kernel.load() or _run_search`, with the same
 arguments (plan, q, N, ntop, pins): g's _Plan, built once per find_sem or
 deficiency call; ntop = ceil(N/2), the complement cut; and pins, the number
-of the labels 1 and N pinned, at most N.  So both follow the same order,
-candidates and pruning, and return the same witness after the same number
-of nodes; _dfs.c's header says how the kernel gets there faster.  Without
+of the labels 1 and N pinned, at most N.  The kernel takes the plan as one C
+struct, converted once per plan, so deficiency's searches share one
+conversion.  So both follow the same order, candidates and pruning, and
+return the same witness after the same number of nodes; _dfs.c's header
+says how the kernel gets there faster.  Without
 a compiler, on a compile or load error, or with a cache directory that
 cannot be written, every search runs in _run_search, which recurses once
 per position and raises SearchLimitError on a graph too large for the
@@ -444,7 +446,8 @@ def deficiency(
     exact value.  Each search pins labels 1 and p + t, which only holds where
     t - 1 is known to fail (see the module docstring): the witness is
     find_sem's, after fewer nodes.  The search plan, the orbit links
-    included, is built once for all filler counts.  Exceeding the label limit raises SearchLimitError rather than
+    included, is built once for all filler counts, and the kernel converts
+    it once.  Exceeding the label limit raises SearchLimitError rather than
     returning a wrong or weakened answer; a negative cap or max_labels
     raises ValueError.
     """

@@ -118,6 +118,23 @@ def test_labeling_total_labels_validation():
         Labeling([1, 2, 3], total_labels=2)
 
 
+@pytest.mark.parametrize("total", [3.0, True, "3"], ids=["float", "bool", "str"])
+def test_labeling_rejects_a_non_integer_total_labels(total):
+    # a float budget used to give a certificate with isolated=1.0 and
+    # magic_constant=7.0, whose JSON the certificate reader then rejected
+    with pytest.raises(ValueError, match=rf"^total_labels must be an integer, got {total!r}$"):
+        Labeling([1, 2], total)
+
+
+def test_labeling_total_labels_defaults_to_the_vertex_count():
+    assert Labeling([2, 1, 3]).total_labels == 3
+    assert Labeling([2, 1, 3], None) == Labeling([2, 1, 3], 3)
+    assert Labeling([]).total_labels == 0
+    cert = verify_sem(path(2), Labeling([1, 2], 3))
+    assert (cert.isolated, cert.magic_constant) == (1, 7)
+    assert type(cert.isolated) is int and type(cert.magic_constant) is int
+
+
 def test_labeling_rejects_a_non_integer_label():
     # int() used to truncate 1.7 to 1, so verify_sem certified labels the
     # caller never gave

@@ -493,17 +493,65 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
-def test_kernel_compiles_without_warnings(tmp_path):
-    # the build load() makes, with the warnings that need the optimiser too
+@pytest.mark.parametrize("flags", [_kernel.CFLAGS, (*_kernel.CFLAGS, "-O0")],
+                         ids=["CFLAGS", "O0"])
+def test_kernel_compiles_without_warnings(tmp_path, flags):
+    # the build load() makes, with the warnings that need the optimiser too;
+    # at -O0 a helper marked always_inline that cannot be inlined is an error
     import shutil
     import subprocess
 
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    proc = subprocess.run(["cc", *_kernel.CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Werror",
+    proc = subprocess.run(["cc", *flags, "-std=c99", "-Wall", "-Wextra", "-Werror",
                            "-o", str(tmp_path / "_dfs.so"), str(_kernel.SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_plan_struct_mirrors_the_plan():
+    # semdef_dfs reads the plan as _dfs.c's Plan struct: p, then _Plan's
+    # fields but order, named and ordered as there; a field added on one
+    # side only fails here instead of handing the kernel a wrong array
+    import ctypes
+    import re
+
+    fields = ["p", *(f for f in solver._Plan._fields if f != "order")]
+    struct = _kernel.plan_type()
+    assert [name for name, _ in struct._fields_] == fields
+    assert [kind for _, kind in struct._fields_] == (
+        [ctypes.c_int] + [ctypes.POINTER(ctypes.c_int)] * (len(fields) - 1))
+    body = re.search(r"typedef struct \{(.*?)\} Plan;", _kernel.SOURCE.read_text(), re.S)[1]
+    decls = re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]
+    c_fields = [(decl.split()[0], name.strip(" *"))
+                for decl in decls for name in re.sub(r"^\s*(const\s+)?int\s", "", decl).split(",")]
+    assert c_fields == [("int", "p")] + [("const", f) for f in fields[1:]]
+    # and the struct holds the plan's arrays
+    plan = solver._plan(join(cycle(4), empty_graph(2)))
+    converted = _kernel.plan_struct(plan)
+    assert converted.p == len(plan.deg) == 6
+    for name in fields[1:]:
+        values = getattr(plan, name)
+        assert getattr(converted, name)[:len(values)] == values, name
+
+
+def test_deficiency_converts_its_plan_once(monkeypatch, c_backend):
+    # the kernel keeps the struct of the last plan it saw, so the five
+    # searches of deficiency (t = 2..6) share one conversion, and the next
+    # call, with a plan of its own, converts again
+    g = join(cycle(4), empty_graph(2))
+    converted, searched = [], []
+    dfs, plan_struct = _kernel.load(), _kernel.plan_struct
+    monkeypatch.setattr(_kernel, "load", lambda: lambda plan, *args: (
+        searched.append(plan) or dfs(plan, *args)))
+    monkeypatch.setattr(_kernel, "plan_struct", lambda plan: (
+        converted.append(plan) or plan_struct(plan)))
+    out = deficiency(g, 6)
+    assert (out.deficiency, out.nodes, out.backend) == (None, 1_970, "c")
+    assert len(searched) == 5 and all(plan is searched[0] for plan in searched)
+    assert converted == [searched[0]] and converted[0] is searched[0]
+    assert deficiency(g, 6).nodes == 1_970
+    assert len(converted) == 2 and converted[1] is not converted[0]
 
 
 def test_window_support_cut_refutes_h14(c_backend):
