@@ -15,7 +15,12 @@
  * neighbour is realized (the OR of seen >> L over the prior labels L).  Only
  * those are visited; the rejected labels the reference also tries are
  * counted by popcount, so the node count is the reference's.  The
- * weighted-sum interval is computed in O(1) per candidate from two tables of
+ * window-support cut, which the reference runs one forced sum at a time,
+ * checks every forced sum at once, a word of sums at a time: the sums still
+ * reachable are the OR of free shifted up by each open position's label and
+ * of the free labels above l shifted up by each free l, built only until
+ * every forced unrealized sum of the word is reached.  The weighted-sum
+ * interval is computed in O(1) per candidate from two tables of
  * completion sums, built once per position from its free labels and indexed
  * by the candidate's rank among them, where the reference rescans; the high
  * end's table is built only once a candidate passes the low end's test.
@@ -67,18 +72,26 @@ INLINE void flip(uint64_t *set, int i)
     set[i >> 6] ^= (uint64_t)1 << (i & 63);
 }
 
-/* Bits o .. o + 63 of the w-word set, with 0 outside it; o may be negative. */
+/* Bits o .. o + 63 of the w-word set, with 0 above it, for o >= 0. */
 INLINE uint64_t bits_at(const uint64_t *set, int w, int o)
 {
-    if (o <= -64 || o >= 64 * w)
+    if (o >= 64 * w)
         return 0;
-    if (o < 0)
-        return set[0] << -o;
     const int k = o >> 6, r = o & 63;
     uint64_t v = set[k] >> r;
     if (r && k + 1 < w)
         v |= set[k + 1] << (64 - r);
     return v;
+}
+
+/* Word k of the set shifted up by d >= 0: its bits 64k - d .. 64k - d + 63,
+   with 0 below bit 0. */
+INLINE uint64_t up(const uint64_t *set, int k, int d)
+{
+    const int j = k - (d >> 6), r = d & 63;
+    if (j < 0)
+        return 0;
+    return set[j] << r | (j ? set[j - 1] >> 1 >> (63 - r) : 0);
 }
 
 /* The bits of word k that lie in a..b, for 0 <= a <= b. */
@@ -102,27 +115,6 @@ INLINE int count_below(const uint64_t *set, int x)
     return c;
 }
 
-/* The least bit in a..b clear in set, or b + 1; 0 <= a. */
-INLINE int first_clear(const uint64_t *set, int a, int b)
-{
-    for (int k = a >> 6; a <= b && k <= b >> 6; k++) {
-        const uint64_t v = ~set[k] & range(k, a, b);
-        if (v)
-            return 64 * k + __builtin_ctzll(v);
-    }
-    return b + 1;
-}
-
-/* The greatest bit in a..b clear in set, for 0 <= a <= b with one clear. */
-INLINE int last_clear(const uint64_t *set, int a, int b)
-{
-    for (int k = b >> 6;; k--) {
-        const uint64_t v = ~set[k] & range(k, a, b);
-        if (v)
-            return 64 * k + 63 - __builtin_clzll(v);
-    }
-}
-
 /* The least and greatest starting sum of a window s..s+q-1 that still holds
    every realized sum lo..hi (none when hi < 0). */
 INLINE void window(const Search *s, int lo, int hi, long long *s_lo, long long *s_hi)
@@ -137,24 +129,35 @@ INLINE void window(const Search *s, int lo, int hi, long long *s_lo, long long *
     }
 }
 
-/* Whether an edge still to be labelled at position idx can take the sum x:
-   a free label x - f(j) at an unassigned neighbour of an open position j, or
-   two distinct free labels on an edge between unassigned vertices: a free
-   label a < x - a whose partner x - a is free, bit a + n + 1 - x of rfree. */
-INLINE int realizable(const Search *s, int idx, int x)
+/* Whether every sum in a..b not yet realized can still be realized by an
+   edge labelled later, on entering position idx.  Such an edge takes the sum
+   x with a free label x - f(j) at an unassigned neighbour of an open position
+   j, a bit of free shifted up by f(j); or with two free labels l < x - l on an
+   edge between unassigned vertices, a bit of the free labels above l shifted
+   up by l.  The sums are checked one word k at a time, clearing from need
+   the bits each shift reaches and stopping once none is left.  A pair sum in
+   word k has l < 32k + 32, so l lies in a word v <= k / 2; the labels above
+   l are then none below word v, f in it and all of free above it. */
+INLINE int supported(const Search *s, int idx, int a, int b)
 {
-    for (int k = s->ostart[idx]; k < s->ostart[idx + 1]; k++) {
-        const int b = x - s->lab_at[s->open[k]];
-        if (b >= 1 && b <= s->n && has(s->free, b))
-            return 1;
+    for (int k = a >> 6; a <= b && k <= b >> 6; k++) {
+        uint64_t need = ~s->seen[k] & range(k, a, b);
+        for (int o = s->ostart[idx]; o < s->ostart[idx + 1] && need; o++)
+            need &= ~up(s->free, k, s->lab_at[s->open[o]]);
+        if (s->inner[idx])
+            for (int v = 0; v <= k >> 1 && need; v++)
+                for (uint64_t f = s->free[v]; f && need;) {
+                    const int r = __builtin_ctzll(f), j = k - v;  /* l = 64v + r */
+                    f &= f - 1;
+                    /* words j and j - 1 of the labels above l, as j >= v */
+                    const uint64_t hi = j == v ? f : s->free[j];
+                    const uint64_t lo = j == v ? 0 : j - 1 == v ? f : s->free[j - 1];
+                    need &= ~(hi << r | lo >> 1 >> (63 - r));
+                }
+        if (need)
+            return 0;
     }
-    if (s->inner[idx]) {
-        const int top = (x - 1) / 2, d = s->n + 1 - x;
-        for (int k = 0; k <= top >> 6; k++)
-            if (s->free[k] & range(k, 1, top) & bits_at(s->rfree, s->w, 64 * k + d))
-                return 1;
-    }
-    return 0;
+    return 1;
 }
 
 /* Whether the unassigned position j can take the free label x on entering
@@ -235,15 +238,10 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     long long s_lo, s_hi;
     if (idx > 0) {
         /* window-support cut: the sums s_hi..s_lo+q-1 lie in every window
-           still possible, so each is realized or still realizable; only the
-           lowest and the highest unrealized one are checked */
+           still possible, so each is realized or can still be realized */
         window(s, lo, hi, &s_lo, &s_hi);
-        const int top = (int)(s_lo + q - 1), x = first_clear(s->seen, (int)s_hi, top);
-        if (x <= top) {
-            const int y = last_clear(s->seen, x, top);
-            if (!(realizable(s, idx, x) && (y == x || realizable(s, idx, y))))
-                return 0;
-        }
+        if (!supported(s, idx, (int)s_hi, (int)(s_lo + q - 1)))
+            return 0;
     }
     /* orbit rule: candidates start above the orbit predecessor's label */
     const int tp = s->orbit_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;

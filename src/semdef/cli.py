@@ -278,13 +278,16 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --m would otherwise run
+    # as --m-max without a word
     parser = argparse.ArgumentParser(
         prog="semdef",
         description="Super edge-magic labelings: constructions, verification, bounds, exact search.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit a family graph as JSON")
+    p = sub.add_parser("gen", help="emit a family graph as JSON", allow_abbrev=False)
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="graph output path ('-' = stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("construct", help="build and verify a family labeling")
+    p = sub.add_parser("construct", help="build and verify a family labeling", allow_abbrev=False)
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
@@ -301,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="certificate output path ('-' = stdout)")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="re-check a certificate file")
+    p = sub.add_parser("verify", help="re-check a certificate file", allow_abbrev=False)
     p.add_argument("--cert", required=True)
     p.add_argument("--graph", default=None, help="cross-check against this graph JSON")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="closed-form deficiency bounds")
+    p = sub.add_parser("bounds", help="closed-form deficiency bounds", allow_abbrev=False)
     p.add_argument("--family", type=_family_arg, required=True)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
@@ -317,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest m of a --table (default {TABLE_M_MAX})")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("solve", help="exact deficiency by exhaustive search")
+    p = sub.add_parser("solve", help="exact deficiency by exhaustive search", allow_abbrev=False)
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
     p.add_argument("--max-labels", type=int, default=DEFAULT_MAX_LABELS, help="label-count limit")
     p.add_argument("--json", default=None, help="outcome output path ('-' = stdout)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("reproduce", help="run the claim manifest")
+    p = sub.add_parser("reproduce", help="run the claim manifest", allow_abbrev=False)
     p.add_argument("--select", action="append", default=None, help="group or claim id (repeatable)")
     p.add_argument("--json", default=None, help="report JSON path")
     p.add_argument("--md", default=None, help="report Markdown path")

@@ -14,10 +14,13 @@ Pruning (all sound: no rule drops a prefix of that least witness):
     on entering a position every sum that lies in every window still
     possible must be realized already or still be realizable -- by two free
     labels on an edge between unassigned vertices, or by a free label at an
-    unassigned neighbour of an assigned vertex.  The lowest and the highest
-    unrealized such sum are checked (the support reasoning of Regin's
-    alldifferent filtering, AAAI 1994, on the bijection from edges to window
-    values); checking every one prunes more but costs more than it saves;
+    unassigned neighbour of an assigned vertex.  Every unrealized such sum
+    is checked (the support reasoning of Regin's alldifferent filtering,
+    AAAI 1994, on the bijection from edges to window values).  _run_search
+    tests the sums one at a time; the kernel tests a 64-bit word of them at
+    once, against the OR of the free labels shifted up by each open
+    position's label and, for the edges between unassigned vertices, of the
+    free labels above l shifted up by each free label l;
   * the degree-weighted label sum must stay inside the interval achievable
     by any completion, intersected with the interval forced by the possible
     starting sums (see labeling.weighted_sum_required).
@@ -291,16 +294,11 @@ def _run_search(
 
         if idx > 0:
             # window-support cut: the sums s_hi..s_lo+q-1 lie in every window
-            # still possible, so each is realized or still realizable; only
-            # the lowest and the highest unrealized one are checked
+            # still possible, so each is realized or still realizable
             s_lo, s_hi = window(lo, hi)
-            x, y = s_hi, s_lo + q - 1
-            while x <= y and sum_seen[x]:
-                x += 1
-            while y > x and sum_seen[y]:
-                y -= 1
-            if x <= y and not (realizable(idx, x) and (y == x or realizable(idx, y))):
-                return None
+            for x in range(s_hi, s_lo + q):
+                if not sum_seen[x] and not realizable(idx, x):
+                    return None
 
         nbrs = prior[pstart[idx]:pstart[idx + 1]]
         # orbit rule: above the label of the orbit predecessor (position 0

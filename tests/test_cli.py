@@ -266,6 +266,21 @@ def test_bounds_without_table_rejects_n_max_and_m_max(capsys, flag):
     assert err == f"error: {flag} applies only to bounds --table\n"
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["bounds", "--family", "path-join", "--table", "md", "--m", "3"], "--m 3"),
+    (["bounds", "--family", "path-join", "--table", "md", "--n", "3"], "--n 3"),
+    (["bounds", "--family", "path-join", "-n", "3", "--m", "0"], "--m 0"),
+    (["solve", "--graph", "g.json", "--max", "5"], "--max 5"),
+])
+def test_a_flag_prefix_is_unrecognized(capsys, argv, prefix):
+    # no prefix stands for a longer flag: --m is not --m-max, nor --max
+    # --max-labels
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+
 def test_bounds_table_default_extent(capsys):
     code, out, _ = run_cli("bounds", "--family", "path-join", "--table", "csv", capsys=capsys)
     assert code == 0

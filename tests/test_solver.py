@@ -277,10 +277,10 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
-    (join(star(5), empty_graph(3)), 4, 12_190, 9_260),
-    (join(path(5), empty_graph(3)), 5, 93_538, 63_319),
-    (join(cycle(4), empty_graph(2)), 6, 2_627, 423),
-    (join(cycle(3), empty_graph(4)), 3, 1_695, 1_017),
+    (join(star(5), empty_graph(3)), 4, 1_826, 1_826),
+    (join(path(5), empty_graph(3)), 5, 87_604, 60_504),
+    (join(cycle(4), empty_graph(2)), 6, 2_461, 423),
+    (join(cycle(3), empty_graph(4)), 3, 1_307, 844),
 ], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
 def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_both_pins):
     # find_sem pins label 1
@@ -461,7 +461,7 @@ def test_pinned_deficiency_matches_the_oracle(c_backend, cases, data):
 def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
     # 17,081 nodes with neither label 1 nor N pinned
     out = _assert_same_deficiency(join(cycle(4), empty_graph(2)), 6)
-    assert (out.deficiency, out.nodes, out.backend) == (None, 1_970, "c")
+    assert (out.deficiency, out.nodes, out.backend) == (None, 1_849, "c")
 
 
 @pytest.mark.parametrize("search, ns", [
@@ -547,25 +547,41 @@ def test_deficiency_converts_its_plan_once(monkeypatch, c_backend):
     monkeypatch.setattr(_kernel, "plan_struct", lambda plan: (
         converted.append(plan) or plan_struct(plan)))
     out = deficiency(g, 6)
-    assert (out.deficiency, out.nodes, out.backend) == (None, 1_970, "c")
+    assert (out.deficiency, out.nodes, out.backend) == (None, 1_849, "c")
     assert len(searched) == 5 and all(plan is searched[0] for plan in searched)
     assert converted == [searched[0]] and converted[0] is searched[0]
-    assert deficiency(g, 6).nodes == 1_970
+    assert deficiency(g, 6).nodes == 1_849
     assert len(converted) == 2 and converted[1] is not converted[0]
 
 
 def test_window_support_cut_refutes_h14(c_backend):
-    # 42,388,556 nodes without the cut, 1,398,524 with it but no pinned label
+    # 42,388,556 nodes without the cut, 1,398,524 with it but no pinned label,
+    # 1,260,052 with label 1 pinned and only the lowest and the highest
+    # unrealized forced sum checked, and 205,097 checking every one of them
     res = find_sem(wheel_minus_spoke(14), 0)
-    assert (res.witness, res.nodes, res.backend) == (None, 1_260_052, "c")
+    assert (res.witness, res.nodes, res.backend) == (None, 205_097, "c")
+
+
+def test_window_support_checks_the_middle_forced_sums(c_backend):
+    # C_4 as 2K_1 + 2K_1 with labels 1..4: entering position 2 with labels 1
+    # and 4 (or 2 and 3) on the first side, no sum is realized and the sums
+    # 4..6 lie in every window.  The free labels 2 and 3 (or 1 and 4) reach
+    # 3, 4, 6 and 7, so both ends are realizable and 5 is not.  Both backends
+    # prune there: checking only the ends gives 10 nodes.
+    g = join(empty_graph(2), empty_graph(2))
+    # at position 2 both placed labels are open and no edge joins 2 and 3
+    plan = solver._plan(g)
+    assert (plan.open[plan.ostart[2]:plan.ostart[3]], plan.inner[2]) == ([0, 1], 0)
+    res = _assert_same_search(g, 0)
+    assert (res.witness, res.nodes) == (None, 8)
 
 
 # Searches whose labels and edge sums 3..2N-1 spread over two or three of
 # the kernel's 64-bit words: (graph, t, nodes of find_sem on both backends,
 # whether a witness exists), with N = p + t of 36, 69, 68 and 68.
 WORD_BOUNDARY = [
-    (join(cycle(4), empty_graph(2)), 30, 38_200, False),
-    (join(path(4), empty_graph(3)), 62, 61_029, True),
+    (join(cycle(4), empty_graph(2)), 30, 37_398, False),
+    (join(path(4), empty_graph(3)), 62, 54_565, True),
     (wheel_minus_spoke(5), 62, 2_379, True),
     (join(cycle(5), empty_graph(1)), 62, 7_018, True),
 ]
