@@ -1,14 +1,18 @@
 /* Compiled port of semdef.solver._run_search.
  *
  * semdef_dfs takes what _run_search takes, as solver._find passes both: the
- * solver's _Plan, as the Plan struct below, then q, n, ntop and pins.
- * semdef/_kernel.py converts each plan to that struct once, so deficiency
- * converts one for all its filler counts, and calls semdef_dfs through
- * ctypes.  The kernel follows the same order, candidates, cuts and symmetry
- * rules (the solver docstring gives them), so it returns the same witness
- * after the same number of label placements.  Only the state differs.  The
- * free labels (bit a), the same reflected (bit n + 1 - a) and the realized
- * edge sums are bitsets of W = (2n + 64) / 64 words, for every n.  On
+ * solver's _Plan, as the Plan struct below, then n, the label count, and
+ * pins, the number of the labels 1 and n pinned.  Each backend derives the
+ * rest: q is the plan's pstart[p], and position 0 takes labels
+ * 1..ceil(n / 2), the complement cut.  semdef/_kernel.py converts each plan
+ * to that struct once, so deficiency converts one for all its filler
+ * counts, and calls semdef_dfs through ctypes.  The kernel follows the same
+ * order, candidates, cuts and symmetry rules (the solver docstring gives
+ * them), so it returns the same witness after the same number of label
+ * placements.
+ *
+ * Only the state differs.  The free labels (bit a) and the realized edge
+ * sums (bit x) are bitsets of W = (2n + 64) / 64 words, for every n.  On
  * entering a position one candidate mask holds its free labels above the
  * orbit predecessor's, within the range the span rule allows given the least
  * and greatest prior-neighbour label, less those whose sum with a prior
@@ -20,8 +24,9 @@
  * reachable are the OR of free shifted up by each open position's label and
  * of the free labels above l shifted up by each free l, built only until
  * every forced unrealized sum of the word is reached.  The weighted-sum
- * interval is computed in O(1) per candidate from two tables of
- * completion sums, built once per position from its free labels and indexed
+ * interval is computed in O(1) per candidate from two tables of completion
+ * sums, built once per position from its free labels, the low end's read up
+ * from word 0 of free and the high end's down from word n >> 6, and indexed
  * by the candidate's rank among them, where the reference rescans; the high
  * end's table is built only once a candidate passes the low end's test.
  * Every helper of rec is inlined into it, at every optimisation level.
@@ -46,16 +51,14 @@ typedef struct {
 } Plan;
 
 typedef struct {
-    int p, q, n;               /* vertices, edges, labels 1..n */
-    const int *deg, *pstart, *prior, *orbit_prev, *inner, *ostart, *open;
-                               /* the Plan's arrays */
-    int ntop;                  /* position 0 takes labels 1..ntop */
+    Plan plan;                 /* as semdef_dfs is given it */
+    int q, n;                  /* edges, plan.pstart[plan.p]; labels 1..n */
+    int ntop;                  /* position 0 takes labels 1..ntop, ceil(n / 2) */
     int pins;                  /* a witness uses the first pins of 1, n */
     long long max_start, target_base;
     int *lab_at;               /* label per order position */
     int w;                     /* words per bitset */
-    uint64_t *free, *rfree;    /* free labels a, as bit a and bit n + 1 - a */
-    uint64_t *seen;            /* realized edge sums */
+    uint64_t *free, *seen;     /* free labels, realized edge sums */
     long long *minc, *maxc;    /* completion-sum rows: p - i entries for
                                   position i, after those of 0 .. i - 1 */
     int *free_lab;             /* scratch: free labels from one end */
@@ -142,9 +145,9 @@ INLINE int supported(const Search *s, int idx, int a, int b)
 {
     for (int k = a >> 6; a <= b && k <= b >> 6; k++) {
         uint64_t need = ~s->seen[k] & range(k, a, b);
-        for (int o = s->ostart[idx]; o < s->ostart[idx + 1] && need; o++)
-            need &= ~up(s->free, k, s->lab_at[s->open[o]]);
-        if (s->inner[idx])
+        for (int o = s->plan.ostart[idx]; o < s->plan.ostart[idx + 1] && need; o++)
+            need &= ~up(s->free, k, s->lab_at[s->plan.open[o]]);
+        if (s->plan.inner[idx])
             for (int v = 0; v <= k >> 1 && need; v++)
                 for (uint64_t f = s->free[v]; f && need;) {
                     const int r = __builtin_ctzll(f), j = k - v;  /* l = 64v + r */
@@ -166,10 +169,10 @@ INLINE int supported(const Search *s, int idx, int a, int b)
    orbit predecessor, and position 0 takes only 1..ntop. */
 INLINE int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 {
-    if ((x == 1 && s->orbit_prev[j] >= 0) || (j == 0 && x > s->ntop))
+    if ((x == 1 && s->plan.orbit_prev[j] >= 0) || (j == 0 && x > s->ntop))
         return 0;
-    for (int k = s->pstart[j]; k < s->pstart[j + 1]; k++) {
-        const int i = s->prior[k];
+    for (int k = s->plan.pstart[j]; k < s->plan.pstart[j + 1]; k++) {
+        const int i = s->plan.prior[k];
         if (i >= idx)
             continue;
         const int sm = x + s->lab_at[i];
@@ -190,33 +193,33 @@ INLINE int pins_supported(const Search *s, int idx, int lo, int hi)
     int need = 0;
     for (int k = 0; k < s->pins; k++)
         need += has(s->free, k ? s->n : 1);
-    if (need > s->p - idx)
+    if (need > s->plan.p - idx)
         return 0;
     for (int k = 0; k < s->pins; k++) {
         const int x = k ? s->n : 1;
         if (!has(s->free, x))
             continue;
         int j = idx;
-        while (j < s->p && !fits(s, idx, j, x, lo, hi))
+        while (j < s->plan.p && !fits(s, idx, j, x, lo, hi))
             j++;
-        if (j == s->p)
+        if (j == s->plan.p)
             return 0;
     }
     return 1;
 }
 
 /* out[k], k = 0..m: sum of rem[i] * l_i over the first m free labels l_i
-   taken from the low end (from free) or the high end (from rfree, whose bit
-   r is the label n + 1 - r), skipping the one of rank k from that end; for
-   k = m none is skipped. */
+   taken from the low end or the high end, the words of free walked up from
+   word 0 or down from word n >> 6, skipping the one of rank k from that
+   end; for k = m none is skipped. */
 INLINE void completion_row(Search *s, const int *rem, int m, int high, long long *out)
 {
     int *f = s->free_lab;
-    const uint64_t *set = high ? s->rfree : s->free;
-    for (int k = 0, i = 0; i <= m; k++)
-        for (uint64_t v = set[k]; v && i <= m; v &= v - 1) {
-            const int b = 64 * k + __builtin_ctzll(v);
-            f[i++] = high ? s->n + 1 - b : b;
+    for (int k = high ? s->n >> 6 : 0, i = 0; i <= m; k += high ? -1 : 1)
+        for (uint64_t v = s->free[k]; v && i <= m; i++) {
+            const int r = high ? 63 - __builtin_clzll(v) : __builtin_ctzll(v);
+            v &= high ? ~((uint64_t)1 << r) : v - 1;
+            f[i] = 64 * k + r;
         }
     long long sum = 0;
     for (int i = 0; i < m; i++)
@@ -232,9 +235,9 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     if (s->pins && (has(s->free, 1) || (s->pins > 1 && has(s->free, s->n))) &&
         !pins_supported(s, idx, lo, hi))
         return 0;
-    if (idx == s->p)
+    if (idx == s->plan.p)
         return 1;
-    const int q = s->q, beg = s->pstart[idx], end = s->pstart[idx + 1];
+    const int q = s->q, beg = s->plan.pstart[idx], end = s->plan.pstart[idx + 1];
     long long s_lo, s_hi;
     if (idx > 0) {
         /* window-support cut: the sums s_hi..s_lo+q-1 lie in every window
@@ -244,7 +247,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
             return 0;
     }
     /* orbit rule: candidates start above the orbit predecessor's label */
-    const int tp = s->orbit_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
+    const int tp = s->plan.orbit_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
     const int last = idx == 0 ? s->ntop : s->n;
     /* span rule: with prior labels lmin..lmax, the sums of lab span
        min(lo, lab + lmin)..max(hi, lab + lmax), at most q - 1; with no
@@ -252,7 +255,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
        as they are */
     int lmin = 10 * s->n, lmax = -10 * s->n, a0 = start, a1 = last;
     for (int k = beg; k < end; k++) {
-        const int l = s->lab_at[s->prior[k]];
+        const int l = s->lab_at[s->plan.prior[k]];
         if (l < lmin)
             lmin = l;
         if (l > lmax)
@@ -264,8 +267,8 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
         a0 = hi - (q - 1) - lmin;
     if (lo + (q - 1) - lmax < a1)
         a1 = lo + (q - 1) - lmax;
-    const int *rem = s->deg + idx + 1, m = s->p - idx - 1, nfree = s->n - idx;
-    const long long row = (long long)idx * s->p - (long long)idx * (idx - 1) / 2;
+    const int *rem = s->plan.deg + idx + 1, m = s->plan.p - idx - 1, nfree = s->n - idx;
+    const long long row = (long long)idx * s->plan.p - (long long)idx * (idx - 1) / 2;
     long long *minc = s->minc + row, *maxc = s->maxc + row;
     const int before = count_below(s->free, start);
     int low = 0, high = 0;  /* whether minc, maxc are built */
@@ -274,12 +277,12 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
            from each other; only an already realized sum can collide. */
         uint64_t cand = s->free[w] & range(w, a0, a1);
         for (int k = beg; k < end && cand; k++)
-            cand &= ~bits_at(s->seen, s->w, 64 * w + s->lab_at[s->prior[k]]);
+            cand &= ~bits_at(s->seen, s->w, 64 * w + s->lab_at[s->plan.prior[k]]);
         for (; cand; cand &= cand - 1) {
             const int lab = 64 * w + __builtin_ctzll(cand);
             const int nlo = lab + lmin < lo ? lab + lmin : lo;
             const int nhi = lab + lmax > hi ? lab + lmax : hi;
-            const long long wsum2 = wsum + (long long)s->deg[idx] * lab;
+            const long long wsum2 = wsum + (long long)s->plan.deg[idx] * lab;
             if (q > 0 && m > 0) {
                 /* completion interval for the degree-weighted label sum: the
                    remaining degrees rem[0 .. m) are already descending */
@@ -300,13 +303,11 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
             }
             s->lab_at[idx] = lab;
             flip(s->free, lab);
-            flip(s->rfree, s->n + 1 - lab);
             for (int k = beg; k < end; k++)
-                flip(s->seen, lab + s->lab_at[s->prior[k]]);
+                flip(s->seen, lab + s->lab_at[s->plan.prior[k]]);
             const int hit = rec(s, idx + 1, nlo, nhi, wsum2);
             for (int k = beg; k < end; k++)
-                flip(s->seen, lab + s->lab_at[s->prior[k]]);
-            flip(s->rfree, s->n + 1 - lab);
+                flip(s->seen, lab + s->lab_at[s->plan.prior[k]]);
             flip(s->free, lab);
             if (hit) {
                 s->nodes += count_below(s->free, lab + 1) - before;
@@ -321,25 +322,20 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 /* Returns 1 and leaves the witness's label per order position in lab_at,
    0 when the search is exhausted, -1 when out of memory; *nodes receives
    the placements tried. */
-int semdef_dfs(const Plan *plan, int q, int n, int ntop, int pins, int *lab_at,
-               long long *nodes)
+int semdef_dfs(const Plan *plan, int n, int pins, int *lab_at, long long *nodes)
 {
-    const int p = plan->p;
+    const int p = plan->p, q = plan->pstart[p];
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     const int w = (2 * n + 64) / 64;               /* bits 0..2n */
-    uint64_t *bits = calloc(3 * (size_t)w, sizeof *bits);
+    uint64_t *bits = calloc(2 * (size_t)w, sizeof *bits);
     long long *rows = malloc(2 * cells * sizeof *rows);
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (bits && rows && free_lab) {
-        Search s = {p, q, n, plan->deg, plan->pstart, plan->prior, plan->orbit_prev,
-                    plan->inner, plan->ostart, plan->open, ntop, pins, 2LL * n - q,
-                    (long long)q * (q - 1) / 2, lab_at, w, bits, bits + w, bits + 2 * w,
-                    rows, rows + cells, free_lab, 0};
-        for (int a = 1; a <= n; a++) {
+        Search s = {*plan, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
+                    lab_at, w, bits, bits + w, rows, rows + cells, free_lab, 0};
+        for (int a = 1; a <= n; a++)
             flip(s.free, a);
-            flip(s.rfree, a);
-        }
         found = rec(&s, 0, 10 * n, -1, 0);
         *nodes = s.nodes;
     }

@@ -78,12 +78,14 @@ def plan_struct(plan):
 
 @functools.cache
 def load():
-    """The kernel as a function dfs(plan, q, n_total, ntop, pins) -> (labels
-    per order position or None, nodes), with the arguments and the result of
-    solver._run_search.  dfs hands semdef_dfs the plan as a plan_struct,
+    """The kernel as a function dfs(plan, n_total, pins) -> (labels per
+    order position or None, nodes), with the arguments and the result of
+    solver._run_search; like it, the kernel derives q and the complement
+    cut from those.  dfs hands semdef_dfs the plan as a plan_struct,
     converted once per plan: it keeps the struct of the last plan it saw and
     reuses it while the same plan object comes back, as it does for every
-    filler count of one deficiency call.  None when the kernel cannot be
+    filler count of one deficiency call.  It raises SearchLimitError when
+    the kernel cannot allocate its tables.  None when the kernel cannot be
     built or loaded.  The outcome is kept for the life of the process."""
     import ctypes
 
@@ -94,12 +96,12 @@ def load():
         fn = ctypes.CDLL(str(path)).semdef_dfs
     except OSError:
         return None
-    fn.argtypes = [ctypes.POINTER(plan_type()), ctypes.c_int, ctypes.c_int, ctypes.c_int,
-                   ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
+    fn.argtypes = [ctypes.POINTER(plan_type()), ctypes.c_int, ctypes.c_int,
+                   ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
     last = (None, None)  # the last plan seen and its struct
 
-    def dfs(plan, q: int, n_total: int, ntop: int, pins: int):
+    def dfs(plan, n_total: int, pins: int):
         nonlocal last
         seen, struct = last
         if seen is not plan:
@@ -107,9 +109,12 @@ def load():
             last = plan, struct
         labels = (ctypes.c_int * len(plan.deg))()
         nodes = ctypes.c_longlong()
-        found = fn(struct, q, n_total, ntop, pins, labels, ctypes.byref(nodes))
+        found = fn(struct, n_total, pins, labels, ctypes.byref(nodes))
         if found < 0:
-            raise MemoryError("search kernel could not allocate its tables")
+            from .solver import SearchLimitError
+
+            raise SearchLimitError("the search kernel could not allocate its completion "
+                                   f"tables for {len(plan.deg)} vertices")
         return (list(labels) if found else None), nodes.value
 
     return dfs

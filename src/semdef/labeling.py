@@ -14,6 +14,7 @@ which is equivalent to "q consecutive integers" without sorting.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .graphs import Graph, SCHEMA, _Checked, json_int, json_int_list, json_object
@@ -162,7 +163,8 @@ def verify_sem(g: Graph, f: Labeling) -> SemCertificate | Rejection:
     else:
         distinct = set(sums)
         if len(distinct) != q:
-            dup = next(x for x in sums if sums.count(x) > 1)
+            counts = Counter(sums)
+            dup = next(x for x in sums if counts[x] > 1)
             return Rejection(REASON_DUPLICATE_SUM, f"edge sum {dup} occurs more than once")
         s, top = min(distinct), max(distinct)
         if top - s != q - 1:

@@ -85,19 +85,21 @@ Backends: _run_search is the pure-Python reference and _dfs.c a compiled
 port of it, built and loaded by _kernel.py at the first search that places
 a label (never at import).  _find alone calls them.  It settles the
 searches that place no label (p = 0, and a search past the counting bound)
-and runs the rest in `_kernel.load() or _run_search`, with the same
-arguments (plan, q, N, ntop, pins): g's _Plan, built once per find_sem or
-deficiency call; ntop = ceil(N/2), the complement cut; and pins, the number
-of the labels 1 and N pinned, at most N.  The kernel takes the plan as one C
-struct, converted once per plan, so deficiency's searches share one
-conversion.  So both follow the same order, candidates and pruning, and
-return the same witness after the same number of nodes; _dfs.c's header
-says how the kernel gets there faster.  Without
-a compiler, on a compile or load error, or with a cache directory that
-cannot be written, every search runs in _run_search, which recurses once
-per position and raises SearchLimitError on a graph too large for the
-interpreter's recursion limit.  SearchResult.backend names the backend
-used; there is no setting to choose it.
+and runs the rest in `_kernel.load() or _run_search`, with the same three
+arguments (plan, N, pins): g's _Plan, built once per find_sem or deficiency
+call; N = p + t, the label count; and pins, the number of the labels 1 and N
+pinned, at most N.  Each backend derives the rest itself: q, the plan's
+pstart[-1], and ceil(N/2), the first position's last label under the
+complement cut.  The kernel takes the plan as one C struct, converted once
+per plan, so deficiency's searches share one conversion.  So both follow
+the same order, candidates and pruning, and return the same witness after
+the same number of nodes; _dfs.c's header says how the kernel gets there
+faster.  Without a compiler, on a compile or load error, or with a cache
+directory that cannot be written, every search runs in _run_search, which
+recurses once per position and raises SearchLimitError on a graph too large
+for the interpreter's recursion limit; the kernel raises it when it cannot
+allocate its tables.  SearchResult.backend names the backend used; there is
+no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.
@@ -117,8 +119,9 @@ DEFAULT_MAX_LABELS = 16
 
 
 class SearchLimitError(RuntimeError):
-    """The requested search exceeds a limit: the configured label count, or,
-    in the Python reference search, the interpreter's recursion depth."""
+    """The requested search exceeds a limit: the configured label count, the
+    memory the compiled kernel can allocate for its tables, or, in the
+    Python reference search, the interpreter's recursion depth."""
 
 
 class SearchResult(NamedTuple):
@@ -218,18 +221,17 @@ def _plan(g: Graph) -> _Plan:
     )
 
 
-def _run_search(
-    plan: _Plan, q: int, n_total: int, ntop: int, pins: int
-) -> tuple[list[int] | None, int]:
-    """Core DFS over plan for a graph with q edges and labels 1..n_total:
-    position 0 takes the labels 1..ntop, and a witness uses the first `pins`
-    of the labels 1 and n_total.  Returns (labels per assignment position,
-    nodes) or (None, nodes); nodes counts label placements attempted.  It
-    recurses once per position, so a graph with more vertices than the
-    interpreter's recursion limit allows raises SearchLimitError.
+def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None, int]:
+    """Core DFS over plan with labels 1..n_total: a witness uses the first
+    `pins` of the labels 1 and n_total.  The graph's q edges are the plan's
+    pstart[-1], and position 0 takes the labels 1..ceil(n_total / 2), the
+    complement cut.  Returns (labels per assignment position, nodes) or
+    (None, nodes); nodes counts label placements attempted.  It recurses
+    once per position, so a graph with more vertices than the interpreter's
+    recursion limit allows raises SearchLimitError.
     """
     _, deg, pstart, prior, orbit_prev, inner, ostart, open_ = plan
-    p = len(deg)
+    p, q, ntop = len(deg), pstart[-1], (n_total + 1) // 2
     suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -414,8 +416,7 @@ def _find(
     if plan is None:
         plan = _plan(g)
     start = time.perf_counter()
-    at, nodes = (kernel or _run_search)(
-        plan, g.q, n_total, (n_total + 1) // 2, min(pins, n_total))
+    at, nodes = (kernel or _run_search)(plan, n_total, min(pins, n_total))
     seconds = time.perf_counter() - start
     backend = "python" if kernel is None else "c"
     if at is None:

@@ -79,6 +79,29 @@ def test_verify_rejects_duplicate_sum():
     assert result.reason == REASON_DUPLICATE_SUM
 
 
+def test_duplicate_sum_detail_names_the_first_repeated_sum_in_edge_order():
+    # sums 5, 7, 7, 5 in edge order: 7 is the first repeat met, but 5 is
+    # the first sum in edge order that occurs twice, and the detail names it
+    g = Graph(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
+    f = Labeling([1, 4, 6, 3, 2], total_labels=6)
+    assert edge_sums(g, f) == [5, 7, 7, 5]
+    assert verify_sem(g, f) == Rejection(REASON_DUPLICATE_SUM, "edge sum 5 occurs more than once")
+
+
+def test_duplicate_sum_found_in_linear_time():
+    # P_40001 labelled 1..40001 in order has the odd sums 3..80001; the chord
+    # (39997, 40000) repeats the sum 79999 of edge (39998, 39999), three
+    # edges from the end of 40,001.  Counting each sum by a rescan took 19 s.
+    import time
+
+    n = 40_001
+    g = Graph(n, [*path(n).edges, (n - 4, n - 1)])
+    start = time.perf_counter()
+    result = verify_sem(g, Labeling(range(1, n + 1)))
+    assert time.perf_counter() - start < 2.0
+    assert result == Rejection(REASON_DUPLICATE_SUM, "edge sum 79999 occurs more than once")
+
+
 def test_verify_rejects_duplicate_label():
     result = verify_sem(path(2), Labeling([2, 2]))
     assert isinstance(result, Rejection)

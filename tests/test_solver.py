@@ -235,8 +235,8 @@ def test_orbit_links_match_brute_force(g):
 
 
 def _backend_calls(monkeypatch, *searches):
-    """The arguments (plan, q, n_total, ntop, pins) that _find passes to
-    _run_search in each of searches, run without the kernel."""
+    """The arguments (plan, n_total, pins) that _find passes to _run_search
+    in each of searches, run without the kernel."""
     calls = []
     run = solver._run_search
     with monkeypatch.context() as m:
@@ -266,14 +266,25 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
     assert plan.inner == [12, 8, 5, 2, 0, 0]
     assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
     assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
-    # _find adds the complement cut, labels 1..ceil(8/2) at t = 2, and the
-    # pinned labels: label 1 for find_sem, labels 1 and N for deficiency's
+    # _find adds N and the pinned labels: label 1 for find_sem, labels 1 and
+    # N for deficiency's
     k1 = Graph(1, [])
     calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._find(g, 2, None, 2),
                            lambda: solver._find(k1, 1, None, 2), lambda: solver._find(k1, 0, None, 2))
-    assert calls == [(plan, 12, 8, 4, 1), (plan, 12, 8, 4, 2),
+    assert calls == [(plan, 8, 1), (plan, 8, 2),
                      # labels 1 and N are one label when N = 1
-                     (solver._plan(k1), 0, 2, 1, 2), (solver._plan(k1), 0, 1, 1, 1)]
+                     (solver._plan(k1), 2, 2), (solver._plan(k1), 1, 1)]
+
+
+def test_complement_cut_keeps_label_ceil_n_over_2(c_backend):
+    # P_3 U K_2 (path 3-0-4, edge 1-2) at N = 5: the centre of the path goes
+    # first, and every witness gives it label 3, so both backends must offer
+    # position 0 the labels 1..ceil(5/2), not 1..floor(5/2)
+    g = Graph(5, [(0, 3), (0, 4), (1, 2)])
+    assert solver._plan(g).order[0] == 0
+    res = _assert_same_search(g, 0)
+    assert (_labels(res), res.nodes) == ((3, 1, 5, 2, 4), 40)
+    assert _labels(res) == least_sem_labeling(g, 0)
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
@@ -475,7 +486,7 @@ def test_each_call_builds_the_plan_once(monkeypatch, search, ns):
     monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
     calls = _backend_calls(monkeypatch, lambda: search(g))
     assert len(orbits) == 1
-    assert [n for _, _, n, _, _ in calls] == ns
+    assert [n for _, n, _ in calls] == ns
     monkeypatch.undo()
     assert all(plan == solver._plan(g) for plan, *_ in calls)
 
@@ -662,30 +673,85 @@ def _solve_instance(name):
     return make_family(FamilyDescriptor(family, n=n, m=m)), cap
 
 
-def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
-    # shifts by 64 or more and right shifts of negative ints are the slips
-    # word bitsets invite; the sanitized build aborts on the first one
-    import json
+def _sanitized_kernel(tmp_path, sanitizer):
+    """The kernel built with -fsanitize=sanitizer, aborting on the first
+    error; the test is skipped when cc cannot build it."""
     import shutil
     import subprocess
 
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    lib = tmp_path / "_dfs_ubsan.so"
-    build = subprocess.run(["cc", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-shared",
-                            "-fPIC", "-o", str(lib), str(_kernel.SOURCE)],
+    lib = tmp_path / f"_dfs_{sanitizer}.so"
+    build = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-fno-sanitize-recover=all",
+                            "-shared", "-fPIC", "-o", str(lib), str(_kernel.SOURCE)],
                            capture_output=True, text=True)
     if build.returncode != 0:
-        pytest.skip(f"cc cannot build with -fsanitize=undefined: {build.stderr[-300:]}")
-    g, cap = _solve_instance("C8+2K1")
-    searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
-    proc = _searches_in_child(child_env, searches, timeout=300, library=lib)
+        pytest.skip(f"cc cannot build with -fsanitize={sanitizer}: {build.stderr[-300:]}")
+    return lib
+
+
+def _assert_clean_child_searches(env, lib, searches, want):
+    """Run searches in a child on the kernel build lib, and check that it
+    exits cleanly with the backend, nodes and witnesses of want."""
+    import json
+
+    proc = _searches_in_child(env, searches, timeout=300, library=lib)
     if proc.returncode == 77:
-        pytest.skip("the sanitized build does not load (no UBSan runtime)")
+        pytest.skip("the sanitized build does not load (no sanitizer runtime)")
     assert proc.returncode == 0, proc.stderr[-2000:]
-    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
     assert [(b, nodes, labels) for b, nodes, _, labels in json.loads(proc.stdout)] == [
         ("c", r.nodes, r.witness and list(r.witness.labeling.labels)) for r in want]
+
+
+def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
+    # shifts by 64 or more and right shifts of negative ints are the slips
+    # word bitsets invite; the sanitized build aborts on the first one
+    lib = _sanitized_kernel(tmp_path, "undefined")
+    g, cap = _solve_instance("C8+2K1")
+    searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
+    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
+    _assert_clean_child_searches(child_env, lib, searches, want)
+
+
+def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
+    # a read or write past a bitset, a completion row or the Search struct,
+    # as a slip in the downward walk of the free labels or in the struct
+    # layout would make, aborts the sanitized build; the interpreter is not
+    # built with ASan, so its runtime is preloaded
+    import subprocess
+    from pathlib import Path
+
+    lib = _sanitized_kernel(tmp_path, "address")
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not Path(runtime).is_file():
+        pytest.skip("no ASan runtime (libasan.so) beside cc")
+    env = {**child_env, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+    searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY]
+    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY]
+    _assert_clean_child_searches(env, lib, searches, want)
+
+
+def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
+    # K_{1,6000} needs 6001 * 6002 completion sums, 288 MB, which a 300 MB
+    # address space cannot hold: solve reports a limit and exits 4, where a
+    # traceback would exit 1, the code of a rejected certificate
+    import json
+    import subprocess
+    import sys
+
+    graph_path = tmp_path / "star.json"
+    graph_path.write_text(json.dumps(star(6000).to_json_dict()))
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+             "from semdef.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, "solve", "--graph", str(graph_path),
+                           "--cap", "0", "--max-labels", "7000"],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr[-2000:]
+    assert proc.stderr == ("limit: the search kernel could not allocate its completion "
+                           "tables for 6001 vertices\n")
 
 
 def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
