@@ -164,9 +164,11 @@ INLINE int supported(const Search *s, int idx, int a, int b)
 }
 
 /* Whether the unassigned position j can take the free label x on entering
-   position idx: its sums with the assigned neighbours repeat no realized sum
-   and keep the span lo..hi within q - 1, label 1 goes on no position with an
-   orbit predecessor, and position 0 takes only 1..ntop. */
+   position idx, the reference's place as a test: its sums with the assigned
+   neighbours repeat no realized sum and keep the span lo..hi within q - 1,
+   label 1 goes on no position with an orbit predecessor, and position 0
+   takes only 1..ntop.  rec builds its candidates from the same rule a word
+   at a time. */
 INLINE int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 {
     if ((x == 1 && s->plan.orbit_prev[j] >= 0) || (j == 0 && x > s->ntop))
@@ -187,22 +189,18 @@ INLINE int fits(const Search *s, int idx, int j, int x, int lo, int hi)
 }
 
 /* Whether every pinned label still free has an unassigned position that can
-   take it, and there are as many unassigned positions as free pinned labels. */
+   take it, and there are as many unassigned positions as free pinned labels,
+   counted in the same pass; it holds at once when no pinned label is free. */
 INLINE int pins_supported(const Search *s, int idx, int lo, int hi)
 {
-    int need = 0;
-    for (int k = 0; k < s->pins; k++)
-        need += has(s->free, k ? s->n : 1);
-    if (need > s->plan.p - idx)
-        return 0;
-    for (int k = 0; k < s->pins; k++) {
+    for (int k = 0, need = 0; k < s->pins; k++) {
         const int x = k ? s->n : 1;
         if (!has(s->free, x))
             continue;
         int j = idx;
         while (j < s->plan.p && !fits(s, idx, j, x, lo, hi))
             j++;
-        if (j == s->plan.p)
+        if (j == s->plan.p || ++need > s->plan.p - idx)
             return 0;
     }
     return 1;
@@ -231,9 +229,7 @@ INLINE void completion_row(Search *s, const int *rem, int m, int high, long long
 
 static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 {
-    /* the pin check holds at once when no pinned label is free */
-    if (s->pins && (has(s->free, 1) || (s->pins > 1 && has(s->free, s->n))) &&
-        !pins_supported(s, idx, lo, hi))
+    if (!pins_supported(s, idx, lo, hi))
         return 0;
     if (idx == s->plan.p)
         return 1;

@@ -11,9 +11,8 @@ Subcommands:
 Exit codes: 0 success / certificate accepted / exact deficiency found;
 1 rejected certificate or failed claims; 2 usage error; 3 the solver
 exhausted every filler count up to the cap without a witness; 4 the search
-would exceed the label limit, the memory the compiled kernel can allocate
-for its tables or, without that kernel, the Python search's recursion
-depth.  JSON goes to the --json path ('-' = stdout);
+would exceed the label limit or the memory the compiled kernel can allocate
+for its tables.  JSON goes to the --json path ('-' = stdout);
 with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.

@@ -94,12 +94,13 @@ complement cut.  The kernel takes the plan as one C struct, converted once
 per plan, so deficiency's searches share one conversion.  So both follow
 the same order, candidates and pruning, and return the same witness after
 the same number of nodes; _dfs.c's header says how the kernel gets there
-faster.  Without a compiler, on a compile or load error, or with a cache
-directory that cannot be written, every search runs in _run_search, which
-recurses once per position and raises SearchLimitError on a graph too large
-for the interpreter's recursion limit; the kernel raises it when it cannot
-allocate its tables.  SearchResult.backend names the backend used; there is
-no setting to choose it.
+faster.  _run_search keeps one generator per entered position on a stack
+of its own, so no graph is too deep for it, and one placement rule, place,
+serves both its candidate loop and its pin check.  Without a compiler, on a
+compile or load error, or with a cache directory that cannot be written,
+every search runs in _run_search; the kernel raises SearchLimitError when
+it cannot allocate its tables.  SearchResult.backend names the backend
+used; there is no setting to choose it.
 
 Every search runs in one process.  Searches beyond the configured
 label-count limit raise SearchLimitError rather than guessing.
@@ -109,7 +110,8 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate
-from typing import NamedTuple
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from .bounds import counting_lower_bound
 from .graphs import Graph
@@ -119,9 +121,8 @@ DEFAULT_MAX_LABELS = 16
 
 
 class SearchLimitError(RuntimeError):
-    """The requested search exceeds a limit: the configured label count, the
-    memory the compiled kernel can allocate for its tables, or, in the
-    Python reference search, the interpreter's recursion depth."""
+    """The requested search exceeds a limit: the configured label count, or
+    the memory the compiled kernel can allocate for its tables."""
 
 
 class SearchResult(NamedTuple):
@@ -208,7 +209,12 @@ def _plan(g: Graph) -> _Plan:
         prior_at[iv].append(iu)
         first_end[iu] += 1
         last_nbr[iu] = max(last_nbr[iu], iv)
-    open_at = [[j for j in range(i) if last_nbr[j] >= i] for i in range(p)]
+    ostart, open_, carried = [0], [], []
+    for i in range(p):  # open at i: those of i - 1, and i - 1, with a neighbour >= i
+        carried = [j for j in carried if last_nbr[j] >= i]
+        open_ += carried
+        ostart.append(len(open_))
+        carried.append(i)
     return _Plan(
         order,
         [deg[v] for v in order],
@@ -216,8 +222,8 @@ def _plan(g: Graph) -> _Plan:
         [j for js in prior_at for j in js],
         _orbits.orbit_prev(adj),
         list(accumulate(reversed(first_end)))[::-1],
-        [0, *accumulate(map(len, open_at))],
-        [j for js in open_at for j in js],
+        ostart,
+        open_,
     )
 
 
@@ -226,19 +232,20 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     `pins` of the labels 1 and n_total.  The graph's q edges are the plan's
     pstart[-1], and position 0 takes the labels 1..ceil(n_total / 2), the
     complement cut.  Returns (labels per assignment position, nodes) or
-    (None, nodes); nodes counts label placements attempted.  It recurses
-    once per position, so a graph with more vertices than the interpreter's
-    recursion limit allows raises SearchLimitError.
+    (None, nodes); nodes counts label placements attempted.  The search
+    keeps one generator per entered position on a stack of its own, so the
+    graph's size sets no depth limit.
     """
     _, deg, pstart, prior, orbit_prev, inner, ostart, open_ = plan
     p, q, ntop = len(deg), pstart[-1], (n_total + 1) // 2
-    suffix_degs = [deg[i:] for i in range(p + 1)]
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
 
     labels_at = [0] * p
     used = [False] * (n_total + 1)
     sum_seen = bytearray(2 * n_total + 1)
+    pinned = [1, n_total][:pins]
+    priors = [prior[pstart[j]:pstart[j + 1]] for j in range(p)]
     nodes = 0
 
     def window(lo: int, hi: int) -> tuple[int, int]:
@@ -262,22 +269,25 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
                     return True
         return False
 
-    pinned = [1, n_total][:pins]
-
-    def fits(idx: int, j: int, x: int, lo: int, hi: int) -> bool:
-        """Whether the unassigned position j can take the free label x: its
-        sums with the assigned neighbours repeat no realized sum and keep
-        the span <= q-1, label 1 goes on no position with an orbit
-        predecessor, and position 0 takes only 1..ntop."""
+    def place(idx: int, j: int, x: int, lo: int, hi: int) -> tuple[int, int] | None:
+        """The span lo..hi of the realized sums once the unassigned position
+        j takes the free label x, on entering position idx; None when it
+        cannot take it: a sum with an assigned neighbour repeats a realized
+        sum or the span passes q-1, x is 1 and j has an orbit predecessor,
+        or j is 0 and x is above ntop.  The new sums pair x with distinct
+        placed labels, so they are distinct from each other."""
         if (x == 1 and orbit_prev[j] >= 0) or (j == 0 and x > ntop):
-            return False
-        for k in prior[pstart[j]:pstart[j + 1]]:
+            return None
+        for k in priors[j]:
             if k < idx:
                 sm = x + labels_at[k]
                 if sum_seen[sm]:
-                    return False
-                lo, hi = min(lo, sm), max(hi, sm)
-        return hi < 0 or hi - lo <= q - 1
+                    return None
+                if sm < lo:
+                    lo = sm
+                if sm > hi:
+                    hi = sm
+        return (lo, hi) if hi < 0 or hi - lo <= q - 1 else None
 
     def pins_supported(idx: int, lo: int, hi: int) -> bool:
         """Whether every pinned label still free has an unassigned position
@@ -285,24 +295,33 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
         free pinned labels."""
         free = [x for x in pinned if not used[x]]
         return len(free) <= p - idx and all(
-            any(fits(idx, j, x, lo, hi) for j in range(idx, p)) for x in free)
+            any(place(idx, j, x, lo, hi) for j in range(idx, p)) for x in free)
 
-    def rec(idx: int, lo: int, hi: int, wsum: int) -> list[int] | None:
+    def completion(idx: int, lab: int) -> tuple[int, int]:
+        """The least and greatest degree-weighted label sum of positions
+        idx.. over the free labels other than lab; the degrees are already
+        descending.  A helper, so that no suspended frame of children keeps
+        these lists alive."""
+        avail = [a for a in range(1, n_total + 1) if not used[a] and a != lab]
+        rem = deg[idx:]
+        return sum(map(mul, rem, avail)), sum(map(mul, rem, reversed(avail)))
+
+    def children(idx: int, lo: int, hi: int, wsum: int) -> Iterator[tuple[int, int, int]]:
+        """Yields (lo, hi, wsum) after each label placed at position idx,
+        and undoes it when resumed; past the last position, yields once."""
         nonlocal nodes
-        if pins and not pins_supported(idx, lo, hi):
-            return None
+        if not pins_supported(idx, lo, hi):
+            return
         if idx == p:
-            return list(labels_at)
-
+            yield lo, hi, wsum
+            return
         if idx > 0:
             # window-support cut: the sums s_hi..s_lo+q-1 lie in every window
             # still possible, so each is realized or still realizable
             s_lo, s_hi = window(lo, hi)
             for x in range(s_hi, s_lo + q):
                 if not sum_seen[x] and not realizable(idx, x):
-                    return None
-
-        nbrs = prior[pstart[idx]:pstart[idx + 1]]
+                    return
         # orbit rule: above the label of the orbit predecessor (position 0
         # has none)
         tp = orbit_prev[idx]
@@ -310,36 +329,14 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
             if used[lab]:
                 continue
             nodes += 1
-            # The new sums pair lab with distinct placed labels, so they are
-            # distinct from each other; only a realized sum can collide.
-            new_lo, new_hi = lo, hi
-            ok = True
-            new_sums = []
-            for j in nbrs:
-                sm = lab + labels_at[j]
-                if sum_seen[sm]:
-                    ok = False
-                    break
-                new_sums.append(sm)
-                if sm < new_lo:
-                    new_lo = sm
-                if sm > new_hi:
-                    new_hi = sm
-            if not ok or (new_hi >= 0 and new_hi - new_lo > q - 1):
+            span = place(idx, idx, lab, lo, hi)
+            if span is None:
                 continue
             wsum2 = wsum + deg[idx] * lab
             if q > 0 and idx + 1 < p:
-                # completion interval for the degree-weighted label sum;
-                # the remaining degrees are already descending
-                rem_degs = suffix_degs[idx + 1]
-                avail = [a for a in range(1, n_total + 1) if not used[a] and a != lab]
-                minc = 0
-                maxc = 0
-                last = len(avail) - 1
-                for i, d in enumerate(rem_degs):
-                    minc += d * avail[i]
-                    maxc += d * avail[last - i]
-                s_lo, s_hi = window(new_lo, new_hi)
+                # completion interval for the degree-weighted label sum
+                minc, maxc = completion(idx + 1, lab)
+                s_lo, s_hi = window(*span)
                 if (
                     wsum2 + minc > q * s_hi + target_base
                     or wsum2 + maxc < q * s_lo + target_base
@@ -347,24 +344,23 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
                     continue
             labels_at[idx] = lab
             used[lab] = True
-            for sm in new_sums:
-                sum_seen[sm] = 1
-            hit = rec(idx + 1, new_lo, new_hi, wsum2)
-            for sm in new_sums:
-                sum_seen[sm] = 0
+            for j in priors[idx]:
+                sum_seen[lab + labels_at[j]] = 1
+            yield *span, wsum2
+            for j in priors[idx]:
+                sum_seen[lab + labels_at[j]] = 0
             used[lab] = False
-            if hit is not None:
-                return hit
-        return None
 
-    try:
-        found = rec(0, 10 * n_total, -1, 0)
-    except RecursionError:
-        raise SearchLimitError(
-            f"the Python search recurses once per vertex, and {p} vertices go past the "
-            "interpreter's recursion limit; it needs the compiled kernel (cc on PATH)"
-        ) from None
-    return found, nodes
+    stack = [children(0, 10 * n_total, -1, 0)]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif len(stack) > p:
+            return list(labels_at), nodes
+        else:
+            stack.append(children(len(stack), *state))
+    return None, nodes
 
 
 def _check_max_labels(max_labels: int | None) -> None:

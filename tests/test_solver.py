@@ -276,6 +276,34 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
                      (solver._plan(k1), 2, 2), (solver._plan(k1), 1, 1)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_plan_window_lists_match_their_definitions(p, seed):
+    # inner[i] counts the edges joining two positions >= i, and
+    # open[ostart[i] .. ostart[i + 1]) lists, ascending, the positions < i
+    # with a neighbour at a position >= i
+    g = random_graph(random.Random(seed), p)
+    plan = solver._plan(g)
+    pos = {v: i for i, v in enumerate(plan.order)}
+    edges = [sorted((pos[u], pos[v])) for u, v in g.edges]
+    assert (len(plan.inner), len(plan.ostart), plan.ostart[0]) == (p, p + 1, 0)
+    for i in range(p):
+        assert plan.inner[i] == sum(a >= i for a, _ in edges)
+        assert plan.open[plan.ostart[i]:plan.ostart[i + 1]] == sorted(
+            {a for a, b in edges if a < i <= b})
+
+
+def test_plan_of_a_large_star_is_fast():
+    # the open lists must take time linear in their length: rebuilt from
+    # all earlier positions at every position, O(p^2), they take about 0.5 s
+    # for this graph; the leaves are twins, so the orbit links need no
+    # automorphism search
+    start = time.perf_counter()
+    plan = solver._plan(star(6000))
+    assert time.perf_counter() - start < 0.3
+    assert (plan.ostart, plan.open) == ([0, *range(6001)], [0] * 6000)
+
+
 def test_complement_cut_keeps_label_ceil_n_over_2(c_backend):
     # P_3 U K_2 (path 3-0-4, edge 1-2) at N = 5: the centre of the path goes
     # first, and every witness gives it label 3, so both backends must offer
@@ -809,16 +837,51 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, fresh_kernel, 
 
 
 @pytest.mark.parametrize("breakage", [None, _no_compiler], ids=["python-only", "no-compiler"])
-def test_too_deep_for_the_python_search_is_a_limit(monkeypatch, tmp_path, fresh_kernel, breakage):
-    # _run_search recurses once per position, and the 1,101 of K_{1,1100} go
-    # past the recursion limit: a SearchLimitError, not a RecursionError
+def test_deep_searches_run_without_the_kernel(monkeypatch, tmp_path, fresh_kernel, breakage):
+    # _run_search keeps its own stack, so the 1,101 positions of K_{1,1100}
+    # meet no recursion limit; the least witness, which the kernel returns
+    # too, labels the centre 1 and the leaves 2..1101, one node per position
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
     with _python_only() if breakage is None else contextlib.nullcontext():
         if breakage is not None:
             breakage(monkeypatch, tmp_path)
         for search in (find_sem, deficiency):
-            with pytest.raises(SearchLimitError, match="recursion limit"):
-                search(star(1100), 0, max_labels=None)
+            res = search(star(1100), 0, max_labels=None)
+            assert (res.backend, res.nodes) == ("python", 1_101)
+            assert list(res.witness.labeling.labels) == list(range(1, 1_102))
+
+
+def test_backends_agree_on_a_deep_search_that_backtracks(c_backend):
+    # K_{1,1100}+K_1 at t=0: 1,102 positions and 2,202 nodes, so both
+    # backends leave and re-enter positions far past a thousand deep
+    res = _assert_same_search(join(star(1100), empty_graph(1)), 0, pins=1)
+    assert res.nodes == 2_202
+
+
+def test_python_search_memory_stays_small(child_env):
+    # a suspended position keeps no list of free labels or degrees, so
+    # find_sem(K_{1,2000}) in _run_search peaks at about 17 MB resident.
+    # The child reads its peak as VmHWM: ru_maxrss would carry over the
+    # peak of this process, which it was forked from, across exec.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the peak resident size from")
+    code = ("import re\n"
+            "from pathlib import Path\n"
+            "from semdef import _kernel\n"
+            "from semdef.graphs import star\n"
+            "from semdef.solver import find_sem\n"
+            "_kernel.load = lambda: None\n"
+            "res = find_sem(star(2000), 0, max_labels=None)\n"
+            "status = Path('/proc/self/status').read_text()\n"
+            "print(res.backend, res.nodes, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env, check=True, timeout=120).stdout.split()
+    assert out[:2] == ["python", "2001"]
+    assert int(out[2]) < 60 * 1024
 
 
 def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_backend):
