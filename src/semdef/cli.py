@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 success / certificate accepted / exact deficiency found;
 1 rejected certificate or failed claims; 2 usage error; 3 the solver
-exhausted every filler count up to the cap without a witness; 4 the search
-would exceed the label limit or the memory the compiled kernel can allocate
-for its tables.  JSON goes to the --json path ('-' = stdout);
+exhausted every filler count up to the cap without a witness; 4 solve would
+need more labels than --max-labels before the cap, with no witness below
+them, or more memory than the compiled kernel can allocate for its tables.
+JSON goes to the --json path ('-' = stdout);
 with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.
@@ -34,7 +35,7 @@ from .labeling import (
     certificate_from_json_dict,
     verify_sem,
 )
-from .solver import DEFAULT_MAX_LABELS, SearchLimitError, deficiency
+from .solver import SearchLimitError, deficiency
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -217,12 +218,26 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _over_max_labels(labels: int, max_labels: int) -> int:
+    print(f"limit: search needs {labels} labels, over --max-labels {max_labels}",
+          file=sys.stderr)
+    return EXIT_LIMIT
+
+
 def _cmd_solve(args) -> int:
     if args.max_labels < 0:
         raise ValueError(f"--max-labels must be >= 0, got {args.max_labels}")
     g = Graph.from_json_dict(_read_json(args.graph))
+    p = g.vertex_count
+    # deficiency searches the filler counts t0..cap, with p + t labels each;
+    # from `over` on they are more than --max-labels, so solve searches up
+    # to over - 1 when the cap lies past it
+    t0 = 0 if p == 0 else bounds_mod.counting_lower_bound(p, g.q)
+    over = args.max_labels - p + 1
+    if over <= t0 <= args.cap:
+        return _over_max_labels(p + t0, args.max_labels)
     try:
-        out = deficiency(g, args.cap, max_labels=args.max_labels)
+        out = deficiency(g, args.cap if t0 > args.cap else min(args.cap, over - 1))
     except SearchLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -233,7 +248,7 @@ def _cmd_solve(args) -> int:
     human = _summary_stream(args.json)
     payload: dict = {
         "schema": SCHEMA,
-        "cap": out.cap,
+        "cap": args.cap,
         "deficiency": out.deficiency,
         "certificate": None,
     }
@@ -247,6 +262,8 @@ def _cmd_solve(args) -> int:
             file=human,
         )
         return EXIT_OK
+    if out.cap < args.cap:
+        return _over_max_labels(p + over, args.max_labels)
     payload["status"] = "not-sem-up-to"
     _write_json(payload, args.json)
     print(f"no SEM labeling with up to {out.cap} fillers (exhaustive)", file=human)
@@ -323,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact deficiency by exhaustive search", allow_abbrev=False)
     p.add_argument("--graph", required=True, help="graph JSON path")
     p.add_argument("--cap", type=int, default=4, help="largest filler count to try")
-    p.add_argument("--max-labels", type=int, default=DEFAULT_MAX_LABELS, help="label-count limit")
+    p.add_argument("--max-labels", type=int, default=16,
+                   help="largest label count to search (default %(default)s)")
     p.add_argument("--json", default=None, help="outcome output path ('-' = stdout)")
     p.set_defaults(func=_cmd_solve)
 

@@ -98,12 +98,12 @@ faster.  _run_search keeps one generator per entered position on a stack
 of its own, so no graph is too deep for it, and one placement rule, place,
 serves both its candidate loop and its pin check.  Without a compiler, on a
 compile or load error, or with a cache directory that cannot be written,
-every search runs in _run_search; the kernel raises SearchLimitError when
-it cannot allocate its tables.  SearchResult.backend names the backend
+every search runs in _run_search.  SearchResult.backend names the backend
 used; there is no setting to choose it.
 
-Every search runs in one process.  Searches beyond the configured
-label-count limit raise SearchLimitError rather than guessing.
+Every search runs in one process, over the labels it is asked for: the
+library sets no limit on their count.  The kernel raises SearchLimitError
+when it cannot allocate its tables, rather than guessing.
 """
 
 from __future__ import annotations
@@ -117,12 +117,8 @@ from .bounds import counting_lower_bound
 from .graphs import Graph
 from .labeling import Labeling, Rejection, SemCertificate, verify_sem, weighted_sum_required
 
-DEFAULT_MAX_LABELS = 16
-
-
 class SearchLimitError(RuntimeError):
-    """The requested search exceeds a limit: the configured label count, or
-    the memory the compiled kernel can allocate for its tables."""
+    """The compiled kernel could not allocate its tables for the search."""
 
 
 class SearchResult(NamedTuple):
@@ -363,31 +359,18 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     return None, nodes
 
 
-def _check_max_labels(max_labels: int | None) -> None:
-    if max_labels is not None and max_labels < 0:
-        raise ValueError(f"max_labels must be >= 0, got {max_labels}")
-
-
-def find_sem(
-    g: Graph,
-    t: int,
-    *,
-    max_labels: int | None = DEFAULT_MAX_LABELS,
-) -> SearchResult:
+def find_sem(g: Graph, t: int) -> SearchResult:
     """Search exhaustively for a SEM labeling of g U tK_1.
 
     Returns a SearchResult whose witness, when present, has been re-verified
     by the checker; witness None is a proof by exhaustion over total_labels
-    = p + t labels.  Raises SearchLimitError when p + t exceeds max_labels
-    (pass max_labels=None to accept the runtime risk), and ValueError for a
-    negative t or max_labels.
+    = p + t labels.  Raises ValueError for a negative t, and SearchLimitError
+    when the compiled kernel cannot allocate its tables.
     """
-    return _find(g, t, max_labels, 1)
+    return _find(g, t, 1)
 
 
-def _find(
-    g: Graph, t: int, max_labels: int | None, pins: int, plan: _Plan | None = None
-) -> SearchResult:
+def _find(g: Graph, t: int, pins: int, plan: _Plan | None = None) -> SearchResult:
     """find_sem with the first `pins` of the labels 1 and p + t pinned, on
     plan, g's _plan, which is built here when not given.  The only caller of
     the backends: it settles the searches that place no label (p = 0, and a
@@ -395,13 +378,7 @@ def _find(
     when it loads, else in _run_search, with the same arguments."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
-    _check_max_labels(max_labels)
     n_total = g.vertex_count + t
-    if max_labels is not None and n_total > max_labels:
-        raise SearchLimitError(
-            f"search needs {n_total} labels, over the limit of {max_labels}; "
-            "raise max_labels to run anyway"
-        )
     if g.vertex_count == 0:  # the empty labeling, with no search
         return SearchResult(verify_sem(g, Labeling((), n_total)), n_total, 0, 0.0, "python")
     if counting_lower_bound(n_total, g.q) > 0:
@@ -428,12 +405,7 @@ def _find(
     return SearchResult(cert, n_total, nodes, seconds, backend)
 
 
-def deficiency(
-    g: Graph,
-    cap: int,
-    *,
-    max_labels: int | None = DEFAULT_MAX_LABELS,
-) -> SearchOutcome:
+def deficiency(g: Graph, cap: int) -> SearchOutcome:
     """Exact deficiency of g, provided it is at most cap.
 
     Iterates the filler count from the counting lower bound (smaller values
@@ -442,20 +414,19 @@ def deficiency(
     t - 1 is known to fail (see the module docstring): the witness is
     find_sem's, after fewer nodes.  The search plan, the orbit links
     included, is built once for all filler counts, and the kernel converts
-    it once.  Exceeding the label limit raises SearchLimitError rather than
-    returning a wrong or weakened answer; a negative cap or max_labels
-    raises ValueError.
+    it once; when the counting bound exceeds cap, no filler count is
+    searched and no plan is built.  A negative cap raises ValueError, and a
+    kernel that cannot allocate its tables SearchLimitError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    _check_max_labels(max_labels)
     nodes = 0
     seconds = 0.0
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
-    plan = _plan(g)
+    plan = _plan(g) if t0 <= cap else None
     for t in range(t0, cap + 1):
-        res = _find(g, t, max_labels, 2, plan)
+        res = _find(g, t, 2, plan)
         nodes += res.nodes
         seconds += res.seconds
         backend = res.backend

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semdef import _kernel
+from semdef import _kernel, solver
 from semdef.cli import main
 from semdef.labeling import certificate_from_json_dict
 
@@ -204,10 +204,47 @@ def test_solve_limit_exit_code(capsys, tmp_path):
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", "wheel-minus-spoke", "-n", "16",
             "--json", str(graph_path), capsys=capsys)
-    code, _, err = run_cli("solve", "--graph", str(graph_path), "--cap", "2",
-                           capsys=capsys)
-    assert code == 4
-    assert "limit" in err
+    code, out, err = run_cli("solve", "--graph", str(graph_path), "--cap", "2",
+                             capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "limit: search needs 17 labels, over --max-labels 16\n"
+
+
+# One row per outcome of solve, where t0 is the counting bound, p the vertex
+# count and L the --max-labels (default 16): t0 > cap exits 3 and p + t0 > L
+# exits 4, both before any plan is built; otherwise t0..min(cap, L - p) are
+# searched, and when they hold no witness, a cap past L - p exits 4, else 3.
+@pytest.mark.parametrize("family, cap, extra, code, out, err", [
+    (["wheel-minus-spoke", "-n", "9"], 10, [], 0,
+     "deficiency 1; witness labels [2, 3, 1, 4, 10, 9, 8, 7, 11, 5], k=31\n",
+     "stats: nodes=36661\n"),
+    (["cycle-join", "-n", "10", "-m", "3"], 5, [], 3,
+     "no SEM labeling with up to 5 fillers (exhaustive)\n", "stats: nodes=0\n"),
+    (["path", "-n", "20"], 0, [], 4, "", "limit: search needs 20 labels, over --max-labels 16\n"),
+    (["cycle-join", "-n", "10", "-m", "3"], 9, [], 4, "",
+     "limit: search needs 22 labels, over --max-labels 16\n"),
+    (["cycle-join", "-n", "4", "-m", "2"], 10, [], 3,
+     "no SEM labeling with up to 10 fillers (exhaustive)\n", "stats: nodes=3973\n"),
+    (["cycle-join", "-n", "4", "-m", "2"], 11, [], 4, "",
+     "stats: nodes=3973\nlimit: search needs 17 labels, over --max-labels 16\n"),
+    (["path-join", "-n", "8", "-m", "3"], 10, [], 4, "",
+     "limit: search needs 17 labels, over --max-labels 16\n"),
+    (["path-join", "-n", "8", "-m", "3"], 10, ["--max-labels", "20"], 0,
+     "deficiency 8; witness labels [7, 2, 4, 1, 19, 16, 18, 13, 6, 10, 14], k=55\n",
+     "stats: nodes=19064286\n"),
+], ids=["h9-found", "c10-join-3-under-the-bound", "p20-over-the-limit",
+        "c10-join-3-bound-over-the-limit", "c4-join-2-exhausted", "c4-join-2-stopped-by-the-limit",
+        "p8-join-3-over-the-limit", "p8-join-3-under-a-raised-limit"])
+def test_solve_outcome_table(capsys, tmp_path, monkeypatch, family, cap, extra, code, out, err):
+    if extra and _kernel.load() is None:
+        pytest.skip("the raised limit admits 19 million nodes, too many without the C kernel")
+    graph_path = tmp_path / "g.json"
+    run_cli("gen", "--family", *family, "--json", str(graph_path), capsys=capsys)
+    if "nodes=" not in err or "nodes=0" in err:  # no search, so no plan either
+        monkeypatch.setattr(solver, "_plan", lambda g: pytest.fail("solve built a search plan"))
+    got = run_cli("solve", "--graph", str(graph_path), "--cap", str(cap), *extra, capsys=capsys)
+    assert got[:2] == (code, out)
+    assert re.sub(r" seconds=\S+ backend=\w+", "", got[2]) == err
 
 
 def test_bounds_single_and_table(capsys):
@@ -399,7 +436,7 @@ def test_negative_max_labels_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli("solve", "--graph", str(graph_path), "--max-labels", "0",
                            capsys=capsys)
     assert code == 4
-    assert err.startswith("limit: ")
+    assert err == "limit: search needs 3 labels, over --max-labels 0\n"
 
 
 @pytest.mark.parametrize(

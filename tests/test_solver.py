@@ -22,7 +22,7 @@ from semdef.graphs import (
 from semdef import _kernel, _orbits, reproduce, solver
 from semdef.labeling import Labeling, SemCertificate, verify_sem
 from semdef.manifest import CLAIMS
-from semdef.solver import SearchLimitError, deficiency, find_sem
+from semdef.solver import deficiency, find_sem
 
 
 def test_find_sem_wheel_5():
@@ -93,18 +93,21 @@ def test_witnesses_reverify():
         assert verify_sem(g, out.witness.labeling)
 
 
-def test_search_limit():
-    with pytest.raises(SearchLimitError):
-        find_sem(path(10), 8)
-    # the counting bound alone pushes this one past the label limit
-    with pytest.raises(SearchLimitError):
-        deficiency(join(cycle(5), empty_graph(8)), 12)
-    # zero is a limit like any other, not a malformed one
-    with pytest.raises(SearchLimitError):
-        find_sem(path(2), 0, max_labels=0)
-    # explicit override admits larger label counts
-    res = find_sem(path(2), 15, max_labels=None)
-    assert res.witness is not None
+def test_search_limit(c_backend):
+    # the library searches any label count it is asked for: these need 18
+    # and 17..19 labels, and only the CLI's --max-labels refuses them
+    res = find_sem(path(10), 8)
+    assert (res.total_labels, res.nodes) == (18, 34)
+    out = deficiency(join(path(8), empty_graph(3)), 8)
+    assert (out.deficiency, out.nodes) == (8, 19_064_286)
+    assert out.witness.labeling.labels == (7, 2, 4, 1, 19, 16, 18, 13, 6, 10, 14)
+
+
+def test_deficiency_past_the_counting_bound_builds_no_plan(monkeypatch):
+    # C_5+8K_1 needs t >= 11 by counting, so a cap of 0 searches nothing
+    monkeypatch.setattr(solver, "_plan", lambda g: pytest.fail("deficiency built a plan"))
+    out = deficiency(join(cycle(5), empty_graph(8)), 0)
+    assert (out.deficiency, out.witness, out.nodes) == (None, None, 0)
 
 
 def test_deficiency_cap_validation():
@@ -112,17 +115,6 @@ def test_deficiency_cap_validation():
         deficiency(path(2), -1)
     with pytest.raises(ValueError):
         find_sem(path(2), -1)
-
-
-@pytest.mark.parametrize("search", [
-    lambda limit: find_sem(path(2), 0, max_labels=limit),
-    lambda limit: deficiency(path(2), 2, max_labels=limit),
-    # no filler count is searched: the counting bound exceeds the cap
-    lambda limit: deficiency(join(cycle(5), empty_graph(8)), 0, max_labels=limit),
-], ids=["find_sem", "deficiency", "deficiency-no-search"])
-def test_negative_max_labels_is_a_value_error(search):
-    with pytest.raises(ValueError, match="^max_labels must be >= 0, got -3$"):
-        search(-3)
 
 
 def _corpus():
@@ -269,8 +261,8 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
     # _find adds N and the pinned labels: label 1 for find_sem, labels 1 and
     # N for deficiency's
     k1 = Graph(1, [])
-    calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._find(g, 2, None, 2),
-                           lambda: solver._find(k1, 1, None, 2), lambda: solver._find(k1, 0, None, 2))
+    calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._find(g, 2, 2),
+                           lambda: solver._find(k1, 1, 2), lambda: solver._find(k1, 0, 2))
     assert calls == [(plan, 8, 1), (plan, 8, 2),
                      # labels 1 and N are one label when N = 1
                      (solver._plan(k1), 2, 2), (solver._plan(k1), 1, 1)]
@@ -381,7 +373,7 @@ def _assert_same_search(g, t, pins=None):
     def search():
         if pins is None:
             return find_sem(g, t)
-        return solver._find(g, t, None, pins)
+        return solver._find(g, t, pins)
 
     c = search()
     with _python_only():
@@ -401,9 +393,9 @@ def _manifest_searches(monkeypatch):
     calls = []
     find = solver._find
 
-    def recording(g, t, max_labels, pins, *plan):
+    def recording(g, t, pins, *plan):
         calls.append((g, t, pins))
-        return find(g, t, max_labels, pins, *plan)
+        return find(g, t, pins, *plan)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_find", recording)
@@ -528,7 +520,7 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     least = find_sem(g, 2).witness.labeling.labels
     assert least == least_sem_labeling(g, 2)
     assert least == (1, 7, 3, 6, 2, 4) and n_total not in least
-    pinned = solver._find(g, 2, None, 2).witness.labeling.labels
+    pinned = solver._find(g, 2, 2).witness.labeling.labels
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
@@ -652,7 +644,7 @@ if len(sys.argv) > 1:
 out = []
 for kind, data, t in json.load(sys.stdin):
     g = Graph.from_json_dict(data)
-    res = find_sem(g, t, max_labels=None) if kind == "find" else deficiency(g, t)
+    res = find_sem(g, t) if kind == "find" else deficiency(g, t)
     lab = res.witness and res.witness.labeling
     out.append([res.backend, res.nodes, lab and lab.total_labels, lab and list(lab.labels)])
 print(json.dumps(out))
@@ -737,7 +729,7 @@ def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
     lib = _sanitized_kernel(tmp_path, "undefined")
     g, cap = _solve_instance("C8+2K1")
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
-    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
+    want = [find_sem(h, t) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
     _assert_clean_child_searches(child_env, lib, searches, want)
 
 
@@ -756,7 +748,7 @@ def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
         pytest.skip("no ASan runtime (libasan.so) beside cc")
     env = {**child_env, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY]
-    want = [find_sem(h, t, max_labels=None) for h, t, _, _ in WORD_BOUNDARY]
+    want = [find_sem(h, t) for h, t, _, _ in WORD_BOUNDARY]
     _assert_clean_child_searches(env, lib, searches, want)
 
 
@@ -846,7 +838,7 @@ def test_deep_searches_run_without_the_kernel(monkeypatch, tmp_path, fresh_kerne
         if breakage is not None:
             breakage(monkeypatch, tmp_path)
         for search in (find_sem, deficiency):
-            res = search(star(1100), 0, max_labels=None)
+            res = search(star(1100), 0)
             assert (res.backend, res.nodes) == ("python", 1_101)
             assert list(res.witness.labeling.labels) == list(range(1, 1_102))
 
@@ -875,7 +867,7 @@ def test_python_search_memory_stays_small(child_env):
             "from semdef.graphs import star\n"
             "from semdef.solver import find_sem\n"
             "_kernel.load = lambda: None\n"
-            "res = find_sem(star(2000), 0, max_labels=None)\n"
+            "res = find_sem(star(2000), 0)\n"
             "status = Path('/proc/self/status').read_text()\n"
             "print(res.backend, res.nodes, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
