@@ -12,7 +12,6 @@ The parameters (reproduce._cases alone reads the case keys, n to cases):
   cases                 explicit (n, m) pairs instead
   details               a construct-grid report line; {verified} and {cases}
                         count the cases constructed and listed
-  grids                 the construct-grid claims bounds-consistency re-checks
   bases                 (kind, n) general-join bases, each joined with every m
 Keys of one runner only: cap, expect, t (searches), tag (erratum-demo) and
 formula (magic-constant).
@@ -66,91 +65,30 @@ CLAIMS: tuple[Claim, ...] = (
         n_range=(8, 19),
         details="{verified} cases verified (n % 4 == 2 skipped: open)",
     ),
-    _claim(
-        "wms-deficiency-n3",
-        "wheel-minus-spoke",
-        "Exhaustive search: the deficiency of H_3 is exactly 0.",
-        "solver",
-        family="wheel-minus-spoke",
-        n=3,
-        cap=2,
-        expect=0,
+    *(
+        _claim(
+            f"wms-deficiency-n{n}",
+            "wheel-minus-spoke",
+            f"Exhaustive search: the deficiency of H_{n} is exactly {d}.",
+            "solver",
+            family="wheel-minus-spoke",
+            n=n,
+            cap=2,
+            expect=d,
+        )
+        for n, d in ((3, 0), (4, 0), (5, 1), (6, 1), (7, 1))
     ),
-    _claim(
-        "wms-deficiency-n4",
-        "wheel-minus-spoke",
-        "Exhaustive search: the deficiency of H_4 is exactly 0.",
-        "solver",
-        family="wheel-minus-spoke",
-        n=4,
-        cap=2,
-        expect=0,
-    ),
-    _claim(
-        "wms-deficiency-n5",
-        "wheel-minus-spoke",
-        "Exhaustive search: the deficiency of H_5 is exactly 1.",
-        "solver",
-        family="wheel-minus-spoke",
-        n=5,
-        cap=2,
-        expect=1,
-    ),
-    _claim(
-        "wms-deficiency-n6",
-        "wheel-minus-spoke",
-        "Exhaustive search: the deficiency of H_6 is exactly 1.",
-        "solver",
-        family="wheel-minus-spoke",
-        n=6,
-        cap=2,
-        expect=1,
-    ),
-    _claim(
-        "wms-deficiency-n7",
-        "wheel-minus-spoke",
-        "Exhaustive search: the deficiency of H_7 is exactly 1.",
-        "solver",
-        family="wheel-minus-spoke",
-        n=7,
-        cap=2,
-        expect=1,
-    ),
-    _claim(
-        "wms-not-sem-n5",
-        "wheel-minus-spoke",
-        "H_5 has no SEM labeling without fillers (exhaustive).",
-        "solver",
-        family="wheel-minus-spoke",
-        n=5,
-        t=0,
-    ),
-    _claim(
-        "wms-not-sem-n6",
-        "wheel-minus-spoke",
-        "H_6 has no SEM labeling without fillers (exhaustive).",
-        "solver",
-        family="wheel-minus-spoke",
-        n=6,
-        t=0,
-    ),
-    _claim(
-        "wms-not-sem-n7",
-        "wheel-minus-spoke",
-        "H_7 has no SEM labeling without fillers (exhaustive).",
-        "solver",
-        family="wheel-minus-spoke",
-        n=7,
-        t=0,
-    ),
-    _claim(
-        "wms-not-sem-n8",
-        "wheel-minus-spoke",
-        "H_8 has no SEM labeling without fillers (exhaustive).",
-        "solver",
-        family="wheel-minus-spoke",
-        n=8,
-        t=0,
+    *(
+        _claim(
+            f"wms-not-sem-n{n}",
+            "wheel-minus-spoke",
+            f"H_{n} has no SEM labeling without fillers (exhaustive).",
+            "solver",
+            family="wheel-minus-spoke",
+            n=n,
+            t=0,
+        )
+        for n in (5, 6, 7, 8)
     ),
     # ----------------------------------------------------------------- path joins
     _claim(
@@ -196,29 +134,20 @@ CLAIMS: tuple[Claim, ...] = (
         m=3,
         t=0,
     ),
-    _claim(
-        "path-join-p4-m3-exact",
-        "path-join",
-        "Exhaustive search: the deficiency of the P_4 + 3K_1 join is exactly "
-        "2 = m-1.",
-        "solver",
-        family="path-join",
-        n=4,
-        m=3,
-        cap=4,
-        expect=2,
-    ),
-    _claim(
-        "path-join-p4-m4-exact",
-        "path-join",
-        "Exhaustive search: the deficiency of the P_4 + 4K_1 join is exactly "
-        "3 = m-1.",
-        "solver",
-        family="path-join",
-        n=4,
-        m=4,
-        cap=4,
-        expect=3,
+    *(
+        _claim(
+            f"path-join-p4-m{m}-exact",
+            "path-join",
+            f"Exhaustive search: the deficiency of the P_4 + {m}K_1 join is exactly "
+            f"{m - 1} = m-1.",
+            "solver",
+            family="path-join",
+            n=4,
+            m=m,
+            cap=4,
+            expect=m - 1,
+        )
+        for m in (3, 4)
     ),
     # ----------------------------------------------------------------- star joins
     _claim(
@@ -331,13 +260,6 @@ CLAIMS: tuple[Claim, ...] = (
         "Over the construction grids, every family upper bound equals the "
         "construction's filler count and never falls below the lower bound.",
         "bounds-consistency",
-        grids=(
-            "wms-small-constructions",
-            "wms-general-constructions",
-            "path-join-constructions",
-            "star-join-constructions",
-            "cycle-join-constructions",
-        ),
     ),
     # --------------------------------------------------------------------- errata
     _claim(

@@ -185,8 +185,7 @@ def _run_bound_identities(params, built):
 
 def _run_bounds_consistency(params, built):
     checked = 0
-    for claim_id in params["grids"]:
-        grid = next(c.params for c in CLAIMS if c.id == claim_id)
+    for grid in (c.params for c in CLAIMS if c.kind == "construct-grid"):
         for n, m, r in _constructions(grid, set(), built):
             d = FamilyDescriptor(grid["family"], n=n, m=m)
             b = family_bounds(d)

@@ -294,6 +294,20 @@ def test_n_on_a_family_without_n_is_a_usage_error(capsys, argv):
     assert err == "error: -n does not apply to --family generic-join, which takes only -m\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "path-join", "-n", "3"], "construct --family path-join requires -m"),
+    (["--family", "wheel-minus-spoke"], "construct --family wheel-minus-spoke requires -n"),
+    (["--family", "path", "-n", "3"], "no construction for family 'path'"),
+    # the only guard in front of construct_general_join(base, None)
+    (["--family", "generic-join", "--base", "b.json"], "construct --family generic-join requires -m"),
+])
+def test_construct_usage_errors(capsys, argv, message):
+    code, out, err = run_cli("construct", *argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--m-max"])
 def test_bounds_without_table_rejects_n_max_and_m_max(capsys, flag):
     code, out, err = run_cli("bounds", "--family", "path-join", "-n", "3", "-m", "2", flag, "4",

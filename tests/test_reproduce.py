@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -220,6 +221,10 @@ def test_whole_report_is_pinned():
     assert {e.claim.id: (e.status, e.errata) for e in rep.entries} == {
         cid: NOT_PLAIN_PASS.get(cid, ("pass", ())) for cid in claim_ids()
     }
+    # statements, groups and the layout too: the JSON report byte for byte
+    golden = Path(__file__).parent / "data" / "reproduce_report.json"
+    text = json.dumps(reproduce.report_json_dict(rep, generated_at=""), indent=2) + "\n"
+    assert text == golden.read_text()
 
 
 def _bench_constants() -> dict:
@@ -247,13 +252,10 @@ def test_bench_reads_the_manifest_it_is_given():
 
 
 def test_bounds_consistency_rechecks_the_construction_claims():
-    params = next(c.params for c in CLAIMS if c.id == "bounds-consistency")
-    named = [c for c in CLAIMS if c.id in params["grids"]]
-    assert [c.id for c in named] == list(params["grids"])
-    assert all(c.kind == "construct-grid" for c in named)
+    grids = [c.params for c in CLAIMS if c.kind == "construct-grid"]
     sizes = [
-        sum(filler_row(c.params["family"], n, m) is not None for n, m in reproduce._cases(c.params))
-        for c in named
+        sum(filler_row(g["family"], n, m) is not None for n, m in reproduce._cases(g))
+        for g in grids
     ]
     assert sizes == [5, 9, 50, 54, 30]
     (entry,) = reproduce.run(selection={"bounds-consistency"}).entries
@@ -285,7 +287,7 @@ def test_statements_name_their_cases():
     # a range edit that leaves stale prose fails here
     for claim in CLAIMS:
         numbers = {int(x) for x in re.findall(r"\d+", claim.statement)}
-        for key in ("n", "m", "n_range", "m_range", "n_list"):
+        for key in ("n", "m", "n_range", "m_range", "n_list", "expect"):
             value = claim.params.get(key)
             values = value if isinstance(value, (tuple, list)) else [value]
             for x in values:
