@@ -25,10 +25,11 @@
  * of the free labels above l shifted up by each free l, built only until
  * every forced unrealized sum of the word is reached.  The weighted-sum
  * interval is computed in O(1) per candidate from two tables of completion
- * sums, built once per position from its free labels, the low end's read up
- * from word 0 of free and the high end's down from word n >> 6, and indexed
- * by the candidate's rank among them, where the reference rescans; the high
- * end's table is built only once a candidate passes the low end's test.
+ * sums, built once per position, when its first candidate reaches the test,
+ * from its free labels listed once in ascending order: the low end's table
+ * from that list and the high end's from it reversed, as the reference
+ * pairs them.  Each is indexed by the candidate's rank among the free
+ * labels, where the reference rescans.
  * Every helper of rec is inlined into it, at every optimisation level.
  */
 #include <stdint.h>
@@ -61,7 +62,8 @@ typedef struct {
     uint64_t *free, *seen;     /* free labels, realized edge sums */
     long long *minc, *maxc;    /* completion-sum rows: p - i entries for
                                   position i, after those of 0 .. i - 1 */
-    int *free_lab;             /* scratch: free labels from one end */
+    int *free_lab;             /* scratch: the free labels, ascending, of
+                                  the position whose rows are being built */
     long long nodes;
 } Search;
 
@@ -206,25 +208,16 @@ INLINE int pins_supported(const Search *s, int idx, int lo, int hi)
     return 1;
 }
 
-/* out[k], k = 0..m: sum of rem[i] * l_i over the first m free labels l_i
-   taken from the low end or the high end, the words of free walked up from
-   word 0 or down from word n >> 6, skipping the one of rank k from that
-   end; for k = m none is skipped. */
-INLINE void completion_row(Search *s, const int *rem, int m, int high, long long *out)
+/* out[k], k = 0..m: sum of rem[i] * f[i * step] over i = 0..m, skipping
+   the term of i = k; for k = m none is skipped. */
+INLINE void completion_row(const int *rem, int m, const int *f, int step, long long *out)
 {
-    int *f = s->free_lab;
-    for (int k = high ? s->n >> 6 : 0, i = 0; i <= m; k += high ? -1 : 1)
-        for (uint64_t v = s->free[k]; v && i <= m; i++) {
-            const int r = high ? 63 - __builtin_clzll(v) : __builtin_ctzll(v);
-            v &= high ? ~((uint64_t)1 << r) : v - 1;
-            f[i] = 64 * k + r;
-        }
     long long sum = 0;
     for (int i = 0; i < m; i++)
-        sum += (long long)rem[i] * f[i];
+        sum += (long long)rem[i] * f[i * step];
     out[m] = sum;
     for (int k = m - 1; k >= 0; k--)
-        out[k] = out[k + 1] + (long long)rem[k] * (f[k + 1] - f[k]);
+        out[k] = out[k + 1] + (long long)rem[k] * (f[(k + 1) * step] - f[k * step]);
 }
 
 static int rec(Search *s, int idx, int lo, int hi, long long wsum)
@@ -267,7 +260,7 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     const long long row = (long long)idx * s->plan.p - (long long)idx * (idx - 1) / 2;
     long long *minc = s->minc + row, *maxc = s->maxc + row;
     const int before = count_below(s->free, start);
-    int low = 0, high = 0;  /* whether minc, maxc are built */
+    int built = 0;  /* whether minc and maxc are */
     for (int w = a0 >> 6; a0 <= a1 && w <= a1 >> 6; w++) {
         /* The new sums pair lab with distinct labels, so they are distinct
            from each other; only an already realized sum can collide. */
@@ -282,19 +275,19 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
             if (q > 0 && m > 0) {
                 /* completion interval for the degree-weighted label sum: the
                    remaining degrees rem[0 .. m) are already descending */
-                if (!low) {
-                    completion_row(s, rem, m, 0, minc);
-                    low = 1;
+                if (!built) {
+                    int *f = s->free_lab, i = 0;
+                    for (int k = 0; k <= s->n >> 6; k++)
+                        for (uint64_t v = s->free[k]; v; v &= v - 1)
+                            f[i++] = 64 * k + __builtin_ctzll(v);
+                    completion_row(rem, m, f, 1, minc);
+                    completion_row(rem, m, f + nfree - 1, -1, maxc);
+                    built = 1;
                 }
                 const int rank = count_below(s->free, lab), up = nfree - 1 - rank;
                 window(s, nlo, nhi, &s_lo, &s_hi);
-                if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base)
-                    continue;
-                if (!high) {
-                    completion_row(s, rem, m, 1, maxc);
-                    high = 1;
-                }
-                if (wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
+                if (wsum2 + minc[rank < m ? rank : m] > q * s_hi + s->target_base ||
+                    wsum2 + maxc[up < m ? up : m] < q * s_lo + s->target_base)
                     continue;
             }
             s->lab_at[idx] = lab;

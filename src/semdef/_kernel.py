@@ -7,16 +7,20 @@ interpreter gets its own build.  The library is written to a temporary file
 and moved into place, so concurrent processes never load half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
 unwritable directory, a dlopen error -- and the solver then runs its Python
-reference search.  Nothing here runs at import; ctypes is imported by load().
+reference search.  Nothing is built at import: the solver imports this
+module at its first search, and load() builds or loads the kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+
+from .solver import SearchLimitError, _Plan
 
 SOURCE = Path(__file__).with_name("_dfs.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -51,29 +55,19 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-@functools.cache
-def plan_type():
+class Plan(ctypes.Structure):
     """The ctypes mirror of _dfs.c's Plan struct: p, the number of
     positions, then solver._Plan's fields but order, named and ordered as
     there."""
-    import ctypes
 
-    i32p = ctypes.POINTER(ctypes.c_int)
-
-    class Plan(ctypes.Structure):
-        _fields_ = [("p", ctypes.c_int), ("deg", i32p), ("pstart", i32p), ("prior", i32p),
-                    ("orbit_prev", i32p), ("inner", i32p), ("ostart", i32p), ("open", i32p)]
-
-    return Plan
+    _fields_ = [("p", ctypes.c_int),
+                *((name, ctypes.POINTER(ctypes.c_int)) for name in _Plan._fields if name != "order")]
 
 
-def plan_struct(plan):
-    """plan as a plan_type() struct, which keeps its int arrays alive."""
-    import ctypes
-
-    struct = plan_type()
-    arrays = (getattr(plan, name) for name, _ in struct._fields_[1:])
-    return struct(len(plan.deg), *((ctypes.c_int * len(a))(*a) for a in arrays))
+def plan_struct(plan: _Plan) -> Plan:
+    """plan as a Plan struct, which keeps its int arrays alive."""
+    arrays = (getattr(plan, name) for name, _ in Plan._fields_[1:])
+    return Plan(len(plan.deg), *((ctypes.c_int * len(a))(*a) for a in arrays))
 
 
 @functools.cache
@@ -87,8 +81,6 @@ def load():
     filler count of one deficiency call.  It raises SearchLimitError when
     the kernel cannot allocate its tables.  None when the kernel cannot be
     built or loaded.  The outcome is kept for the life of the process."""
-    import ctypes
-
     try:
         path = library_path()
         if not path.is_file():
@@ -96,7 +88,7 @@ def load():
         fn = ctypes.CDLL(str(path)).semdef_dfs
     except OSError:
         return None
-    fn.argtypes = [ctypes.POINTER(plan_type()), ctypes.c_int, ctypes.c_int,
+    fn.argtypes = [ctypes.POINTER(Plan), ctypes.c_int, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
     last = (None, None)  # the last plan seen and its struct
@@ -111,8 +103,6 @@ def load():
         nodes = ctypes.c_longlong()
         found = fn(struct, n_total, pins, labels, ctypes.byref(nodes))
         if found < 0:
-            from .solver import SearchLimitError
-
             raise SearchLimitError("the search kernel could not allocate its completion "
                                    f"tables for {len(plan.deg)} vertices")
         return (list(labels) if found else None), nodes.value

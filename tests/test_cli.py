@@ -253,12 +253,29 @@ def test_bounds_single_and_table(capsys):
     assert code == 0
     assert "lower: 2" in out
     assert "unknown (open)" in out
+    code, out, _ = run_cli("bounds", "--family", "path-join", "-n", "4", "-m", "3",
+                           capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "  exact: 2"
     code, out, _ = run_cli("bounds", "--family", "path-join", "--table", "csv",
                            "--n-max", "4", "--m-max", "3", capsys=capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("family,n,m,")
     assert "path-join,4,3,2,2," in out
+
+
+@pytest.mark.parametrize("table, last", [
+    ("md", "| 10 | - | 0 | unknown | counting | - |"),
+    ("csv", "wheel-minus-spoke,10,,0,,counting,"),
+])
+def test_bounds_table_of_a_family_without_m(capsys, table, last):
+    # a family with no m gets one row per n, the m column left empty; at
+    # n = 10, 2 mod 4, no construction gives an upper bound
+    code, out, _ = run_cli("bounds", "--family", "wheel-minus-spoke", "--table", table,
+                           "--n-max", "10", capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("family", ["path", "generic-join"])
@@ -300,12 +317,24 @@ def test_n_on_a_family_without_n_is_a_usage_error(capsys, argv):
     (["--family", "path", "-n", "3"], "no construction for family 'path'"),
     # the only guard in front of construct_general_join(base, None)
     (["--family", "generic-join", "--base", "b.json"], "construct --family generic-join requires -m"),
+    (["--family", "generic-join", "-m", "2"],
+     "generic-join needs --base pointing at a SEM base certificate"),
 ])
 def test_construct_usage_errors(capsys, argv, message):
     code, out, err = run_cli("construct", *argv, capsys=capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_construct_generic_join_rejects_a_base_that_does_not_verify(capsys, tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({**BASE_CERT, "labels": [1, 2, 3]}))  # edge sums 3 and 5
+    code, out, err = run_cli("construct", "--family", "generic-join", "-m", "2",
+                             "--base", str(base), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: base certificate does not verify: sum-gap (2 distinct sums "
+                   "span 3..5, not 2 consecutive integers)\n")
 
 
 @pytest.mark.parametrize("flag", ["--n-max", "--m-max"])

@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,19 @@ def test_bench_reads_the_manifest_it_is_given():
     assert bench["MANIFEST_CLAIMS"] == len(CLAIMS)
     for claim in CLAIMS:
         assert claim.kind.split("-")[0] in bench["KIND_CLASSES"], claim.id
+
+
+def test_traced_bench_run_succeeds():
+    # the traced run is what measures the per-layer figures; it fails as a
+    # whole when a layer it times goes missing, e.g. the find_sem spans of
+    # reproduce whose median it reports
+    root = Path(__file__).parents[1]
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "solve", "--trace", "1",
+                           "--seed", "1"], cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)
+    assert result["metrics"]["solver.calls"]["value"] > 0
 
 
 def test_bounds_consistency_rechecks_the_construction_claims():

@@ -548,7 +548,7 @@ def test_kernel_plan_struct_mirrors_the_plan():
     import re
 
     fields = ["p", *(f for f in solver._Plan._fields if f != "order")]
-    struct = _kernel.plan_type()
+    struct = _kernel.Plan
     assert [name for name, _ in struct._fields_] == fields
     assert [kind for _, kind in struct._fields_] == (
         [ctypes.c_int] + [ctypes.POINTER(ctypes.c_int)] * (len(fields) - 1))
