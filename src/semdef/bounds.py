@@ -4,11 +4,11 @@ All lower bounds come from one counting fact: a SEM graph satisfies
 q <= 2p - 3, so G U tK_1 needs t >= ceil((q+3)/2) - p.  p and q come from
 the family's closed forms (graphs.family_size); no graph is built.  The
 family-specific lower-bound formulas for path/star/cycle joins are exactly
-this counting bound (bound_identity_mismatch checks the coincidence at one
-(n, m), check_bound_identities over a grid).  Upper bounds are the filler
-counts of the verified constructions, read from the one filler table
-through constructions.filler_row; residues without a construction report
-an explicitly unknown upper bound rather than failing.
+this counting bound (check_bound_identities checks the coincidence over a
+grid).  Upper bounds are the filler counts of the verified constructions,
+read from the one filler table through constructions.filler_row; residues
+without a construction report an explicitly unknown upper bound rather
+than failing.
 """
 
 from __future__ import annotations
@@ -78,28 +78,20 @@ def family_bounds(d: FamilyDescriptor) -> DeficiencyBounds:
     return DeficiencyBounds(lower, upper, SOURCE_COUNTING, source)
 
 
-def bound_identity_mismatch(n: int, m: int) -> str | None:
-    """The join family whose lower-bound formula differs from the counting
-    bound at (n, m), or None if all three agree.  The formulas:
+def check_bound_identities(n_max: int, m_max: int) -> tuple[str, int, int] | None:
+    """The first (family, n, m), n-major over 3 <= n <= n_max and
+    2 <= m <= m_max, where a join family's lower-bound formula differs from
+    the counting bound, or None if all agree.  The formulas:
       path join:   ceil((n-2)(m-1)/2)        == counting(n+m,   n(m+1)-1)
       star join:   ceil((n-1)(m-1)/2)        == counting(n+m+1, (n+1)(m+1)-1)
       cycle join:  floor((m+1)n/2)-(n+m)+2   == counting(n+m,   n(m+1))
     """
-    if counting_lower_bound(n + m, n * (m + 1) - 1) != -(-((n - 2) * (m - 1)) // 2):
-        return "path-join"
-    if counting_lower_bound(n + m + 1, (n + 1) * (m + 1) - 1) != -(-((n - 1) * (m - 1)) // 2):
-        return "star-join"
-    if counting_lower_bound(n + m, n * (m + 1)) != (m + 1) * n // 2 - (n + m) + 2:
-        return "cycle-join"
-    return None
-
-
-def check_bound_identities(n_max: int, m_max: int) -> tuple[str, int, int] | None:
-    """bound_identity_mismatch over all 3 <= n <= n_max, 2 <= m <= m_max: the
-    first mismatch as (family, n, m), or None if all agree."""
     for n in range(3, n_max + 1):
         for m in range(2, m_max + 1):
-            family = bound_identity_mismatch(n, m)
-            if family is not None:
-                return (family, n, m)
+            if counting_lower_bound(n + m, n * (m + 1) - 1) != -(-((n - 2) * (m - 1)) // 2):
+                return ("path-join", n, m)
+            if counting_lower_bound(n + m + 1, (n + 1) * (m + 1) - 1) != -(-((n - 1) * (m - 1)) // 2):
+                return ("star-join", n, m)
+            if counting_lower_bound(n + m, n * (m + 1)) != (m + 1) * n // 2 - (n + m) + 2:
+                return ("cycle-join", n, m)
     return None

@@ -4,15 +4,14 @@ Each claim is data (id, group, human statement, runner kind, parameters); the
 runners live in the reproduce module.  Keeping the table declarative makes
 coverage auditable by inspection, and the report preserves this order.
 
-The parameters (reproduce._cases alone reads the case keys, n to cases):
-  family                the graph family (graphs.FAMILY_KINDS) of the cases
-  n / n_range / n_list  one n, an inclusive (lo, hi), or a list
-  m / m_range           one m or an inclusive (lo, hi); the cases are every n
-                        with every m, n-major, None for an n or m not given
-  cases                 explicit (n, m) pairs instead
-  details               a construct-grid report line; {verified} and {cases}
-                        count the cases constructed and listed
-  bases                 (kind, n) general-join bases, each joined with every m
+The parameters (reproduce._cases alone reads the case keys n, m and cases):
+  family    the graph family (graphs.FAMILY_KINDS) of the cases
+  n, m      each one value, a tuple of values or span(lo, hi); the cases are
+            every n with every m, n-major, None for an n or m not given
+  cases     explicit (n, m) pairs instead
+  details   a construct-grid report line; {verified} and {cases} count the
+            cases constructed and listed
+  bases     (kind, n) general-join bases, each joined with every m
 Keys of one runner only: cap, expect, t (searches), tag (erratum-demo) and
 formula (magic-constant).
 
@@ -43,6 +42,11 @@ def _claim(id, group, statement, kind, **params):
     return Claim(id, group, statement, kind, MappingProxyType(params))
 
 
+def span(lo, hi):
+    """The values lo..hi of a case key, both ends included."""
+    return range(lo, hi + 1)
+
+
 CLAIMS: tuple[Claim, ...] = (
     # ----------------------------------------------------------- wheel minus spoke
     _claim(
@@ -52,7 +56,7 @@ CLAIMS: tuple[Claim, ...] = (
         "0 fillers for n=3,4 and 1 filler for n=5,6,7.",
         "construct-grid",
         family="wheel-minus-spoke",
-        n_range=(3, 7),
+        n=span(3, 7),
         details="{verified}/{cases} small cases verified",
     ),
     _claim(
@@ -62,7 +66,7 @@ CLAIMS: tuple[Claim, ...] = (
         "with (n-3)/2 fillers for odd n and n/2 fillers for n % 4 == 0.",
         "construct-grid",
         family="wheel-minus-spoke",
-        n_range=(8, 19),
+        n=span(8, 19),
         details="{verified} cases verified (n % 4 == 2 skipped: open)",
     ),
     *(
@@ -98,8 +102,8 @@ CLAIMS: tuple[Claim, ...] = (
         "0 (n<=2), m-1 (n=4), 2(m-1) (n=6), else (n-1)(m-1)-1.",
         "construct-grid",
         family="path-join",
-        n_range=(1, 10),
-        m_range=(2, 6),
+        n=span(1, 10),
+        m=span(2, 6),
         details="{verified} (n, m) cases verified",
     ),
     _claim(
@@ -109,8 +113,8 @@ CLAIMS: tuple[Claim, ...] = (
         "(m-1 and 2(m-1) fillers) for every m <= 8.",
         "construct-path-special",
         family="path-join",
-        n_list=(4, 6),
-        m_range=(2, 8),
+        n=(4, 6),
+        m=span(2, 8),
     ),
     _claim(
         "path-join-p2-sem",
@@ -120,7 +124,7 @@ CLAIMS: tuple[Claim, ...] = (
         "solver",
         family="path-join",
         n=2,
-        m_range=(2, 6),
+        m=span(2, 6),
         cap=0,
         expect=0,
     ),
@@ -130,7 +134,7 @@ CLAIMS: tuple[Claim, ...] = (
         "P_n joined with 3 independent vertices is not SEM for n = 3, 4, 5.",
         "solver",
         family="path-join",
-        n_range=(3, 5),
+        n=span(3, 5),
         m=3,
         t=0,
     ),
@@ -157,8 +161,8 @@ CLAIMS: tuple[Claim, ...] = (
         "fillers 0 (m=1), else n(m-1)-1.",
         "construct-grid",
         family="star-join",
-        n_range=(2, 10),
-        m_range=(1, 6),
+        n=span(2, 10),
+        m=span(1, 6),
         details="{verified} (n, m) cases verified",
     ),
     _claim(
@@ -168,7 +172,7 @@ CLAIMS: tuple[Claim, ...] = (
         "(exhaustive).",
         "solver",
         family="star-join",
-        n_range=(2, 6),
+        n=span(2, 6),
         m=1,
         cap=0,
         expect=0,
@@ -180,8 +184,8 @@ CLAIMS: tuple[Claim, ...] = (
         "2 <= n <= 4 and m = 2, 3.",
         "solver",
         family="star-join",
-        n_range=(2, 4),
-        m_range=(2, 3),
+        n=span(2, 4),
+        m=span(2, 3),
         t=0,
     ),
     _claim(
@@ -204,8 +208,8 @@ CLAIMS: tuple[Claim, ...] = (
         "mn-(n+m)+1 fillers.",
         "construct-grid",
         family="cycle-join",
-        n_range=(3, 13),
-        m_range=(2, 6),
+        n=span(3, 13),
+        m=span(2, 6),
         details="{verified} (n, m) cases verified",
     ),
     _claim(
@@ -215,8 +219,8 @@ CLAIMS: tuple[Claim, ...] = (
         "edges to be SEM (q > 2p-3), for 3 <= n <= 10, 2 <= m <= 6.",
         "counting-infeasible",
         family="cycle-join",
-        n_range=(3, 10),
-        m_range=(2, 6),
+        n=span(3, 10),
+        m=span(2, 6),
     ),
     _claim(
         "cycle-join-c3-m2-exact",
@@ -241,7 +245,7 @@ CLAIMS: tuple[Claim, ...] = (
         "construct-general-grid",
         bases=(("path", 2), ("path", 3), ("path", 4), ("path", 5), ("path", 6), ("star", 2),
                ("star", 3), ("star", 4), ("star", 5), ("cycle", 3), ("cycle", 5), ("cycle", 7)),
-        m_range=(1, 5),
+        m=span(1, 5),
     ),
     # --------------------------------------------------------------------- bounds
     _claim(
@@ -251,8 +255,8 @@ CLAIMS: tuple[Claim, ...] = (
         "lower-bound formulas for path, star, and cycle joins over all "
         "3 <= n <= 50, 2 <= m <= 50.",
         "bound-identities",
-        n_range=(3, 50),
-        m_range=(2, 50),
+        n=50,
+        m=50,
     ),
     _claim(
         "bounds-consistency",
@@ -303,7 +307,7 @@ CLAIMS: tuple[Claim, ...] = (
         "magic-constant",
         family="path-join",
         n=2,
-        m_range=(2, 8),
+        m=span(2, 8),
         formula="3m+6",
     ),
     _claim(
@@ -313,7 +317,7 @@ CLAIMS: tuple[Claim, ...] = (
         "2 <= n <= 8.",
         "magic-constant",
         family="star-join",
-        n_range=(2, 8),
+        n=span(2, 8),
         m=1,
         formula="3n+6",
     ),
@@ -325,7 +329,7 @@ CLAIMS: tuple[Claim, ...] = (
         "magic-constant",
         family="path-join",
         n=4,
-        m_range=(2, 8),
+        m=span(2, 8),
         formula="6m+9",
     ),
     _claim(
@@ -335,8 +339,8 @@ CLAIMS: tuple[Claim, ...] = (
         "2mn + floor((3n+2)/2) for n in {3,5,7,8,9,10}, 3 <= m <= 6.",
         "magic-constant",
         family="path-join",
-        n_list=(3, 5, 7, 8, 9, 10),
-        m_range=(3, 6),
+        n=(3, 5, 7, 8, 9, 10),
+        m=span(3, 6),
         formula="2mn+floor((3n+2)/2)",
     ),
     _claim(
@@ -347,8 +351,8 @@ CLAIMS: tuple[Claim, ...] = (
         "the labeling itself verifies.  Checked for 2 <= n <= 8, 2 <= m <= 6.",
         "magic-star-multi-mismatch",
         family="star-join",
-        n_range=(2, 8),
-        m_range=(2, 6),
+        n=span(2, 8),
+        m=span(2, 6),
     ),
     # -------------------------------------------------------------- open problems
     _claim(

@@ -13,7 +13,7 @@ import datetime as _dt
 from typing import NamedTuple
 
 from . import constructions as cons
-from .bounds import bound_identity_mismatch, counting_lower_bound, family_bounds
+from .bounds import check_bound_identities, counting_lower_bound, family_bounds
 from .graphs import SCHEMA, FamilyDescriptor, family_size, make_family
 from .labeling import Rejection, verify_sem
 from .manifest import CLAIMS, Claim, claim_ids, groups
@@ -64,20 +64,13 @@ _MAGIC_FORMULAS = {
 
 
 def _cases(params) -> list[tuple[int | None, int | None]]:
-    """The (n, m) cases of a claim: its explicit cases, or n from n_list,
-    n_range or n times m from m_range or m (None where neither is given)."""
+    """The (n, m) cases of a claim: its explicit cases, or every n value with
+    every m value, n-major (None where the key is absent)."""
     if "cases" in params:
         return list(params["cases"])
-    if "n_list" in params:
-        n_values = list(params["n_list"])
-    elif "n_range" in params:
-        n_values = list(range(params["n_range"][0], params["n_range"][1] + 1))
-    else:
-        n_values = [params.get("n")]
-    if "m_range" in params:
-        m_values = list(range(params["m_range"][0], params["m_range"][1] + 1))
-    else:
-        m_values = [params.get("m")]
+    n_values, m_values = (
+        v if isinstance(v, (tuple, range)) else [v] for v in (params.get("n"), params.get("m"))
+    )
     return [(n, m) for n in n_values for m in m_values]
 
 
@@ -176,10 +169,10 @@ def _run_counting_infeasible(params, built):
 
 
 def _run_bound_identities(params, built):
-    for n, m in _cases(params):
-        family = bound_identity_mismatch(n, m)
-        if family is not None:
-            raise AssertionError(f"first mismatch at {(family, n, m)}")
+    ((n, m),) = _cases(params)
+    mismatch = check_bound_identities(n, m)
+    if mismatch is not None:
+        raise AssertionError(f"first mismatch at {mismatch}")
     return f"all identities agree up to n={n}, m={m}", set()
 
 
@@ -297,7 +290,7 @@ def run(selection=None) -> ReproductionReport:
         except Exception as exc:  # record, never abort the run
             entries.append(ClaimOutcome(claim, STATUS_FAIL, f"{exc}", ()))
             continue
-        if claim.group == "open-problems":
+        if claim.kind == "open-problem":
             status = STATUS_OPEN
         elif errata:
             status = STATUS_ERRATA

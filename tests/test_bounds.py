@@ -49,6 +49,18 @@ def test_identities_full_grid():
     assert check_bound_identities(50, 50) is None
 
 
+@pytest.mark.parametrize("call, family", [(0, "path-join"), (1, "star-join"), (2, "cycle-join")])
+def test_identity_check_names_the_first_mismatch(monkeypatch, call, family):
+    # the counting bound off by one at one call of the first (n, m)
+    real, calls = counting_lower_bound, []
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q) + (len(calls) == call + 1)
+    monkeypatch.setattr(bounds, "counting_lower_bound", counting)
+    assert check_bound_identities(50, 50) == (family, 3, 2)
+
+
 def test_family_bounds_path_join_special_cases():
     b = family_bounds(FamilyDescriptor("path-join", n=4, m=5))
     assert (b.lower, b.upper) == (4, 4)

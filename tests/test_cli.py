@@ -319,8 +319,15 @@ def test_n_on_a_family_without_n_is_a_usage_error(capsys, argv):
     (["--family", "generic-join", "--base", "b.json"], "construct --family generic-join requires -m"),
     (["--family", "generic-join", "-m", "2"],
      "generic-join needs --base pointing at a SEM base certificate"),
+    (["--family", "generic-join", "-m", "0", "--base", "b.json"],
+     "generic join needs m >= 1, got 0"),
 ])
-def test_construct_usage_errors(capsys, argv, message):
+def test_construct_usage_errors(capsys, monkeypatch, tmp_path, argv, message):
+    # b.json is a valid base: the P_2 certificate labelled 1, 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps({
+        "schema": "semdef/1", "graph": {"schema": "semdef/1", "p": 2, "edges": [[0, 1]]},
+        "labels": [1, 2], "isolated": 0, "s": 3, "k": 6}))
     code, out, err = run_cli("construct", *argv, capsys=capsys)
     assert code == 2
     assert out == ""
@@ -344,6 +351,16 @@ def test_bounds_without_table_rejects_n_max_and_m_max(capsys, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} applies only to bounds --table\n"
+
+
+def test_gen_rejects_an_unknown_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "bogus", "-n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "semdef gen: error: argument --family: unknown family 'bogus'; choose from ('path', "
+        "'cycle', 'star', 'empty', 'wheel', 'wheel-minus-spoke', 'path-join', 'star-join', "
+        "'cycle-join', 'generic-join')\n")
 
 
 @pytest.mark.parametrize("argv, prefix", [

@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
+from semdef import bounds, constructions
 from semdef.constructions import ERRATA, filler_row
 from semdef.manifest import CLAIMS, claim_ids, groups
 from semdef import reproduce
@@ -29,7 +31,7 @@ def test_every_runner_has_a_claim():
 
 
 def test_only_cases_reads_the_case_keys():
-    case_keys = {"n", "n_range", "n_list", "m", "m_range", "cases"}
+    case_keys = {"n", "m", "cases"}
     tree = ast.parse(Path(reproduce.__file__).read_text())
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.name != "_cases":
@@ -102,6 +104,108 @@ def test_failures_recorded_not_raised(monkeypatch):
     assert entry.status == "fail"
     assert "synthetic failure" in entry.details
     assert rep.failed
+
+
+def _patch_claim(mp, claim_id, params=None, **fields):
+    """Make run() see claim_id with its params updated by params and its
+    other fields replaced by fields."""
+    def patched(c):
+        return c._replace(params=MappingProxyType({**c.params, **(params or {})}), **fields)
+    mp.setattr(reproduce, "CLAIMS", tuple(
+        patched(c) if c.id == claim_id else c for c in reproduce.CLAIMS))
+
+
+def _counting_off(module, delta):
+    real = bounds.counting_lower_bound
+    return lambda mp: mp.setattr(module, "counting_lower_bound", lambda p, q: real(p, q) + delta)
+
+
+def _family_bounds(change):
+    real = bounds.family_bounds
+    return lambda mp: mp.setattr(reproduce, "family_bounds", lambda d: change(real(d)))
+
+
+def _erratum_demo(change):
+    real = constructions.erratum_demo
+    return lambda mp: mp.setattr(constructions, "erratum_demo", lambda tag: change(real(tag)))
+
+
+def _star_certificates(change):
+    construct, *rest = constructions.CONSTRUCTIONS["star-join"]
+
+    def changed(n, m):
+        r = construct(n, m)
+        return r._replace(certificate=change(r.certificate))
+    return lambda mp: mp.setitem(constructions.CONSTRUCTIONS, "star-join", (changed, *rest))
+
+
+# One real claim per failure branch of a runner, with one input made false.
+FAILING_RUNNERS = [
+    ("path-join-special-constructions", _counting_off(reproduce, 1),
+     "n=4, m=2: filler count above the counting bound"),
+    ("general-join-constructions",
+     lambda mp: mp.setattr(reproduce, "find_sem", lambda g, t: SimpleNamespace(witness=None)),
+     "base path n=2 unexpectedly has no SEM labeling"),
+    ("path-join-p4-m3-exact", lambda mp: _patch_claim(mp, "path-join-p4-m3-exact",
+                                                      params={"expect": 3}),
+     "(n=4, m=3): deficiency 2 (cap 4), expected 3"),
+    ("wms-not-sem-n5", lambda mp: _patch_claim(mp, "wms-not-sem-n5", params={"t": 1}),
+     "(n=5, m=None): unexpected witness (1, 7, 3, 6, 2, 4)"),
+    ("cycle-join-counting-infeasible", _counting_off(reproduce, 1),
+     "(n=3, m=2): t=1 not excluded by counting"),
+    ("cycle-join-counting-infeasible", _counting_off(reproduce, -1),
+     "(n=3, m=2): lower bound 0 < 1"),
+    ("bound-identities", _counting_off(bounds, 1), "first mismatch at ('path-join', 3, 2)"),
+    ("bounds-consistency", _family_bounds(lambda b: b._replace(upper=b.upper + 1)),
+     "FamilyDescriptor(kind='wheel-minus-spoke', n=3, m=None): upper 1 != construction fillers 0"),
+    ("bounds-consistency", _family_bounds(lambda b: b._replace(lower=b.upper + 1)),
+     "FamilyDescriptor(kind='wheel-minus-spoke', n=3, m=None): lower 1 > upper 0"),
+    ("erratum-star-join-center-label",
+     _erratum_demo(lambda d: d._replace(rejected_labeling=d.corrected.certificate.labeling)),
+     "the uncorrected labeling unexpectedly verifies"),
+    ("erratum-star-join-center-label",
+     _erratum_demo(lambda d: d._replace(expected_reason="label-out-of-range")),
+     "rejected as duplicate-sum, documented label-out-of-range"),
+    ("magic-p2-join", lambda mp: mp.setitem(reproduce._MAGIC_FORMULAS, "3m+6",
+                                            lambda n, m: 3 * m + 7),
+     "(n=2, m=2): k=12, formula gives 13"),
+    ("magic-star-multi-mismatch",
+     _star_certificates(lambda c: c._replace(magic_constant=c.min_edge_sum + c.graph.q - 1)),
+     "(n=2, m=2): no discrepancy after all"),
+    ("magic-star-multi-mismatch",
+     _star_certificates(lambda c: c._replace(min_edge_sum=c.min_edge_sum + 1)),
+     "(n=2, m=2): stated constant 10 is not the top sum 11"),
+]
+
+
+def test_failing_runners_cover_every_runner_that_asserts():
+    kinds = {c.id: c.kind for c in CLAIMS}
+    assert {kinds[cid] for cid, _, _ in FAILING_RUNNERS} == (
+        set(reproduce._RUNNERS) - {"construct-grid", "open-problem"})
+
+
+@pytest.mark.parametrize("claim_id, patch, message", FAILING_RUNNERS)
+def test_each_runner_reports_fail(monkeypatch, claim_id, patch, message):
+    patch(monkeypatch)
+    (entry,) = reproduce.run(selection={claim_id}).entries
+    assert (entry.status, entry.details, entry.errata) == ("fail", message, ())
+
+
+def test_open_problem_reports_an_exhaustive_deficiency(monkeypatch):
+    _patch_claim(monkeypatch, "open-star-join-exact", params={"cases": ((5, 3),), "cap": 5})
+    (entry,) = reproduce.run(selection={"open-star-join-exact"}).entries
+    assert (entry.status, entry.details) == (
+        "open", "n=5, m=3: 4 <= deficiency <= 9; exhaustive search: deficiency = 5")
+
+
+def test_open_status_follows_the_kind_not_the_group(monkeypatch):
+    _patch_claim(monkeypatch, "open-star-join-exact", group="star-join")
+    _patch_claim(monkeypatch, "star-join-k12-m2-exact", group="open-problems")
+    rep = reproduce.run(selection={"open-star-join-exact", "star-join-k12-m2-exact"})
+    assert {e.claim.id: (e.claim.group, e.status) for e in rep.entries} == {
+        "star-join-k12-m2-exact": ("open-problems", "pass"),
+        "open-star-join-exact": ("star-join", "open"),
+    }
 
 
 # The details of every solver claim, byte for byte: a runner change must not move them.
@@ -302,9 +406,11 @@ def test_statements_name_their_cases():
     # a range edit that leaves stale prose fails here
     for claim in CLAIMS:
         numbers = {int(x) for x in re.findall(r"\d+", claim.statement)}
-        for key in ("n", "m", "n_range", "m_range", "n_list", "expect"):
+        for key in ("n", "m", "expect"):
             value = claim.params.get(key)
-            values = value if isinstance(value, (tuple, list)) else [value]
+            if isinstance(value, range):  # both ends of a span
+                value = (value[0], value[-1])
+            values = value if isinstance(value, tuple) else [value]
             for x in values:
                 assert x is None or x in numbers, (claim.id, key, x)
 
