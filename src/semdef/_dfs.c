@@ -1,15 +1,41 @@
-/* Compiled port of semdef.solver._run_search.
+/* Compiled port of semdef.solver._plan and semdef.solver._run_search.
  *
- * semdef_dfs takes what _run_search takes, as solver._find passes both: the
- * solver's _Plan, as the Plan struct below, then n, the label count, and
- * pins, the number of the labels 1 and n pinned.  Each backend derives the
- * rest: q is the plan's pstart[p], and position 0 takes labels
- * 1..ceil(n / 2), the complement cut.  semdef/_kernel.py converts each plan
- * to that struct once, so deficiency converts one for all its filler
- * counts, and calls semdef_dfs through ctypes.  The kernel follows the same
- * order, candidates, cuts and symmetry rules (the solver docstring gives
- * them), so it returns the same witness after the same number of label
- * placements.
+ * semdef_plan builds a graph's search plan, solver._Plan field for field,
+ * from its p vertices and the q edges edges[2e], edges[2e + 1] in
+ * Graph.edges order, into one int buffer (the layout is given at
+ * semdef_plan), and semdef_free releases it.  semdef_dfs takes what
+ * _run_search takes, as solver._find passes both: that buffer, then n, the
+ * label count, and pins, the number of the labels 1 and n pinned.  Each
+ * search derives the rest: q is the plan's pstart[p], and position 0 takes
+ * labels 1..ceil(n / 2), the complement cut.  semdef/_kernel.py calls these
+ * through ctypes: find_sem and deficiency hand semdef_plan the edges once
+ * per call and pass the same buffer to semdef_dfs for every filler count.
+ *
+ * The file is two translation units, linked into one library by
+ * _kernel.build: with SEMDEF_PLAN defined, the plan builder, compiled at
+ * -O1, and without it, the search, at -O2.  The plan is built once per
+ * call, and apart the two keep the compiler's peak memory on the first
+ * build near the search's alone (cc1 of gcc 12: 37 MB for the search, 38.5
+ * MB for the plan builder, 47 MB for both in one unit at -O2).
+ *
+ * The plan follows _plan: the order and degrees, the prior, inner and open
+ * lists, and the orbit links of _orbits.orbit_prev -- twins seeded without
+ * a search, then a stabilizer chain from the last position up (Puget, CP
+ * 2003), a union-find over positions holding the orbits of the
+ * automorphisms found so far, and one forward-checking automorphism search
+ * per candidate that degree and fixed neighbours cannot tell apart.  The
+ * adjacency, the orbits and the search domains are bitsets of p / 64 + 1
+ * words per position.  A search narrows the domains in place and keeps a
+ * trail of the words it changed, so its memory grows with the changes, not
+ * with depth times domains, and it touches, per later position not
+ * adjacent to the one assigned, only the words that hold the image's
+ * closed neighbourhood.  The links are those of _orbits.py, since both
+ * compute the exact orbit of each position under the automorphisms that
+ * fix the earlier ones, whichever automorphisms they find.
+ *
+ * The DFS follows the same order, candidates, cuts and symmetry rules as
+ * _run_search (the solver docstring gives them), so it returns the same
+ * witness after the same number of label placements.
  *
  * Only the state differs.  The free labels (bit a) and the realized edge
  * sums (bit x) are bitsets of W = (2n + 64) / 64 words, for every n.  On
@@ -37,8 +63,25 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* solver._Plan field for field, less order and with p, its length; the
-   fields are named and ordered as there, and _kernel.py mirrors them. */
+INLINE int has(const uint64_t *set, int i)
+{
+    return (int)(set[i >> 6] >> (i & 63) & 1);
+}
+
+/* The bits of word k that lie in a..b, for 0 <= a <= b. */
+INLINE uint64_t range(int k, int a, int b)
+{
+    const int lo = 64 * k, hi = lo + 63;
+    if (b < lo || a > hi)
+        return 0;
+    return (a > lo ? ~(uint64_t)0 << (a - lo) : ~(uint64_t)0) &
+           (b < hi ? ~(uint64_t)0 >> (hi - b) : ~(uint64_t)0);
+}
+
+#ifndef SEMDEF_PLAN  /* the search */
+
+/* solver._Plan field for field, less order and with p, its length: the
+   arrays of semdef_plan's buffer, named as there. */
 typedef struct {
     int p;                     /* vertices, one per order position */
     const int *deg;            /* degree per order position, descending */
@@ -52,7 +95,7 @@ typedef struct {
 } Plan;
 
 typedef struct {
-    Plan plan;                 /* as semdef_dfs is given it */
+    Plan plan;                 /* semdef_dfs's plan buffer, unpacked */
     int q, n;                  /* edges, plan.pstart[plan.p]; labels 1..n */
     int ntop;                  /* position 0 takes labels 1..ntop, ceil(n / 2) */
     int pins;                  /* a witness uses the first pins of 1, n */
@@ -66,11 +109,6 @@ typedef struct {
                                   the position whose rows are being built */
     long long nodes;
 } Search;
-
-INLINE int has(const uint64_t *set, int i)
-{
-    return (int)(set[i >> 6] >> (i & 63) & 1);
-}
 
 INLINE void flip(uint64_t *set, int i)
 {
@@ -97,16 +135,6 @@ INLINE uint64_t up(const uint64_t *set, int k, int d)
     if (j < 0)
         return 0;
     return set[j] << r | (j ? set[j - 1] >> 1 >> (63 - r) : 0);
-}
-
-/* The bits of word k that lie in a..b, for 0 <= a <= b. */
-INLINE uint64_t range(int k, int a, int b)
-{
-    const int lo = 64 * k, hi = lo + 63;
-    if (b < lo || a > hi)
-        return 0;
-    return (a > lo ? ~(uint64_t)0 << (a - lo) : ~(uint64_t)0) &
-           (b < hi ? ~(uint64_t)0 >> (hi - b) : ~(uint64_t)0);
 }
 
 /* The number of bits below x in set, for x >= 0. */
@@ -310,10 +338,13 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 
 /* Returns 1 and leaves the witness's label per order position in lab_at,
    0 when the search is exhausted, -1 when out of memory; *nodes receives
-   the placements tried. */
-int semdef_dfs(const Plan *plan, int n, int pins, int *lab_at, long long *nodes)
+   the placements tried.  plan is a buffer of semdef_plan. */
+int semdef_dfs(const int *plan, int n, int pins, int *lab_at, long long *nodes)
 {
-    const int p = plan->p, q = plan->pstart[p];
+    const int p = plan[0], *deg = plan + 1 + p, *pstart = deg + p, q = pstart[p];
+    const int *prior = pstart + p + 1, *orbit_prev = prior + q, *inner = orbit_prev + p,
+              *ostart = inner + p;
+    const Plan pl = {p, deg, pstart, prior, orbit_prev, inner, ostart, ostart + p + 1};
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     const int w = (2 * n + 64) / 64;               /* bits 0..2n */
     uint64_t *bits = calloc(2 * (size_t)w, sizeof *bits);
@@ -321,7 +352,7 @@ int semdef_dfs(const Plan *plan, int n, int pins, int *lab_at, long long *nodes)
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (bits && rows && free_lab) {
-        Search s = {*plan, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
+        Search s = {pl, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
                     lab_at, w, bits, bits + w, rows, rows + cells, free_lab, 0};
         for (int a = 1; a <= n; a++)
             flip(s.free, a);
@@ -333,3 +364,473 @@ int semdef_dfs(const Plan *plan, int n, int pins, int *lab_at, long long *nodes)
     free(bits);
     return found;
 }
+
+#else  /* SEMDEF_PLAN: the plan builder, solver._plan with the orbit links */
+
+INLINE uint64_t bit(int i)
+{
+    return (uint64_t)1 << (i & 63);
+}
+
+/* Bit i as it lies in word k: bit(i) if word k holds it, else 0. */
+INLINE uint64_t bit_in(int k, int i)
+{
+    return k == i >> 6 ? bit(i) : 0;
+}
+
+INLINE uint64_t mix(uint64_t h, uint64_t v)
+{
+    h = (h ^ v) * 0xff51afd7ed558ccdULL;
+    return h ^ h >> 32;
+}
+
+/* Hashed sets of rows: slots of (row id + 1, or 0 when empty) and hashes. */
+typedef struct {
+    int *id;
+    uint64_t *hash;
+    size_t mask;               /* slots - 1, a power of two less one */
+} Table;
+
+/* Rows by twin key: row id 2x is position x's open neighbourhood N(x),
+   2x + 1 its closed one N[x]; each is adj's row x, with bit x set for N[x]. */
+INLINE uint64_t twin_word(const uint64_t *adj, int w, int id, int k)
+{
+    const int x = id >> 1;
+    return adj[(size_t)x * w + k] | (id & 1 ? bit_in(k, x) : 0);
+}
+
+/* The slot of table holding the twin key equal to row id, hashed h, or the
+   empty slot where it goes. */
+static size_t twin_slot(const Table *t, const uint64_t *adj, int w, int id, uint64_t h)
+{
+    for (size_t i = h & t->mask;; i = (i + 1) & t->mask) {
+        const int other = t->id[i] - 1;
+        if (other < 0)
+            return i;
+        if (t->hash[i] != h)
+            continue;
+        int k = 0;
+        while (k < w && twin_word(adj, w, id, k) == twin_word(adj, w, other, k))
+            k++;
+        if (k == w)
+            return i;
+    }
+}
+
+/* The earlier twin of position i whose key is row id -- the latest earlier
+   position with an equal open or closed neighbourhood -- or -1; position i
+   then takes its place in table. */
+static int last_twin(Table *t, const uint64_t *adj, int w, int id)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (int k = 0; k < w; k++)
+        h = mix(h, twin_word(adj, w, id, k));
+    const size_t i = twin_slot(t, adj, w, id, h);
+    const int j = t->id[i] ? (t->id[i] - 1) >> 1 : -1;
+    t->id[i] = id + 1;
+    t->hash[i] = h;
+    return j;
+}
+
+/* The automorphism searches of one orbit_prev call and their scratch. */
+typedef struct {
+    int p, w;
+    const uint64_t *adj;       /* neighbour rows per position */
+    const int *wlo, *whi;      /* the words of each position's degree run,
+                                  which holds its cell and domain */
+    uint64_t *cell;            /* the rows of the cells, by number */
+    int *cell_of;              /* cell number per position >= k */
+    uint64_t *dom, *untried;   /* per position: the images still allowed,
+                                  and, once assigned, those not yet tried */
+    int *nz;                   /* nonzero words of dom, per position */
+    int *sigma;                /* image per assigned position */
+    int *yw;                   /* words of the image's closed neighbourhood */
+    size_t *mark;              /* trail length on entering each position */
+    size_t *trail_at, trail_n, trail_cap;
+    uint64_t *trail_old;       /* dom words changed, and their old values */
+} Aut;
+
+/* Clears the bits outside m from word i of dom, on the trail; 0 when the
+   trail cannot grow. */
+INLINE int narrow(Aut *a, size_t i, uint64_t m)
+{
+    const uint64_t old = a->dom[i], v = old & m;
+    if (v == old)
+        return 1;
+    if (a->trail_n == a->trail_cap) {
+        const size_t cap = 2 * a->trail_cap + 1024;
+        size_t *at = realloc(a->trail_at, cap * sizeof *at);
+        if (at)
+            a->trail_at = at;
+        uint64_t *was = realloc(a->trail_old, cap * sizeof *was);
+        if (was)
+            a->trail_old = was;
+        if (!at || !was)
+            return 0;
+        a->trail_cap = cap;
+    }
+    a->trail_at[a->trail_n] = i;
+    a->trail_old[a->trail_n++] = old;
+    a->dom[i] = v;
+    if (!v)
+        a->nz[i / a->w]--;
+    return 1;
+}
+
+/* 1, with sigma[x] for x = k..p-1, when an automorphism that fixes 0..k-1
+   maps k to u; 0 when none does; -1 when out of memory.  Each position x
+   maps into its cell; positions k, k+1, ... are assigned in turn, and each
+   assignment x -> y narrows the domain of every later position z to the
+   neighbours of y when z is adjacent to x and to the non-neighbours
+   otherwise, y excluded (forward checking); an empty domain backtracks. */
+static int automorphism(Aut *a, int k, int u)
+{
+    const int p = a->p, w = a->w;
+    for (int z = k + 1; z < p; z++) {
+        const uint64_t *c = a->cell + (size_t)a->cell_of[z] * w;
+        uint64_t *d = a->dom + (size_t)z * w;
+        a->nz[z] = 0;
+        for (int i = a->wlo[z]; i <= a->whi[z]; i++)
+            a->nz[z] += (d[i] = c[i]) != 0;
+    }
+    uint64_t *first = a->untried + (size_t)k * w;
+    for (int i = a->wlo[k]; i <= a->whi[k]; i++)
+        first[i] = bit_in(i, u);
+    a->trail_n = a->mark[k] = 0;
+    for (int x = k;;) {
+        while (a->trail_n > a->mark[x]) {
+            const size_t i = a->trail_at[--a->trail_n];
+            if (!a->dom[i])
+                a->nz[i / w]++;
+            a->dom[i] = a->trail_old[a->trail_n];
+        }
+        uint64_t *un = a->untried + (size_t)x * w;
+        int i = a->wlo[x];
+        while (i <= a->whi[x] && !un[i])
+            i++;
+        if (i > a->whi[x]) {
+            if (x == k)
+                return 0;
+            x--;
+            continue;
+        }
+        const int y = 64 * i + __builtin_ctzll(un[i]);
+        un[i] &= un[i] - 1;
+        a->sigma[x] = y;
+        if (x == p - 1)
+            return 1;
+        const uint64_t *ax = a->adj + (size_t)x * w, *ay = a->adj + (size_t)y * w;
+        int ny = 0;
+        for (int j = 0; j < w; j++)
+            if (ay[j] | bit_in(j, y))
+                a->yw[ny++] = j;
+        int ok = 1;
+        for (int z = x + 1; z < p && ok; z++) {
+            const size_t row = (size_t)z * w;
+            if (has(ax, z)) {
+                for (int j = a->wlo[z]; j <= a->whi[z]; j++)
+                    if (!narrow(a, row + j, ay[j] & ~bit_in(j, y)))
+                        return -1;
+            } else {
+                for (int t = 0; t < ny; t++) {
+                    const int j = a->yw[t];
+                    if (j >= a->wlo[z] && j <= a->whi[z] &&
+                        !narrow(a, row + j, ~(ay[j] | bit_in(j, y))))
+                        return -1;
+                }
+            }
+            ok = a->nz[z] > 0;
+        }
+        if (!ok)
+            continue;
+        x++;
+        un = a->untried + (size_t)x * w;
+        for (int j = a->wlo[x]; j <= a->whi[x]; j++)
+            un[j] = a->dom[(size_t)x * w + j];
+        a->mark[x] = a->trail_n;
+    }
+}
+
+/* Whether positions x and y have the same neighbours among 0..k-1. */
+INLINE int same_prefix(const uint64_t *ax, const uint64_t *ay, int k)
+{
+    for (int j = 0; j < k >> 6; j++)
+        if (ax[j] != ay[j])
+            return 0;
+    return !(k & 63) || !((ax[k >> 6] ^ ay[k >> 6]) & (bit(k) - 1));
+}
+
+/* Numbers in cell_of the cells of positions k..p-1 -- equal degree and
+   equal neighbours among 0..k-1 -- and fills their rows in cell. */
+static void cells(Aut *a, Table *t, const int *deg, int k)
+{
+    const int p = a->p, w = a->w;
+    int count = 0;
+    for (size_t i = 0; i <= t->mask; i++)
+        t->id[i] = 0;
+    for (int x = k; x < p; x++) {
+        const uint64_t *ax = a->adj + (size_t)x * w;
+        uint64_t h = mix(0x9e3779b97f4a7c15ULL, (uint64_t)deg[x]);
+        for (int j = 0; j < k >> 6; j++)
+            h = mix(h, ax[j]);
+        if (k & 63)
+            h = mix(h, ax[k >> 6] & (bit(k) - 1));
+        size_t i = h & t->mask;
+        for (;; i = (i + 1) & t->mask) {
+            const int rep = t->id[i] - 1;
+            if (rep < 0 || (t->hash[i] == h && deg[rep] == deg[x] &&
+                            same_prefix(ax, a->adj + (size_t)rep * w, k)))
+                break;
+        }
+        if (!t->id[i]) {
+            t->id[i] = x + 1;
+            t->hash[i] = h;
+            a->cell_of[x] = count++;
+            uint64_t *row = a->cell + (size_t)a->cell_of[x] * w;
+            for (int j = 0; j < w; j++)
+                row[j] = 0;
+        } else {
+            a->cell_of[x] = a->cell_of[t->id[i] - 1];
+        }
+        a->cell[(size_t)a->cell_of[x] * w + (x >> 6)] |= bit(x);
+    }
+}
+
+static int find(int *root, int i)
+{
+    while (root[i] != i)
+        i = root[i] = root[root[i]];
+    return i;
+}
+
+static void unite(int *root, uint64_t *members, int w, int i, int j)
+{
+    i = find(root, i);
+    j = find(root, j);
+    if (i != j) {
+        root[j] = i;
+        for (int k = 0; k < w; k++)
+            members[(size_t)i * w + k] |= members[(size_t)j * w + k];
+    }
+}
+
+/* _orbits.orbit_prev: for each position i, the greatest k < i such that an
+   automorphism fixing positions 0..k-1 maps k to i, or -1, into out; adj
+   holds the neighbour rows per position, w words each.  Returns 0, or -1
+   when out of memory.  A stabilizer chain from the last position up: the
+   automorphisms found so far fix 0..k-1 and generate a subgroup of G_k,
+   whose orbits the union-find (root, with the rows of members per root)
+   holds.  Each later position of k's degree run with k's neighbours among
+   0..k-1 and outside k's orbit gets one search for an automorphism of G_k
+   taking k to it, which merges orbits or rules out its whole orbit; then
+   k's orbit is exact.  The transposition of two twins (equal N(v) or equal
+   N[v]) lies in G_k for the earlier twin's position k and is seeded
+   without a search; no N(u) equals an N[v], so one table holds both. */
+static int orbits(const uint64_t *adj, const int *deg, int p, int w, int *out)
+{
+    const size_t rows = (size_t)p * w;
+    if (!p)
+        return 0;
+    size_t slots = 4;
+    while (slots < 4 * (size_t)p)
+        slots *= 2;
+    int *ints = malloc(5 * (size_t)p * sizeof *ints);
+    uint64_t *members = calloc(rows + 2 * (size_t)w, sizeof *members);
+    Table t = {calloc(slots, sizeof *t.id), malloc(slots * sizeof *t.hash), slots - 1};
+    Aut a = {.p = p, .w = w, .adj = adj};
+    int status = -1;
+    if (!ints || !members || !t.id || !t.hash)
+        goto done;
+    int *root = ints, *head = ints + p, *next = ints + 2 * p, *wlo = ints + 3 * p,
+        *whi = ints + 4 * p;
+    uint64_t *unset = members + rows, *todo = unset + w;
+    a.wlo = wlo;
+    a.whi = whi;
+    for (int i = 0; i < p; i++) {
+        root[i] = i;
+        head[i] = -1;
+        out[i] = -1;
+        members[(size_t)i * w + (i >> 6)] = bit(i);
+        unset[i >> 6] |= bit(i);
+        wlo[i] = i && deg[i - 1] == deg[i] ? wlo[i - 1] : i >> 6;
+        int j = last_twin(&t, adj, w, 2 * i);
+        const int closed = last_twin(&t, adj, w, 2 * i + 1);
+        if (j < 0)
+            j = closed;
+        if (j >= 0) {
+            next[i] = head[j];
+            head[j] = i;
+        }
+    }
+    for (int k = p - 1, end = p - 1; k >= 0; k--) {
+        if (k + 1 < p && deg[k + 1] != deg[k])
+            end = k;  /* k's degree run ends at end */
+        whi[k] = end >> 6;
+        for (int i = head[k]; i >= 0; i = next[i])
+            unite(root, members, w, k, i);
+        /* an automorphism fixing 0..k-1 keeps each position's degree and
+           its neighbours among them */
+        const uint64_t *ak = adj + (size_t)k * w, *orbit = members + (size_t)find(root, k) * w;
+        int any = 0;
+        for (int j = 0; j < w; j++) {
+            todo[j] = 0;
+            if (k < end)
+                for (uint64_t r = range(j, k + 1, end) & ~orbit[j]; r; r &= r - 1) {
+                    const int x = 64 * j + __builtin_ctzll(r);
+                    if (same_prefix(adj + (size_t)x * w, ak, k)) {
+                        todo[j] |= bit(x);
+                        any = 1;
+                    }
+                }
+        }
+        if (any && !a.cell) {
+            a.cell = malloc(3 * rows * sizeof *a.cell);
+            a.mark = malloc((size_t)p * sizeof *a.mark);
+            int *scratch = malloc(4 * (size_t)p * sizeof *scratch);
+            if (!a.cell || !a.mark || !scratch) {
+                free(scratch);
+                goto done;
+            }
+            a.dom = a.cell + rows;
+            a.untried = a.dom + rows;
+            a.cell_of = scratch;
+            a.nz = scratch + p;
+            a.sigma = scratch + 2 * p;
+            a.yw = scratch + 3 * p;
+        }
+        if (any)
+            cells(&a, &t, deg, k);
+        for (int j = 0; j < w; j++)
+            while (todo[j]) {
+                const int u = 64 * j + __builtin_ctzll(todo[j]);
+                const int found = automorphism(&a, k, u);
+                if (found < 0)
+                    goto done;
+                for (int x = k; found && x < p; x++)
+                    unite(root, members, w, x, a.sigma[x]);
+                const uint64_t *ou = members + (size_t)find(root, u) * w,
+                               *ok = members + (size_t)find(root, k) * w;
+                for (int i = j; i < w; i++)
+                    todo[i] &= ~(ou[i] | ok[i]);
+            }
+        orbit = members + (size_t)find(root, k) * w;
+        for (int j = k >> 6; j < w; j++) {
+            uint64_t f = orbit[j] & unset[j] & ~range(j, 0, k);
+            unset[j] &= ~f;
+            for (; f; f &= f - 1)
+                out[64 * j + __builtin_ctzll(f)] = k;
+        }
+    }
+    status = 0;
+done:
+    free(a.trail_old);
+    free(a.trail_at);
+    free(a.cell_of);
+    free(a.mark);
+    free(a.cell);
+    free(t.hash);
+    free(t.id);
+    free(members);
+    free(ints);
+    return status;
+}
+
+/* The plan of the graph with p vertices and the q edges edges[2e],
+   edges[2e + 1], in Graph.edges order, as one malloc'd buffer of
+   solver._Plan's fields in order after p:
+     p, order[p], deg[p], pstart[p + 1], prior[q], orbit_prev[p], inner[p],
+     ostart[p + 1], open[ostart[p]];
+   NULL when out of memory.  Free it with semdef_free. */
+int *semdef_plan(int p, int q, const int *edges)
+{
+    const int w = p / 64 + 1;
+    int *buf = NULL, *tmp = calloc(3 * ((size_t)p + 1), sizeof *tmp);
+    uint64_t *adj = calloc((size_t)p * w + 1, sizeof *adj);  /* + 1: not NULL at p = 0 */
+    if (!tmp || !adj)
+        goto done;
+    int *vdeg = tmp, *pos = tmp + p + 1, *last_nbr = tmp + 2 * (p + 1);
+    for (int e = 0; e < 2 * q; e++)
+        vdeg[edges[e]]++;
+    /* the order: descending degree, ties by index; pos[d] first counts the
+       vertices of degree d, then holds where the next one goes */
+    for (int v = 0; v < p; v++)
+        pos[vdeg[v]]++;
+    for (int d = p, at = 0; d >= 0; d--) {
+        const int c = pos[d];
+        pos[d] = at;
+        at += c;
+    }
+    for (int v = 0; v < p; v++)
+        last_nbr[v] = pos[vdeg[v]]++;  /* the position of v, for now */
+    for (int v = 0; v < p; v++)
+        pos[v] = last_nbr[v];
+    size_t opens = 0;
+    for (int i = 0; i < p; i++)
+        last_nbr[i] = -1;
+    for (int e = 0; e < q; e++) {
+        const int a = pos[edges[2 * e]], b = pos[edges[2 * e + 1]];
+        const int lo = a < b ? a : b, hi = a < b ? b : a;
+        if (hi > last_nbr[lo])
+            last_nbr[lo] = hi;
+    }
+    for (int i = 0; i < p; i++)  /* i is open at positions i+1 .. last_nbr[i] */
+        opens += last_nbr[i] > i ? last_nbr[i] - i : 0;
+    buf = calloc(6 * (size_t)p + 3 + q + opens, sizeof *buf);
+    if (!buf)
+        goto done;
+    int *order = buf + 1, *deg = order + p, *pstart = deg + p, *prior = pstart + p + 1,
+        *orbit_prev = prior + q, *inner = orbit_prev + p, *ostart = inner + p,
+        *open = ostart + p + 1;
+    buf[0] = p;
+    for (int v = 0; v < p; v++) {
+        order[pos[v]] = v;
+        deg[pos[v]] = vdeg[v];
+    }
+    /* prior lists in edge order, and the edges by their earlier end */
+    for (int e = 0; e < q; e++) {
+        const int a = pos[edges[2 * e]], b = pos[edges[2 * e + 1]];
+        pstart[(a > b ? a : b) + 1]++;
+        inner[a < b ? a : b]++;
+    }
+    for (int i = 0; i < p; i++)
+        pstart[i + 1] += pstart[i];
+    for (int i = p - 2; i >= 0; i--)
+        inner[i] += inner[i + 1];
+    for (int i = 0; i < p; i++)
+        vdeg[i] = pstart[i];  /* the next free slot of each prior list */
+    for (int e = 0; e < q; e++) {
+        const int a = pos[edges[2 * e]], b = pos[edges[2 * e + 1]];
+        const int lo = a < b ? a : b, hi = a < b ? b : a;
+        prior[vdeg[hi]++] = lo;
+        adj[(size_t)lo * w + (hi >> 6)] |= bit(hi);
+        adj[(size_t)hi * w + (lo >> 6)] |= bit(lo);
+    }
+    /* open at i: those of i - 1, and i - 1, with a neighbour >= i */
+    int *carried = pos, nc = 0;
+    for (int i = 0, o = 0; i < p; i++) {
+        int kept = 0;
+        for (int c = 0; c < nc; c++)
+            if (last_nbr[carried[c]] >= i)
+                carried[kept++] = carried[c];
+        nc = kept;
+        for (int c = 0; c < nc; c++)
+            open[o++] = carried[c];
+        ostart[i + 1] = o;
+        carried[nc++] = i;
+    }
+    if (orbits(adj, deg, p, w, orbit_prev) < 0) {
+        free(buf);
+        buf = NULL;
+    }
+done:
+    free(adj);
+    free(tmp);
+    return buf;
+}
+
+void semdef_free(int *plan)
+{
+    free(plan);
+}
+
+#endif

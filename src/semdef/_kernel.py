@@ -1,14 +1,17 @@
-"""Build, cache and load the compiled DFS kernel (_dfs.c).
+"""Build, cache and load the compiled kernel (_dfs.c): plan builder and DFS.
 
-The kernel is compiled on first use with `cc` and CFLAGS into this
-package's __pycache__ directory, under a name keyed by a hash of the C
-source and the interpreter's extension tag, so a changed source or another
-interpreter gets its own build.  The library is written to a temporary file
+The kernel is compiled on first use with `cc` (build: the plan builder with
+PLAN_CFLAGS, the search with CFLAGS) into this package's __pycache__
+directory, under a name keyed by a hash of the C source and the
+interpreter's extension tag, so a changed source or another interpreter
+gets its own build.  The library is written to a temporary file
 and moved into place, so concurrent processes never load half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
-unwritable directory, a dlopen error -- and the solver then runs its Python
-reference search.  Nothing is built at import: the solver imports this
-module at its first search, and load() builds or loads the kernel.
+unwritable directory, a dlopen error -- and the solver then builds its plans
+with solver._plan and runs its Python reference search.  When the kernel
+loads, it builds the plans too: _orbits is not imported.  Nothing is built
+at import: the solver imports this module at its first search, and load()
+builds or loads the kernel.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ import functools
 import os
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
+from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .solver import SearchLimitError, _Plan
 
 SOURCE = Path(__file__).with_name("_dfs.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-shared", "-fPIC")  # the search, and the library
+PLAN_CFLAGS = ("-O1", "-c", "-fPIC", "-DSEMDEF_PLAN")  # the plan builder, an object
 
 
 def library_path() -> Path:
@@ -33,78 +39,117 @@ def library_path() -> Path:
     return CACHE_DIR / f"_dfs-{key:08x}.so"
 
 
-def _compile(target: Path) -> None:
-    """Compile SOURCE to target, or raise OSError."""
+def build(source: Path, target: Path, *extra: str) -> None:
+    """Compile source, a _dfs.c, to the library target: its plan builder
+    (SEMDEF_PLAN defined) with PLAN_CFLAGS, then its search with CFLAGS,
+    linked with it; extra flags go to both, after those.  Raises OSError
+    when cc fails."""
     import subprocess
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = str(Path(tmp) / "plan.o")
+        for cmd in (["cc", *PLAN_CFLAGS, *extra, "-o", plan, str(source)],
+                    ["cc", *CFLAGS, *extra, "-o", str(target), str(source), plan]):
+            proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True)
+            if proc.returncode != 0:
+                raise OSError(f"cc exited {proc.returncode}: {proc.stderr[-300:]!r}")
+
+
+def _compile(target: Path) -> None:
+    """Build SOURCE to target, or raise OSError."""
     import tempfile
 
     target.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
     os.close(fd)
     try:
-        proc = subprocess.run(
-            ["cc", *CFLAGS, "-o", tmp, str(SOURCE)],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-        )
-        if proc.returncode != 0:
-            raise OSError(f"cc exited {proc.returncode}: {proc.stderr[-300:]!r}")
+        build(SOURCE, Path(tmp))
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-class Plan(ctypes.Structure):
-    """The ctypes mirror of _dfs.c's Plan struct: p, the number of
-    positions, then solver._Plan's fields but order, named and ordered as
-    there."""
+class CPlan:
+    """A plan semdef_plan built, in the kernel's own int buffer, which is
+    freed with this object.  order is solver._Plan's, read from the buffer
+    when asked for."""
 
-    _fields_ = [("p", ctypes.c_int),
-                *((name, ctypes.POINTER(ctypes.c_int)) for name in _Plan._fields if name != "order")]
+    __slots__ = ("buf", "p", "_free")
+
+    def __init__(self, buf, p: int, free):
+        self.buf, self.p, self._free = buf, p, free
+
+    def __del__(self):
+        self._free(self.buf)
+
+    @property
+    def order(self) -> list[int]:
+        return self.buf[1:1 + self.p]
+
+    def fields(self) -> _Plan:
+        """The plan as solver._Plan, field for field, read from the buffer in
+        semdef_plan's layout: for the tests and tools/kernel_ab.py."""
+        p, at, out = self.p, 1, []
+        for size in (p, p, p + 1, None, p, p, p + 1, None):
+            if size is None:  # prior's q = pstart[p], then open's ostart[p]
+                size = out[-1][-1]
+            out.append(self.buf[at:at + size])
+            at += size
+        return _Plan(*out)
 
 
-def plan_struct(plan: _Plan) -> Plan:
-    """plan as a Plan struct, which keeps its int arrays alive."""
-    arrays = (getattr(plan, name) for name, _ in Plan._fields_[1:])
-    return Plan(len(plan.deg), *((ctypes.c_int * len(a))(*a) for a in arrays))
+class Kernel(NamedTuple):
+    """The compiled backend: plan(g) -> CPlan, and dfs(plan, n_total, pins)
+    with the arguments and the result of solver._run_search."""
+
+    plan: Callable
+    dfs: Callable
+
+
+def bind(lib: ctypes.CDLL) -> Kernel:
+    """The Kernel of a loaded build of _dfs.c."""
+    c_int, int_p = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
+    lib.semdef_plan.argtypes = [c_int, c_int, int_p]
+    lib.semdef_plan.restype = int_p
+    lib.semdef_free.argtypes = [int_p]
+    lib.semdef_free.restype = None
+    lib.semdef_dfs.argtypes = [int_p, c_int, c_int, int_p, ctypes.POINTER(ctypes.c_longlong)]
+    lib.semdef_dfs.restype = c_int
+    make, free, search = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs
+
+    def plan(g) -> CPlan:
+        p, q = g.vertex_count, len(g.edges)
+        buf = make(p, q, (c_int * (2 * q))(*chain.from_iterable(g.edges)))
+        if not buf:
+            raise SearchLimitError(f"the search kernel could not allocate the plan of {p} vertices")
+        return CPlan(buf, p, free)
+
+    def dfs(plan: CPlan, n_total: int, pins: int):
+        labels = (c_int * plan.p)()
+        nodes = ctypes.c_longlong()
+        found = search(plan.buf, n_total, pins, labels, ctypes.byref(nodes))
+        if found < 0:
+            raise SearchLimitError("the search kernel could not allocate its completion "
+                                   f"tables for {plan.p} vertices")
+        return (list(labels) if found else None), nodes.value
+
+    return Kernel(plan, dfs)
 
 
 @functools.cache
-def load():
-    """The kernel as a function dfs(plan, n_total, pins) -> (labels per
-    order position or None, nodes), with the arguments and the result of
-    solver._run_search; like it, the kernel derives q and the complement
-    cut from those.  dfs hands semdef_dfs the plan as a plan_struct,
-    converted once per plan: it keeps the struct of the last plan it saw and
-    reuses it while the same plan object comes back, as it does for every
-    filler count of one deficiency call.  It raises SearchLimitError when
-    the kernel cannot allocate its tables.  None when the kernel cannot be
-    built or loaded.  The outcome is kept for the life of the process."""
+def load() -> Kernel | None:
+    """The kernel, built and loaded, or None when it cannot be built or
+    loaded.  Its plan builds a graph's plan once per find_sem or deficiency
+    call, and its dfs searches it at each filler count; both raise
+    SearchLimitError when the kernel cannot allocate their tables.  The
+    outcome is kept for the life of the process."""
     try:
         path = library_path()
         if not path.is_file():
             _compile(path)
-        fn = ctypes.CDLL(str(path)).semdef_dfs
+        return bind(ctypes.CDLL(str(path)))
     except OSError:
         return None
-    fn.argtypes = [ctypes.POINTER(Plan), ctypes.c_int, ctypes.c_int,
-                   ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
-    fn.restype = ctypes.c_int
-    last = (None, None)  # the last plan seen and its struct
-
-    def dfs(plan, n_total: int, pins: int):
-        nonlocal last
-        seen, struct = last
-        if seen is not plan:
-            struct = plan_struct(plan)
-            last = plan, struct
-        labels = (ctypes.c_int * len(plan.deg))()
-        nodes = ctypes.c_longlong()
-        found = fn(struct, n_total, pins, labels, ctypes.byref(nodes))
-        if found < 0:
-            raise SearchLimitError("the search kernel could not allocate its completion "
-                                   f"tables for {len(plan.deg)} vertices")
-        return (list(labels) if found else None), nodes.value
-
-    return dfs

@@ -4,8 +4,10 @@ orbit_prev(adj) takes the graph as neighbour bitmasks over the positions of
 the search order and returns, for each position i, the greatest k < i such
 that an automorphism fixing positions 0..k-1 maps k to i (-1 if none): the
 position whose label position i must exceed (see the solver docstring).
-The solver imports this module when it first builds a search plan, so
-`import semdef` does not load it.
+The solver's _plan imports this module when it first builds a search plan
+without the compiled kernel, so neither `import semdef` nor a process whose
+plans the kernel builds (_dfs.c's semdef_plan, a port of this module) loads
+it.
 """
 
 from __future__ import annotations

@@ -38,11 +38,12 @@ W before position k and take W(sigma(v_k)) at k, so W(v_k) < W(u) for every
 u in O_k other than v_k (the stabilizer form of a lex-leader predicate:
 Crawford, Ginsberg, Luks and Roy, KR 1996; Puget, CP 2003).  The search
 keeps one of these constraints per position: position i takes a label above
-that of orbit_prev[i], the greatest k < i with v_i in O_k (see _orbits.py).
-The others follow: if v_i is in O_k and O_k' with k < k', sigma fixing
-v_0..v_{k'-1} and tau fixing v_0..v_{k-1} map v_k' and v_k to v_i, then
-tau^-1 sigma fixes v_0..v_{k-1} and maps v_k' to v_k, so v_k' is in O_k and
-W(v_k) < W(v_k') < W(v_i) already holds, by induction on the position.
+that of orbit_prev[i], the greatest k < i with v_i in O_k (see _orbits.py;
+_dfs.c computes the same links).  The others follow: if v_i is in O_k and
+O_k' with k < k', sigma fixing v_0..v_{k'-1} and tau fixing v_0..v_{k-1}
+map v_k' and v_k to v_i, then tau^-1 sigma fixes v_0..v_{k-1} and maps v_k'
+to v_k, so v_k' is in O_k and W(v_k) < W(v_k') < W(v_i) already holds, by
+induction on the position.
 Twins -- vertices with the same open neighbourhood N(v), like the added
 vertices of a join, or the same closed one N[v], like the triangle of
 C_3+mK_1 -- are the case of sigma a transposition, so every twin class is
@@ -81,25 +82,29 @@ is tests/oracles.py, an independent search in the same order that drops a
 partial labeling only on a repeated sum or a span above q-1, so it returns
 the least witness by construction; find_sem and deficiency must return it.
 
-Backends: _run_search is the pure-Python reference and _dfs.c a compiled
-port of it, built and loaded by _kernel.py at the first search that places
-a label (never at import).  _find alone calls them.  It settles the
-searches that place no label (p = 0, and a search past the counting bound)
-and runs the rest in `_kernel.load() or _run_search`, with the same three
-arguments (plan, N, pins): g's _Plan, built once per find_sem or deficiency
-call; N = p + t, the label count; and pins, the number of the labels 1 and N
-pinned, at most N.  Each backend derives the rest itself: q, the plan's
+Backends: _plan and _run_search are the pure-Python reference, and _dfs.c
+a compiled port of both, built and loaded by _kernel.py at the first search
+that places a label (never at import).  The backend decides who builds the
+plan: when _kernel.load() succeeds, _dfs.c's semdef_plan builds it, orbit
+links included, into one int buffer in the kernel's own layout, and
+_orbits.py is never imported; otherwise _plan builds a _Plan.  _find alone
+runs the searches.  It settles those that place no label (p = 0, and a
+search past the counting bound) and runs the rest in the backend's search
+with the same three arguments (plan, N, pins): g's plan, built once per
+find_sem or deficiency call and shared by deficiency's filler counts; N =
+p + t, the label count; and pins, the number of the labels 1 and N pinned,
+at most N.  Each backend derives the rest itself: q, the plan's
 pstart[-1], and ceil(N/2), the first position's last label under the
-complement cut.  The kernel takes the plan as one C struct, converted once
-per plan, so deficiency's searches share one conversion.  So both follow
-the same order, candidates and pruning, and return the same witness after
-the same number of nodes; _dfs.c's header says how the kernel gets there
-faster.  _run_search keeps one generator per entered position on a stack
-of its own, so no graph is too deep for it, and one placement rule, place,
-serves both its candidate loop and its pin check.  Without a compiler, on a
-compile or load error, or with a cache directory that cannot be written,
-every search runs in _run_search.  SearchResult.backend names the backend
-used; there is no setting to choose it.
+complement cut.  Both builders make the same plan, field for field, and
+both searches follow the same order, candidates and pruning, and return
+the same witness after the same number of nodes; _dfs.c's header says how
+the kernel gets there faster.  _run_search keeps one generator per entered
+position on a stack of its own, so no graph is too deep for it, and one
+placement rule, place, serves both its candidate loop and its pin check.
+Without a compiler, on a compile or load error, or with a cache directory
+that cannot be written, every plan comes from _plan and every search runs
+in _run_search.  SearchResult.backend names the backend used; there is no
+setting to choose it.
 
 Every search runs in one process, over the labels it is asked for: the
 library sets no limit on their count.  The kernel raises SearchLimitError
@@ -185,7 +190,9 @@ class _Plan(NamedTuple):
 
 
 def _plan(g: Graph) -> _Plan:
-    """The search plan of g; find_sem and deficiency build it once per call."""
+    """The search plan of g, which find_sem and deficiency build once per
+    call when the kernel does not load; _dfs.c's semdef_plan builds the same
+    plan otherwise."""
     from . import _orbits  # on first use, so `import semdef` compiles no orbit code
 
     p = g.vertex_count
@@ -370,12 +377,21 @@ def find_sem(g: Graph, t: int) -> SearchResult:
     return _find(g, t, 1)
 
 
-def _find(g: Graph, t: int, pins: int, plan: _Plan | None = None) -> SearchResult:
+def _backend():
+    """(plan builder, search) of the backend that runs: the compiled
+    kernel's when it loads, else _plan and _run_search."""
+    from . import _kernel  # on first use, so `import semdef` loads no kernel code
+
+    return _kernel.load() or (_plan, _run_search)
+
+
+def _find(g: Graph, t: int, pins: int, plan=None) -> SearchResult:
     """find_sem with the first `pins` of the labels 1 and p + t pinned, on
-    plan, g's _plan, which is built here when not given.  The only caller of
-    the backends: it settles the searches that place no label (p = 0, and a
-    search past the counting bound) and runs the rest in the compiled kernel
-    when it loads, else in _run_search, with the same arguments."""
+    plan, g's plan from the backend's builder, which is built here when not
+    given.  The only caller of the searches: it settles those that place no
+    label (p = 0, and a search past the counting bound) and runs the rest in
+    the compiled kernel when it loads, else in _run_search, with the same
+    arguments."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     n_total = g.vertex_count + t
@@ -383,15 +399,13 @@ def _find(g: Graph, t: int, pins: int, plan: _Plan | None = None) -> SearchResul
         return SearchResult(verify_sem(g, Labeling((), n_total)), n_total, 0, 0.0, "python")
     if counting_lower_bound(n_total, g.q) > 0:
         return SearchResult(None, n_total, 0, 0.0, "python")
-    from . import _kernel  # on first use, so `import semdef` loads no kernel code
-
-    kernel = _kernel.load()
+    build, search = _backend()
     if plan is None:
-        plan = _plan(g)
+        plan = build(g)
     start = time.perf_counter()
-    at, nodes = (kernel or _run_search)(plan, n_total, min(pins, n_total))
+    at, nodes = search(plan, n_total, min(pins, n_total))
     seconds = time.perf_counter() - start
-    backend = "python" if kernel is None else "c"
+    backend = "python" if search is _run_search else "c"
     if at is None:
         return SearchResult(None, n_total, nodes, seconds, backend)
     labels = [0] * g.vertex_count
@@ -413,10 +427,10 @@ def deficiency(g: Graph, cap: int) -> SearchOutcome:
     exact value.  Each search pins labels 1 and p + t, which only holds where
     t - 1 is known to fail (see the module docstring): the witness is
     find_sem's, after fewer nodes.  The search plan, the orbit links
-    included, is built once for all filler counts, and the kernel converts
-    it once; when the counting bound exceeds cap, no filler count is
-    searched and no plan is built.  A negative cap raises ValueError, and a
-    kernel that cannot allocate its tables SearchLimitError.
+    included, is built once for all filler counts, by the kernel when it
+    loads; when the counting bound exceeds cap, no filler count is searched
+    and no plan is built.  A negative cap raises ValueError, and a kernel
+    that cannot allocate its tables SearchLimitError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -424,7 +438,7 @@ def deficiency(g: Graph, cap: int) -> SearchOutcome:
     seconds = 0.0
     backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
-    plan = _plan(g) if t0 <= cap else None
+    plan = _backend()[0](g) if t0 <= cap else None
     for t in range(t0, cap + 1):
         res = _find(g, t, 2, plan)
         nodes += res.nodes

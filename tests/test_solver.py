@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import least_sem_labeling, orbit_predecessors, random_graph
@@ -104,10 +104,19 @@ def test_search_limit(c_backend):
 
 
 def test_deficiency_past_the_counting_bound_builds_no_plan(monkeypatch):
-    # C_5+8K_1 needs t >= 11 by counting, so a cap of 0 searches nothing
-    monkeypatch.setattr(solver, "_plan", lambda g: pytest.fail("deficiency built a plan"))
-    out = deficiency(join(cycle(5), empty_graph(8)), 0)
+    # C_5+8K_1 needs t >= 11 by counting, so a cap of 0 searches nothing, and
+    # neither plan builder runs, nor does either search
+    def fail(*args):
+        pytest.fail("a plan was built or searched past the counting bound")
+
+    monkeypatch.setattr(solver, "_plan", fail)
+    monkeypatch.setattr(solver, "_run_search", fail)
+    monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(fail, fail))
+    g = join(cycle(5), empty_graph(8))
+    out = deficiency(g, 0)
     assert (out.deficiency, out.witness, out.nodes) == (None, None, 0)
+    res = find_sem(g, 10)
+    assert (res.witness, res.nodes, res.backend) == (None, 0, "python")
 
 
 def test_deficiency_cap_validation():
@@ -203,6 +212,8 @@ def test_search_order_orbit_links(g, order, orbit_prev):
     assert (got.order, got.orbit_prev) == (order, orbit_prev)
     if g.vertex_count <= 7:
         assert orbit_prev == orbit_predecessors(g, order)
+    if _kernel.load() is not None:
+        assert _c_plan(g) == got
 
 
 @st.composite
@@ -222,8 +233,94 @@ def _orbit_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(g=_orbit_case())
 def test_orbit_links_match_brute_force(g):
+    # both plan builders: _orbits.py, and the kernel's when it loads
     plan = solver._plan(g)
-    assert plan.orbit_prev == orbit_predecessors(g, plan.order), g
+    want = orbit_predecessors(g, plan.order)
+    assert plan.orbit_prev == want, g
+    if _kernel.load() is not None:
+        c = _c_plan(g)
+        assert (c.order, c.orbit_prev) == (plan.order, want), g
+
+
+def _c_plan(g):
+    """g's plan from the kernel's builder, read back as a solver._Plan."""
+    return _kernel.load().plan(g).fields()
+
+
+# Graphs of 65 to 200 vertices, whose adjacency rows span 2 to 4 words of
+# the kernel's plan builder.
+LARGE_PLANS = [path(65), cycle(129), wheel_minus_spoke(64), wheel_minus_spoke(130), star(200),
+               join(path(70), empty_graph(2)), join(cycle(65), empty_graph(2))]
+LARGE_PLAN_IDS = ["path-65", "cycle-129", "h64", "h130", "star-200", "path-70-join-2",
+                  "cycle-65-join-2"]
+
+
+@pytest.mark.parametrize("g", LARGE_PLANS, ids=LARGE_PLAN_IDS)
+def test_kernel_plan_equals_the_python_plan_past_one_word(c_backend, g):
+    assert _c_plan(g) == solver._plan(g)
+
+
+def test_kernel_plans_equal_the_python_plans_on_the_bench_graphs(c_backend):
+    graphs = _bench_inputs().solve_graphs()
+    assert len(graphs) == 12
+    for name, g in graphs.items():
+        assert _c_plan(g) == solver._plan(g), name
+
+
+def test_kernel_plans_equal_the_python_plans_on_the_manifest_graphs(monkeypatch, c_backend):
+    graphs = {g for g, _, _ in _manifest_searches(monkeypatch)}
+    assert len(graphs) > 10
+    for g in graphs:
+        assert _c_plan(g) == solver._plan(g), g
+
+
+@pytest.mark.parametrize("g", [path(1000), cycle(300)], ids=["path-1000", "cycle-300"])
+def test_kernel_plans_of_long_paths_and_cycles_are_fast(c_backend, g):
+    # about 0.04 s and 0.002 s on a 2-vCPU machine, where _plan takes 0.6 s
+    # and 0.03 s; a degree-and-prefix filter that lets every candidate
+    # through to a search takes cycle(300) to about 9 s
+    start = time.perf_counter()
+    _kernel.load().plan(g)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
+def test_kernel_plan_equals_the_python_plan_on_random_graphs(c_backend, p, seed):
+    g = random_graph(random.Random(seed), p)
+    assert _c_plan(g) == solver._plan(g), g
+
+
+@st.composite
+def _twin_blow_up(draw):
+    """A random graph on 3 to 7 classes, each blown up into 1 to 3 twins
+    (an independent set or a clique), with its vertices shuffled: many twin
+    classes, some of them swapped by automorphisms of the class graph."""
+    h = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(h) for v in range(u + 1, h)]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=h, max_size=h))
+    cliques = draw(st.lists(st.booleans(), min_size=h, max_size=h))
+    members = [range(sum(sizes[:c]), sum(sizes[:c + 1])) for c in range(h)]
+    edges = {(a, b) for u, v in links for a in members[u] for b in members[v]}
+    edges |= {(a, b) for c in range(h) if cliques[c] for a in members[c] for b in members[c] if a < b}
+    perm = draw(st.permutations(range(sum(sizes))))
+    return Graph(len(perm), [(perm[a], perm[b]) for a, b in edges])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(g=Graph(9, [(0, 2), (0, 3), (0, 5), (0, 8), (1, 2), (1, 3), (1, 5), (1, 7), (1, 8),
+                     (2, 4), (2, 6), (2, 7), (3, 4), (3, 6), (4, 5), (4, 7), (4, 8), (5, 6),
+                     (6, 7), (6, 8)]))
+@given(g=_twin_blow_up())
+def test_kernel_plan_equals_the_python_plan_on_twin_blow_ups(c_backend, g):
+    # an automorphism search that let two positions take one image would
+    # pass the other graphs here, whose non-injective maps that keep every
+    # adjacency only merge twins already merged; on these (the example
+    # among them) it links positions no automorphism links
+    assert _c_plan(g) == solver._plan(g), g
 
 
 def _backend_calls(monkeypatch, *searches):
@@ -500,15 +597,31 @@ def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
     (lambda g: find_sem(g, 6), [12]),
 ], ids=["deficiency", "find_sem"])
 def test_each_call_builds_the_plan_once(monkeypatch, search, ns):
-    # every search's plan is _plan's, from one orbit computation per call
+    # without the kernel, every search's plan is one _plan, from one orbit
+    # computation per call
     g = join(cycle(4), empty_graph(2))
     orbits, orbit_prev = [], _orbits.orbit_prev
     monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
     calls = _backend_calls(monkeypatch, lambda: search(g))
     assert len(orbits) == 1
     assert [n for _, n, _ in calls] == ns
+    assert all(plan is calls[0][0] for plan, *_ in calls)
     monkeypatch.undo()
-    assert all(plan == solver._plan(g) for plan, *_ in calls)
+    assert calls[0][0] == solver._plan(g)
+    # with it, one C plan per call, equal to _plan's, and no Python plan
+    kernel = _kernel.load()
+    if kernel is None:
+        return
+    built, searched = [], []
+    monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(
+        lambda g: built.append(kernel.plan(g)) or built[-1],
+        lambda plan, *args: searched.append((plan, *args)) or kernel.dfs(plan, *args)))
+    monkeypatch.setattr(solver, "_plan", lambda g: pytest.fail("_plan ran with the kernel"))
+    assert search(g).backend == "c"
+    assert len(built) == 1 and all(plan is built[0] for plan, *_ in searched)
+    assert [n for _, n, _ in searched] == ns
+    monkeypatch.undo()
+    assert built[0].fields() == solver._plan(g)
 
 
 def test_label_n_is_pinned_only_where_t_minus_1_fails():
@@ -524,65 +637,59 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
-@pytest.mark.parametrize("flags", [_kernel.CFLAGS, (*_kernel.CFLAGS, "-O0")],
-                         ids=["CFLAGS", "O0"])
+@pytest.mark.parametrize("flags", [(), ("-O0",)], ids=["CFLAGS", "O0"])
 def test_kernel_compiles_without_warnings(tmp_path, flags):
-    # the build load() makes, with the warnings that need the optimiser too;
-    # at -O0 a helper marked always_inline that cannot be inlined is an error
+    # the build load() makes, both translation units, with the warnings
+    # that need the optimiser too; at -O0 a helper marked always_inline that
+    # cannot be inlined is an error
     import shutil
-    import subprocess
 
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    proc = subprocess.run(["cc", *flags, "-std=c99", "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "_dfs.so"), str(_kernel.SOURCE)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _kernel.build(_kernel.SOURCE, tmp_path / "_dfs.so", "-std=c99", "-Wall", "-Wextra", "-Werror",
+                  *flags)
 
 
-def test_kernel_plan_struct_mirrors_the_plan():
-    # semdef_dfs reads the plan as _dfs.c's Plan struct: p, then _Plan's
-    # fields but order, named and ordered as there; a field added on one
-    # side only fails here instead of handing the kernel a wrong array
-    import ctypes
+def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
+    # semdef_plan writes _Plan's fields in order after p, as its comment
+    # lists them, and CPlan.fields reads them back in that order; a field
+    # added on one side only fails here
     import re
 
-    fields = ["p", *(f for f in solver._Plan._fields if f != "order")]
-    struct = _kernel.Plan
-    assert [name for name, _ in struct._fields_] == fields
-    assert [kind for _, kind in struct._fields_] == (
-        [ctypes.c_int] + [ctypes.POINTER(ctypes.c_int)] * (len(fields) - 1))
-    body = re.search(r"typedef struct \{(.*?)\} Plan;", _kernel.SOURCE.read_text(), re.S)[1]
-    decls = re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]
-    c_fields = [(decl.split()[0], name.strip(" *"))
-                for decl in decls for name in re.sub(r"^\s*(const\s+)?int\s", "", decl).split(",")]
-    assert c_fields == [("int", "p")] + [("const", f) for f in fields[1:]]
-    # and the struct holds the plan's arrays
-    plan = solver._plan(join(cycle(4), empty_graph(2)))
-    converted = _kernel.plan_struct(plan)
-    assert converted.p == len(plan.deg) == 6
-    for name in fields[1:]:
-        values = getattr(plan, name)
-        assert getattr(converted, name)[:len(values)] == values, name
-
-
-def test_deficiency_converts_its_plan_once(monkeypatch, c_backend):
-    # the kernel keeps the struct of the last plan it saw, so the five
-    # searches of deficiency (t = 2..6) share one conversion, and the next
-    # call, with a plan of its own, converts again
+    layout = re.search(r"_Plan's fields in order after p:(.*?);", _kernel.SOURCE.read_text(),
+                       re.S)[1]
+    assert re.findall(r"(?:^|,)\s*(\w+)", layout) == ["p", *solver._Plan._fields]
     g = join(cycle(4), empty_graph(2))
-    converted, searched = [], []
-    dfs, plan_struct = _kernel.load(), _kernel.plan_struct
-    monkeypatch.setattr(_kernel, "load", lambda: lambda plan, *args: (
-        searched.append(plan) or dfs(plan, *args)))
-    monkeypatch.setattr(_kernel, "plan_struct", lambda plan: (
-        converted.append(plan) or plan_struct(plan)))
-    out = deficiency(g, 6)
-    assert (out.deficiency, out.nodes, out.backend) == (None, 1_849, "c")
-    assert len(searched) == 5 and all(plan is searched[0] for plan in searched)
-    assert converted == [searched[0]] and converted[0] is searched[0]
-    assert deficiency(g, 6).nodes == 1_849
-    assert len(converted) == 2 and converted[1] is not converted[0]
+    plan = _kernel.load().plan(g)
+    assert (plan.p, plan.order, plan.buf[0]) == (6, [0, 1, 2, 3, 4, 5], 6)
+    assert plan.fields() == solver._Plan(
+        [0, 1, 2, 3, 4, 5], [4] * 6, [0, 0, 1, 2, 4, 8, 12], [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3],
+        [-1, 0, 0, 1, 1, 4], [12, 8, 5, 2, 0, 0], [0, 0, 1, 3, 6, 10, 14],
+        [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]) == solver._plan(g)
+
+
+def test_deficiency_converts_its_plan_once(c_backend, child_env):
+    # in a fresh interpreter, deficiency(C_4+2K_1, 6) hands the kernel the
+    # graph once and searches that one plan at t = 2..6; the plan, orbit
+    # links included, comes from C, so _orbits is never imported
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from semdef import _kernel\n"
+            "from semdef.graphs import cycle, empty_graph, join\n"
+            "from semdef.solver import deficiency\n"
+            "kernel = _kernel.load()\n"
+            "built, searched = [], []\n"
+            "_kernel.load = lambda: _kernel.Kernel(\n"
+            "    lambda g: built.append(kernel.plan(g)) or built[-1],\n"
+            "    lambda plan, *args: searched.append(plan) or kernel.dfs(plan, *args))\n"
+            "out = deficiency(join(cycle(4), empty_graph(2)), 6)\n"
+            "print(out.deficiency, out.nodes, out.backend, len(built), len(searched),\n"
+            "      all(plan is built[0] for plan in searched), 'semdef._orbits' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env, check=True, timeout=120).stdout
+    assert out.split() == ["None", "1849", "c", "1", "5", "True", "False"]
 
 
 def test_window_support_cut_refutes_h14(c_backend):
@@ -629,7 +736,8 @@ def test_backends_agree_past_word_boundaries(c_backend, g, t, nodes, found):
 # Run in a child interpreter: reads [[kind, graph JSON, t], ...] on stdin,
 # runs find_sem(g, t) with no label limit (kind "find") or deficiency(g, t),
 # and prints [backend, nodes, witness total labels, witness labels] per
-# search as JSON, the last two null without a witness.  Given a path, it
+# search as JSON, the last two null without a witness; kind "plan" builds
+# g's plan alone with the kernel and prints its fields.  Given a path, it
 # loads the kernel from that file and exits 77 if it cannot.
 _CHILD_SEARCHES = """
 import json, sys
@@ -644,6 +752,9 @@ if len(sys.argv) > 1:
 out = []
 for kind, data, t in json.load(sys.stdin):
     g = Graph.from_json_dict(data)
+    if kind == "plan":
+        out.append(list(_kernel.load().plan(g).fields()))
+        continue
     res = find_sem(g, t) if kind == "find" else deficiency(g, t)
     lab = res.witness and res.witness.labeling
     out.append([res.backend, res.nodes, lab and lab.total_labels, lab and list(lab.labels)])
@@ -680,8 +791,8 @@ def test_kernel_tables_hold_hundreds_of_labels(c_backend, child_env, g):
     assert isinstance(verify_sem(g, Labeling(labels, total_labels)), SemCertificate)
 
 
-def _solve_instance(name):
-    """(graph, cap) of the solve instance name in bench/inputs.py."""
+def _bench_inputs():
+    """bench/inputs.py, loaded as a module."""
     import importlib.util
     from pathlib import Path
 
@@ -689,7 +800,12 @@ def _solve_instance(name):
         "bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    [(_, family, n, m, cap)] = [i for i in inputs.SOLVE_INSTANCES if i[0] == name]
+    return inputs
+
+
+def _solve_instance(name):
+    """(graph, cap) of the solve instance name in bench/inputs.py."""
+    [(_, family, n, m, cap)] = [i for i in _bench_inputs().SOLVE_INSTANCES if i[0] == name]
     return make_family(FamilyDescriptor(family, n=n, m=m)), cap
 
 
@@ -697,30 +813,41 @@ def _sanitized_kernel(tmp_path, sanitizer):
     """The kernel built with -fsanitize=sanitizer, aborting on the first
     error; the test is skipped when cc cannot build it."""
     import shutil
-    import subprocess
 
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
     lib = tmp_path / f"_dfs_{sanitizer}.so"
-    build = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-fno-sanitize-recover=all",
-                            "-shared", "-fPIC", "-o", str(lib), str(_kernel.SOURCE)],
-                           capture_output=True, text=True)
-    if build.returncode != 0:
-        pytest.skip(f"cc cannot build with -fsanitize={sanitizer}: {build.stderr[-300:]}")
+    try:
+        _kernel.build(_kernel.SOURCE, lib, f"-fsanitize={sanitizer}", "-fno-sanitize-recover=all")
+    except OSError as exc:
+        pytest.skip(f"cc cannot build with -fsanitize={sanitizer}: {exc}")
     return lib
 
 
-def _assert_clean_child_searches(env, lib, searches, want):
+def _assert_clean_child_searches(env, lib, searches):
     """Run searches in a child on the kernel build lib, and check that it
-    exits cleanly with the backend, nodes and witnesses of want."""
+    exits cleanly with the results of this process: the C backend's nodes
+    and witnesses, and for a plan, _plan's fields."""
     import json
 
     proc = _searches_in_child(env, searches, timeout=300, library=lib)
     if proc.returncode == 77:
         pytest.skip("the sanitized build does not load (no sanitizer runtime)")
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert [(b, nodes, labels) for b, nodes, _, labels in json.loads(proc.stdout)] == [
-        ("c", r.nodes, r.witness and list(r.witness.labeling.labels)) for r in want]
+    want = []
+    for kind, g, t in searches:
+        if kind == "plan":
+            want.append(list(map(list, solver._plan(g))))
+        else:
+            r = find_sem(g, t) if kind == "find" else deficiency(g, t)
+            want.append(["c", r.nodes, r.witness and list(r.witness.labeling.labels)])
+    assert [row if kind == "plan" else [row[0], row[1], row[3]]
+            for (kind, _, _), row in zip(searches, json.loads(proc.stdout))] == want
+
+
+# Plans alone for the sanitized builds: WORD_BOUNDARY's graphs have at most
+# 7 vertices, so their adjacency never reaches a second word.
+_LARGE_PLAN_BUILDS = [("plan", g, None) for g in LARGE_PLANS]
 
 
 def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
@@ -729,15 +856,15 @@ def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
     lib = _sanitized_kernel(tmp_path, "undefined")
     g, cap = _solve_instance("C8+2K1")
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
-    want = [find_sem(h, t) for h, t, _, _ in WORD_BOUNDARY] + [deficiency(g, cap)]
-    _assert_clean_child_searches(child_env, lib, searches, want)
+    _assert_clean_child_searches(child_env, lib, searches + _LARGE_PLAN_BUILDS)
 
 
 def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
-    # a read or write past a bitset, a completion row or the Search struct,
-    # as a slip in the downward walk of the free labels or in the struct
-    # layout would make, aborts the sanitized build; the interpreter is not
-    # built with ASan, so its runtime is preloaded
+    # a read or write past a bitset, a completion row, the Search struct or
+    # a plan buffer, as a slip in the downward walk of the free labels, in a
+    # buffer offset or in an adjacency word index would make, aborts the
+    # sanitized build; the interpreter is not built with ASan, so its
+    # runtime is preloaded
     import subprocess
     from pathlib import Path
 
@@ -748,14 +875,14 @@ def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
         pytest.skip("no ASan runtime (libasan.so) beside cc")
     env = {**child_env, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY]
-    want = [find_sem(h, t) for h, t, _, _ in WORD_BOUNDARY]
-    _assert_clean_child_searches(env, lib, searches, want)
+    _assert_clean_child_searches(env, lib, searches + _LARGE_PLAN_BUILDS)
 
 
 def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
-    # K_{1,6000} needs 6001 * 6002 completion sums, 288 MB, which a 300 MB
-    # address space cannot hold: solve reports a limit and exits 4, where a
-    # traceback would exit 1, the code of a rejected certificate
+    # K_{1,6000} needs 6001 * 6002 completion sums, 288 MB (275 MiB), which a
+    # 256 MiB address space cannot hold, whatever else the process maps:
+    # solve reports a limit and exits 4, where a traceback would exit 1, the
+    # code of a rejected certificate
     import json
     import subprocess
     import sys
@@ -763,7 +890,7 @@ def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
     graph_path = tmp_path / "star.json"
     graph_path.write_text(json.dumps(star(6000).to_json_dict()))
     child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
              "from semdef.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
     proc = subprocess.run([sys.executable, "-c", child, "solve", "--graph", str(graph_path),

@@ -1,22 +1,32 @@
-"""Compare two builds of the DFS kernel search for search, in alternating pairs.
+"""Compare two builds of the compiled kernel search for search, in alternating pairs.
 
-Both C sources are compiled with _kernel.CFLAGS into a temporary directory
-and loaded side by side, each taking the plan as a _kernel.Plan struct.
-They then run in alternation, the one going first swapped every round, over
-two sets of searches:
+Both C sources are compiled into a temporary directory, as _kernel.build
+compiles one with a plan builder and with _kernel.CFLAGS one without, and
+loaded side by side.  Each side builds its plans with its own plan
+builder: semdef_plan when its source has one, read back field for field
+with _kernel.CPlan.fields, else solver._plan, handed to its semdef_dfs as
+the Plan struct that sources from before semdef_plan take.  The two sides
+then run in alternation, the one going first swapped every round, over
+three sets:
 
-  solve   the bench's solve searches: every instance of
-          bench/inputs.SOLVE_INSTANCES at each filler count from its
-          counting bound to its cap, labels 1 and N pinned, timed as one
-          pass per round;
+  plans   the plans of the bench's solve graphs (bench/inputs.SOLVE_INSTANCES),
+          all built once per round;
+  solve   the bench's solve searches: every solve instance at each filler
+          count from its counting bound to its cap, labels 1 and N pinned,
+          timed as one pass per round;
   long    three long searches, H_14 at t=1, H_18 at t=0 and P_12+2K_1 at
           t=5, labels 1 and N pinned, each timed on its own.
 
-Per row it prints the nodes, each build's median milliseconds with the
-quartiles, and the rounds in which NEW was faster.  Every search must give
-the same found flag, labels and node count in both builds and in every
-round; the tool exits 1 if any differs.  Times are kernel calls alone: each
-plan is built and converted to a struct once, before timing.
+Per row it prints the nodes (for the plans, their number), each build's median milliseconds with the
+quartiles, and the rounds in which NEW was faster.  Every plan and every
+search must be the same in both builds and in every round: the same plan
+fields, or the same found flag, labels and node count.  A row that differs
+says DIFFERS and shows NEW's found flag and nodes next to OLD's (for a set,
+the searches with a witness and the nodes summed), and the tool exits 1.
+A row stops its rounds once a run of one side takes more than 20 times the
+other side's first run, so a build that changes a long search by design
+costs a few of its runs, not all of them.  The search times are kernel
+calls alone: each side builds its plans once, before timing.
 
 Run:  python tools/kernel_ab.py OLD.c NEW.c
 e.g.  git show HEAD:src/semdef/_dfs.c > /tmp/old.c
@@ -43,8 +53,9 @@ from semdef.bounds import counting_lower_bound  # noqa: E402
 from semdef.graphs import FamilyDescriptor, make_family  # noqa: E402
 
 PINS = 2
-SOLVE_ROUNDS = 400  # rounds of the solve set, each one pass per build
+SOLVE_ROUNDS = 400  # rounds of the plans and the solve set, each one pass per build
 LONG_ROUNDS = 10  # rounds of each long search
+STOP_RATIO = 20  # a row stops once one side's run takes this many times the other's first
 LONG = (
     ("H_14 t=1", FamilyDescriptor("wheel-minus-spoke", n=14), 1),
     ("H_18 t=0", FamilyDescriptor("wheel-minus-spoke", n=18), 0),
@@ -52,64 +63,136 @@ LONG = (
 )
 
 
-def build(source: Path, out: Path):
-    """semdef_dfs of source compiled to out, with the argtypes _kernel.load sets."""
-    subprocess.run(["cc", *_kernel.CFLAGS, "-o", str(out), str(source)], check=True)
-    fn = ctypes.CDLL(str(out)).semdef_dfs
-    fn.argtypes = [ctypes.POINTER(_kernel.Plan), ctypes.c_int, ctypes.c_int,
+class OldPlan(ctypes.Structure):
+    """The Plan struct semdef_dfs took before semdef_plan: p, then
+    solver._Plan's fields but order."""
+
+    _fields_ = [("p", ctypes.c_int),
+                *((name, ctypes.POINTER(ctypes.c_int))
+                  for name in solver._Plan._fields if name != "order")]
+
+
+def old_kernel(lib) -> _kernel.Kernel:
+    """The Kernel of a build without semdef_plan: solver._plan, converted
+    to an OldPlan, and its semdef_dfs."""
+    fn = lib.semdef_dfs
+    fn.argtypes = [ctypes.POINTER(OldPlan), ctypes.c_int, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_longlong)]
     fn.restype = ctypes.c_int
-    return fn
+
+    def plan(g):
+        fields = solver._plan(g)
+        arrays = (getattr(fields, name) for name, _ in OldPlan._fields_[1:])
+        return fields, OldPlan(len(fields.deg), *((ctypes.c_int * len(a))(*a) for a in arrays))
+
+    def dfs(planned, n_total: int, pins: int):
+        fields, struct = planned
+        labels = (ctypes.c_int * len(fields.deg))()
+        nodes = ctypes.c_longlong()
+        found = fn(struct, n_total, pins, labels, ctypes.byref(nodes))
+        return (list(labels) if found > 0 else None), nodes.value
+
+    return _kernel.Kernel(plan, dfs)
 
 
-def search(fn, case) -> tuple:
-    """(found, labels, nodes) of one kernel call on case = (struct, p, n_total)."""
-    struct, p, n_total = case
-    labels = (ctypes.c_int * p)()
-    nodes = ctypes.c_longlong()
-    found = fn(struct, n_total, PINS, labels, ctypes.byref(nodes))
-    return found, list(labels) if found > 0 else None, nodes.value
+class Side:
+    """One build: its plan builder, its search, and the plan's fields."""
+
+    def __init__(self, source: Path, out: Path):
+        new = "semdef_plan" in source.read_text()
+        if new:
+            _kernel.build(source, out)
+        else:
+            subprocess.run(["cc", *_kernel.CFLAGS, "-o", str(out), str(source)], check=True)
+        lib = ctypes.CDLL(str(out))
+        self.plan, self.dfs = _kernel.bind(lib) if new else old_kernel(lib)
+        self.fields = (lambda planned: planned.fields()) if new else (lambda planned: planned[0])
+
+    def cases(self, searches) -> list:
+        """(plan, n_total) per (graph, t) of searches, one plan per graph."""
+        plans: dict = {}
+        return [(plans.setdefault(g, self.plan(g)), g.vertex_count + t) for g, t in searches]
 
 
-def case(g, t) -> tuple:
-    return _kernel.plan_struct(solver._plan(g)), g.vertex_count, g.vertex_count + t
-
-
-def solve_cases() -> list:
+def solve_graphs() -> list:
     graphs = inputs.solve_graphs()
-    return [case(g, t)
+    return [graphs[name] for name, *_ in inputs.SOLVE_INSTANCES]
+
+
+def solve_searches() -> list:
+    graphs = inputs.solve_graphs()
+    return [(g, t)
             for name, *_, cap in inputs.SOLVE_INSTANCES
             for g in [graphs[name]]
             for t in range(counting_lower_bound(g.vertex_count, g.q), cap + 1)]
 
 
-def timed(fn, cases) -> tuple[float, list]:
-    start = time.perf_counter()
-    results = [search(fn, c) for c in cases]
-    return time.perf_counter() - start, results
+def plan_run(side: Side, graphs: list):
+    """() -> (seconds, fields): side builds the plans of graphs, timed, and
+    reads them back, untimed."""
+    def run():
+        start = time.perf_counter()
+        plans = [side.plan(g) for g in graphs]
+        return time.perf_counter() - start, [side.fields(plan) for plan in plans]
+    return run
 
 
-def compare(label: str, fns, cases, rounds: int) -> bool:
-    """Run cases under both builds for rounds rounds and print one row;
-    False when any result differs from the first one OLD gave."""
-    times = ([], [])
-    first = None
+def search_run(side: Side, searches: list):
+    """() -> (seconds, results): side searches each of searches on plans
+    built once, before any timing."""
+    cases = side.cases(searches)
+
+    def run():
+        start = time.perf_counter()
+        results = [side.dfs(plan, n_total, PINS) for plan, n_total in cases]
+        return time.perf_counter() - start, results
+    return run
+
+
+def cells(ts: list) -> str:
+    """Median milliseconds with the quartiles."""
+    q1, med, q3 = statistics.quantiles(ts, n=4) if len(ts) > 1 else ts * 3
+    return f"{med * 1e3:10.2f} [{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]"
+
+
+def found_nodes(results: list) -> str:
+    """The found flag and the nodes of search results, summed over a set."""
+    found = sum(labels is not None for labels, _ in results)
+    nodes = sum(n for _, n in results)
+    return f"found {found if len(results) > 1 else bool(found)} nodes {nodes:,}"
+
+
+def compare(label: str, runs, rounds: int, searches: bool = True) -> bool:
+    """Run runs[0] (OLD) and runs[1] (NEW), each () -> (seconds, results), in
+    alternation for up to rounds rounds and print one row; False when any
+    result differs from the first one OLD gave."""
+    times: tuple[list, list] = ([], [])
+    first: list = [None, None]
     same = True
     for r in range(rounds):
         for which in ((0, 1) if r % 2 == 0 else (1, 0)):
-            seconds, results = timed(fns[which], cases)
+            seconds, results = runs[which]()
             times[which].append(seconds)
-            first = first or results
-            if results != first:
-                same = False
-    nodes = sum(result[2] for result in first)
-    wins = sum(new < old for old, new in zip(*times))
-    cells = []
-    for ts in times:
-        q1, med, q3 = statistics.quantiles(ts, n=4)
-        cells.append(f"{med * 1e3:10.2f} [{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]")
-    print(f"{label:14s} {nodes:12,d} {cells[0]:>30s} {cells[1]:>30s} {wins:5d}/{rounds}"
-          + ("" if same else "  DIFFERS"))
+            first[which] = first[which] or results
+            same &= results == (first[0] or results)
+            other = times[1 - which]
+            if other and seconds > STOP_RATIO * other[0]:
+                break
+        else:
+            continue
+        break
+    pairs = list(zip(*times))
+    wins = sum(new < old for old, new in pairs)
+    nodes = sum(n for _, n in first[0]) if searches else len(first[0])
+    row = (f"{label:14s} {nodes:12,d} {cells(times[0]):>30s} {cells(times[1]):>30s} "
+           f"{wins:5d}/{len(pairs)}")
+    if len(pairs) < rounds:
+        row += f"  stopped: a run took over {STOP_RATIO}x the other side's first"
+    if not same:
+        row += "  DIFFERS"
+        if searches and first[1] is not None:
+            row += f": OLD {found_nodes(first[0])}, NEW {found_nodes(first[1])}"
+    print(row)
     return same
 
 
@@ -119,16 +202,20 @@ def main(argv=None) -> int:
     ap.add_argument("new", type=Path, help="the changed _dfs.c")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        fns = [build(src, Path(tmp) / f"{name}.so") for name, src in
-               (("old", args.old), ("new", args.new))]
+        sides = [Side(src, Path(tmp) / f"{name}.so") for name, src in
+                 (("old", args.old), ("new", args.new))]
         print(f"{'searches':14s} {'nodes':>12s} {'OLD ms median [q1, q3]':>30s} "
               f"{'NEW ms median [q1, q3]':>30s} {'NEW faster':>10s}")
-        cases = solve_cases()
-        same = compare(f"solve ({len(cases)})", fns, cases, SOLVE_ROUNDS)
-        for label, family, t in LONG:
-            same &= compare(label, fns, [case(make_family(family), t)], LONG_ROUNDS)
+        graphs = solve_graphs()
+        same = compare(f"plans ({len(graphs)})", [plan_run(s, graphs) for s in sides],
+                       SOLVE_ROUNDS, searches=False)
+        solve = solve_searches()
+        for label, searches, rounds in (
+                (f"solve ({len(solve)})", solve, SOLVE_ROUNDS),
+                *((label, [(make_family(family), t)], LONG_ROUNDS) for label, family, t in LONG)):
+            same &= compare(label, [search_run(s, searches) for s in sides], rounds)
     if not same:
-        print("results differ: a search gave another found flag, witness or node count")
+        print("results differ: a plan, or a search's found flag, witness or node count")
     return 0 if same else 1
 
 
