@@ -18,10 +18,10 @@
  * build near the search's alone (cc1 of gcc 12: 37 MB for the search, 38.5
  * MB for the plan builder, 47 MB for both in one unit at -O2).
  *
- * The plan follows _plan: the order and degrees, the prior, inner and open
- * lists, and the orbit links of _orbits.orbit_prev -- twins seeded without
- * a search, then a stabilizer chain from the last position up (Puget, CP
- * 2003), a union-find over positions holding the orbits of the
+ * The plan follows _plan: the order and degrees, the prior, inner, open and
+ * common lists, and the orbit links of _orbits.orbit_prev -- twins seeded
+ * without a search, then a stabilizer chain from the last position up
+ * (Puget, CP 2003), a union-find over positions holding the orbits of the
  * automorphisms found so far, and one forward-checking automorphism search
  * per candidate that degree and fixed neighbours cannot tell apart.  The
  * adjacency, the orbits and the search domains are bitsets of p / 64 + 1
@@ -31,7 +31,9 @@
  * adjacent to the one assigned, only the words that hold the image's
  * closed neighbourhood.  The links are those of _orbits.py, since both
  * compute the exact orbit of each position under the automorphisms that
- * fix the earlier ones, whichever automorphisms they find.
+ * fix the earlier ones, whichever automorphisms they find.  The common
+ * lists come, like _plan's, from the pairs that share a later neighbour,
+ * found through the earlier neighbours of each position's later ones.
  *
  * The DFS follows the same order, candidates, cuts and symmetry rules as
  * _run_search (the solver docstring gives them), so it returns the same
@@ -49,8 +51,16 @@
  * checks every forced sum at once, a word of sums at a time: the sums still
  * reachable are the OR of free shifted up by each open position's label and
  * of the free labels above l shifted up by each free l, built only until
- * every forced unrealized sum of the word is reached.  The weighted-sum
- * interval is computed in O(1) per candidate from two tables of completion
+ * every forced unrealized sum of the word is reached.  The difference cut,
+ * checked first on entry, counts for each of the position's common
+ * triples (a, b, c) the most labels that c common neighbours of a and b
+ * can take: the free labels x with x + f(a) and x + f(b) unrealized (free
+ * less seen >> f(a) and seen >> f(b)) hold that many no two of which differ
+ * by d = |f(a) - f(b)|, ceil(L / 2) per maximal run of step d.  At least
+ * half and at most all of that set can be taken, so a popcount settles
+ * most triples; otherwise each round counts the run starts m & ~(m << d)
+ * and drops them and their successors.  The weighted-sum interval is
+ * computed in O(1) per candidate from two tables of completion
  * sums, built once per position, when its first candidate reaches the test,
  * from its free labels listed once in ascending order: the low end's table
  * from that list and the high end's from it reversed, as the reference
@@ -58,6 +68,7 @@
  * labels, where the reference rescans.
  * Every helper of rec is inlined into it, at every optimisation level.
  */
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -92,6 +103,9 @@ typedef struct {
     const int *inner;          /* edges joining two positions >= i */
     const int *ostart, *open;  /* positions < i with a neighbour >= i:
                                   open[ostart[i] .. ostart[i + 1]) */
+    const int *cstart, *common; /* triples a, b, c of positions a < b < i
+                                  with c >= 2 common neighbours >= i:
+                                  common[cstart[i] .. cstart[i + 1]) */
 } Plan;
 
 typedef struct {
@@ -103,6 +117,7 @@ typedef struct {
     int *lab_at;               /* label per order position */
     int w;                     /* words per bitset */
     uint64_t *free, *seen;     /* free labels, realized edge sums */
+    uint64_t *runs;            /* scratch: two bitsets for spread */
     long long *minc, *maxc;    /* completion-sum rows: p - i entries for
                                   position i, after those of 0 .. i - 1 */
     int *free_lab;             /* scratch: the free labels, ascending, of
@@ -193,6 +208,40 @@ INLINE int supported(const Search *s, int idx, int a, int b)
     return 1;
 }
 
+/* Whether c free labels x with x + fa and x + fb unrealized can be found no
+   two of which differ by d = |fa - fb|, as solver._spread_reaches finds it.
+   The most there are, from the set m of such labels, takes ceil(L / 2) of
+   each maximal run x, x + d, ..., x + (L - 1)d in m, so it lies in
+   ceil(|m| / 2)..|m|; between, each round counts the runs' first labels
+   st = m & ~(m << d) and drops them and their successors from m. */
+INLINE int spread(const Search *s, int fa, int fb, int c)
+{
+    const int d = fa > fb ? fa - fb : fb - fa, lw = (s->n >> 6) + 1;
+    uint64_t *m = s->runs, *st = s->runs + s->w;
+    int size = 0;
+    for (int k = 0; k < lw; k++) {
+        m[k] = s->free[k] & ~bits_at(s->seen, s->w, 64 * k + fa) &
+               ~bits_at(s->seen, s->w, 64 * k + fb);
+        size += __builtin_popcountll(m[k]);
+    }
+    if (size < c || size >= 2 * c - 1)
+        return size >= c;
+    for (int got = 0;;) {
+        uint64_t any = 0;
+        for (int k = 0; k < lw; k++) {
+            st[k] = m[k] & ~up(m, k, d);
+            got += __builtin_popcountll(st[k]);
+            any |= st[k];
+        }
+        if (got >= c)
+            return 1;
+        if (!any)
+            return 0;
+        for (int k = 0; k < lw; k++)
+            m[k] &= ~(st[k] | up(st, k, d));
+    }
+}
+
 /* Whether the unassigned position j can take the free label x on entering
    position idx, the reference's place as a test: its sums with the assigned
    neighbours repeat no realized sum and keep the span lo..hi within q - 1,
@@ -256,6 +305,12 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
         return 1;
     const int q = s->q, beg = s->plan.pstart[idx], end = s->plan.pstart[idx + 1];
     long long s_lo, s_hi;
+    /* difference cut: the c unassigned common neighbours of a and b need c
+       such labels, or two of their sums with f(a) and f(b) coincide */
+    for (int k = s->plan.cstart[idx]; k < s->plan.cstart[idx + 1]; k += 3)
+        if (!spread(s, s->lab_at[s->plan.common[k]], s->lab_at[s->plan.common[k + 1]],
+                    s->plan.common[k + 2]))
+            return 0;
     if (idx > 0) {
         /* window-support cut: the sums s_hi..s_lo+q-1 lie in every window
            still possible, so each is realized or can still be realized */
@@ -343,17 +398,18 @@ int semdef_dfs(const int *plan, int n, int pins, int *lab_at, long long *nodes)
 {
     const int p = plan[0], *deg = plan + 1 + p, *pstart = deg + p, q = pstart[p];
     const int *prior = pstart + p + 1, *orbit_prev = prior + q, *inner = orbit_prev + p,
-              *ostart = inner + p;
-    const Plan pl = {p, deg, pstart, prior, orbit_prev, inner, ostart, ostart + p + 1};
+              *ostart = inner + p, *open = ostart + p + 1, *cstart = open + ostart[p];
+    const Plan pl = {p, deg, pstart, prior, orbit_prev, inner, ostart, open, cstart,
+                     cstart + p + 1};
     const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
     const int w = (2 * n + 64) / 64;               /* bits 0..2n */
-    uint64_t *bits = calloc(2 * (size_t)w, sizeof *bits);
+    uint64_t *bits = calloc(4 * (size_t)w, sizeof *bits);
     long long *rows = malloc(2 * cells * sizeof *rows);
     int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
     int found = -1;
     if (bits && rows && free_lab) {
         Search s = {pl, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
-                    lab_at, w, bits, bits + w, rows, rows + cells, free_lab, 0};
+                    lab_at, w, bits, bits + w, bits + 2 * w, rows, rows + cells, free_lab, 0};
         for (int a = 1; a <= n; a++)
             flip(s.free, a);
         found = rec(&s, 0, 10 * n, -1, 0);
@@ -735,20 +791,65 @@ done:
     return status;
 }
 
+/* The difference cut's triples, _plan's common lists: for each pair of
+   positions a < b, each position i > b with c >= 2 of their common
+   neighbours at positions >= i gets (a, b, c), ascending by (a, b).  A
+   common neighbour v > b has a and b among its earlier neighbours, so the
+   b are sought, into cand (w words), among the earlier neighbours of a's
+   later ones.  With out NULL, adds 3 per triple to at[i + 1]; else writes
+   each at out[at[i]], advancing at[i].  Returns the number of triples. */
+static long long common_pairs(const uint64_t *adj, int p, int w, uint64_t *cand, int *at,
+                              int *out)
+{
+    long long n = 0;
+    for (int a = 0; a < p; a++) {
+        const uint64_t *aa = adj + (size_t)a * w;
+        for (int j = 0; j < w; j++)
+            cand[j] = 0;
+        for (int j = a >> 6; j < w; j++)
+            for (uint64_t r = aa[j] & range(j, a + 2, p - 1); r; r &= r - 1) {
+                const int v = 64 * j + __builtin_ctzll(r);
+                for (int k = a >> 6; k <= (v - 1) >> 6; k++)
+                    cand[k] |= adj[(size_t)v * w + k] & range(k, a + 1, v - 1);
+            }
+        for (int j = a >> 6; j < w; j++)
+            for (uint64_t r = cand[j]; r; r &= r - 1) {
+                const int b = 64 * j + __builtin_ctzll(r);
+                const uint64_t *ab = adj + (size_t)b * w;
+                int c = 0;
+                for (int k = b >> 6; k < w; k++)
+                    c += __builtin_popcountll(aa[k] & ab[k] & range(k, b + 1, p - 1));
+                for (int i = b + 1; c >= 2; i++, n++) {
+                    if (out) {
+                        int *t = out + at[i];
+                        t[0] = a;
+                        t[1] = b;
+                        t[2] = c;
+                        at[i] += 3;
+                    } else {
+                        at[i + 1] += 3;
+                    }
+                    c -= (int)((aa[i >> 6] & ab[i >> 6]) >> (i & 63) & 1);
+                }
+            }
+    }
+    return n;
+}
+
 /* The plan of the graph with p vertices and the q edges edges[2e],
    edges[2e + 1], in Graph.edges order, as one malloc'd buffer of
    solver._Plan's fields in order after p:
      p, order[p], deg[p], pstart[p + 1], prior[q], orbit_prev[p], inner[p],
-     ostart[p + 1], open[ostart[p]];
+     ostart[p + 1], open[ostart[p]], cstart[p + 1], common[cstart[p]];
    NULL when out of memory.  Free it with semdef_free. */
 int *semdef_plan(int p, int q, const int *edges)
 {
     const int w = p / 64 + 1;
-    int *buf = NULL, *tmp = calloc(3 * ((size_t)p + 1), sizeof *tmp);
-    uint64_t *adj = calloc((size_t)p * w + 1, sizeof *adj);  /* + 1: not NULL at p = 0 */
+    int *buf = NULL, *tmp = calloc(4 * ((size_t)p + 1), sizeof *tmp);
+    uint64_t *adj = calloc(((size_t)p + 1) * w, sizeof *adj);  /* and cand for common_pairs */
     if (!tmp || !adj)
         goto done;
-    int *vdeg = tmp, *pos = tmp + p + 1, *last_nbr = tmp + 2 * (p + 1);
+    int *vdeg = tmp, *pos = tmp + p + 1, *last_nbr = tmp + 2 * (p + 1), *at = tmp + 3 * (p + 1);
     for (int e = 0; e < 2 * q; e++)
         vdeg[edges[e]]++;
     /* the order: descending degree, ties by index; pos[d] first counts the
@@ -772,15 +873,21 @@ int *semdef_plan(int p, int q, const int *edges)
         const int lo = a < b ? a : b, hi = a < b ? b : a;
         if (hi > last_nbr[lo])
             last_nbr[lo] = hi;
+        adj[(size_t)lo * w + (hi >> 6)] |= bit(hi);
+        adj[(size_t)hi * w + (lo >> 6)] |= bit(lo);
     }
     for (int i = 0; i < p; i++)  /* i is open at positions i+1 .. last_nbr[i] */
         opens += last_nbr[i] > i ? last_nbr[i] - i : 0;
-    buf = calloc(6 * (size_t)p + 3 + q + opens, sizeof *buf);
+    uint64_t *cand = adj + (size_t)p * w;
+    const long long triples = common_pairs(adj, p, w, cand, at, NULL);
+    if (triples > (INT_MAX - 3) / 3)
+        goto done;
+    buf = calloc(7 * (size_t)p + 4 + q + opens + 3 * (size_t)triples, sizeof *buf);
     if (!buf)
         goto done;
     int *order = buf + 1, *deg = order + p, *pstart = deg + p, *prior = pstart + p + 1,
         *orbit_prev = prior + q, *inner = orbit_prev + p, *ostart = inner + p,
-        *open = ostart + p + 1;
+        *open = ostart + p + 1, *cstart = open + opens, *common = cstart + p + 1;
     buf[0] = p;
     for (int v = 0; v < p; v++) {
         order[pos[v]] = v;
@@ -802,8 +909,6 @@ int *semdef_plan(int p, int q, const int *edges)
         const int a = pos[edges[2 * e]], b = pos[edges[2 * e + 1]];
         const int lo = a < b ? a : b, hi = a < b ? b : a;
         prior[vdeg[hi]++] = lo;
-        adj[(size_t)lo * w + (hi >> 6)] |= bit(hi);
-        adj[(size_t)hi * w + (lo >> 6)] |= bit(lo);
     }
     /* open at i: those of i - 1, and i - 1, with a neighbour >= i */
     int *carried = pos, nc = 0;
@@ -818,6 +923,11 @@ int *semdef_plan(int p, int q, const int *edges)
         ostart[i + 1] = o;
         carried[nc++] = i;
     }
+    for (int i = 0; i < p; i++)
+        cstart[i + 1] = cstart[i] + at[i + 1];
+    for (int i = 0; i < p; i++)
+        at[i] = cstart[i];  /* the next free slot of each common list */
+    common_pairs(adj, p, w, cand, at, common);
     if (orbits(adj, deg, p, w, orbit_prev) < 0) {
         free(buf);
         buf = NULL;

@@ -2,10 +2,11 @@
 
 The kernel is compiled on first use with `cc` (build: the plan builder with
 PLAN_CFLAGS, the search with CFLAGS) into this package's __pycache__
-directory, under a name keyed by a hash of the C source and the
-interpreter's extension tag, so a changed source or another interpreter
-gets its own build.  The library is written to a temporary file
-and moved into place, so concurrent processes never load half a file.
+directory, under a name keyed by a hash of the C source, both flag tuples
+and the interpreter's extension tag, so a changed source, changed flags or
+another interpreter get a build of their own.  The library is written to a
+temporary file and moved into place, so concurrent processes never load
+half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
 unwritable directory, a dlopen error -- and the solver then builds its plans
 with solver._plan and runs its Python reference search.  When the kernel
@@ -34,8 +35,10 @@ PLAN_CFLAGS = ("-O1", "-c", "-fPIC", "-DSEMDEF_PLAN")  # the plan builder, an ob
 
 
 def library_path() -> Path:
-    """Where the build of the current source for this interpreter lives."""
-    key = zlib.crc32(SOURCE.read_bytes() + EXTENSION_SUFFIXES[0].encode())
+    """Where the build of the current source, with the current flags, for
+    this interpreter lives."""
+    flags = repr((CFLAGS, PLAN_CFLAGS)).encode()
+    key = zlib.crc32(SOURCE.read_bytes() + flags + EXTENSION_SUFFIXES[0].encode())
     return CACHE_DIR / f"_dfs-{key:08x}.so"
 
 
@@ -92,13 +95,19 @@ class CPlan:
     def fields(self) -> _Plan:
         """The plan as solver._Plan, field for field, read from the buffer in
         semdef_plan's layout: for the tests and tools/kernel_ab.py."""
+        return _Plan(*self.arrays(len(_Plan._fields)))
+
+    def arrays(self, count: int) -> list[list[int]]:
+        """The first count of the buffer's arrays, in semdef_plan's layout,
+        which only appends fields: tools/kernel_ab.py reads the plans of
+        older builds with it."""
         p, at, out = self.p, 1, []
-        for size in (p, p, p + 1, None, p, p, p + 1, None):
-            if size is None:  # prior's q = pstart[p], then open's ostart[p]
+        for size in (p, p, p + 1, None, p, p, p + 1, None, p + 1, None)[:count]:
+            if size is None:  # prior's q = pstart[p], open's ostart[p], common's cstart[p]
                 size = out[-1][-1]
             out.append(self.buf[at:at + size])
             at += size
-        return _Plan(*out)
+        return out
 
 
 class Kernel(NamedTuple):

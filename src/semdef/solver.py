@@ -21,6 +21,17 @@ Pruning (all sound: no rule drops a prefix of that least witness):
     once, against the OR of the free labels shifted up by each open
     position's label and, for the edges between unassigned vertices, of the
     free labels above l shifted up by each free label l;
+  * difference cut: on entering a position, for two assigned positions a
+    and b, d = |f(a) - f(b)| apart, with c >= 2 unassigned common
+    neighbours, those c vertices take c distinct free labels x with x + f(a)
+    and x + f(b) unrealized, and no two of them differ by d, since x + f(a)
+    = y + f(b) would repeat a sum.  The most such labels there are is the
+    sum of ceil(L / 2) over the maximal runs x, x + d, ..., x + (L - 1)d of
+    allowed labels (the difference constraints CP models of graceful graphs
+    branch on, Petrie and Smith, CP 2003, with the same edge-sum
+    alldifferent reasoning as window support); fewer than c prune.  Every
+    SEM labeling extending the prefix meets it, so it drops no witness.
+    The plan lists the pairs per position;
   * the degree-weighted label sum must stay inside the interval achievable
     by any completion, intersected with the interval forced by the possible
     starting sums (see labeling.weighted_sum_required).
@@ -114,7 +125,7 @@ when it cannot allocate its tables, rather than guessing.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -177,7 +188,10 @@ class _Plan(NamedTuple):
     position i (-1 if none), whose label position i must exceed.  For the
     window-support cut on entering position i: inner[i] edges join two
     positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
-    < i with a neighbour at a position >= i."""
+    < i with a neighbour at a position >= i.  For the difference cut there:
+    common[cstart[i] .. cstart[i + 1]) holds the triples a, b, c, ascending
+    by (a, b), of the positions a < b < i with c >= 2 common neighbours at
+    positions >= i."""
 
     order: list[int]
     deg: list[int]
@@ -187,6 +201,8 @@ class _Plan(NamedTuple):
     inner: list[int]
     ostart: list[int]
     open: list[int]
+    cstart: list[int]
+    common: list[int]
 
 
 def _plan(g: Graph) -> _Plan:
@@ -218,6 +234,16 @@ def _plan(g: Graph) -> _Plan:
         open_ += carried
         ostart.append(len(open_))
         carried.append(i)
+    # a common neighbour v > b of positions a < b has both in its prior list,
+    # so the pairs of the prior lists take in every pair with one
+    common_at: list[list[int]] = [[] for _ in range(p)]
+    for a, b in sorted({ab for js in prior_at for ab in combinations(sorted(js), 2)}):
+        both = adj[a] & adj[b]
+        i, c = b + 1, (both >> (b + 1)).bit_count()
+        while c >= 2:
+            common_at[i] += (a, b, c)
+            c -= both >> i & 1
+            i += 1
     return _Plan(
         order,
         [deg[v] for v in order],
@@ -227,7 +253,41 @@ def _plan(g: Graph) -> _Plan:
         list(accumulate(reversed(first_end)))[::-1],
         ostart,
         open_,
+        [0, *accumulate(map(len, common_at))],
+        [x for xs in common_at for x in xs],
     )
+
+
+def _differences_fit(common: list[int], labels_at: list[int], free: int, seen: int) -> bool:
+    """The difference cut on entering a position whose triples (a, b, c) of
+    the plan's common list are given, with the free labels and the realized
+    sums as bitsets (bit x for x): whether, for each, c free labels x with
+    x + f(a) and x + f(b) unrealized can be found, no two of which differ by
+    d = |f(a) - f(b)|.  The c unassigned common neighbours of a and b need
+    such labels: x + f(a) = y + f(b) would repeat a sum."""
+    for k in range(0, len(common), 3):
+        a, b, c = common[k:k + 3]
+        fa, fb = labels_at[a], labels_at[b]
+        if not _spread_reaches(free & ~(seen >> fa) & ~(seen >> fb), abs(fa - fb), c):
+            return False
+    return True
+
+
+def _spread_reaches(m: int, d: int, c: int) -> bool:
+    """Whether the set m (bit x for x) holds c members no two of which
+    differ by d > 0.  The most it holds takes ceil(L / 2) of each maximal
+    run x, x + d, ..., x + (L - 1)d inside m, its 1st, 3rd, ... members, so
+    it lies in ceil(|m| / 2)..|m|; between, each round takes the runs' first
+    members, counts them and drops them and their successors."""
+    size = m.bit_count()
+    if size < c or size >= 2 * c - 1:
+        return size >= c
+    got = 0
+    while m and got < c:
+        starts = m & ~(m << d)
+        got += starts.bit_count()
+        m &= ~(starts | starts << d)
+    return got >= c
 
 
 def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None, int]:
@@ -239,7 +299,7 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     keeps one generator per entered position on a stack of its own, so the
     graph's size sets no depth limit.
     """
-    _, deg, pstart, prior, orbit_prev, inner, ostart, open_ = plan
+    _, deg, pstart, prior, orbit_prev, inner, ostart, open_, cstart, common = plan
     p, q, ntop = len(deg), pstart[-1], (n_total + 1) // 2
     target_base = weighted_sum_required(q, 0)
     max_start = 2 * n_total - q  # largest possible min edge sum
@@ -247,6 +307,7 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     labels_at = [0] * p
     used = [False] * (n_total + 1)
     sum_seen = bytearray(2 * n_total + 1)
+    free, seen = (1 << n_total + 1) - 2, 0  # used and sum_seen as bitsets
     pinned = [1, n_total][:pins]
     priors = [prior[pstart[j]:pstart[j + 1]] for j in range(p)]
     nodes = 0
@@ -312,11 +373,13 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     def children(idx: int, lo: int, hi: int, wsum: int) -> Iterator[tuple[int, int, int]]:
         """Yields (lo, hi, wsum) after each label placed at position idx,
         and undoes it when resumed; past the last position, yields once."""
-        nonlocal nodes
+        nonlocal nodes, free, seen
         if not pins_supported(idx, lo, hi):
             return
         if idx == p:
             yield lo, hi, wsum
+            return
+        if not _differences_fit(common[cstart[idx]:cstart[idx + 1]], labels_at, free, seen):
             return
         if idx > 0:
             # window-support cut: the sums s_hi..s_lo+q-1 lie in every window
@@ -347,9 +410,15 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
                     continue
             labels_at[idx] = lab
             used[lab] = True
+            sums = 0
             for j in priors[idx]:
                 sum_seen[lab + labels_at[j]] = 1
+                sums |= 1 << lab + labels_at[j]
+            free ^= 1 << lab
+            seen ^= sums
             yield *span, wsum2
+            free ^= 1 << lab
+            seen ^= sums
             for j in priors[idx]:
                 sum_seen[lab + labels_at[j]] = 0
             used[lab] = False

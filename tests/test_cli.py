@@ -224,20 +224,20 @@ def test_solve_limit_exit_code(capsys, tmp_path):
     (["cycle-join", "-n", "10", "-m", "3"], 9, [], 4, "",
      "limit: search needs 22 labels, over --max-labels 16\n"),
     (["cycle-join", "-n", "4", "-m", "2"], 10, [], 3,
-     "no SEM labeling with up to 10 fillers (exhaustive)\n", "stats: nodes=3973\n"),
+     "no SEM labeling with up to 10 fillers (exhaustive)\n", "stats: nodes=3878\n"),
     (["cycle-join", "-n", "4", "-m", "2"], 11, [], 4, "",
-     "stats: nodes=3973\nlimit: search needs 17 labels, over --max-labels 16\n"),
+     "stats: nodes=3878\nlimit: search needs 17 labels, over --max-labels 16\n"),
     (["path-join", "-n", "8", "-m", "3"], 10, [], 4, "",
      "limit: search needs 17 labels, over --max-labels 16\n"),
     (["path-join", "-n", "8", "-m", "3"], 10, ["--max-labels", "20"], 0,
      "deficiency 8; witness labels [7, 2, 4, 1, 19, 16, 18, 13, 6, 10, 14], k=55\n",
-     "stats: nodes=19064286\n"),
+     "stats: nodes=2301091\n"),
 ], ids=["h9-found", "c10-join-3-under-the-bound", "p20-over-the-limit",
         "c10-join-3-bound-over-the-limit", "c4-join-2-exhausted", "c4-join-2-stopped-by-the-limit",
         "p8-join-3-over-the-limit", "p8-join-3-under-a-raised-limit"])
 def test_solve_outcome_table(capsys, tmp_path, monkeypatch, family, cap, extra, code, out, err):
     if extra and _kernel.load() is None:
-        pytest.skip("the raised limit admits 19 million nodes, too many without the C kernel")
+        pytest.skip("the raised limit admits 2.3 million nodes, too many without the C kernel")
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", *family, "--json", str(graph_path), capsys=capsys)
     if "nodes=" not in err or "nodes=0" in err:  # no search, so no plan from either builder

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import time
 
@@ -99,7 +100,7 @@ def test_search_limit(c_backend):
     res = find_sem(path(10), 8)
     assert (res.total_labels, res.nodes) == (18, 34)
     out = deficiency(join(path(8), empty_graph(3)), 8)
-    assert (out.deficiency, out.nodes) == (8, 19_064_286)
+    assert (out.deficiency, out.nodes) == (8, 2_301_091)
     assert out.witness.labeling.labels == (7, 2, 4, 1, 19, 16, 18, 13, 6, 10, 14)
 
 
@@ -292,6 +293,17 @@ def test_kernel_plan_equals_the_python_plan_on_random_graphs(c_backend, p, seed)
     assert _c_plan(g) == solver._plan(g), g
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.integers(0, 70), density=st.floats(0.7, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_kernel_plan_equals_the_python_plan_on_dense_random_graphs(c_backend, p, density, seed):
+    # many pairs with many common neighbours, so long common lists; nearer
+    # to complete graphs, _orbits.py can take minutes on one graph
+    rng = random.Random(seed)
+    g = Graph(p, [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < density])
+    assert _c_plan(g) == solver._plan(g), g
+
+
 @st.composite
 def _twin_blow_up(draw):
     """A random graph on 3 to 7 classes, each blown up into 1 to 3 twins
@@ -355,6 +367,14 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
     assert plan.inner == [12, 8, 5, 2, 0, 0]
     assert plan.ostart == [0, 0, 1, 3, 6, 10, 14]
     assert plan.open == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]
+    # difference cut: the pairs a < b < i with c >= 2 common neighbours at
+    # positions >= i.  At 2, 0 and 1 share 4 and 5; at 3, so do 1 and 2, and
+    # 0 and 2 share 3, 4 and 5; at 4, all six pairs of the cycle share 4 and
+    # 5; at 5, only 5 is left
+    assert plan.cstart == [0, 0, 0, 3, 12, 30, 30]
+    assert plan.common == [0, 1, 2,
+                           0, 1, 2, 0, 2, 3, 1, 2, 2,
+                           0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2]
     # _find adds N and the pinned labels: label 1 for find_sem, labels 1 and
     # N for deficiency's
     k1 = Graph(1, [])
@@ -368,18 +388,26 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(p=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
 def test_plan_window_lists_match_their_definitions(p, seed):
-    # inner[i] counts the edges joining two positions >= i, and
+    # inner[i] counts the edges joining two positions >= i,
     # open[ostart[i] .. ostart[i + 1]) lists, ascending, the positions < i
-    # with a neighbour at a position >= i
+    # with a neighbour at a position >= i, and common[cstart[i] ..
+    # cstart[i + 1]) the triples a, b, c, ascending by (a, b), of the
+    # positions a < b < i with c >= 2 common neighbours at positions >= i
     g = random_graph(random.Random(seed), p)
     plan = solver._plan(g)
     pos = {v: i for i, v in enumerate(plan.order)}
     edges = [sorted((pos[u], pos[v])) for u, v in g.edges]
+    nbrs = [{b for e in edges if a in e for b in e if b != a} for a in range(p)]
     assert (len(plan.inner), len(plan.ostart), plan.ostart[0]) == (p, p + 1, 0)
+    assert (len(plan.cstart), plan.cstart[0]) == (p + 1, 0)
     for i in range(p):
         assert plan.inner[i] == sum(a >= i for a, _ in edges)
         assert plan.open[plan.ostart[i]:plan.ostart[i + 1]] == sorted(
             {a for a, b in edges if a < i <= b})
+        shared = [(a, b, sum(v >= i for v in nbrs[a] & nbrs[b]))
+                  for b in range(i) for a in range(b)]
+        assert plan.common[plan.cstart[i]:plan.cstart[i + 1]] == [
+            x for a, b, c in sorted(shared) if c >= 2 for x in (a, b, c)]
 
 
 def test_plan_of_a_large_star_is_fast():
@@ -405,10 +433,10 @@ def test_complement_cut_keeps_label_ceil_n_over_2(c_backend):
 
 
 @pytest.mark.parametrize("g, t, nodes, nodes_both_pins", [
-    (join(star(5), empty_graph(3)), 4, 1_826, 1_826),
-    (join(path(5), empty_graph(3)), 5, 87_604, 60_504),
+    (join(star(5), empty_graph(3)), 4, 1_786, 1_786),
+    (join(path(5), empty_graph(3)), 5, 61_348, 49_512),
     (join(cycle(4), empty_graph(2)), 6, 2_461, 423),
-    (join(cycle(3), empty_graph(4)), 3, 1_307, 844),
+    (join(cycle(3), empty_graph(4)), 3, 323, 274),
 ], ids=["star-5-join-3-t4", "path-5-join-3-t5", "cycle-4-join-2-t6", "cycle-3-join-4-t3"])
 def test_twin_rule_node_counts(c_backend, g, t, nodes, nodes_both_pins):
     # find_sem pins label 1
@@ -587,9 +615,10 @@ def test_pinned_deficiency_matches_the_oracle(c_backend, cases, data):
 
 
 def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
-    # 17,081 nodes with neither label 1 nor N pinned
+    # 17,081 nodes with neither label 1 nor N pinned, and 1,849 without the
+    # difference cut
     out = _assert_same_deficiency(join(cycle(4), empty_graph(2)), 6)
-    assert (out.deficiency, out.nodes, out.backend) == (None, 1_849, "c")
+    assert (out.deficiency, out.nodes, out.backend) == (None, 1_754, "c")
 
 
 @pytest.mark.parametrize("search, ns", [
@@ -665,7 +694,10 @@ def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
     assert plan.fields() == solver._Plan(
         [0, 1, 2, 3, 4, 5], [4] * 6, [0, 0, 1, 2, 4, 8, 12], [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3],
         [-1, 0, 0, 1, 1, 4], [12, 8, 5, 2, 0, 0], [0, 0, 1, 3, 6, 10, 14],
-        [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3]) == solver._plan(g)
+        [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3], [0, 0, 0, 3, 12, 30, 30],
+        [0, 1, 2,
+         0, 1, 2, 0, 2, 3, 1, 2, 2,
+         0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2]) == solver._plan(g)
 
 
 def test_deficiency_converts_its_plan_once(c_backend, child_env):
@@ -689,7 +721,7 @@ def test_deficiency_converts_its_plan_once(c_backend, child_env):
             "      all(plan is built[0] for plan in searched), 'semdef._orbits' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True, timeout=120).stdout
-    assert out.split() == ["None", "1849", "c", "1", "5", "True", "False"]
+    assert out.split() == ["None", "1754", "c", "1", "5", "True", "False"]
 
 
 def test_window_support_cut_refutes_h14(c_backend):
@@ -705,29 +737,160 @@ def test_window_support_checks_the_middle_forced_sums(c_backend):
     # and 4 (or 2 and 3) on the first side, no sum is realized and the sums
     # 4..6 lie in every window.  The free labels 2 and 3 (or 1 and 4) reach
     # 3, 4, 6 and 7, so both ends are realizable and 5 is not.  Both backends
-    # prune there: checking only the ends gives 10 nodes.
+    # prune there: checking only the ends gives 7 nodes.  The difference
+    # cut prunes the other labels of the first side, whose two free labels
+    # differ by the difference of theirs (8 nodes and 10 without it).
     g = join(empty_graph(2), empty_graph(2))
     # at position 2 both placed labels are open and no edge joins 2 and 3
     plan = solver._plan(g)
     assert (plan.open[plan.ostart[2]:plan.ostart[3]], plan.inner[2]) == ([0, 1], 0)
     res = _assert_same_search(g, 0)
-    assert (res.witness, res.nodes) == (None, 8)
+    assert (res.witness, res.nodes) == (None, 5)
+
+
+# ---------------------------------------------------------------------------
+# Difference cut: a < b assigned, c common neighbours unassigned
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 2**10 - 1), d=st.integers(1, 11), c=st.integers(0, 7))
+def test_spread_is_the_largest_subset_without_the_difference(m, d, c):
+    members = [x for x in range(10) if m >> x & 1]
+    best = max(len(sub) for r in range(len(members) + 1)
+               for sub in itertools.combinations(members, r)
+               if all(y - x != d for x, y in itertools.combinations(sub, 2)))
+    assert solver._spread_reaches(m, d, c) == (best >= c)
+
+
+def _prefix_states(g, t, labels):
+    """_differences_fit's arguments on entering each position of g's plan
+    at N = p + t, the positions before it labelled by labels, labels per
+    vertex: the position's triples, the labels per position, and the free
+    labels and the realized sums as bitsets (bit x for x)."""
+    plan = solver._plan(g)
+    pos = {v: i for i, v in enumerate(plan.order)}
+    at = [labels[v] for v in plan.order]
+    for i in range(g.vertex_count):
+        free = sum(1 << x for x in range(1, g.vertex_count + t + 1) if x not in at[:i])
+        seen = sum(1 << labels[u] + labels[v] for u, v in g.edges if max(pos[u], pos[v]) < i)
+        yield plan.common[plan.cstart[i]:plan.cstart[i + 1]], at, free, seen
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(join(path(4), empty_graph(3)), 2))
+@given(case=st.one_of(_small_search(), _twin_rich()))
+def test_difference_cut_passes_every_prefix_of_a_witness(case):
+    # every SEM labeling meets the cut at every prefix along the plan order,
+    # the least witness and its complement among them, so no cut drops one
+    g, t = case
+    least = least_sem_labeling(g, t)
+    if least is None:
+        return
+    n_total = g.vertex_count + t
+    for labels in (least, [n_total + 1 - x for x in least]):
+        for state in _prefix_states(g, t, labels):
+            assert solver._differences_fit(*state), (g, t, labels)
+
+
+def test_difference_cut_prunes_a_prefix_of_c4():
+    # C_4 as 2K_1 + 2K_1 at N = 4, labels 1 and 2 on one side: the other
+    # side's two vertices need two of the free 3 and 4, which differ by 1,
+    # so 3 + 2 = 4 + 1 would repeat
+    g = join(empty_graph(2), empty_graph(2))
+    cut = list(_prefix_states(g, 0, [1, 2, 3, 4]))[2]
+    kept = list(_prefix_states(g, 0, [1, 4, 2, 3]))[2]
+    assert cut[0] == kept[0] == [0, 1, 2]
+    assert not solver._differences_fit(*cut) and solver._differences_fit(*kept)
+
+
+# Least witnesses of find_sem, pinned from the oracle, each lost by a
+# mutant of the difference cut below: P_2+2K_1, C_3+4K_1, and a graph on 8
+# vertices found by a random sweep.
+DIFFERENCE_CUT_WITNESSES = [
+    (join(path(2), empty_graph(2)), 0, (1, 4, 2, 3)),
+    (join(cycle(3), empty_graph(4)), 4, (1, 6, 11, 2, 3, 4, 5)),
+    (Graph(8, [(0, 1), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4),
+               (3, 5), (4, 6), (4, 7), (5, 6), (5, 7)]), 2, (4, 3, 7, 9, 1, 8, 5, 10)),
+]
+
+
+def test_difference_cut_keeps_the_pinned_witnesses():
+    for g, t, labels in DIFFERENCE_CUT_WITNESSES:
+        assert least_sem_labeling(g, t) == labels
+        with _python_only():
+            assert _labels(find_sem(g, t)) == labels
+        if _kernel.load() is not None:
+            assert _labels(_assert_same_search(g, t)) == labels
+
+
+def _pinned_witnesses(kernel=None):
+    """The find_sem witness of each DIFFERENCE_CUT_WITNESSES search, by
+    _run_search, or by the given kernel."""
+    out = []
+    for g, t, _ in DIFFERENCE_CUT_WITNESSES:
+        if kernel is None:
+            with _python_only():
+                out.append(_labels(find_sem(g, t)))
+            continue
+        plan = kernel.plan(g)
+        at, _ = kernel.dfs(plan, g.vertex_count + t, 1)
+        out.append(at and tuple(lab for _, lab in sorted(zip(plan.order, at))))
+    return out
+
+
+# The difference cut with d + 1 for d, or c + 1 for c: as solver._spread_reaches
+# wrappers, and as edits of _dfs.c's spread and of its call in rec.
+DIFFERENCE_CUT_MUTANTS = {
+    "d-plus-1": (lambda spread: lambda m, d, c: spread(m, d + 1, c),
+                 "fa > fb ? fa - fb : fb - fa,", "(fa > fb ? fa - fb : fb - fa) + 1,"),
+    "c-plus-1": (lambda spread: lambda m, d, c: spread(m, d, c + 1),
+                 "s->plan.common[k + 2]))", "s->plan.common[k + 2] + 1))"),
+}
+
+
+@pytest.mark.parametrize("mutant", DIFFERENCE_CUT_MUTANTS)
+def test_difference_cut_mutants_lose_a_pinned_witness(monkeypatch, mutant):
+    wrap, _, _ = DIFFERENCE_CUT_MUTANTS[mutant]
+    want = [labels for _, _, labels in DIFFERENCE_CUT_WITNESSES]
+    assert _pinned_witnesses() == want
+    monkeypatch.setattr(solver, "_spread_reaches", wrap(solver._spread_reaches))
+    assert _pinned_witnesses() != want
+
+
+@pytest.mark.parametrize("mutant", DIFFERENCE_CUT_MUTANTS)
+def test_kernel_difference_cut_mutants_lose_a_pinned_witness(c_backend, tmp_path, mutant):
+    import ctypes
+
+    _, old, new = DIFFERENCE_CUT_MUTANTS[mutant]
+    text = _kernel.SOURCE.read_text()
+    assert text.count(old) == 1
+    source, lib = tmp_path / "_dfs.c", tmp_path / "_dfs.so"
+    source.write_text(text.replace(old, new))
+    _kernel.build(source, lib)
+    want = [labels for _, _, labels in DIFFERENCE_CUT_WITNESSES]
+    assert _pinned_witnesses(_kernel.load()) == want
+    assert _pinned_witnesses(_kernel.bind(ctypes.CDLL(str(lib)))) != want
 
 
 # Searches whose labels and edge sums 3..2N-1 spread over two or three of
 # the kernel's 64-bit words: (graph, t, nodes of find_sem on both backends,
-# whether a witness exists), with N = p + t of 36, 69, 68 and 68.
+# whether a witness exists), with N = p + t of 36, 69, 68, 68, 66 and 72.
+# In the last two, c common neighbours of the first two positions leave
+# fewer than 2c - 1 labels, so the difference cut counts runs of labels
+# spread over two words.
 WORD_BOUNDARY = [
     (join(cycle(4), empty_graph(2)), 30, 37_398, False),
     (join(path(4), empty_graph(3)), 62, 54_565, True),
     (wheel_minus_spoke(5), 62, 2_379, True),
     (join(cycle(5), empty_graph(1)), 62, 7_018, True),
+    (join(empty_graph(2), empty_graph(64)), 0, 1_650, False),
+    (join(path(2), empty_graph(70)), 2, 142, True),
 ]
 
 
 @pytest.mark.parametrize("g, t, nodes, found", WORD_BOUNDARY,
                          ids=["cycle-4-join-2-t30", "path-4-join-3-t62", "h5-t62",
-                              "cycle-5-join-1-t62"])
+                              "cycle-5-join-1-t62", "k2-64-t0", "path-2-join-70-t2"])
 def test_backends_agree_past_word_boundaries(c_backend, g, t, nodes, found):
     res = _assert_same_search(g, t, pins=1)
     assert (res.nodes, res.witness is not None) == (nodes, found)
@@ -846,7 +1009,7 @@ def _assert_clean_child_searches(env, lib, searches):
 
 
 # Plans alone for the sanitized builds: WORD_BOUNDARY's graphs have at most
-# 7 vertices, so their adjacency never reaches a second word.
+# 72 vertices, so their adjacency reaches a second word only just.
 _LARGE_PLAN_BUILDS = [("plan", g, None) for g in LARGE_PLANS]
 
 
@@ -899,6 +1062,28 @@ def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
     assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr[-2000:]
     assert proc.stderr == ("limit: the search kernel could not allocate its completion "
                            "tables for 6001 vertices\n")
+
+
+def test_kernel_plan_out_of_memory_is_a_limit(c_backend, child_env):
+    # K_{200,2000}: each of the 19,900 pairs of the 200 hubs shares the
+    # 2,000 others, so the common lists hold about 40 M triples, 477 MB,
+    # which a 256 MiB address space cannot hold
+    import subprocess
+    import sys
+
+    child = ("import resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+             "from semdef import _kernel\n"
+             "from semdef.graphs import empty_graph, join\n"
+             "from semdef.solver import SearchLimitError\n"
+             "try:\n"
+             "    _kernel.load().plan(join(empty_graph(200), empty_graph(2000)))\n"
+             "except SearchLimitError as exc:\n"
+             "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=child_env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (
+        0, "the search kernel could not allocate the plan of 2200 vertices\n"), proc.stderr[-2000:]
 
 
 def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):
@@ -1019,6 +1204,17 @@ def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_
     edited.write_bytes(_kernel.SOURCE.read_bytes() + b"/* edited */\n")
     monkeypatch.setattr(_kernel, "SOURCE", edited)
     assert _kernel.library_path() != before
+
+
+@pytest.mark.parametrize("flags", ["CFLAGS", "PLAN_CFLAGS"])
+def test_kernel_is_cached_by_its_flags(monkeypatch, flags):
+    # a build with other flags, the same source otherwise, gets a path of
+    # its own, so a cached build with the old flags is never loaded
+    before = _kernel.library_path()
+    monkeypatch.setattr(_kernel, flags, (*getattr(_kernel, flags), "-DSEMDEF_EDITED"))
+    assert _kernel.library_path() != before
+    monkeypatch.undo()
+    assert _kernel.library_path() == before
 
 
 def test_kernel_is_not_loaded_at_import(child_env):

@@ -3,32 +3,37 @@
 Both C sources are compiled into a temporary directory, as _kernel.build
 compiles one with a plan builder and with _kernel.CFLAGS one without, and
 loaded side by side.  Each side builds its plans with its own plan
-builder: semdef_plan when its source has one, read back field for field
-with _kernel.CPlan.fields, else solver._plan, handed to its semdef_dfs as
-the Plan struct that sources from before semdef_plan take.  The two sides
-then run in alternation, the one going first swapped every round, over
-three sets:
+builder: semdef_plan when its source has one, read back with
+_kernel.CPlan.arrays as far as the layout in its source's comment goes,
+else solver._plan, handed to its semdef_dfs as the Plan struct of seven
+arrays that sources from before semdef_plan take.  The plans are compared
+on the fields both sides build.  The two sides then run in alternation,
+the one going first swapped every round, over three sets:
 
   plans   the plans of the bench's solve graphs (bench/inputs.SOLVE_INSTANCES),
           all built once per round;
   solve   the bench's solve searches: every solve instance at each filler
           count from its counting bound to its cap, labels 1 and N pinned,
           timed as one pass per round;
-  long    three long searches, H_14 at t=1, H_18 at t=0 and P_12+2K_1 at
-          t=5, labels 1 and N pinned, each timed on its own.
+  long    four long searches, H_14 at t=1, H_18 at t=0, P_12+2K_1 at t=5
+          and C_8+3K_1 at t=12, labels 1 and N pinned, each timed on its
+          own.
 
 Per row it prints the nodes (for the plans, their number), each build's median milliseconds with the
 quartiles, and the rounds in which NEW was faster.  Every plan and every
 search must be the same in both builds and in every round: the same plan
-fields, or the same found flag, labels and node count.  A row that differs
-says DIFFERS and shows NEW's found flag and nodes next to OLD's (for a set,
-the searches with a witness and the nodes summed), and the tool exits 1.
+fields, or the same found flag, labels and node count.  With --cut, for a
+NEW that changes a cut by design, the node counts may differ: the found
+flag and the labels must still match, and each row prints NEW's nodes
+beside OLD's.  A row that differs says DIFFERS and shows NEW's found flag
+and nodes next to OLD's (for a set, the searches with a witness and the
+nodes summed), and the tool exits 1.
 A row stops its rounds once a run of one side takes more than 20 times the
 other side's first run, so a build that changes a long search by design
 costs a few of its runs, not all of them.  The search times are kernel
 calls alone: each side builds its plans once, before timing.
 
-Run:  python tools/kernel_ab.py OLD.c NEW.c
+Run:  python tools/kernel_ab.py [--cut] OLD.c NEW.c
 e.g.  git show HEAD:src/semdef/_dfs.c > /tmp/old.c
       python tools/kernel_ab.py /tmp/old.c src/semdef/_dfs.c
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import re
 import statistics
 import subprocess
 import sys
@@ -60,16 +66,17 @@ LONG = (
     ("H_14 t=1", FamilyDescriptor("wheel-minus-spoke", n=14), 1),
     ("H_18 t=0", FamilyDescriptor("wheel-minus-spoke", n=18), 0),
     ("P_12+2K_1 t=5", FamilyDescriptor("path-join", n=12, m=2), 5),
+    ("C_8+3K_1 t=12", FamilyDescriptor("cycle-join", n=8, m=3), 12),
 )
 
 
 class OldPlan(ctypes.Structure):
-    """The Plan struct semdef_dfs took before semdef_plan: p, then
-    solver._Plan's fields but order."""
+    """The Plan struct semdef_dfs took before semdef_plan: p, then the seven
+    arrays of solver._Plan's fields it had then, all but order."""
 
     _fields_ = [("p", ctypes.c_int),
-                *((name, ctypes.POINTER(ctypes.c_int))
-                  for name in solver._Plan._fields if name != "order")]
+                *((name, ctypes.POINTER(ctypes.c_int)) for name in
+                  ("deg", "pstart", "prior", "orbit_prev", "inner", "ostart", "open"))]
 
 
 def old_kernel(lib) -> _kernel.Kernel:
@@ -95,18 +102,34 @@ def old_kernel(lib) -> _kernel.Kernel:
     return _kernel.Kernel(plan, dfs)
 
 
+def layout_size(text: str) -> int:
+    """The number of solver._Plan fields in the plan buffer of a _dfs.c
+    source with semdef_plan, as its layout comment lists them after p."""
+    layout = re.search(r"_Plan's fields in order after p:(.*?);", text, re.S)[1]
+    return len(re.findall(r"(?:^|,)\s*(\w+)", layout)) - 1
+
+
 class Side:
-    """One build: its plan builder, its search, and the plan's fields."""
+    """One build: its plan builder, its search, and how many of the plan's
+    fields it builds."""
 
     def __init__(self, source: Path, out: Path):
-        new = "semdef_plan" in source.read_text()
+        text = source.read_text()
+        new = "semdef_plan" in text
         if new:
             _kernel.build(source, out)
         else:
             subprocess.run(["cc", *_kernel.CFLAGS, "-o", str(out), str(source)], check=True)
         lib = ctypes.CDLL(str(out))
         self.plan, self.dfs = _kernel.bind(lib) if new else old_kernel(lib)
-        self.fields = (lambda planned: planned.fields()) if new else (lambda planned: planned[0])
+        self.size = layout_size(text) if new else len(solver._Plan._fields)
+        self.shared = self.size  # the fields compared, set by main
+
+    def fields(self, planned) -> list:
+        """The first shared fields of a plan this side built."""
+        if isinstance(planned, _kernel.CPlan):
+            return planned.arrays(self.shared)
+        return list(planned[0])[:self.shared]
 
     def cases(self, searches) -> list:
         """(plan, n_total) per (graph, t) of searches, one plan per graph."""
@@ -162,10 +185,14 @@ def found_nodes(results: list) -> str:
     return f"found {found if len(results) > 1 else bool(found)} nodes {nodes:,}"
 
 
-def compare(label: str, runs, rounds: int, searches: bool = True) -> bool:
+def compare(label: str, runs, rounds: int, searches: bool = True, cut: bool = False) -> bool:
     """Run runs[0] (OLD) and runs[1] (NEW), each () -> (seconds, results), in
     alternation for up to rounds rounds and print one row; False when any
-    result differs from the first one OLD gave."""
+    result differs from the first one OLD gave (in a search's found flag
+    and labels alone when cut is set) or from the first of its own side."""
+    def key(results):
+        return [labels for labels, _ in results] if cut and searches else results
+
     times: tuple[list, list] = ([], [])
     first: list = [None, None]
     same = True
@@ -174,7 +201,7 @@ def compare(label: str, runs, rounds: int, searches: bool = True) -> bool:
             seconds, results = runs[which]()
             times[which].append(seconds)
             first[which] = first[which] or results
-            same &= results == (first[0] or results)
+            same &= key(results) == key(first[0] or results) and results == first[which]
             other = times[1 - which]
             if other and seconds > STOP_RATIO * other[0]:
                 break
@@ -186,6 +213,8 @@ def compare(label: str, runs, rounds: int, searches: bool = True) -> bool:
     nodes = sum(n for _, n in first[0]) if searches else len(first[0])
     row = (f"{label:14s} {nodes:12,d} {cells(times[0]):>30s} {cells(times[1]):>30s} "
            f"{wins:5d}/{len(pairs)}")
+    if cut and searches and first[1] is not None:
+        row += f"  NEW nodes {sum(n for _, n in first[1]):,}"
     if len(pairs) < rounds:
         row += f"  stopped: a run took over {STOP_RATIO}x the other side's first"
     if not same:
@@ -200,10 +229,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old", type=Path, help="the baseline _dfs.c")
     ap.add_argument("new", type=Path, help="the changed _dfs.c")
+    ap.add_argument("--cut", action="store_true",
+                    help="NEW changes a cut: require the same found flags and labels, "
+                         "and print both node counts")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         sides = [Side(src, Path(tmp) / f"{name}.so") for name, src in
                  (("old", args.old), ("new", args.new))]
+        for side in sides:
+            side.shared = min(s.size for s in sides)
         print(f"{'searches':14s} {'nodes':>12s} {'OLD ms median [q1, q3]':>30s} "
               f"{'NEW ms median [q1, q3]':>30s} {'NEW faster':>10s}")
         graphs = solve_graphs()
@@ -213,9 +247,10 @@ def main(argv=None) -> int:
         for label, searches, rounds in (
                 (f"solve ({len(solve)})", solve, SOLVE_ROUNDS),
                 *((label, [(make_family(family), t)], LONG_ROUNDS) for label, family, t in LONG)):
-            same &= compare(label, [search_run(s, searches) for s in sides], rounds)
+            same &= compare(label, [search_run(s, searches) for s in sides], rounds, cut=args.cut)
     if not same:
-        print("results differ: a plan, or a search's found flag, witness or node count")
+        print("results differ: a plan, or a search's found flag, witness"
+              + ("" if args.cut else " or node count"))
     return 0 if same else 1
 
 
