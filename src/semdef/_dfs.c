@@ -37,16 +37,25 @@
  *
  * The DFS follows the same order, candidates, cuts and symmetry rules as
  * _run_search (the solver docstring gives them), so it returns the same
- * witness after the same number of label placements.
+ * witness after the same number of label placements.  Both check a
+ * position on entry in the same order: the difference cut, the
+ * window-support cut (past position 0), then the pins, which alone are
+ * checked past the last position.  Each check is a pure predicate and
+ * nodes are counted only in the candidate loop, so the order moves no
+ * node count.
  *
  * Only the state differs.  The free labels (bit a) and the realized edge
- * sums (bit x) are bitsets of W = (2n + 64) / 64 words, for every n.  On
+ * sums (bit x) are bitsets of W = (2n + 64) / 64 words, for every n, whose
+ * bits __builtin_popcountll counts: with the CPU's popcount instruction
+ * where _kernel.cflags() holds -mpopcnt, else with a libgcc call.  On
  * entering a position one candidate mask holds its free labels above the
  * orbit predecessor's, within the range the span rule allows given the least
  * and greatest prior-neighbour label, less those whose sum with a prior
  * neighbour is realized (the OR of seen >> L over the prior labels L).  Only
  * those are visited; the rejected labels the reference also tries are
- * counted by popcount, so the node count is the reference's.  The
+ * counted by popcount, so the node count is the reference's; past position
+ * 0 a position's last candidate is n, so on exhausting it the placements
+ * tried are its free labels less those below its first candidate.  The
  * window-support cut, which the reference runs one forced sum at a time,
  * checks every forced sum at once, a word of sums at a time: the sums still
  * reachable are the OR of free shifted up by each open position's label and
@@ -299,10 +308,8 @@ INLINE void completion_row(const int *rem, int m, const int *f, int step, long l
 
 static int rec(Search *s, int idx, int lo, int hi, long long wsum)
 {
-    if (!pins_supported(s, idx, lo, hi))
-        return 0;
     if (idx == s->plan.p)
-        return 1;
+        return pins_supported(s, idx, lo, hi);
     const int q = s->q, beg = s->plan.pstart[idx], end = s->plan.pstart[idx + 1];
     long long s_lo, s_hi;
     /* difference cut: the c unassigned common neighbours of a and b need c
@@ -318,6 +325,8 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
         if (!supported(s, idx, (int)s_hi, (int)(s_lo + q - 1)))
             return 0;
     }
+    if (!pins_supported(s, idx, lo, hi))
+        return 0;
     /* orbit rule: candidates start above the orbit predecessor's label */
     const int tp = s->plan.orbit_prev[idx], start = (tp >= 0 ? s->lab_at[tp] : 0) + 1;
     const int last = idx == 0 ? s->ntop : s->n;
@@ -387,7 +396,8 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
             }
         }
     }
-    s->nodes += count_below(s->free, last + 1) - before;
+    /* past position 0, last is n, and every free label is below n + 1 */
+    s->nodes += (idx ? nfree : count_below(s->free, last + 1)) - before;
     return 0;
 }
 

@@ -1,12 +1,16 @@
 """Build, cache and load the compiled kernel (_dfs.c): plan builder and DFS.
 
 The kernel is compiled on first use with `cc` (build: the plan builder with
-PLAN_CFLAGS, the search with CFLAGS) into this package's __pycache__
+PLAN_CFLAGS, the search with cflags()) into this package's __pycache__
 directory, under a name keyed by a hash of the C source, both flag tuples
 and the interpreter's extension tag, so a changed source, changed flags or
-another interpreter get a build of their own.  The library is written to a
-temporary file and moved into place, so concurrent processes never load
-half a file.
+another interpreter get a build of their own.  cflags() adds -mpopcnt to
+CFLAGS, so that the search counts bits with the CPU's popcount
+instruction, only on an x86-64 whose CPU reports popcnt (the flags line of
+/proc/cpuinfo, read when the flags are asked for, never at import); no
+build uses an instruction its CPU lacks, and no setting chooses the flags.  The library
+is written to a temporary file and moved into place, so concurrent
+processes never load half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
 unwritable directory, a dlopen error -- and the solver then builds its plans
 with solver._plan and runs its Python reference search.  When the kernel
@@ -20,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import struct
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import chain
@@ -30,14 +35,35 @@ from .solver import SearchLimitError, _Plan
 
 SOURCE = Path(__file__).with_name("_dfs.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-CFLAGS = ("-O2", "-shared", "-fPIC")  # the search, and the library
+CFLAGS = ("-O2", "-shared", "-fPIC")  # the search, and the library, on any CPU
+
+
+def _cpu() -> tuple[str, str]:
+    """This machine's name and the first flags line of its /proc/cpuinfo,
+    ("", "") where there is none."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return os.uname().machine, next((line for line in f if line.startswith("flags")), "")
+    except OSError:
+        return "", ""
+
+
+def cflags() -> tuple[str, ...]:
+    """The flags of the search, and the library, on this machine: CFLAGS,
+    and -mpopcnt on an x86-64 whose CPU reports popcnt, so no build uses an
+    instruction that its CPU lacks."""
+    machine, flags = _cpu()
+    popcnt = machine == "x86_64" and "popcnt" in flags.partition(":")[2].split()
+    return (*CFLAGS, *(["-mpopcnt"] if popcnt else []))
+
+
 PLAN_CFLAGS = ("-O1", "-c", "-fPIC", "-DSEMDEF_PLAN")  # the plan builder, an object
 
 
 def library_path() -> Path:
     """Where the build of the current source, with the current flags, for
     this interpreter lives."""
-    flags = repr((CFLAGS, PLAN_CFLAGS)).encode()
+    flags = repr((cflags(), PLAN_CFLAGS)).encode()
     key = zlib.crc32(SOURCE.read_bytes() + flags + EXTENSION_SUFFIXES[0].encode())
     return CACHE_DIR / f"_dfs-{key:08x}.so"
 
@@ -53,7 +79,7 @@ def build(source: Path, target: Path, *extra: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         plan = str(Path(tmp) / "plan.o")
         for cmd in (["cc", *PLAN_CFLAGS, *extra, "-o", plan, str(source)],
-                    ["cc", *CFLAGS, *extra, "-o", str(target), str(source), plan]):
+                    ["cc", *cflags(), *extra, "-o", str(target), str(source), plan]):
             proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                   text=True)
             if proc.returncode != 0:
@@ -119,31 +145,34 @@ class Kernel(NamedTuple):
 
 
 def bind(lib: ctypes.CDLL) -> Kernel:
-    """The Kernel of a loaded build of _dfs.c."""
+    """The Kernel of a loaded build of _dfs.c.  The edges go in as bytes of
+    packed C ints, and the witness comes back in a bytearray, passed through
+    one zero-length ctypes array type made here: an array type made per
+    call, for a length, costs tens of microseconds once the garbage
+    collector has dropped ctypes' cached one."""
     c_int, int_p = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
-    lib.semdef_plan.argtypes = [c_int, c_int, int_p]
+    lib.semdef_plan.argtypes = [c_int, c_int, ctypes.c_char_p]
     lib.semdef_plan.restype = int_p
     lib.semdef_free.argtypes = [int_p]
     lib.semdef_free.restype = None
     lib.semdef_dfs.argtypes = [int_p, c_int, c_int, int_p, ctypes.POINTER(ctypes.c_longlong)]
     lib.semdef_dfs.restype = c_int
-    make, free, search = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs
+    make, free, search, ints = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs, c_int * 0
 
     def plan(g) -> CPlan:
         p, q = g.vertex_count, len(g.edges)
-        buf = make(p, q, (c_int * (2 * q))(*chain.from_iterable(g.edges)))
+        buf = make(p, q, struct.pack(f"{2 * q}i", *chain.from_iterable(g.edges)))
         if not buf:
             raise SearchLimitError(f"the search kernel could not allocate the plan of {p} vertices")
         return CPlan(buf, p, free)
 
     def dfs(plan: CPlan, n_total: int, pins: int):
-        labels = (c_int * plan.p)()
-        nodes = ctypes.c_longlong()
-        found = search(plan.buf, n_total, pins, labels, ctypes.byref(nodes))
+        labels, nodes = bytearray(ctypes.sizeof(c_int) * plan.p), ctypes.c_longlong()
+        found = search(plan.buf, n_total, pins, ints.from_buffer(labels), ctypes.byref(nodes))
         if found < 0:
             raise SearchLimitError("the search kernel could not allocate its completion "
                                    f"tables for {plan.p} vertices")
-        return (list(labels) if found else None), nodes.value
+        return (memoryview(labels).cast("i").tolist() if found else None), nodes.value
 
     return Kernel(plan, dfs)
 

@@ -72,7 +72,9 @@ unassigned position that can take it (its sums with the assigned neighbours
 repeat no realized sum and keep the span <= q-1, it has no orbit predecessor
 when the label is 1, and it is not position 0 when the label exceeds
 ceil(N/2)), and at least as many positions must be unassigned as pinned
-labels are free.  Both backends rescan those positions on every entry.
+labels are free.  Both backends rescan those positions on every entry,
+after the difference and window-support cuts, which are checked first, in
+that order; past the last position the pins are the only check.
 This is again a lex-leader predicate.  The three symmetry cuts compose
 because each keeps the same witness W, the least one overall: W uses label 1
 by the shift argument; its first label is at most ceil(N/2), since the
@@ -102,14 +104,15 @@ _orbits.py is never imported; otherwise _plan builds a _Plan.  _find alone
 runs the searches.  It settles those that place no label (p = 0, and a
 search past the counting bound) and runs the rest in the backend's search
 with the same three arguments (plan, N, pins): g's plan, built once per
-find_sem or deficiency call and shared by deficiency's filler counts; N =
-p + t, the label count; and pins, the number of the labels 1 and N pinned,
-at most N.  Each backend derives the rest itself: q, the plan's
-pstart[-1], and ceil(N/2), the first position's last label under the
-complement cut.  Both builders make the same plan, field for field, and
-both searches follow the same order, candidates and pruning, and return
-the same witness after the same number of nodes; _dfs.c's header says how
-the kernel gets there faster.  _run_search keeps one generator per entered
+find_sem or deficiency call (which looks the backend up once, too) and
+shared by deficiency's filler counts; N = p + t, the label count; and
+pins, the number of the labels 1 and N pinned, at most N.  Each backend
+derives the rest itself: q, the plan's pstart[-1], and ceil(N/2), the
+first position's last label under the complement cut.  Both builders make
+the same plan, field for field, and both searches follow the same order,
+candidates and pruning, the checks on entering a position included, and
+return the same witness after the same number of nodes; _dfs.c's header
+says how the kernel gets there faster.  _run_search keeps one generator per entered
 position on a stack of its own, so no graph is too deep for it, and one
 placement rule, place, serves both its candidate loop and its pin check.
 Without a compiler, on a compile or load error, or with a cache directory
@@ -374,10 +377,9 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
         """Yields (lo, hi, wsum) after each label placed at position idx,
         and undoes it when resumed; past the last position, yields once."""
         nonlocal nodes, free, seen
-        if not pins_supported(idx, lo, hi):
-            return
         if idx == p:
-            yield lo, hi, wsum
+            if pins_supported(idx, lo, hi):
+                yield lo, hi, wsum
             return
         if not _differences_fit(common[cstart[idx]:cstart[idx + 1]], labels_at, free, seen):
             return
@@ -388,6 +390,8 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
             for x in range(s_hi, s_lo + q):
                 if not sum_seen[x] and not realizable(idx, x):
                     return
+        if not pins_supported(idx, lo, hi):
+            return
         # orbit rule: above the label of the orbit predecessor (position 0
         # has none)
         tp = orbit_prev[idx]
@@ -454,13 +458,13 @@ def _backend():
     return _kernel.load() or (_plan, _run_search)
 
 
-def _find(g: Graph, t: int, pins: int, plan=None) -> SearchResult:
-    """find_sem with the first `pins` of the labels 1 and p + t pinned, on
-    plan, g's plan from the backend's builder, which is built here when not
-    given.  The only caller of the searches: it settles those that place no
-    label (p = 0, and a search past the counting bound) and runs the rest in
-    the compiled kernel when it loads, else in _run_search, with the same
-    arguments."""
+def _find(g: Graph, t: int, pins: int, backend=None, plan=None) -> SearchResult:
+    """find_sem with the first `pins` of the labels 1 and p + t pinned, in
+    backend, a _backend() result, on plan, g's plan from its builder; either
+    is resolved or built here when not given.  The only caller of the
+    searches: it settles those that place no label (p = 0, and a search past
+    the counting bound) and runs the rest in the compiled kernel when it
+    loads, else in _run_search, with the same arguments."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     n_total = g.vertex_count + t
@@ -468,15 +472,15 @@ def _find(g: Graph, t: int, pins: int, plan=None) -> SearchResult:
         return SearchResult(verify_sem(g, Labeling((), n_total)), n_total, 0, 0.0, "python")
     if counting_lower_bound(n_total, g.q) > 0:
         return SearchResult(None, n_total, 0, 0.0, "python")
-    build, search = _backend()
+    build, search = backend or _backend()
     if plan is None:
         plan = build(g)
     start = time.perf_counter()
     at, nodes = search(plan, n_total, min(pins, n_total))
     seconds = time.perf_counter() - start
-    backend = "python" if search is _run_search else "c"
+    name = "python" if search is _run_search else "c"
     if at is None:
-        return SearchResult(None, n_total, nodes, seconds, backend)
+        return SearchResult(None, n_total, nodes, seconds, name)
     labels = [0] * g.vertex_count
     for v, lab in zip(plan.order, at):
         labels[v] = lab
@@ -485,7 +489,7 @@ def _find(g: Graph, t: int, pins: int, plan=None) -> SearchResult:
         raise RuntimeError(
             f"internal error: search produced an invalid witness ({cert.reason})"
         )
-    return SearchResult(cert, n_total, nodes, seconds, backend)
+    return SearchResult(cert, n_total, nodes, seconds, name)
 
 
 def deficiency(g: Graph, cap: int) -> SearchOutcome:
@@ -503,16 +507,16 @@ def deficiency(g: Graph, cap: int) -> SearchOutcome:
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    nodes = 0
-    seconds = 0.0
-    backend = "python"
     t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
-    plan = _backend()[0](g) if t0 <= cap else None
+    if t0 > cap:
+        return SearchOutcome(None, None, cap, 0, 0.0, "python")
+    backend = _backend()
+    plan = backend[0](g)
+    nodes, seconds = 0, 0.0
     for t in range(t0, cap + 1):
-        res = _find(g, t, 2, plan)
+        res = _find(g, t, 2, backend, plan)
         nodes += res.nodes
         seconds += res.seconds
-        backend = res.backend
         if res.witness is not None:
-            return SearchOutcome(t, res.witness, cap, nodes, seconds, backend)
-    return SearchOutcome(None, None, cap, nodes, seconds, backend)
+            return SearchOutcome(t, res.witness, cap, nodes, seconds, res.backend)
+    return SearchOutcome(None, None, cap, nodes, seconds, res.backend)

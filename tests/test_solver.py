@@ -679,6 +679,53 @@ def test_kernel_compiles_without_warnings(tmp_path, flags):
                   *flags)
 
 
+@pytest.mark.parametrize("machine, flags, popcnt", [
+    ("x86_64", "flags\t\t: fpu sse2 popcnt avx2\n", True),
+    ("x86_64", "flags\t\t: fpu sse2\n", False),
+    ("x86_64", "flags\t\t: fpu popcntx\n", False),
+    ("x86_64", "", False),  # no /proc/cpuinfo
+    ("aarch64", "flags\t\t: popcnt\n", False),
+], ids=["x86-popcnt", "x86-without", "x86-other-flag", "x86-no-cpuinfo", "arm"])
+def test_popcount_flag_only_where_the_cpu_reports_it(monkeypatch, machine, flags, popcnt):
+    # -mpopcnt is added on an x86-64 whose CPU reports popcnt, never
+    # elsewhere, and that build has a cache file of its own
+    monkeypatch.setattr(_kernel, "_cpu", lambda: (machine, flags))
+    assert _kernel.cflags() == _kernel.CFLAGS + (("-mpopcnt",) if popcnt else ())
+    path = _kernel.library_path()
+    monkeypatch.setattr(_kernel, "_cpu", lambda: ("", ""))
+    assert _kernel.cflags() == _kernel.CFLAGS
+    assert (_kernel.library_path() != path) == popcnt
+
+
+def test_cpu_probe_reads_this_machine():
+    machine, flags = _kernel._cpu()
+    assert flags == "" or flags.startswith("flags")
+    if machine != "x86_64":
+        assert _kernel.cflags() == _kernel.CFLAGS
+
+
+def test_kernel_without_popcount_matches_the_loaded_kernel(c_backend, monkeypatch, tmp_path):
+    # the portable build, built as test_kernel_compiles_without_warnings
+    # builds, takes the same nodes to the same outcome as the loaded build
+    # (with -mpopcnt where the CPU has it) on the bench's 26 solve searches
+    import ctypes
+
+    from semdef.bounds import counting_lower_bound
+
+    lib = tmp_path / "_dfs.so"
+    monkeypatch.setattr(_kernel, "_cpu", lambda: ("", ""))
+    _kernel.build(_kernel.SOURCE, lib, "-std=c99", "-Wall", "-Wextra", "-Werror")
+    monkeypatch.undo()
+    kernels = [_kernel.load(), _kernel.bind(ctypes.CDLL(str(lib)))]
+    searches = [(g, t) for name, *_ in _bench_inputs().SOLVE_INSTANCES
+                for g, cap in [_solve_instance(name)]
+                for t in range(counting_lower_bound(g.vertex_count, g.q), cap + 1)]
+    assert len(searches) == 26
+    results = [[k.dfs(k.plan(g), g.vertex_count + t, 2) for g, t in searches] for k in kernels]
+    assert results[0] == results[1]
+    assert sum(nodes for _, nodes in results[0]) == 98_891
+
+
 def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
     # semdef_plan writes _Plan's fields in order after p, as its comment
     # lists them, and CPlan.fields reads them back in that order; a field

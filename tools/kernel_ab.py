@@ -1,7 +1,7 @@
 """Compare two builds of the compiled kernel search for search, in alternating pairs.
 
 Both C sources are compiled into a temporary directory, as _kernel.build
-compiles one with a plan builder and with _kernel.CFLAGS one without, and
+compiles one with a plan builder and with _kernel.cflags() one without, and
 loaded side by side.  Each side builds its plans with its own plan
 builder: semdef_plan when its source has one, read back with
 _kernel.CPlan.arrays as far as the layout in its source's comment goes,
@@ -119,7 +119,7 @@ class Side:
         if new:
             _kernel.build(source, out)
         else:
-            subprocess.run(["cc", *_kernel.CFLAGS, "-o", str(out), str(source)], check=True)
+            subprocess.run(["cc", *_kernel.cflags(), "-o", str(out), str(source)], check=True)
         lib = ctypes.CDLL(str(out))
         self.plan, self.dfs = _kernel.bind(lib) if new else old_kernel(lib)
         self.size = layout_size(text) if new else len(solver._Plan._fields)
