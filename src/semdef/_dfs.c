@@ -1,15 +1,23 @@
-/* Compiled port of semdef.solver._plan and semdef.solver._run_search.
+/* Compiled port of semdef.solver._solve: _plan, and _run_search per filler
+ * count.
+ *
+ * semdef_solve is the one entry the solver calls, once per find_sem or
+ * deficiency call, through semdef/_kernel.py and ctypes.  It takes the graph
+ * -- its p vertices and the q edges edges[2e], edges[2e + 1] in Graph.edges
+ * order -- and the filler counts t0..t1 to search, with pins, the number of
+ * the labels 1 and n pinned, at most n.  It builds the plan with semdef_plan,
+ * allocates the search's tables, once for a cap near the first t, searches
+ * t = t0, t0 + 1, ... up to the first witness, writes that witness per
+ * vertex, frees everything and returns the t found, or -1 (none), -2 (the
+ * plan could not be allocated) or -3 (the tables could not be).
  *
  * semdef_plan builds a graph's search plan, solver._Plan field for field,
- * from its p vertices and the q edges edges[2e], edges[2e + 1] in
- * Graph.edges order, into one int buffer (the layout is given at
- * semdef_plan), and semdef_free releases it.  semdef_dfs takes what
- * _run_search takes, as solver._find passes both: that buffer, then n, the
- * label count, and pins, the number of the labels 1 and n pinned.  Each
- * search derives the rest: q is the plan's pstart[p], and position 0 takes
- * labels 1..ceil(n / 2), the complement cut.  semdef/_kernel.py calls these
- * through ctypes: find_sem and deficiency hand semdef_plan the edges once
- * per call and pass the same buffer to semdef_dfs for every filler count.
+ * into one int buffer (the layout is given at semdef_plan), and semdef_free
+ * releases it.  semdef_dfs takes what _run_search takes: that buffer, then n,
+ * the label count, and pins; it searches one filler count.  Both stay
+ * exported for the tests and tools/kernel_ab.py.  Each search derives the
+ * rest: q is the plan's pstart[p], and position 0 takes labels
+ * 1..ceil(n / 2), the complement cut.
  *
  * The file is two translation units, linked into one library by
  * _kernel.build: with SEMDEF_PLAN defined, the plan builder, compiled at
@@ -80,6 +88,7 @@
 #include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define INLINE static inline __attribute__((always_inline))
 
@@ -401,33 +410,105 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     return 0;
 }
 
-/* Returns 1 and leaves the witness's label per order position in lab_at,
-   0 when the search is exhausted, -1 when out of memory; *nodes receives
-   the placements tried.  plan is a buffer of semdef_plan. */
-int semdef_dfs(const int *plan, int n, int pins, int *lab_at, long long *nodes)
+/* The Plan of a semdef_plan buffer. */
+static Plan unpack(const int *plan)
 {
     const int p = plan[0], *deg = plan + 1 + p, *pstart = deg + p, q = pstart[p];
     const int *prior = pstart + p + 1, *orbit_prev = prior + q, *inner = orbit_prev + p,
               *ostart = inner + p, *open = ostart + p + 1, *cstart = open + ostart[p];
     const Plan pl = {p, deg, pstart, prior, orbit_prev, inner, ostart, open, cstart,
                      cstart + p + 1};
-    const size_t cells = (size_t)p * (p + 1) / 2;  /* p - i per position i */
-    const int w = (2 * n + 64) / 64;               /* bits 0..2n */
-    uint64_t *bits = calloc(4 * (size_t)w, sizeof *bits);
-    long long *rows = malloc(2 * cells * sizeof *rows);
-    int *free_lab = malloc(((size_t)n + 1) * sizeof *free_lab);
+    return pl;
+}
+
+/* The bytes of a search's tables for p vertices and n labels, one block in
+   this order: the completion rows, p - i entries per position i for minc and
+   then for maxc; the four bitsets of Search, (2n + 64) / 64 words each; and
+   free_lab, n + 1 labels.  The block for n labels holds the tables of any
+   fewer. */
+static size_t table_bytes(int p, int n)
+{
+    return ((size_t)p * (p + 1) + 4 * (size_t)((2 * n + 64) / 64)) * sizeof(uint64_t) +
+           ((size_t)n + 1) * sizeof(int);
+}
+
+/* Searches pl with labels 1..n, on a block of table_bytes for at least n
+   labels: returns 1 and leaves the witness's label per order position in
+   lab_at, or 0 when the search is exhausted, and adds the placements tried
+   to *nodes. */
+static int search(const Plan *pl, int n, int pins, void *block, int *lab_at, long long *nodes)
+{
+    const int q = pl->pstart[pl->p], w = (2 * n + 64) / 64;  /* bits 0..2n */
+    const size_t cells = (size_t)pl->p * (pl->p + 1) / 2;    /* p - i per position i */
+    long long *rows = block;
+    uint64_t *bits = (uint64_t *)(rows + 2 * cells);
+    memset(bits, 0, 4 * (size_t)w * sizeof *bits);
+    Search s = {*pl, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
+                lab_at, w, bits, bits + w, bits + 2 * w, rows, rows + cells,
+                (int *)(bits + 4 * w), 0};
+    for (int a = 1; a <= n; a++)
+        flip(s.free, a);
+    const int found = rec(&s, 0, 10 * n, -1, 0);
+    *nodes += s.nodes;
+    return found;
+}
+
+/* Returns 1 and leaves the witness's label per order position in lab_at,
+   0 when the search is exhausted, -1 when out of memory; *nodes receives
+   the placements tried.  plan is a buffer of semdef_plan. */
+int semdef_dfs(const int *plan, int n, int pins, int *lab_at, long long *nodes)
+{
+    const Plan pl = unpack(plan);
+    void *block = malloc(table_bytes(pl.p, n));
     int found = -1;
-    if (bits && rows && free_lab) {
-        Search s = {pl, q, n, (n + 1) / 2, pins, 2LL * n - q, (long long)q * (q - 1) / 2,
-                    lab_at, w, bits, bits + w, bits + 2 * w, rows, rows + cells, free_lab, 0};
-        for (int a = 1; a <= n; a++)
-            flip(s.free, a);
-        found = rec(&s, 0, 10 * n, -1, 0);
-        *nodes = s.nodes;
+    if (block) {
+        *nodes = 0;
+        found = search(&pl, n, pins, block, lab_at, nodes);
     }
-    free(free_lab);
-    free(rows);
-    free(bits);
+    free(block);
+    return found;
+}
+
+int *semdef_plan(int p, int q, const int *edges);  /* the plan builder's unit */
+void semdef_free(int *plan);
+
+/* Searches the graph of p vertices and the q edges edges[2e], edges[2e + 1]
+   at t = t0..t1 (p >= 1, p + t1 at most (INT_MAX - 64) / 2), the first
+   min(pins, p + t) of the labels 1 and p + t pinned, up to the first
+   witness: returns its t and leaves its label per vertex in lab, or -1 when
+   every t is exhausted, -2 when the plan and -3 when the tables could not
+   be allocated; *nodes receives the placements tried over every t.  The
+   tables are allocated for twice the labels of the first t, or for p + t1
+   if fewer, and again so whenever t outgrows them: once for the filler
+   counts of a call with a nearby cap, and never for labels past those
+   searched times two, however large t1 is. */
+int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *lab,
+                 long long *nodes)
+{
+    int *plan = semdef_plan(p, q, edges);
+    if (!plan)
+        return -2;
+    const Plan pl = unpack(plan);
+    int *lab_at = malloc((size_t)p * sizeof *lab_at), found = lab_at ? -1 : -3, room = 0;
+    void *block = NULL;
+    *nodes = 0;
+    for (int t = t0; found == -1 && t <= t1; t++) {
+        const int n = p + t;
+        if (n > room) {
+            free(block);
+            room = t1 - t < n ? p + t1 : 2 * n;
+            block = malloc(table_bytes(p, room));
+            if (!block)
+                found = -3;
+        }
+        if (block && search(&pl, n, pins < n ? pins : n, block, lab_at, nodes))
+            found = t;
+    }
+    for (int i = 0; found >= 0 && i < p; i++)
+        lab[plan[1 + i]] = lab_at[i];  /* plan[1 + i] is order[i] */
+    free(block);
+    free(lab_at);
+    semdef_free(plan);
     return found;
 }
 

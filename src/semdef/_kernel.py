@@ -12,11 +12,12 @@ build uses an instruction its CPU lacks, and no setting chooses the flags.  The 
 is written to a temporary file and moved into place, so concurrent
 processes never load half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
-unwritable directory, a dlopen error -- and the solver then builds its plans
-with solver._plan and runs its Python reference search.  When the kernel
-loads, it builds the plans too: _orbits is not imported.  Nothing is built
-at import: the solver imports this module at its first search, and load()
-builds or loads the kernel.
+unwritable directory, a dlopen error -- and the solver then runs
+solver._solve, its Python reference.  When the kernel loads, each find_sem
+or deficiency call makes one call of its semdef_solve, which builds the plan
+too: _orbits is not imported.  Nothing is built at import: the solver
+imports this module once, at its first search, and load() builds or loads
+the kernel.
 """
 
 from __future__ import annotations
@@ -137,11 +138,33 @@ class CPlan:
 
 
 class Kernel(NamedTuple):
-    """The compiled backend: plan(g) -> CPlan, and dfs(plan, n_total, pins)
-    with the arguments and the result of solver._run_search."""
+    """The compiled backend: solve(g, t0, t1, pins) with the arguments and
+    the result of solver._solve, the one entry the solver calls; and, for
+    the tests and tools/kernel_ab.py, plan(g) -> CPlan and dfs(plan, n_total,
+    pins) with the arguments and the result of solver._run_search."""
 
     plan: Callable
     dfs: Callable
+    solve: Callable
+
+
+# The most labels semdef_solve takes: 2n + 64, the bits of its bitsets, must
+# fit a C int.  solve searches up to it, and raises SearchLimitError when it
+# finds no witness there and the call asks for more.
+MAX_LABELS = (2**31 - 1 - 64) // 2
+
+
+def _edges(g) -> bytes:
+    """g's edges as packed C ints, in Graph.edges order."""
+    return struct.pack(f"{2 * len(g.edges)}i", *chain.from_iterable(g.edges))
+
+
+# What the kernel could not allocate, by semdef_solve's return code
+_LIMITS = {-2: "the plan of", -3: "its completion tables for"}
+
+
+def _limit(code: int, p: int) -> SearchLimitError:
+    return SearchLimitError(f"the search kernel could not allocate {_LIMITS[code]} {p} vertices")
 
 
 def bind(lib: ctypes.CDLL) -> Kernel:
@@ -151,39 +174,55 @@ def bind(lib: ctypes.CDLL) -> Kernel:
     call, for a length, costs tens of microseconds once the garbage
     collector has dropped ctypes' cached one."""
     c_int, int_p = ctypes.c_int, ctypes.POINTER(ctypes.c_int)
+    ll_p = ctypes.POINTER(ctypes.c_longlong)
     lib.semdef_plan.argtypes = [c_int, c_int, ctypes.c_char_p]
     lib.semdef_plan.restype = int_p
     lib.semdef_free.argtypes = [int_p]
     lib.semdef_free.restype = None
-    lib.semdef_dfs.argtypes = [int_p, c_int, c_int, int_p, ctypes.POINTER(ctypes.c_longlong)]
+    lib.semdef_dfs.argtypes = [int_p, c_int, c_int, int_p, ll_p]
     lib.semdef_dfs.restype = c_int
-    make, free, search, ints = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs, c_int * 0
+    lib.semdef_solve.argtypes = [c_int, c_int, ctypes.c_char_p, c_int, c_int, c_int, int_p, ll_p]
+    lib.semdef_solve.restype = c_int
+    make, free, search, run = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs, lib.semdef_solve
+    ints = c_int * 0
 
     def plan(g) -> CPlan:
-        p, q = g.vertex_count, len(g.edges)
-        buf = make(p, q, struct.pack(f"{2 * q}i", *chain.from_iterable(g.edges)))
+        buf = make(g.vertex_count, len(g.edges), _edges(g))
         if not buf:
-            raise SearchLimitError(f"the search kernel could not allocate the plan of {p} vertices")
-        return CPlan(buf, p, free)
+            raise _limit(-2, g.vertex_count)
+        return CPlan(buf, g.vertex_count, free)
 
     def dfs(plan: CPlan, n_total: int, pins: int):
         labels, nodes = bytearray(ctypes.sizeof(c_int) * plan.p), ctypes.c_longlong()
         found = search(plan.buf, n_total, pins, ints.from_buffer(labels), ctypes.byref(nodes))
         if found < 0:
-            raise SearchLimitError("the search kernel could not allocate its completion "
-                                   f"tables for {plan.p} vertices")
+            raise _limit(-3, plan.p)
         return (memoryview(labels).cast("i").tolist() if found else None), nodes.value
 
-    return Kernel(plan, dfs)
+    def solve(g, t0: int, t1: int, pins: int):
+        p = g.vertex_count
+        top = min(t1, MAX_LABELS - p)
+        labels, nodes = bytearray(ctypes.sizeof(c_int) * p), ctypes.c_longlong()
+        t = run(p, len(g.edges), _edges(g), min(t0, top + 1), top, pins,
+                ints.from_buffer(labels), ctypes.byref(nodes))
+        if t == -1 and top < t1:  # none up to MAX_LABELS, and more asked for
+            t = -3
+        if t < -1:
+            raise _limit(t, p)
+        if t < 0:
+            return None, None, nodes.value
+        return t, memoryview(labels).cast("i").tolist(), nodes.value
+
+    return Kernel(plan, dfs, solve)
 
 
 @functools.cache
 def load() -> Kernel | None:
     """The kernel, built and loaded, or None when it cannot be built or
-    loaded.  Its plan builds a graph's plan once per find_sem or deficiency
-    call, and its dfs searches it at each filler count; both raise
-    SearchLimitError when the kernel cannot allocate their tables.  The
-    outcome is kept for the life of the process."""
+    loaded.  Its solve runs one find_sem or deficiency call's searches, plan
+    included, and raises SearchLimitError when the kernel cannot allocate
+    the plan or its tables.  The outcome is kept for the life of the
+    process."""
     try:
         path = library_path()
         if not path.is_file():

@@ -95,34 +95,38 @@ is tests/oracles.py, an independent search in the same order that drops a
 partial labeling only on a repeated sum or a span above q-1, so it returns
 the least witness by construction; find_sem and deficiency must return it.
 
-Backends: _plan and _run_search are the pure-Python reference, and _dfs.c
-a compiled port of both, built and loaded by _kernel.py at the first search
-that places a label (never at import).  The backend decides who builds the
-plan: when _kernel.load() succeeds, _dfs.c's semdef_plan builds it, orbit
-links included, into one int buffer in the kernel's own layout, and
-_orbits.py is never imported; otherwise _plan builds a _Plan.  _find alone
-runs the searches.  It settles those that place no label (p = 0, and a
-search past the counting bound) and runs the rest in the backend's search
-with the same three arguments (plan, N, pins): g's plan, built once per
-find_sem or deficiency call (which looks the backend up once, too) and
-shared by deficiency's filler counts; N = p + t, the label count; and
-pins, the number of the labels 1 and N pinned, at most N.  Each backend
-derives the rest itself: q, the plan's pstart[-1], and ceil(N/2), the
-first position's last label under the complement cut.  Both builders make
-the same plan, field for field, and both searches follow the same order,
+Backends: _solve, _plan and _run_search are the pure-Python reference, and
+_dfs.c a compiled port of all three, built and loaded by _kernel.py at the
+first search that places a label (never at import; the module is imported
+once per process).  find_sem and deficiency settle the searches that place
+no label (p = 0, and a search past the counting bound) and make one backend
+call for the rest, _search, with the same four arguments (g, t0, t1, pins):
+the graph, the filler counts t0..t1 to search in turn up to the first
+witness (t0 = t1 = t for find_sem, the counting bound..cap for deficiency),
+and pins, the number of the labels 1 and N pinned (1 for find_sem, 2 for
+deficiency), at most N = p + t.  _search re-verifies the witness once.  When
+_kernel.load() succeeds, the kernel's semdef_solve runs the call: it builds
+g's plan with semdef_plan, orbit links included, in the kernel's own layout
+(_orbits.py is never imported), allocates its tables, searches each t
+and writes the witness per vertex.  Otherwise _solve builds a _Plan with
+_plan once and runs _run_search per t.  Each search derives the rest from
+(plan, N, pins): q, the plan's pstart[-1], and ceil(N/2), the first
+position's last label under the complement cut.  Both builders make the
+same plan, field for field, and both searches follow the same order,
 candidates and pruning, the checks on entering a position included, and
 return the same witness after the same number of nodes; _dfs.c's header
-says how the kernel gets there faster.  _run_search keeps one generator per entered
-position on a stack of its own, so no graph is too deep for it, and one
-placement rule, place, serves both its candidate loop and its pin check.
+says how the kernel gets there faster.  _run_search keeps one generator per
+entered position on a stack of its own, so no graph is too deep for it, and
+one placement rule, place, serves both its candidate loop and its pin check.
 Without a compiler, on a compile or load error, or with a cache directory
-that cannot be written, every plan comes from _plan and every search runs
-in _run_search.  SearchResult.backend names the backend used; there is no
-setting to choose it.
+that cannot be written, every call runs in _solve.  SearchResult.backend
+names the backend used; there is no setting to choose it.
 
 Every search runs in one process, over the labels it is asked for: the
 library sets no limit on their count.  The kernel raises SearchLimitError
-when it cannot allocate its tables, rather than guessing.
+when it cannot allocate its plan or its tables, rather than guessing, and
+when a search would need more labels than its bitsets can index
+(_kernel.MAX_LABELS, about 2^30).
 """
 
 from __future__ import annotations
@@ -146,8 +150,9 @@ class SearchResult(NamedTuple):
     witness None means the search was exhaustive over all injective
     labelings into {1..total_labels} and found none.  backend is "c" when
     the compiled kernel ran the search, "python" when _run_search did.
-    seconds is the backend's own time: it leaves out building the plan,
-    building and loading the kernel, and re-verifying the witness.
+    seconds times the one backend call, building the plan included; it
+    leaves out building and loading the kernel, and re-verifying the
+    witness.
     """
 
     witness: SemCertificate | None
@@ -165,9 +170,9 @@ class SearchOutcome(NamedTuple):
 
     deficiency is the exact value when a witness exists (every smaller
     filler count was exhausted or excluded by counting); None means no
-    witness exists for any t <= cap.  backend is that of the last search
-    run, "python" when none ran.  seconds is the sum of the searches'
-    SearchResult.seconds.
+    witness exists for any t <= cap.  backend is that of the backend call,
+    "python" when none was made.  seconds times that one call, as
+    SearchResult.seconds does: the plan and every filler count searched.
     """
 
     deficiency: int | None
@@ -209,9 +214,9 @@ class _Plan(NamedTuple):
 
 
 def _plan(g: Graph) -> _Plan:
-    """The search plan of g, which find_sem and deficiency build once per
-    call when the kernel does not load; _dfs.c's semdef_plan builds the same
-    plan otherwise."""
+    """The search plan of g, which _solve builds once per find_sem or
+    deficiency call when the kernel does not load; _dfs.c's semdef_plan
+    builds the same plan otherwise."""
     from . import _orbits  # on first use, so `import semdef` compiles no orbit code
 
     p = g.vertex_count
@@ -439,32 +444,60 @@ def _run_search(plan: _Plan, n_total: int, pins: int) -> tuple[list[int] | None,
     return None, nodes
 
 
+def _solve(g: Graph, t0: int, t1: int, pins: int) -> tuple[int | None, list[int] | None, int]:
+    """The Python backend of one find_sem or deficiency call, and the
+    reference of _kernel.Kernel.solve: g's plan, built once, searched at
+    t = t0..t1 up to the first witness, with the first min(pins, p + t) of
+    the labels 1 and p + t pinned.  Returns (t, labels per vertex, nodes) or
+    (None, None, nodes), nodes summed over every t searched."""
+    plan, nodes = _plan(g), 0
+    for t in range(t0, t1 + 1):
+        n_total = g.vertex_count + t
+        at, spent = _run_search(plan, n_total, min(pins, n_total))
+        nodes += spent
+        if at is not None:
+            labels = [0] * g.vertex_count
+            for v, lab in zip(plan.order, at):
+                labels[v] = lab
+            return t, labels, nodes
+    return None, None, nodes
+
+
+_kernel = None  # the module semdef._kernel, imported at the first search
+
+
+def _search(g: Graph, t0: int, t1: int, pins: int
+            ) -> tuple[int | None, SemCertificate | None, int, float, str]:
+    """One backend call for the searches of one find_sem or deficiency call:
+    the compiled kernel's solve when it loads, else _solve, with the same
+    arguments.  Returns (t, the witness re-verified, nodes, seconds of the
+    backend call, backend name), t and the witness None when every t up to t1
+    was exhausted.  The callers settle the searches that place no label (p =
+    0, and t past the counting bound) and never make this call for them."""
+    global _kernel
+    if _kernel is None:  # once per process, so `import semdef` loads no kernel code
+        from . import _kernel
+    kernel = _kernel.load()
+    start = time.perf_counter()
+    t, labels, nodes = (kernel.solve if kernel else _solve)(g, t0, t1, pins)
+    seconds = time.perf_counter() - start
+    backend = "c" if kernel else "python"
+    if t is None:
+        return None, None, nodes, seconds, backend
+    cert = verify_sem(g, Labeling(labels, g.vertex_count + t))
+    if isinstance(cert, Rejection):
+        raise RuntimeError(f"internal error: search produced an invalid witness ({cert.reason})")
+    return t, cert, nodes, seconds, backend
+
+
 def find_sem(g: Graph, t: int) -> SearchResult:
     """Search exhaustively for a SEM labeling of g U tK_1.
 
     Returns a SearchResult whose witness, when present, has been re-verified
     by the checker; witness None is a proof by exhaustion over total_labels
     = p + t labels.  Raises ValueError for a negative t, and SearchLimitError
-    when the compiled kernel cannot allocate its tables.
+    when the compiled kernel cannot allocate its plan or tables.
     """
-    return _find(g, t, 1)
-
-
-def _backend():
-    """(plan builder, search) of the backend that runs: the compiled
-    kernel's when it loads, else _plan and _run_search."""
-    from . import _kernel  # on first use, so `import semdef` loads no kernel code
-
-    return _kernel.load() or (_plan, _run_search)
-
-
-def _find(g: Graph, t: int, pins: int, backend=None, plan=None) -> SearchResult:
-    """find_sem with the first `pins` of the labels 1 and p + t pinned, in
-    backend, a _backend() result, on plan, g's plan from its builder; either
-    is resolved or built here when not given.  The only caller of the
-    searches: it settles those that place no label (p = 0, and a search past
-    the counting bound) and runs the rest in the compiled kernel when it
-    loads, else in _run_search, with the same arguments."""
     if t < 0:
         raise ValueError(f"isolated filler count must be >= 0, got {t}")
     n_total = g.vertex_count + t
@@ -472,51 +505,30 @@ def _find(g: Graph, t: int, pins: int, backend=None, plan=None) -> SearchResult:
         return SearchResult(verify_sem(g, Labeling((), n_total)), n_total, 0, 0.0, "python")
     if counting_lower_bound(n_total, g.q) > 0:
         return SearchResult(None, n_total, 0, 0.0, "python")
-    build, search = backend or _backend()
-    if plan is None:
-        plan = build(g)
-    start = time.perf_counter()
-    at, nodes = search(plan, n_total, min(pins, n_total))
-    seconds = time.perf_counter() - start
-    name = "python" if search is _run_search else "c"
-    if at is None:
-        return SearchResult(None, n_total, nodes, seconds, name)
-    labels = [0] * g.vertex_count
-    for v, lab in zip(plan.order, at):
-        labels[v] = lab
-    cert = verify_sem(g, Labeling(labels, n_total))
-    if isinstance(cert, Rejection):
-        raise RuntimeError(
-            f"internal error: search produced an invalid witness ({cert.reason})"
-        )
-    return SearchResult(cert, n_total, nodes, seconds, name)
+    _, witness, nodes, seconds, backend = _search(g, t, t, 1)
+    return SearchResult(witness, n_total, nodes, seconds, backend)
 
 
 def deficiency(g: Graph, cap: int) -> SearchOutcome:
     """Exact deficiency of g, provided it is at most cap.
 
-    Iterates the filler count from the counting lower bound (smaller values
-    cannot work: q <= 2(p+t)-3 fails) up to cap; the first witness gives the
-    exact value.  Each search pins labels 1 and p + t, which only holds where
-    t - 1 is known to fail (see the module docstring): the witness is
-    find_sem's, after fewer nodes.  The search plan, the orbit links
-    included, is built once for all filler counts, by the kernel when it
-    loads; when the counting bound exceeds cap, no filler count is searched
-    and no plan is built.  A negative cap raises ValueError, and a kernel
-    that cannot allocate its tables SearchLimitError.
+    Searches the filler count from the counting lower bound (smaller values
+    cannot work: q <= 2(p+t)-3 fails) up to cap, in one backend call; the
+    first witness gives the exact value.  Each search pins labels 1 and
+    p + t, which only holds where t - 1 is known to fail (see the module
+    docstring): the witness is find_sem's, after fewer nodes.  The search
+    plan, the orbit links included, is built once for all filler counts,
+    by the kernel when it loads; when p = 0 or the counting bound exceeds
+    cap, nothing is searched and no plan is built.  A negative cap raises
+    ValueError, and a kernel that cannot allocate its plan or tables
+    SearchLimitError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    t0 = 0 if g.vertex_count == 0 else counting_lower_bound(g.vertex_count, g.q)
+    if g.vertex_count == 0:  # the empty labeling, with no search
+        return SearchOutcome(0, verify_sem(g, Labeling((), 0)), cap, 0, 0.0, "python")
+    t0 = counting_lower_bound(g.vertex_count, g.q)
     if t0 > cap:
         return SearchOutcome(None, None, cap, 0, 0.0, "python")
-    backend = _backend()
-    plan = backend[0](g)
-    nodes, seconds = 0, 0.0
-    for t in range(t0, cap + 1):
-        res = _find(g, t, 2, backend, plan)
-        nodes += res.nodes
-        seconds += res.seconds
-        if res.witness is not None:
-            return SearchOutcome(t, res.witness, cap, nodes, seconds, res.backend)
-    return SearchOutcome(None, None, cap, nodes, seconds, res.backend)
+    t, witness, nodes, seconds, backend = _search(g, t0, cap, 2)
+    return SearchOutcome(t, witness, cap, nodes, seconds, backend)

@@ -241,7 +241,8 @@ def test_solve_outcome_table(capsys, tmp_path, monkeypatch, family, cap, extra, 
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", *family, "--json", str(graph_path), capsys=capsys)
     if "nodes=" not in err or "nodes=0" in err:  # no search, so no plan from either builder
-        monkeypatch.setattr(solver, "_backend", lambda: pytest.fail("solve built a search plan"))
+        monkeypatch.setattr(_kernel, "load", lambda: pytest.fail("solve loaded the kernel"))
+        monkeypatch.setattr(solver, "_solve", lambda *args: pytest.fail("solve built a search plan"))
     got = run_cli("solve", "--graph", str(graph_path), "--cap", str(cap), *extra, capsys=capsys)
     assert got[:2] == (code, out)
     assert re.sub(r" seconds=\S+ backend=\w+", "", got[2]) == err

@@ -21,6 +21,7 @@ from semdef.graphs import (
     wheel_minus_spoke,
 )
 from semdef import _kernel, _orbits, reproduce, solver
+from semdef.bounds import counting_lower_bound
 from semdef.labeling import Labeling, SemCertificate, verify_sem
 from semdef.manifest import CLAIMS
 from semdef.solver import deficiency, find_sem
@@ -104,20 +105,38 @@ def test_search_limit(c_backend):
     assert out.witness.labeling.labels == (7, 2, 4, 1, 19, 16, 18, 13, 6, 10, 14)
 
 
+def test_kernel_searches_up_to_its_label_range(c_backend):
+    # ctypes cuts an int argument to a C int without a word, so the kernel
+    # call searches only t up to _kernel.MAX_LABELS - p: a cap past it still
+    # finds a small deficiency (on tables for 18 labels, not for the cap's),
+    # and a search that needs labels past it raises the limit, where t cut
+    # to 32 bits would search t = 5
+    g = join(path(4), empty_graph(3))
+    out = deficiency(g, 10**12)
+    assert (out.deficiency, out.nodes, out.backend) == (2, 404, "c")
+    with pytest.raises(solver.SearchLimitError, match="completion tables for 7 vertices"):
+        find_sem(g, 2**32 + 5)
+
+
 def test_deficiency_past_the_counting_bound_builds_no_plan(monkeypatch):
     # C_5+8K_1 needs t >= 11 by counting, so a cap of 0 searches nothing, and
-    # neither plan builder runs, nor does either search
+    # no kernel is loaded, no plan builder runs and no search does; neither
+    # for a graph with no vertices, whose empty labeling needs no search
     def fail(*args):
-        pytest.fail("a plan was built or searched past the counting bound")
+        pytest.fail("a kernel was loaded, or a plan built or searched, with no label to place")
 
-    monkeypatch.setattr(solver, "_plan", fail)
-    monkeypatch.setattr(solver, "_run_search", fail)
-    monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(fail, fail))
+    for name in ("_solve", "_plan", "_run_search"):
+        monkeypatch.setattr(solver, name, fail)
+    monkeypatch.setattr(_kernel, "load", fail)
     g = join(cycle(5), empty_graph(8))
     out = deficiency(g, 0)
-    assert (out.deficiency, out.witness, out.nodes) == (None, None, 0)
+    assert (out.deficiency, out.witness, out.nodes, out.backend) == (None, None, 0, "python")
     res = find_sem(g, 10)
     assert (res.witness, res.nodes, res.backend) == (None, 0, "python")
+    for t in (0, 2):
+        res, out = find_sem(empty_graph(0), t), deficiency(empty_graph(0), t)
+        assert (res.witness.isolated, res.nodes, res.backend) == (t, 0, "python")
+        assert (out.deficiency, out.witness.isolated, out.nodes, out.backend) == (0, 0, 0, "python")
 
 
 def test_deficiency_cap_validation():
@@ -375,11 +394,11 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
     assert plan.common == [0, 1, 2,
                            0, 1, 2, 0, 2, 3, 1, 2, 2,
                            0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2]
-    # _find adds N and the pinned labels: label 1 for find_sem, labels 1 and
+    # _solve adds N and the pinned labels: label 1 for find_sem, labels 1 and
     # N for deficiency's
     k1 = Graph(1, [])
-    calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._find(g, 2, 2),
-                           lambda: solver._find(k1, 1, 2), lambda: solver._find(k1, 0, 2))
+    calls = _backend_calls(monkeypatch, lambda: find_sem(g, 2), lambda: solver._search(g, 2, 2, 2),
+                           lambda: solver._search(k1, 1, 1, 2), lambda: solver._search(k1, 0, 0, 2))
     assert calls == [(plan, 8, 1), (plan, 8, 2),
                      # labels 1 and N are one label when N = 1
                      (solver._plan(k1), 2, 2), (solver._plan(k1), 1, 1)]
@@ -491,6 +510,16 @@ def _python_only():
         yield
 
 
+def _pinned_search(g, t, pins):
+    """find_sem(g, t) with the first pins of the labels 1 and p + t pinned,
+    as a SearchResult: one backend call for t alone, unless find_sem settles
+    the search without one."""
+    if g.vertex_count == 0 or counting_lower_bound(g.vertex_count + t, g.q) > 0:
+        return find_sem(g, t)
+    _, witness, nodes, seconds, backend = solver._search(g, t, t, pins)
+    return solver.SearchResult(witness, g.vertex_count + t, nodes, seconds, backend)
+
+
 def _assert_same_search(g, t, pins=None):
     """The kernel's find_sem result, or with pins that of the search
     deficiency runs with those labels pinned, after checking that
@@ -498,7 +527,7 @@ def _assert_same_search(g, t, pins=None):
     def search():
         if pins is None:
             return find_sem(g, t)
-        return solver._find(g, t, pins)
+        return _pinned_search(g, t, pins)
 
     c = search()
     with _python_only():
@@ -512,21 +541,30 @@ def _assert_same_search(g, t, pins=None):
     return c
 
 
-def _manifest_searches(monkeypatch):
-    """(graph, t, pins) of every search the manifest's solver claims make,
-    through find_sem (pins 1) or deficiency (pins 2)."""
+def _manifest_calls(monkeypatch):
+    """(graph, t0, t1, pins, t found or None) of every backend call the
+    manifest's solver claims make, through find_sem (pins 1) or deficiency
+    (pins 2)."""
     calls = []
-    find = solver._find
+    search = solver._search
 
-    def recording(g, t, pins, *plan):
-        calls.append((g, t, pins))
-        return find(g, t, pins, *plan)
+    def recording(g, t0, t1, pins):
+        out = search(g, t0, t1, pins)
+        calls.append((g, t0, t1, pins, out[0]))
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "_find", recording)
+        m.setattr(solver, "_search", recording)
         report = reproduce.run(selection={c.id for c in CLAIMS if c.kind.startswith("solver")})
     assert not report.failed
     return calls
+
+
+def _manifest_searches(monkeypatch):
+    """(graph, t, pins) of every search the manifest's solver claims make:
+    each filler count of each backend call up to the one with a witness."""
+    return [(g, t, pins) for g, t0, t1, pins, found in _manifest_calls(monkeypatch)
+            for t in range(t0, (t1 if found is None else found) + 1)]
 
 
 @pytest.mark.parametrize("pin_n", [True, False])
@@ -621,36 +659,39 @@ def test_deficiency_node_count_of_c4_plus_2k1(c_backend):
     assert (out.deficiency, out.nodes, out.backend) == (None, 1_754, "c")
 
 
-@pytest.mark.parametrize("search, ns", [
-    (lambda g: deficiency(g, 6), [8, 9, 10, 11, 12]),
-    (lambda g: find_sem(g, 6), [12]),
+@pytest.mark.parametrize("search, ns, call", [
+    (lambda g: deficiency(g, 6), [8, 9, 10, 11, 12], (2, 6, 2)),
+    (lambda g: find_sem(g, 6), [12], (6, 6, 1)),
 ], ids=["deficiency", "find_sem"])
-def test_each_call_builds_the_plan_once(monkeypatch, search, ns):
-    # without the kernel, every search's plan is one _plan, from one orbit
-    # computation per call
+def test_each_call_builds_the_plan_once(monkeypatch, search, ns, call):
+    # without the kernel, each call is one _solve with the arguments t0, t1
+    # and pins of call, whose searches share one _plan, from one orbit
+    # computation
     g = join(cycle(4), empty_graph(2))
     orbits, orbit_prev = [], _orbits.orbit_prev
+    solves, solve = [], solver._solve
     monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
+    monkeypatch.setattr(solver, "_solve", lambda *args: solves.append(args) or solve(*args))
     calls = _backend_calls(monkeypatch, lambda: search(g))
-    assert len(orbits) == 1
+    assert (len(orbits), solves) == (1, [(g, *call)])
     assert [n for _, n, _ in calls] == ns
     assert all(plan is calls[0][0] for plan, *_ in calls)
     monkeypatch.undo()
     assert calls[0][0] == solver._plan(g)
-    # with it, one C plan per call, equal to _plan's, and no Python plan
+    # with it, one semdef_solve call, which builds the plan in C: no Python
+    # plan, and neither the kernel's own plan nor its dfs is called apart
     kernel = _kernel.load()
     if kernel is None:
         return
-    built, searched = [], []
+    assert solver._kernel is _kernel  # imported once, at the first search
+    solves = []
+    fail = lambda *args: pytest.fail("a plan or a search outside the one kernel call")  # noqa: E731
     monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(
-        lambda g: built.append(kernel.plan(g)) or built[-1],
-        lambda plan, *args: searched.append((plan, *args)) or kernel.dfs(plan, *args)))
-    monkeypatch.setattr(solver, "_plan", lambda g: pytest.fail("_plan ran with the kernel"))
-    assert search(g).backend == "c"
-    assert len(built) == 1 and all(plan is built[0] for plan, *_ in searched)
-    assert [n for _, n, _ in searched] == ns
-    monkeypatch.undo()
-    assert built[0].fields() == solver._plan(g)
+        fail, fail, lambda *args: solves.append(args) or kernel.solve(*args)))
+    monkeypatch.setattr(solver, "_plan", fail)
+    monkeypatch.setattr(solver, "_solve", fail)
+    out = search(g)
+    assert (out.backend, solves) == ("c", [(g, *call)])
 
 
 def test_label_n_is_pinned_only_where_t_minus_1_fails():
@@ -662,7 +703,7 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
     least = find_sem(g, 2).witness.labeling.labels
     assert least == least_sem_labeling(g, 2)
     assert least == (1, 7, 3, 6, 2, 4) and n_total not in least
-    pinned = solver._find(g, 2, 2).witness.labeling.labels
+    pinned = solver._search(g, 2, 2, 2)[1].labeling.labels
     assert pinned == (1, 4, 6, 8, 5, 7)
 
 
@@ -710,8 +751,6 @@ def test_kernel_without_popcount_matches_the_loaded_kernel(c_backend, monkeypatc
     # (with -mpopcnt where the CPU has it) on the bench's 26 solve searches
     import ctypes
 
-    from semdef.bounds import counting_lower_bound
-
     lib = tmp_path / "_dfs.so"
     monkeypatch.setattr(_kernel, "_cpu", lambda: ("", ""))
     _kernel.build(_kernel.SOURCE, lib, "-std=c99", "-Wall", "-Wextra", "-Werror")
@@ -724,6 +763,29 @@ def test_kernel_without_popcount_matches_the_loaded_kernel(c_backend, monkeypatc
     results = [[k.dfs(k.plan(g), g.vertex_count + t, 2) for g, t in searches] for k in kernels]
     assert results[0] == results[1]
     assert sum(nodes for _, nodes in results[0]) == 98_891
+
+
+def test_backends_agree_on_the_bench_solve_calls(c_backend):
+    # each backend's one entry, called as deficiency calls it on the bench's
+    # 12 solve instances (counting bound..cap, labels 1 and N pinned): the
+    # same deficiency, witness per vertex and node total
+    graphs = _bench_inputs().solve_graphs()
+    calls = [(graphs[name], cap) for name, *_, cap in _bench_inputs().SOLVE_INSTANCES]
+    calls = [(g, counting_lower_bound(g.vertex_count, g.q), cap) for g, cap in calls]
+    got = [_kernel.load().solve(g, t0, cap, 2) for g, t0, cap in calls]
+    assert got == [solver._solve(g, t0, cap, 2) for g, t0, cap in calls]
+    assert (len(got), sum(nodes for *_, nodes in got)) == (12, 98_891)
+
+
+def test_backends_agree_on_the_manifest_solver_calls(monkeypatch, c_backend):
+    # each backend's one entry, on every call the manifest's solver claims
+    # make: the same t found, witness per vertex and node total
+    calls = _manifest_calls(monkeypatch)
+    assert {pins for *_, pins, _ in calls} == {1, 2}
+    kernel = _kernel.load()
+    for g, t0, t1, pins, found in calls:
+        got = kernel.solve(g, t0, t1, pins)
+        assert (got[0], got) == (found, solver._solve(g, t0, t1, pins)), (g, t0, t1, pins)
 
 
 def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
@@ -749,26 +811,28 @@ def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
 
 def test_deficiency_converts_its_plan_once(c_backend, child_env):
     # in a fresh interpreter, deficiency(C_4+2K_1, 6) hands the kernel the
-    # graph once and searches that one plan at t = 2..6; the plan, orbit
-    # links included, comes from C, so _orbits is never imported
+    # graph once, in one semdef_solve call that builds the plan and searches
+    # it at t = 2..6; the plan, orbit links included, comes from C, so
+    # _orbits is never imported, and neither is _kernel anew
     import subprocess
     import sys
 
     code = ("import sys\n"
-            "from semdef import _kernel\n"
+            "from semdef import _kernel, solver\n"
             "from semdef.graphs import cycle, empty_graph, join\n"
-            "from semdef.solver import deficiency\n"
             "kernel = _kernel.load()\n"
-            "built, searched = [], []\n"
-            "_kernel.load = lambda: _kernel.Kernel(\n"
-            "    lambda g: built.append(kernel.plan(g)) or built[-1],\n"
-            "    lambda plan, *args: searched.append(plan) or kernel.dfs(plan, *args))\n"
-            "out = deficiency(join(cycle(4), empty_graph(2)), 6)\n"
-            "print(out.deficiency, out.nodes, out.backend, len(built), len(searched),\n"
-            "      all(plan is built[0] for plan in searched), 'semdef._orbits' in sys.modules)\n")
+            "solves = []\n"
+            "_kernel.load = lambda: _kernel.Kernel(None, None,\n"
+            "    lambda *args: solves.append(args[1:]) or kernel.solve(*args))\n"
+            "out = solver.deficiency(join(cycle(4), empty_graph(2)), 6)\n"
+            "del sys.modules['semdef._kernel']\n"
+            "again = solver.deficiency(join(cycle(4), empty_graph(2)), 6)\n"
+            "print(out.deficiency, out.nodes, out.backend, again.nodes, solves,\n"
+            "      'semdef._orbits' in sys.modules, 'semdef._kernel' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True, timeout=120).stdout
-    assert out.split() == ["None", "1754", "c", "1", "5", "True", "False"]
+    assert out.split() == ["None", "1754", "c", "1754", "[(2,", "6,", "2),", "(2,", "6,", "2)]",
+                           "False", "False"]
 
 
 def test_window_support_cut_refutes_h14(c_backend):
@@ -1059,6 +1123,13 @@ def _assert_clean_child_searches(env, lib, searches):
 # 72 vertices, so their adjacency reaches a second word only just.
 _LARGE_PLAN_BUILDS = [("plan", g, None) for g in LARGE_PLANS]
 
+# deficiency calls whose one kernel call searches on tables for more labels
+# than the search uses, and regrows them: C_4+2K_1 exhausts t = 2..30
+# (N = 8..36) on tables for 16, 34 and 36 labels, one bitset word and then
+# two, and P_4+3K_1 finds D = 2 at N = 9 on tables for 18 labels.
+_TABLES_PAST_THE_SEARCH = [("deficiency", join(cycle(4), empty_graph(2)), 30),
+                           ("deficiency", join(path(4), empty_graph(3)), 40)]
+
 
 def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
     # shifts by 64 or more and right shifts of negative ints are the slips
@@ -1066,7 +1137,8 @@ def test_kernel_runs_clean_under_ubsan(c_backend, child_env, tmp_path):
     lib = _sanitized_kernel(tmp_path, "undefined")
     g, cap = _solve_instance("C8+2K1")
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY] + [("deficiency", g, cap)]
-    _assert_clean_child_searches(child_env, lib, searches + _LARGE_PLAN_BUILDS)
+    _assert_clean_child_searches(child_env, lib,
+                                 searches + _TABLES_PAST_THE_SEARCH + _LARGE_PLAN_BUILDS)
 
 
 def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
@@ -1085,7 +1157,7 @@ def test_kernel_runs_clean_under_asan(c_backend, child_env, tmp_path):
         pytest.skip("no ASan runtime (libasan.so) beside cc")
     env = {**child_env, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
     searches = [("find", h, t) for h, t, _, _ in WORD_BOUNDARY]
-    _assert_clean_child_searches(env, lib, searches + _LARGE_PLAN_BUILDS)
+    _assert_clean_child_searches(env, lib, searches + _TABLES_PAST_THE_SEARCH + _LARGE_PLAN_BUILDS)
 
 
 def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
@@ -1111,26 +1183,35 @@ def test_kernel_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
                            "tables for 6001 vertices\n")
 
 
-def test_kernel_plan_out_of_memory_is_a_limit(c_backend, child_env):
+def test_kernel_plan_out_of_memory_is_a_limit(c_backend, child_env, tmp_path):
     # K_{200,2000}: each of the 19,900 pairs of the 200 hubs shares the
     # 2,000 others, so the common lists hold about 40 M triples, 477 MB,
-    # which a 256 MiB address space cannot hold
+    # which a 256 MiB address space cannot hold: the plan builder alone
+    # raises the limit, and so does solve's one kernel call, which exits 4
+    # (the counting bound is t = 197,802)
+    import json
     import subprocess
     import sys
 
-    child = ("import resource\n"
+    g = join(empty_graph(200), empty_graph(2000))
+    graph_path = tmp_path / "k200.json"
+    graph_path.write_text(json.dumps(g.to_json_dict()))
+    child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
              "from semdef import _kernel\n"
+             "from semdef.cli import main\n"
              "from semdef.graphs import empty_graph, join\n"
              "from semdef.solver import SearchLimitError\n"
              "try:\n"
              "    _kernel.load().plan(join(empty_graph(200), empty_graph(2000)))\n"
              "except SearchLimitError as exc:\n"
-             "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=child_env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (
-        0, "the search kernel could not allocate the plan of 2200 vertices\n"), proc.stderr[-2000:]
+             "    print(exc)\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, "solve", "--graph", str(graph_path),
+                           "--cap", "197802", "--max-labels", "200002"],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    limit = "the search kernel could not allocate the plan of 2200 vertices\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, limit, f"limit: {limit}")
 
 
 def test_seconds_leave_out_the_kernel_load(monkeypatch, c_backend):

@@ -15,6 +15,12 @@ the one going first swapped every round, over three sets:
   solve   the bench's solve searches: every solve instance at each filler
           count from its counting bound to its cap, labels 1 and N pinned,
           timed as one pass per round;
+  calls   the bench's solve instances, each as one whole deficiency call
+          (plan and every filler count up to the first witness), the unit
+          the bench times: one semdef_solve call per instance, or, for a
+          source without semdef_solve, its plan builder (or solver._plan)
+          and one semdef_dfs call per filler count, looped here; timed as
+          one pass per round;
   long    four long searches, H_14 at t=1, H_18 at t=0, P_12+2K_1 at t=5
           and C_8+3K_1 at t=12, labels 1 and N pinned, each timed on its
           own.
@@ -22,7 +28,8 @@ the one going first swapped every round, over three sets:
 Per row it prints the nodes (for the plans, their number), each build's median milliseconds with the
 quartiles, and the rounds in which NEW was faster.  Every plan and every
 search must be the same in both builds and in every round: the same plan
-fields, or the same found flag, labels and node count.  With --cut, for a
+fields, the same found flag, labels and node count, or, for a call, the
+same deficiency, witness and node total.  With --cut, for a
 NEW that changes a cut by design, the node counts may differ: the found
 flag and the labels must still match, and each row prints NEW's nodes
 beside OLD's.  A row that differs says DIFFERS and shows NEW's found flag
@@ -30,8 +37,8 @@ and nodes next to OLD's (for a set, the searches with a witness and the
 nodes summed), and the tool exits 1.
 A row stops its rounds once a run of one side takes more than 20 times the
 other side's first run, so a build that changes a long search by design
-costs a few of its runs, not all of them.  The search times are kernel
-calls alone: each side builds its plans once, before timing.
+costs a few of its runs, not all of them.  The solve and long times are
+kernel searches alone: each side builds its plans once, before timing.
 
 Run:  python tools/kernel_ab.py [--cut] OLD.c NEW.c
 e.g.  git show HEAD:src/semdef/_dfs.c > /tmp/old.c
@@ -48,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,7 +107,7 @@ def old_kernel(lib) -> _kernel.Kernel:
         found = fn(struct, n_total, pins, labels, ctypes.byref(nodes))
         return (list(labels) if found > 0 else None), nodes.value
 
-    return _kernel.Kernel(plan, dfs)
+    return _kernel.Kernel(plan, dfs, None)  # Side.solve loops plan and dfs
 
 
 def layout_size(text: str) -> int:
@@ -121,9 +129,31 @@ class Side:
         else:
             subprocess.run(["cc", *_kernel.cflags(), "-o", str(out), str(source)], check=True)
         lib = ctypes.CDLL(str(out))
-        self.plan, self.dfs = _kernel.bind(lib) if new else old_kernel(lib)
+        self.one_call = "semdef_solve" in text
+        if new and not self.one_call:  # bind declares a semdef_solve that solve() never calls
+            lib = types.SimpleNamespace(semdef_plan=lib.semdef_plan, semdef_free=lib.semdef_free,
+                                        semdef_dfs=lib.semdef_dfs,
+                                        semdef_solve=types.SimpleNamespace())
+        self.kernel = _kernel.bind(lib) if new else old_kernel(lib)
+        self.plan, self.dfs = self.kernel[:2]
         self.size = layout_size(text) if new else len(solver._Plan._fields)
         self.shared = self.size  # the fields compared, set by main
+
+    def solve(self, g, t0: int, t1: int):
+        """deficiency's backend call on g over t0..t1, labels 1 and N
+        pinned: (t, labels per vertex, nodes), t and labels None when none
+        is found."""
+        if self.one_call:
+            return self.kernel.solve(g, t0, t1, PINS)
+        planned, nodes = self.plan(g), 0
+        order = planned.order if isinstance(planned, _kernel.CPlan) else planned[0].order
+        for t in range(t0, t1 + 1):
+            n_total = g.vertex_count + t
+            at, spent = self.dfs(planned, n_total, min(PINS, n_total))
+            nodes += spent
+            if at is not None:
+                return t, [lab for _, lab in sorted(zip(order, at))], nodes
+        return None, None, nodes
 
     def fields(self, planned) -> list:
         """The first shared fields of a plan this side built."""
@@ -142,12 +172,15 @@ def solve_graphs() -> list:
     return [graphs[name] for name, *_ in inputs.SOLVE_INSTANCES]
 
 
-def solve_searches() -> list:
+def solve_calls() -> list:
+    """(graph, counting bound, cap) per bench solve instance."""
     graphs = inputs.solve_graphs()
-    return [(g, t)
-            for name, *_, cap in inputs.SOLVE_INSTANCES
-            for g in [graphs[name]]
-            for t in range(counting_lower_bound(g.vertex_count, g.q), cap + 1)]
+    return [(g, counting_lower_bound(g.vertex_count, g.q), cap)
+            for name, *_, cap in inputs.SOLVE_INSTANCES for g in [graphs[name]]]
+
+
+def solve_searches() -> list:
+    return [(g, t) for g, t0, cap in solve_calls() for t in range(t0, cap + 1)]
 
 
 def plan_run(side: Side, graphs: list):
@@ -169,6 +202,18 @@ def search_run(side: Side, searches: list):
         start = time.perf_counter()
         results = [side.dfs(plan, n_total, PINS) for plan, n_total in cases]
         return time.perf_counter() - start, results
+    return run
+
+
+def call_run(side: Side, calls: list):
+    """() -> (seconds, results): side runs each of calls as one deficiency
+    call, plan included; a result is ((t, labels), nodes), or (None, nodes)
+    with no witness."""
+    def run():
+        start = time.perf_counter()
+        results = [side.solve(g, t0, cap) for g, t0, cap in calls]
+        return time.perf_counter() - start, [
+            (None if t is None else (t, labels), nodes) for t, labels, nodes in results]
     return run
 
 
@@ -243,13 +288,16 @@ def main(argv=None) -> int:
         graphs = solve_graphs()
         same = compare(f"plans ({len(graphs)})", [plan_run(s, graphs) for s in sides],
                        SOLVE_ROUNDS, searches=False)
+        calls = solve_calls()
+        same &= compare(f"calls ({len(calls)})", [call_run(s, calls) for s in sides],
+                        SOLVE_ROUNDS, cut=args.cut)
         solve = solve_searches()
         for label, searches, rounds in (
                 (f"solve ({len(solve)})", solve, SOLVE_ROUNDS),
                 *((label, [(make_family(family), t)], LONG_ROUNDS) for label, family, t in LONG)):
             same &= compare(label, [search_run(s, searches) for s in sides], rounds, cut=args.cut)
     if not same:
-        print("results differ: a plan, or a search's found flag, witness"
+        print("results differ: a plan, or a search's or call's found flag, witness"
               + ("" if args.cut else " or node count"))
     return 0 if same else 1
 
