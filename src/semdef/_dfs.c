@@ -1,23 +1,24 @@
 /* Compiled port of semdef.solver._solve: _plan, and _run_search per filler
  * count.
  *
- * semdef_solve is the one entry the solver calls, once per find_sem or
- * deficiency call, through semdef/_kernel.py and ctypes.  It takes the graph
- * -- its p vertices and the q edges edges[2e], edges[2e + 1] in Graph.edges
- * order -- and the filler counts t0..t1 to search, with pins, the number of
- * the labels 1 and n pinned, at most n.  It builds the plan with semdef_plan,
- * allocates the search's tables, once for a cap near the first t, searches
- * t = t0, t0 + 1, ... up to the first witness, writes that witness per
- * vertex, frees everything and returns the t found, or -1 (none), -2 (the
- * plan could not be allocated) or -3 (the tables could not be).
+ * semdef_solve is the one search entry the kernel exports, and the solver
+ * calls it once per find_sem or deficiency call, through semdef/_kernel.py
+ * and ctypes.  It takes the graph -- its p vertices and the q edges
+ * edges[2e], edges[2e + 1] in Graph.edges order -- and the filler counts
+ * t0..t1 to search, with pins, the number of the labels 1 and n pinned, at
+ * most n.  It builds the plan with semdef_plan, allocates the search's
+ * tables, once for a cap near the first t, searches t = t0, t0 + 1, ... up
+ * to the first witness, writes that witness per vertex, frees everything
+ * and returns the t found, or -1 (none), -2 (the plan could not be
+ * allocated) or -3 (the tables could not be).
  *
  * semdef_plan builds a graph's search plan, solver._Plan field for field,
  * into one int buffer (the layout is given at semdef_plan), and semdef_free
- * releases it.  semdef_dfs takes what _run_search takes: that buffer, then n,
- * the label count, and pins; it searches one filler count.  Both stay
- * exported for the tests and tools/kernel_ab.py.  Each search derives the
- * rest: q is the plan's pstart[p], and position 0 takes labels
- * 1..ceil(n / 2), the complement cut.
+ * releases it; both stay exported for the tests and tools/kernel_ab.py, which
+ * compare the buffer with solver._plan.  semdef_solve searches each filler
+ * count with search, which takes what _run_search takes: the plan, n, the
+ * label count, and pins.  It derives the rest: q is the plan's pstart[p],
+ * and position 0 takes labels 1..ceil(n / 2), the complement cut.
  *
  * The file is two translation units, linked into one library by
  * _kernel.build: with SEMDEF_PLAN defined, the plan builder, compiled at
@@ -127,7 +128,7 @@ typedef struct {
 } Plan;
 
 typedef struct {
-    Plan plan;                 /* semdef_dfs's plan buffer, unpacked */
+    Plan plan;                 /* semdef_plan's buffer, unpacked */
     int q, n;                  /* edges, plan.pstart[plan.p]; labels 1..n */
     int ntop;                  /* position 0 takes labels 1..ntop, ceil(n / 2) */
     int pins;                  /* a witness uses the first pins of 1, n */
@@ -450,22 +451,6 @@ static int search(const Plan *pl, int n, int pins, void *block, int *lab_at, lon
         flip(s.free, a);
     const int found = rec(&s, 0, 10 * n, -1, 0);
     *nodes += s.nodes;
-    return found;
-}
-
-/* Returns 1 and leaves the witness's label per order position in lab_at,
-   0 when the search is exhausted, -1 when out of memory; *nodes receives
-   the placements tried.  plan is a buffer of semdef_plan. */
-int semdef_dfs(const int *plan, int n, int pins, int *lab_at, long long *nodes)
-{
-    const Plan pl = unpack(plan);
-    void *block = malloc(table_bytes(pl.p, n));
-    int found = -1;
-    if (block) {
-        *nodes = 0;
-        found = search(&pl, n, pins, block, lab_at, nodes);
-    }
-    free(block);
     return found;
 }
 

@@ -14,8 +14,8 @@ processes never load half a file.
 load() returns None when anything fails -- no compiler, a compile error, an
 unwritable directory, a dlopen error -- and the solver then runs
 solver._solve, its Python reference.  When the kernel loads, each find_sem
-or deficiency call makes one call of its semdef_solve, which builds the plan
-too: _orbits is not imported.  Nothing is built at import: the solver
+or deficiency call makes one call of semdef_solve, the kernel's one search
+entry, which builds the plan too: _orbits is not imported.  Nothing is built at import: the solver
 imports this module once, at its first search, and load() builds or loads
 the kernel.
 """
@@ -104,8 +104,7 @@ def _compile(target: Path) -> None:
 
 class CPlan:
     """A plan semdef_plan built, in the kernel's own int buffer, which is
-    freed with this object.  order is solver._Plan's, read from the buffer
-    when asked for."""
+    freed with this object."""
 
     __slots__ = ("buf", "p", "_free")
 
@@ -114,10 +113,6 @@ class CPlan:
 
     def __del__(self):
         self._free(self.buf)
-
-    @property
-    def order(self) -> list[int]:
-        return self.buf[1:1 + self.p]
 
     def fields(self) -> _Plan:
         """The plan as solver._Plan, field for field, read from the buffer in
@@ -139,18 +134,16 @@ class CPlan:
 
 class Kernel(NamedTuple):
     """The compiled backend: solve(g, t0, t1, pins) with the arguments and
-    the result of solver._solve, the one entry the solver calls; and, for
-    the tests and tools/kernel_ab.py, plan(g) -> CPlan and dfs(plan, n_total,
-    pins) with the arguments and the result of solver._run_search."""
+    the result of solver._solve, its one search; and, for the tests and
+    tools/kernel_ab.py, plan(g) -> CPlan, to compare with solver._plan."""
 
     plan: Callable
-    dfs: Callable
     solve: Callable
 
 
 # The most labels semdef_solve takes: 2n + 64, the bits of its bitsets, must
-# fit a C int.  solve searches up to it, and raises SearchLimitError when it
-# finds no witness there and the call asks for more.
+# fit a C int.  solve searches up to it, and raises SearchLimitError, naming
+# it, when it finds no witness there and the call asks for more.
 MAX_LABELS = (2**31 - 1 - 64) // 2
 
 
@@ -179,11 +172,9 @@ def bind(lib: ctypes.CDLL) -> Kernel:
     lib.semdef_plan.restype = int_p
     lib.semdef_free.argtypes = [int_p]
     lib.semdef_free.restype = None
-    lib.semdef_dfs.argtypes = [int_p, c_int, c_int, int_p, ll_p]
-    lib.semdef_dfs.restype = c_int
     lib.semdef_solve.argtypes = [c_int, c_int, ctypes.c_char_p, c_int, c_int, c_int, int_p, ll_p]
     lib.semdef_solve.restype = c_int
-    make, free, search, run = lib.semdef_plan, lib.semdef_free, lib.semdef_dfs, lib.semdef_solve
+    make, free, run = lib.semdef_plan, lib.semdef_free, lib.semdef_solve
     ints = c_int * 0
 
     def plan(g) -> CPlan:
@@ -192,28 +183,23 @@ def bind(lib: ctypes.CDLL) -> Kernel:
             raise _limit(-2, g.vertex_count)
         return CPlan(buf, g.vertex_count, free)
 
-    def dfs(plan: CPlan, n_total: int, pins: int):
-        labels, nodes = bytearray(ctypes.sizeof(c_int) * plan.p), ctypes.c_longlong()
-        found = search(plan.buf, n_total, pins, ints.from_buffer(labels), ctypes.byref(nodes))
-        if found < 0:
-            raise _limit(-3, plan.p)
-        return (memoryview(labels).cast("i").tolist() if found else None), nodes.value
-
     def solve(g, t0: int, t1: int, pins: int):
         p = g.vertex_count
         top = min(t1, MAX_LABELS - p)
         labels, nodes = bytearray(ctypes.sizeof(c_int) * p), ctypes.c_longlong()
         t = run(p, len(g.edges), _edges(g), min(t0, top + 1), top, pins,
                 ints.from_buffer(labels), ctypes.byref(nodes))
-        if t == -1 and top < t1:  # none up to MAX_LABELS, and more asked for
-            t = -3
         if t < -1:
             raise _limit(t, p)
+        if t == -1 and top < t1:
+            raise SearchLimitError(f"the search kernel takes at most MAX_LABELS = {MAX_LABELS} "
+                                   f"labels and found no witness up to them, but {p + t1} "
+                                   "were asked for")
         if t < 0:
             return None, None, nodes.value
         return t, memoryview(labels).cast("i").tolist(), nodes.value
 
-    return Kernel(plan, dfs, solve)
+    return Kernel(plan, solve)
 
 
 @functools.cache
@@ -221,7 +207,8 @@ def load() -> Kernel | None:
     """The kernel, built and loaded, or None when it cannot be built or
     loaded.  Its solve runs one find_sem or deficiency call's searches, plan
     included, and raises SearchLimitError when the kernel cannot allocate
-    the plan or its tables.  The outcome is kept for the life of the
+    the plan or its tables, or when no witness lies within MAX_LABELS labels
+    and the call asks for more.  The outcome is kept for the life of the
     process."""
     try:
         path = library_path()

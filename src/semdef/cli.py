@@ -12,7 +12,9 @@ Exit codes: 0 success / certificate accepted / exact deficiency found;
 1 rejected certificate or failed claims; 2 usage error; 3 the solver
 exhausted every filler count up to the cap without a witness; 4 solve would
 need more labels than --max-labels before the cap, with no witness below
-them, or more memory than the compiled kernel can allocate for its tables.
+them, or the compiled kernel could not finish the search: it could not
+allocate the plan, or its tables, or it found no witness within its
+_kernel.MAX_LABELS labels and more were asked for.
 JSON goes to the --json path ('-' = stdout);
 with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go

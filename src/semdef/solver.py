@@ -141,7 +141,9 @@ from .graphs import Graph
 from .labeling import Labeling, Rejection, SemCertificate, verify_sem, weighted_sum_required
 
 class SearchLimitError(RuntimeError):
-    """The compiled kernel could not allocate its tables for the search."""
+    """The compiled kernel could not finish the search: it could not
+    allocate the plan, or its tables, or it found no witness within its
+    _kernel.MAX_LABELS labels and the call asks for more."""
 
 
 class SearchResult(NamedTuple):
@@ -188,8 +190,8 @@ class SearchOutcome(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """g's search plan, which depends on the graph alone, in the layout
-    semdef_dfs takes: per assignment position i, the vertex order[i]
+    """g's search plan, which depends on the graph alone, in the layout of
+    semdef_plan's buffer: per assignment position i, the vertex order[i]
     (descending degree, ties by index), its degree deg[i], the positions of
     its already-assigned neighbours prior[pstart[i] .. pstart[i + 1]), and
     orbit_prev[i], the last earlier position whose stabilizer orbit holds

@@ -1,0 +1,49 @@
+"""tools/kernel_ab.py: the A/B tool's runners drive the kernel through its
+one search entry, and it refuses a source without that entry."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from semdef import _kernel, solver
+
+
+@pytest.fixture
+def kernel_ab(monkeypatch):
+    """tools/kernel_ab.py, loaded as a module; the sys.path entries it adds
+    are dropped after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "kernel_ab", Path(__file__).parents[1] / "tools" / "kernel_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_runners_give_the_reference_results(kernel_ab, tmp_path):
+    # a Side built from the package's source: its calls give solver._solve's
+    # t, witness per vertex and nodes on the bench's 12 solve instances, and
+    # its plans read back as solver._plan's
+    if _kernel.load() is None:
+        pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
+    side = kernel_ab.Side(_kernel.SOURCE, tmp_path / "_dfs.so")
+    assert side.size == len(solver._Plan._fields)
+    calls = kernel_ab.solve_calls()
+    _, results = kernel_ab.call_run(side, calls)()
+    assert results == [solver._solve(g, t0, cap, kernel_ab.PINS) for g, t0, cap in calls]
+    assert (len(results), sum(nodes for *_, nodes in results)) == (12, 98_891)
+    graphs = [g for g, *_ in calls]
+    _, fields = kernel_ab.plan_run(side, graphs)()
+    assert fields == [list(solver._plan(g)) for g in graphs]
+
+
+def test_source_without_semdef_solve_exits_2_unbuilt(kernel_ab, monkeypatch, tmp_path, capsys):
+    # an OLD from before semdef_solve is refused by name, before cc runs
+    old = tmp_path / "old.c"
+    old.write_text(_kernel.SOURCE.read_text().replace("semdef_solve", "semdef_run"))
+    monkeypatch.setattr(_kernel, "build", lambda *args: pytest.fail("a source was built"))
+    assert kernel_ab.main([str(old), str(_kernel.SOURCE)]) == 2
+    err = capsys.readouterr().err
+    assert "semdef_solve" in err and str(old) in err and str(_kernel.SOURCE) not in err

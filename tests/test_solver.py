@@ -110,11 +110,13 @@ def test_kernel_searches_up_to_its_label_range(c_backend):
     # call searches only t up to _kernel.MAX_LABELS - p: a cap past it still
     # finds a small deficiency (on tables for 18 labels, not for the cap's),
     # and a search that needs labels past it raises the limit, where t cut
-    # to 32 bits would search t = 5
+    # to 32 bits would search t = 5; the error names the range and the
+    # p + t labels asked for
     g = join(path(4), empty_graph(3))
     out = deficiency(g, 10**12)
     assert (out.deficiency, out.nodes, out.backend) == (2, 404, "c")
-    with pytest.raises(solver.SearchLimitError, match="completion tables for 7 vertices"):
+    with pytest.raises(solver.SearchLimitError,
+                       match=f"MAX_LABELS = {_kernel.MAX_LABELS} labels .* but 4294967308 were"):
         find_sem(g, 2**32 + 5)
 
 
@@ -679,7 +681,7 @@ def test_each_call_builds_the_plan_once(monkeypatch, search, ns, call):
     monkeypatch.undo()
     assert calls[0][0] == solver._plan(g)
     # with it, one semdef_solve call, which builds the plan in C: no Python
-    # plan, and neither the kernel's own plan nor its dfs is called apart
+    # plan, and the kernel's own plan is not called apart
     kernel = _kernel.load()
     if kernel is None:
         return
@@ -687,7 +689,7 @@ def test_each_call_builds_the_plan_once(monkeypatch, search, ns, call):
     solves = []
     fail = lambda *args: pytest.fail("a plan or a search outside the one kernel call")  # noqa: E731
     monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(
-        fail, fail, lambda *args: solves.append(args) or kernel.solve(*args)))
+        fail, lambda *args: solves.append(args) or kernel.solve(*args)))
     monkeypatch.setattr(solver, "_plan", fail)
     monkeypatch.setattr(solver, "_solve", fail)
     out = search(g)
@@ -760,9 +762,9 @@ def test_kernel_without_popcount_matches_the_loaded_kernel(c_backend, monkeypatc
                 for g, cap in [_solve_instance(name)]
                 for t in range(counting_lower_bound(g.vertex_count, g.q), cap + 1)]
     assert len(searches) == 26
-    results = [[k.dfs(k.plan(g), g.vertex_count + t, 2) for g, t in searches] for k in kernels]
+    results = [[k.solve(g, t, t, 2) for g, t in searches] for k in kernels]
     assert results[0] == results[1]
-    assert sum(nodes for _, nodes in results[0]) == 98_891
+    assert sum(nodes for *_, nodes in results[0]) == 98_891
 
 
 def test_backends_agree_on_the_bench_solve_calls(c_backend):
@@ -799,7 +801,7 @@ def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
     assert re.findall(r"(?:^|,)\s*(\w+)", layout) == ["p", *solver._Plan._fields]
     g = join(cycle(4), empty_graph(2))
     plan = _kernel.load().plan(g)
-    assert (plan.p, plan.order, plan.buf[0]) == (6, [0, 1, 2, 3, 4, 5], 6)
+    assert (plan.p, plan.buf[0]) == (6, 6)
     assert plan.fields() == solver._Plan(
         [0, 1, 2, 3, 4, 5], [4] * 6, [0, 0, 1, 2, 4, 8, 12], [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3],
         [-1, 0, 0, 1, 1, 4], [12, 8, 5, 2, 0, 0], [0, 0, 1, 3, 6, 10, 14],
@@ -822,7 +824,7 @@ def test_deficiency_converts_its_plan_once(c_backend, child_env):
             "from semdef.graphs import cycle, empty_graph, join\n"
             "kernel = _kernel.load()\n"
             "solves = []\n"
-            "_kernel.load = lambda: _kernel.Kernel(None, None,\n"
+            "_kernel.load = lambda: _kernel.Kernel(None,\n"
             "    lambda *args: solves.append(args[1:]) or kernel.solve(*args))\n"
             "out = solver.deficiency(join(cycle(4), empty_graph(2)), 6)\n"
             "del sys.modules['semdef._kernel']\n"
@@ -943,9 +945,8 @@ def _pinned_witnesses(kernel=None):
             with _python_only():
                 out.append(_labels(find_sem(g, t)))
             continue
-        plan = kernel.plan(g)
-        at, _ = kernel.dfs(plan, g.vertex_count + t, 1)
-        out.append(at and tuple(lab for _, lab in sorted(zip(plan.order, at))))
+        _, labels, _ = kernel.solve(g, t, t, 1)
+        out.append(labels and tuple(labels))
     return out
 
 
