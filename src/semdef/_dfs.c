@@ -20,12 +20,8 @@
  * label count, and pins.  It derives the rest: q is the plan's pstart[p],
  * and position 0 takes labels 1..ceil(n / 2), the complement cut.
  *
- * The file is two translation units, linked into one library by
- * _kernel.build: with SEMDEF_PLAN defined, the plan builder, compiled at
- * -O1, and without it, the search, at -O2.  The plan is built once per
- * call, and apart the two keep the compiler's peak memory on the first
- * build near the search's alone (cc1 of gcc 12: 37 MB for the search, 38.5
- * MB for the plan builder, 47 MB for both in one unit at -O2).
+ * The file is one translation unit, the search and then the plan builder,
+ * compiled into the library by one cc command with _kernel.cflags().
  *
  * The plan follows _plan: the order and degrees, the prior, inner, open and
  * common lists, and the orbit links of _orbits.orbit_prev -- twins seeded
@@ -107,8 +103,6 @@ INLINE uint64_t range(int k, int a, int b)
     return (a > lo ? ~(uint64_t)0 << (a - lo) : ~(uint64_t)0) &
            (b < hi ? ~(uint64_t)0 >> (hi - b) : ~(uint64_t)0);
 }
-
-#ifndef SEMDEF_PLAN  /* the search */
 
 /* solver._Plan field for field, less order and with p, its length: the
    arrays of semdef_plan's buffer, named as there. */
@@ -454,7 +448,7 @@ static int search(const Plan *pl, int n, int pins, void *block, int *lab_at, lon
     return found;
 }
 
-int *semdef_plan(int p, int q, const int *edges);  /* the plan builder's unit */
+int *semdef_plan(int p, int q, const int *edges);  /* the plan builder, below */
 void semdef_free(int *plan);
 
 /* Searches the graph of p vertices and the q edges edges[2e], edges[2e + 1]
@@ -497,7 +491,7 @@ int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *
     return found;
 }
 
-#else  /* SEMDEF_PLAN: the plan builder, solver._plan with the orbit links */
+/* The plan builder: solver._plan with the orbit links */
 
 INLINE uint64_t bit(int i)
 {
@@ -1018,5 +1012,3 @@ void semdef_free(int *plan)
 {
     free(plan);
 }
-
-#endif

@@ -1,10 +1,11 @@
 """Build, cache and load the compiled kernel (_dfs.c): plan builder and DFS.
 
-The kernel is compiled on first use with `cc` (build: the plan builder with
-PLAN_CFLAGS, the search with cflags()) into this package's __pycache__
-directory, under a name keyed by a hash of the C source, both flag tuples
-and the interpreter's extension tag, so a changed source, changed flags or
-another interpreter get a build of their own.  cflags() adds -mpopcnt to
+The kernel is compiled on first use by one cc command with cflags() (build)
+into this package's __pycache__ directory, named _dfs-<hash> and the
+interpreter's extension suffix, the hash that of the C source and the
+flags, so a changed source, changed flags or another interpreter get a
+build of their own; once a build is in place, this interpreter's older
+builds are removed, and other interpreters' stay.  cflags() adds -mpopcnt to
 CFLAGS, so that the search counts bits with the CPU's popcount
 instruction, only on an x86-64 whose CPU reports popcnt (the flags line of
 /proc/cpuinfo, read when the flags are asked for, never at import); no
@@ -36,7 +37,7 @@ from .solver import SearchLimitError, _Plan
 
 SOURCE = Path(__file__).with_name("_dfs.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-CFLAGS = ("-O2", "-shared", "-fPIC")  # the search, and the library, on any CPU
+CFLAGS = ("-O2", "-shared", "-fPIC")  # the library, on any CPU
 
 
 def _cpu() -> tuple[str, str]:
@@ -50,45 +51,35 @@ def _cpu() -> tuple[str, str]:
 
 
 def cflags() -> tuple[str, ...]:
-    """The flags of the search, and the library, on this machine: CFLAGS,
-    and -mpopcnt on an x86-64 whose CPU reports popcnt, so no build uses an
-    instruction that its CPU lacks."""
+    """The flags of the library on this machine: CFLAGS, and -mpopcnt on an
+    x86-64 whose CPU reports popcnt, so no build uses an instruction that
+    its CPU lacks."""
     machine, flags = _cpu()
     popcnt = machine == "x86_64" and "popcnt" in flags.partition(":")[2].split()
     return (*CFLAGS, *(["-mpopcnt"] if popcnt else []))
 
 
-PLAN_CFLAGS = ("-O1", "-c", "-fPIC", "-DSEMDEF_PLAN")  # the plan builder, an object
-
-
 def library_path() -> Path:
     """Where the build of the current source, with the current flags, for
     this interpreter lives."""
-    flags = repr((cflags(), PLAN_CFLAGS)).encode()
-    key = zlib.crc32(SOURCE.read_bytes() + flags + EXTENSION_SUFFIXES[0].encode())
-    return CACHE_DIR / f"_dfs-{key:08x}.so"
+    key = zlib.crc32(SOURCE.read_bytes() + repr(cflags()).encode())
+    return CACHE_DIR / f"_dfs-{key:08x}{EXTENSION_SUFFIXES[0]}"
 
 
 def build(source: Path, target: Path, *extra: str) -> None:
-    """Compile source, a _dfs.c, to the library target: its plan builder
-    (SEMDEF_PLAN defined) with PLAN_CFLAGS, then its search with CFLAGS,
-    linked with it; extra flags go to both, after those.  Raises OSError
-    when cc fails."""
+    """Compile source, a _dfs.c, to the library target with cflags(), then
+    the extra flags.  Raises OSError when cc fails."""
     import subprocess
-    import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        plan = str(Path(tmp) / "plan.o")
-        for cmd in (["cc", *PLAN_CFLAGS, *extra, "-o", plan, str(source)],
-                    ["cc", *cflags(), *extra, "-o", str(target), str(source), plan]):
-            proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                  text=True)
-            if proc.returncode != 0:
-                raise OSError(f"cc exited {proc.returncode}: {proc.stderr[-300:]!r}")
+    proc = subprocess.run(["cc", *cflags(), *extra, "-o", str(target), str(source)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise OSError(f"cc exited {proc.returncode}: {proc.stderr[-300:]!r}")
 
 
 def _compile(target: Path) -> None:
-    """Build SOURCE to target, or raise OSError."""
+    """Build SOURCE to target, or raise OSError; then remove this
+    interpreter's other builds from target's directory."""
     import tempfile
 
     target.parent.mkdir(exist_ok=True)
@@ -100,6 +91,9 @@ def _compile(target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in target.parent.glob(f"_dfs-*{EXTENSION_SUFFIXES[0]}"):
+        if old != target:
+            old.unlink(missing_ok=True)
 
 
 class CPlan:
@@ -117,19 +111,13 @@ class CPlan:
     def fields(self) -> _Plan:
         """The plan as solver._Plan, field for field, read from the buffer in
         semdef_plan's layout: for the tests and tools/kernel_ab.py."""
-        return _Plan(*self.arrays(len(_Plan._fields)))
-
-    def arrays(self, count: int) -> list[list[int]]:
-        """The first count of the buffer's arrays, in semdef_plan's layout,
-        which only appends fields: tools/kernel_ab.py reads the plans of
-        older builds with it."""
         p, at, out = self.p, 1, []
-        for size in (p, p, p + 1, None, p, p, p + 1, None, p + 1, None)[:count]:
+        for size in (p, p, p + 1, None, p, p, p + 1, None, p + 1, None):
             if size is None:  # prior's q = pstart[p], open's ostart[p], common's cstart[p]
                 size = out[-1][-1]
             out.append(self.buf[at:at + size])
             at += size
-        return out
+        return _Plan(*out)
 
 
 class Kernel(NamedTuple):

@@ -23,7 +23,8 @@ Conventions:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from itertools import islice, product
+from operator import lt
 from typing import NamedTuple
 
 SCHEMA = "semdef/1"
@@ -72,10 +73,11 @@ class Graph(_Checked, _GraphFields):
             if not (0 <= u and v < vertex_count):
                 raise ValueError(f"edge {e!r} has an endpoint outside 0..{vertex_count - 1}")
             canon.append((u, v))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a!r}")
+        if not all(map(lt, canon, islice(canon, 1, None))):  # not already sorted and distinct
+            canon.sort()
+            for a, b in zip(canon, canon[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate edge {a!r}")
         return tuple.__new__(cls, (vertex_count, tuple(canon)))
 
     @classmethod

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .graphs import Graph, SCHEMA, _Checked, json_int, json_int_list, json_object
+from .graphs import Graph, SCHEMA, _Checked, _all_of_type, json_int, json_int_list, json_object
 
 # Rejection reasons, ordered by when the verifier can detect them.
 REASON_OUT_OF_RANGE = "label-out-of-range"
@@ -45,8 +45,9 @@ class Labeling(_Checked, _LabelingFields):
 
     def __new__(cls, labels, total_labels: int | None = None):
         labels = tuple(labels)
-        for label in labels:
-            json_int(label, "label")
+        if not _all_of_type(labels, int):
+            for label in labels:  # name the first label that is not an int
+                json_int(label, "label")
         if total_labels is None:
             total_labels = len(labels)
         elif json_int(total_labels, "total_labels") < len(labels):

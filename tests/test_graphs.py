@@ -118,6 +118,9 @@ def test_graph_rejects_loops_multiedges_and_bad_endpoints():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError, match="duplicate edge"):
         Graph(3, [(0, 1), (1, 0)])
+    # sorted edges, as well as unsorted ones, are scanned for a duplicate
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(ValueError, match="endpoint"):
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
@@ -152,6 +155,7 @@ def test_graph_rejects_a_non_integer():
 def test_edges_canonically_sorted():
     g = Graph(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))
+    assert Graph(4, [(0, 1), (0, 2), (1, 3)]).edges == g.edges
 
 
 def test_graph_json_round_trip():

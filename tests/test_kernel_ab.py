@@ -23,20 +23,19 @@ def kernel_ab(monkeypatch):
 
 
 def test_runners_give_the_reference_results(kernel_ab, tmp_path):
-    # a Side built from the package's source: its calls give solver._solve's
+    # kernel_ab's side for the package's source: its calls give solver._solve's
     # t, witness per vertex and nodes on the bench's 12 solve instances, and
     # its plans read back as solver._plan's
     if _kernel.load() is None:
         pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
-    side = kernel_ab.Side(_kernel.SOURCE, tmp_path / "_dfs.so")
-    assert side.size == len(solver._Plan._fields)
+    kernel = kernel_ab.side(_kernel.SOURCE, tmp_path / "_dfs.so")
     calls = kernel_ab.solve_calls()
-    _, results = kernel_ab.call_run(side, calls)()
+    _, results = kernel_ab.call_run(kernel, calls)()
     assert results == [solver._solve(g, t0, cap, kernel_ab.PINS) for g, t0, cap in calls]
     assert (len(results), sum(nodes for *_, nodes in results)) == (12, 98_891)
     graphs = [g for g, *_ in calls]
-    _, fields = kernel_ab.plan_run(side, graphs)()
-    assert fields == [list(solver._plan(g)) for g in graphs]
+    _, fields = kernel_ab.plan_run(kernel, graphs)()
+    assert fields == [solver._plan(g) for g in graphs]
 
 
 def test_source_without_semdef_solve_exits_2_unbuilt(kernel_ab, monkeypatch, tmp_path, capsys):

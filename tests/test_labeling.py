@@ -167,6 +167,9 @@ def test_labeling_rejects_a_non_integer_label():
         Labeling(iter([1, "2", 3]))
     with pytest.raises(ValueError, match=r"^label must be an integer, got True$"):
         Labeling([True, 2, 3])
+    # the first label that is not an int is named
+    with pytest.raises(ValueError, match=r"^label must be an integer, got 2\.5$"):
+        Labeling([1, 2.5, "3"])
 
 
 @pytest.mark.parametrize(

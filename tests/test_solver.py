@@ -711,8 +711,8 @@ def test_label_n_is_pinned_only_where_t_minus_1_fails():
 
 @pytest.mark.parametrize("flags", [(), ("-O0",)], ids=["CFLAGS", "O0"])
 def test_kernel_compiles_without_warnings(tmp_path, flags):
-    # the build load() makes, both translation units, with the warnings
-    # that need the optimiser too; at -O0 a helper marked always_inline that
+    # the build load() makes, its one cc command, with the warnings that
+    # need the optimiser too; at -O0 a helper marked always_inline that
     # cannot be inlined is an error
     import shutil
 
@@ -1335,12 +1335,31 @@ def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_
     assert _kernel.library_path() != before
 
 
-@pytest.mark.parametrize("flags", ["CFLAGS", "PLAN_CFLAGS"])
-def test_kernel_is_cached_by_its_flags(monkeypatch, flags):
+def test_build_removes_this_interpreters_older_builds(monkeypatch, tmp_path, fresh_kernel,
+                                                      c_backend):
+    # a new build replaces this interpreter's older build in the cache and
+    # leaves the build of another interpreter, which it cannot load
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    older = cache / f"_dfs-00000000{EXTENSION_SUFFIXES[0]}"
+    other = cache / "_dfs-00000000.other-interpreter.so"
+    older.write_bytes(b"an older build")
+    other.write_bytes(b"another interpreter's build")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
+    _kernel.load.cache_clear()
+    assert _kernel.load() is not None
+    assert find_sem(wheel_minus_spoke(5), 1).backend == "c"
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [_kernel.library_path().name, other.name])
+
+
+def test_kernel_is_cached_by_its_flags(monkeypatch):
     # a build with other flags, the same source otherwise, gets a path of
     # its own, so a cached build with the old flags is never loaded
     before = _kernel.library_path()
-    monkeypatch.setattr(_kernel, flags, (*getattr(_kernel, flags), "-DSEMDEF_EDITED"))
+    monkeypatch.setattr(_kernel, "CFLAGS", (*_kernel.CFLAGS, "-DSEMDEF_EDITED"))
     assert _kernel.library_path() != before
     monkeypatch.undo()
     assert _kernel.library_path() == before

@@ -4,9 +4,8 @@ Both C sources must export semdef_solve; the tool exits 2, building
 nothing, when either lacks it.  Each is compiled into a temporary
 directory with _kernel.build and bound with _kernel.bind, side by side.
 Each side builds its plans with its own semdef_plan, read back with
-_kernel.CPlan.arrays as far as the layout in its source's comment goes,
-and the plans are compared on the fields both sides build.  The two sides
-then run in alternation, the one going first swapped every round, over
+_kernel.CPlan.fields, and the plans are compared field for field.  The two
+sides then run in alternation, the one going first swapped every round, over
 three sets:
 
   plans   the plans of the bench's solve graphs (bench/inputs.SOLVE_INSTANCES),
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import re
 import statistics
 import sys
 import tempfile
@@ -69,21 +67,10 @@ LONG = (
 )
 
 
-def layout_size(text: str) -> int:
-    """The number of solver._Plan fields in the plan buffer of a _dfs.c
-    source, as its layout comment lists them after p."""
-    layout = re.search(r"_Plan's fields in order after p:(.*?);", text, re.S)[1]
-    return len(re.findall(r"(?:^|,)\s*(\w+)", layout)) - 1
-
-
-class Side:
-    """One build: its Kernel, and how many of the plan's fields it builds."""
-
-    def __init__(self, source: Path, out: Path):
-        _kernel.build(source, out)
-        self.kernel = _kernel.bind(ctypes.CDLL(str(out)))
-        self.size = layout_size(source.read_text())
-        self.shared = self.size  # the fields compared, set by main
+def side(source: Path, out: Path) -> _kernel.Kernel:
+    """One build: source compiled to out, loaded and bound."""
+    _kernel.build(source, out)
+    return _kernel.bind(ctypes.CDLL(str(out)))
 
 
 def solve_calls() -> list:
@@ -93,23 +80,23 @@ def solve_calls() -> list:
             for name, *_, cap in inputs.SOLVE_INSTANCES for g in [graphs[name]]]
 
 
-def plan_run(side: Side, graphs: list):
-    """() -> (seconds, fields): side builds the plans of graphs, timed, and
+def plan_run(kernel: _kernel.Kernel, graphs: list):
+    """() -> (seconds, fields): kernel builds the plans of graphs, timed, and
     reads them back, untimed."""
     def run():
         start = time.perf_counter()
-        plans = [side.kernel.plan(g) for g in graphs]
-        return time.perf_counter() - start, [plan.arrays(side.shared) for plan in plans]
+        plans = [kernel.plan(g) for g in graphs]
+        return time.perf_counter() - start, [plan.fields() for plan in plans]
     return run
 
 
-def call_run(side: Side, calls: list):
-    """() -> (seconds, results): side runs each (g, t0, t1) of calls as one
+def call_run(kernel: _kernel.Kernel, calls: list):
+    """() -> (seconds, results): kernel runs each (g, t0, t1) of calls as one
     Kernel.solve call, labels 1 and N pinned; a result is (t, labels per
     vertex, nodes), t and labels None when there is no witness."""
     def run():
         start = time.perf_counter()
-        results = [side.kernel.solve(g, t0, t1, PINS) for g, t0, t1 in calls]
+        results = [kernel.solve(g, t0, t1, PINS) for g, t0, t1 in calls]
         return time.perf_counter() - start, results
     return run
 
@@ -180,10 +167,8 @@ def main(argv=None) -> int:
         print(f"no semdef_solve in {', '.join(lacking)}: both sources need it", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [Side(src, Path(tmp) / f"{name}.so") for name, src in
+        sides = [side(src, Path(tmp) / f"{name}.so") for name, src in
                  (("old", args.old), ("new", args.new))]
-        for side in sides:
-            side.shared = min(s.size for s in sides)
         print(f"{'searches':14s} {'nodes':>12s} {'OLD ms median [q1, q3]':>30s} "
               f"{'NEW ms median [q1, q3]':>30s} {'NEW faster':>10s}")
         calls = solve_calls()
