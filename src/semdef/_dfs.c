@@ -1,27 +1,32 @@
 /* Compiled port of semdef.solver._solve: _plan, and _run_search per filler
- * count.
+ * count, as the CPython extension module semdef._dfs.
  *
- * semdef_solve is the one search entry the kernel exports, and the solver
- * calls it once per find_sem or deficiency call, through semdef/_kernel.py
- * and ctypes.  It takes the graph -- its p vertices and the q edges
- * edges[2e], edges[2e + 1] in Graph.edges order -- and the filler counts
- * t0..t1 to search, with pins, the number of the labels 1 and n pinned, at
- * most n.  It builds the plan with semdef_plan, allocates the search's
- * tables, once for a cap near the first t, searches t = t0, t0 + 1, ... up
- * to the first witness, writes that witness per vertex, frees everything
- * and returns the t found, or -1 (none), -2 (the plan could not be
- * allocated) or -3 (the tables could not be).
+ * The module's solve is the one search entry, and the solver calls it once
+ * per find_sem or deficiency call, through semdef/_kernel.py:
+ * solve(p, edges, t0, t1, pins) takes the graph -- its p vertices and its
+ * edges as Graph.edges holds them, a tuple of distinct pairs (u, v) of ints,
+ * 0 <= u < v < p, ascending -- and the filler counts t0..t1 to search, with
+ * pins, the number of the labels 1 and n pinned, at most n.  It reads the
+ * edges into C ints, refusing any other input with an exception, and calls
+ * semdef_solve, which builds the plan with semdef_plan, allocates the
+ * search's tables, once for a cap near the first t, searches t = t0, t0 + 1,
+ * ... up to the first witness, writes that witness per vertex, frees
+ * everything and returns the t found, or -1 (none), -2 (the plan could not
+ * be allocated) or -3 (the tables could not be).  solve returns that code,
+ * the witness's label per vertex (None without one) and the nodes.
  *
  * semdef_plan builds a graph's search plan, solver._Plan field for field,
- * into one int buffer (the layout is given at semdef_plan), and semdef_free
- * releases it; both stay exported for the tests and tools/kernel_ab.py, which
- * compare the buffer with solver._plan.  semdef_solve searches each filler
- * count with search, which takes what _run_search takes: the plan, n, the
- * label count, and pins.  It derives the rest: q is the plan's pstart[p],
- * and position 0 takes labels 1..ceil(n / 2), the complement cut.
+ * into one int buffer (the layout is given at semdef_plan); the module's
+ * plan(p, edges) returns its fields as lists, for the tests and
+ * tools/kernel_ab.py, which compare them with solver._plan.  semdef_solve
+ * searches each filler count with search, which takes what _run_search
+ * takes: the plan, n, the label count, and pins.  It derives the rest: q is
+ * the plan's pstart[p], and position 0 takes labels 1..ceil(n / 2), the
+ * complement cut.
  *
- * The file is one translation unit, the search and then the plan builder,
- * compiled into the library by one cc command with _kernel.cflags().
+ * The file is one translation unit, the search, the plan builder and then
+ * the Python glue, compiled into the module by one cc command with
+ * _kernel.cflags() and Python's include directory.
  *
  * The plan follows _plan: the order and degrees, the prior, inner, open and
  * common lists, and the orbit links of _orbits.orbit_prev -- twins seeded
@@ -82,6 +87,9 @@
  * labels, where the reference rescans.
  * Every helper of rec is inlined into it, at every optimisation level.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>  /* first, as it sets the feature macros */
+
 #include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -448,8 +456,7 @@ static int search(const Plan *pl, int n, int pins, void *block, int *lab_at, lon
     return found;
 }
 
-int *semdef_plan(int p, int q, const int *edges);  /* the plan builder, below */
-void semdef_free(int *plan);
+static int *semdef_plan(int p, int q, const int *edges);  /* the plan builder, below */
 
 /* Searches the graph of p vertices and the q edges edges[2e], edges[2e + 1]
    at t = t0..t1 (p >= 1, p + t1 at most (INT_MAX - 64) / 2), the first
@@ -461,8 +468,8 @@ void semdef_free(int *plan);
    if fewer, and again so whenever t outgrows them: once for the filler
    counts of a call with a nearby cap, and never for labels past those
    searched times two, however large t1 is. */
-int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *lab,
-                 long long *nodes)
+static int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *lab,
+                        long long *nodes)
 {
     int *plan = semdef_plan(p, q, edges);
     if (!plan)
@@ -487,7 +494,7 @@ int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *
         lab[plan[1 + i]] = lab_at[i];  /* plan[1 + i] is order[i] */
     free(block);
     free(lab_at);
-    semdef_free(plan);
+    free(plan);
     return found;
 }
 
@@ -911,8 +918,8 @@ static long long common_pairs(const uint64_t *adj, int p, int w, uint64_t *cand,
    solver._Plan's fields in order after p:
      p, order[p], deg[p], pstart[p + 1], prior[q], orbit_prev[p], inner[p],
      ostart[p + 1], open[ostart[p]], cstart[p + 1], common[cstart[p]];
-   NULL when out of memory.  Free it with semdef_free. */
-int *semdef_plan(int p, int q, const int *edges)
+   NULL when out of memory.  Free it with free. */
+static int *semdef_plan(int p, int q, const int *edges)
 {
     const int w = p / 64 + 1;
     int *buf = NULL, *tmp = calloc(4 * ((size_t)p + 1), sizeof *tmp);
@@ -1008,7 +1015,174 @@ done:
     return buf;
 }
 
-void semdef_free(int *plan)
+/* The Python glue: the module semdef._dfs */
+
+/* The most labels a search takes: 2n + 64, the bits of its bitsets, must
+   fit an int; _kernel.MAX_LABELS. */
+#define MAX_LABELS ((INT_MAX - 64) / 2)
+
+/* *out = the int o, which lies in lo..hi; 0, with an exception set, when o
+   is not an int (bool included) or lies outside. */
+static int int_arg(PyObject *o, const char *name, long lo, long hi, int *out)
 {
-    free(plan);
+    if (!PyLong_CheckExact(o)) {
+        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.100s", name, Py_TYPE(o)->tp_name);
+        return 0;
+    }
+    const long v = PyLong_AsLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return 0;
+    if (v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must lie in %ld..%ld, got %ld", name, lo, hi, v);
+        return 0;
+    }
+    *out = (int)v;
+    return 1;
+}
+
+/* The edges of a graph of p vertices as Graph.edges holds them, a tuple of
+   pairs (u, v) of ints, 0 <= u < v < p, strictly ascending, so no loop and
+   no edge twice: a malloc'd array of 2q ints, the q edges in order, with q
+   in *q.  NULL, with an exception set, for any other edges or out of memory. */
+static int *read_edges(PyObject *edges, int p, int *q)
+{
+    if (!PyTuple_Check(edges)) {
+        PyErr_Format(PyExc_TypeError, "edges must be a tuple, not %.100s", Py_TYPE(edges)->tp_name);
+        return NULL;
+    }
+    const Py_ssize_t m = PyTuple_GET_SIZE(edges);
+    if (m > INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "too many edges");
+        return NULL;
+    }
+    int *out = malloc((2 * (size_t)m + 1) * sizeof *out);
+    if (!out)
+        return (int *)PyErr_NoMemory();
+    for (Py_ssize_t e = 0; e < m; e++) {
+        PyObject *pair = PyTuple_GET_ITEM(edges, e);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_Format(PyExc_TypeError, "edge %zd is not a pair (a 2-tuple)", e);
+            goto fail;
+        }
+        int *uv = out + 2 * e;
+        if (!int_arg(PyTuple_GET_ITEM(pair, 0), "an endpoint", 0, (long)p - 1, uv) ||
+            !int_arg(PyTuple_GET_ITEM(pair, 1), "an endpoint", 0, (long)p - 1, uv + 1))
+            goto fail;
+        if (uv[0] >= uv[1] || (e && (uv[0] < uv[-2] || (uv[0] == uv[-2] && uv[1] <= uv[-1])))) {
+            PyErr_Format(PyExc_ValueError, "edge %zd, (%d, %d), breaks the order of Graph.edges: "
+                         "u < v, ascending, no edge twice", e, uv[0], uv[1]);
+            goto fail;
+        }
+    }
+    *q = (int)m;
+    return out;
+fail:
+    free(out);
+    return NULL;
+}
+
+/* A list of the ints a[0 .. n), or NULL with an exception set. */
+static PyObject *int_list(const int *a, int n)
+{
+    PyObject *list = PyList_New(n);
+    for (int i = 0; list && i < n; i++) {
+        PyObject *x = PyLong_FromLong(a[i]);
+        if (!x) {
+            Py_CLEAR(list);
+            break;
+        }
+        PyList_SET_ITEM(list, i, x);
+    }
+    return list;
+}
+
+static PyObject *py_solve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int p, t0, t1, pins, q;
+    (void)module;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "solve takes 5 arguments (p, edges, t0, t1, pins)");
+        return NULL;
+    }
+    if (!int_arg(args[0], "p", 1, MAX_LABELS, &p) ||
+        !int_arg(args[2], "t0", 0, MAX_LABELS - p + 1, &t0) ||
+        !int_arg(args[3], "t1", 0, MAX_LABELS - p, &t1) ||
+        !int_arg(args[4], "pins", 0, INT_MAX, &pins))
+        return NULL;
+    int *edges = read_edges(args[1], p, &q), *lab = malloc((size_t)p * sizeof *lab);
+    if (!edges || !lab) {
+        free(edges);
+        free(lab);
+        return edges ? PyErr_NoMemory() : NULL;
+    }
+    long long nodes = 0;
+    int t;
+    Py_BEGIN_ALLOW_THREADS
+    t = semdef_solve(p, q, edges, t0, t1, pins, lab, &nodes);
+    Py_END_ALLOW_THREADS
+    PyObject *labels = t >= 0 ? int_list(lab, p) : Py_NewRef(Py_None);
+    free(edges);
+    free(lab);
+    if (!labels)
+        return NULL;
+    return Py_BuildValue("(iNL)", t, labels, nodes);
+}
+
+static PyObject *py_plan(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int p, q;
+    (void)module;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "plan takes 2 arguments (p, edges)");
+        return NULL;
+    }
+    if (!int_arg(args[0], "p", 0, MAX_LABELS, &p))
+        return NULL;
+    int *edges = read_edges(args[1], p, &q), *buf;
+    if (!edges)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    buf = semdef_plan(p, q, edges);
+    Py_END_ALLOW_THREADS
+    free(edges);
+    if (!buf)
+        Py_RETURN_NONE;
+    /* the fields in semdef_plan's layout: p + more[k] entries, or, where
+       more[k] is -1, as many as the last entry of the field before says */
+    static const int more[] = {0, 0, 1, -1, 0, 0, 1, -1, 1, -1};
+    PyObject *fields = PyTuple_New(10);
+    const int *at = buf + 1;
+    for (int k = 0; fields && k < 10; k++) {
+        const int size = more[k] < 0 ? at[-1] : p + more[k];
+        PyObject *list = int_list(at, size);
+        if (!list)
+            Py_CLEAR(fields);
+        else
+            PyTuple_SET_ITEM(fields, k, list);
+        at += size;
+    }
+    free(buf);
+    return fields;
+}
+
+static PyMethodDef methods[] = {
+    {"solve", (PyCFunction)(void (*)(void))py_solve, METH_FASTCALL,
+     "solve(p, edges, t0, t1, pins) -> (t, labels per vertex or None, nodes): the graph of p\n"
+     "vertices and Graph.edges searched at t = t0..t1 up to the first witness; t is -1\n"
+     "when there is none, -2 when the plan and -3 when the tables could not be allocated."},
+    {"plan", (PyCFunction)(void (*)(void))py_plan, METH_FASTCALL,
+     "plan(p, edges) -> the ten fields of solver._Plan as lists, or None when the plan\n"
+     "could not be allocated."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module_def = {
+    PyModuleDef_HEAD_INIT, "semdef._dfs",
+    "The compiled search kernel of semdef: solve and plan (see semdef._kernel).", 0, methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__dfs(void)
+{
+    return PyModuleDef_Init(&module_def);
 }

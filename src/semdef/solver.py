@@ -105,10 +105,11 @@ the graph, the filler counts t0..t1 to search in turn up to the first
 witness (t0 = t1 = t for find_sem, the counting bound..cap for deficiency),
 and pins, the number of the labels 1 and N pinned (1 for find_sem, 2 for
 deficiency), at most N = p + t.  _search re-verifies the witness once.  When
-_kernel.load() succeeds, the kernel's semdef_solve runs the call: it builds
-g's plan with semdef_plan, orbit links included, in the kernel's own layout
-(_orbits.py is never imported), allocates its tables, searches each t
-and writes the witness per vertex.  Otherwise _solve builds a _Plan with
+_kernel.load() succeeds, the solve of the kernel's extension module runs
+the call: it reads g's edges as Graph.edges holds them, builds g's plan with
+semdef_plan, orbit links included, in the kernel's own layout (_orbits.py
+is never imported), allocates its tables, searches each t and returns the
+witness per vertex.  Otherwise _solve builds a _Plan with
 _plan once and runs _run_search per t.  Each search derives the rest from
 (plan, N, pins): q, the plan's pstart[-1], and ceil(N/2), the first
 position's last label under the complement cut.  Both builders make the

@@ -1,5 +1,5 @@
 """tools/kernel_ab.py: the A/B tool's runners drive the kernel through its
-one search entry, and it refuses a source without that entry."""
+one search entry, and it refuses a source that is not the kernel's module."""
 
 import importlib.util
 import sys
@@ -38,11 +38,34 @@ def test_runners_give_the_reference_results(kernel_ab, tmp_path):
     assert fields == [solver._plan(g) for g in graphs]
 
 
-def test_source_without_semdef_solve_exits_2_unbuilt(kernel_ab, monkeypatch, tmp_path, capsys):
-    # an OLD from before semdef_solve is refused by name, before cc runs
+def test_source_without_the_module_init_exits_2_unbuilt(kernel_ab, monkeypatch, tmp_path,
+                                                        capsys):
+    # an OLD from before the kernel was an extension module, without its
+    # init function, is refused by name, before cc runs
     old = tmp_path / "old.c"
-    old.write_text(_kernel.SOURCE.read_text().replace("semdef_solve", "semdef_run"))
+    old.write_text(_kernel.SOURCE.read_text().replace("PyInit__dfs", "semdef_init"))
     monkeypatch.setattr(_kernel, "build", lambda *args: pytest.fail("a source was built"))
     assert kernel_ab.main([str(old), str(_kernel.SOURCE)]) == 2
     err = capsys.readouterr().err
-    assert "semdef_solve" in err and str(old) in err and str(_kernel.SOURCE) not in err
+    assert "PyInit__dfs" in err and str(old) in err and str(_kernel.SOURCE) not in err
+
+
+@pytest.mark.parametrize("text", [
+    "int semdef_solve(void) { return -1; }\n/* not PyInit__dfs */\n",
+    "this is not C /* PyInit__dfs */\n",
+], ids=["loads-no-module", "does-not-build"])
+def test_source_that_does_not_load_exits_2(kernel_ab, tmp_path, capsys, text):
+    # a source that names the init function but builds a library with no
+    # module in it, as a ctypes-era _dfs.c did, or does not build at all,
+    # ends the tool with exit 2 and a message naming it, not a traceback
+    import shutil
+
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    old = tmp_path / "old.c"
+    old.write_text(text)
+    with pytest.raises(SystemExit) as exit_:
+        kernel_ab.main([str(old), str(_kernel.SOURCE)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{old} does not build or load as the kernel's module: ")

@@ -106,12 +106,11 @@ def test_search_limit(c_backend):
 
 
 def test_kernel_searches_up_to_its_label_range(c_backend):
-    # ctypes cuts an int argument to a C int without a word, so the kernel
-    # call searches only t up to _kernel.MAX_LABELS - p: a cap past it still
+    # the kernel's bitsets index at most _kernel.MAX_LABELS labels, so the
+    # kernel call searches only t up to MAX_LABELS - p: a cap past it still
     # finds a small deficiency (on tables for 18 labels, not for the cap's),
-    # and a search that needs labels past it raises the limit, where t cut
-    # to 32 bits would search t = 5; the error names the range and the
-    # p + t labels asked for
+    # and a search that needs labels past it raises the limit, naming the
+    # range and the p + t labels asked for
     g = join(path(4), empty_graph(3))
     out = deficiency(g, 10**12)
     assert (out.deficiency, out.nodes, out.backend) == (2, 404, "c")
@@ -266,7 +265,7 @@ def test_orbit_links_match_brute_force(g):
 
 def _c_plan(g):
     """g's plan from the kernel's builder, read back as a solver._Plan."""
-    return _kernel.load().plan(g).fields()
+    return _kernel.load().plan(g)
 
 
 # Graphs of 65 to 200 vertices, whose adjacency rows span 2 to 4 words of
@@ -751,13 +750,11 @@ def test_kernel_without_popcount_matches_the_loaded_kernel(c_backend, monkeypatc
     # the portable build, built as test_kernel_compiles_without_warnings
     # builds, takes the same nodes to the same outcome as the loaded build
     # (with -mpopcnt where the CPU has it) on the bench's 26 solve searches
-    import ctypes
-
     lib = tmp_path / "_dfs.so"
     monkeypatch.setattr(_kernel, "_cpu", lambda: ("", ""))
     _kernel.build(_kernel.SOURCE, lib, "-std=c99", "-Wall", "-Wextra", "-Werror")
     monkeypatch.undo()
-    kernels = [_kernel.load(), _kernel.bind(ctypes.CDLL(str(lib)))]
+    kernels = [_kernel.load(), _kernel.open_build(lib)]
     searches = [(g, t) for name, *_ in _bench_inputs().SOLVE_INSTANCES
                 for g, cap in [_solve_instance(name)]
                 for t in range(counting_lower_bound(g.vertex_count, g.q), cap + 1)]
@@ -792,17 +789,15 @@ def test_backends_agree_on_the_manifest_solver_calls(monkeypatch, c_backend):
 
 def test_kernel_plan_buffer_holds_the_plan_fields(c_backend):
     # semdef_plan writes _Plan's fields in order after p, as its comment
-    # lists them, and CPlan.fields reads them back in that order; a field
-    # added on one side only fails here
+    # lists them, and the module's plan reads them back in that order; a
+    # field added on one side only fails here
     import re
 
     layout = re.search(r"_Plan's fields in order after p:(.*?);", _kernel.SOURCE.read_text(),
                        re.S)[1]
     assert re.findall(r"(?:^|,)\s*(\w+)", layout) == ["p", *solver._Plan._fields]
     g = join(cycle(4), empty_graph(2))
-    plan = _kernel.load().plan(g)
-    assert (plan.p, plan.buf[0]) == (6, 6)
-    assert plan.fields() == solver._Plan(
+    assert _kernel.load().plan(g) == solver._Plan(
         [0, 1, 2, 3, 4, 5], [4] * 6, [0, 0, 1, 2, 4, 8, 12], [0, 1, 0, 2, 0, 1, 2, 3, 0, 1, 2, 3],
         [-1, 0, 0, 1, 1, 4], [12, 8, 5, 2, 0, 0], [0, 0, 1, 3, 6, 10, 14],
         [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3], [0, 0, 0, 3, 12, 30, 30],
@@ -971,8 +966,6 @@ def test_difference_cut_mutants_lose_a_pinned_witness(monkeypatch, mutant):
 
 @pytest.mark.parametrize("mutant", DIFFERENCE_CUT_MUTANTS)
 def test_kernel_difference_cut_mutants_lose_a_pinned_witness(c_backend, tmp_path, mutant):
-    import ctypes
-
     _, old, new = DIFFERENCE_CUT_MUTANTS[mutant]
     text = _kernel.SOURCE.read_text()
     assert text.count(old) == 1
@@ -981,7 +974,7 @@ def test_kernel_difference_cut_mutants_lose_a_pinned_witness(c_backend, tmp_path
     _kernel.build(source, lib)
     want = [labels for _, _, labels in DIFFERENCE_CUT_WITNESSES]
     assert _pinned_witnesses(_kernel.load()) == want
-    assert _pinned_witnesses(_kernel.bind(ctypes.CDLL(str(lib)))) != want
+    assert _pinned_witnesses(_kernel.open_build(lib)) != want
 
 
 # Searches whose labels and edge sums 3..2N-1 spread over two or three of
@@ -1028,7 +1021,7 @@ out = []
 for kind, data, t in json.load(sys.stdin):
     g = Graph.from_json_dict(data)
     if kind == "plan":
-        out.append(list(_kernel.load().plan(g).fields()))
+        out.append(list(_kernel.load().plan(g)))
         continue
     res = find_sem(g, t) if kind == "find" else deficiency(g, t)
     lab = res.witness and res.witness.labeling
@@ -1243,6 +1236,12 @@ def _no_compiler(monkeypatch, tmp_path):
     monkeypatch.setenv("PATH", str(tmp_path))
 
 
+def _no_python_headers(monkeypatch, tmp_path):
+    import sysconfig
+
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path / "include")})
+
+
 def _unwritable_cache(monkeypatch, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -1254,7 +1253,8 @@ def _corrupt_library(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "breakage", [_break_source, _no_compiler, _unwritable_cache, _corrupt_library]
+    "breakage", [_break_source, _no_compiler, _no_python_headers, _unwritable_cache,
+                 _corrupt_library]
 )
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, fresh_kernel, breakage):
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
@@ -1337,15 +1337,18 @@ def test_kernel_is_cached_by_source_hash(monkeypatch, tmp_path, fresh_kernel, c_
 
 def test_build_removes_this_interpreters_older_builds(monkeypatch, tmp_path, fresh_kernel,
                                                       c_backend):
-    # a new build replaces this interpreter's older build in the cache and
-    # leaves the build of another interpreter, which it cannot load
+    # a new build replaces this interpreter's older build in the cache, and
+    # a build named before the interpreter suffix was added, and leaves the
+    # build of another interpreter, which it cannot load
     from importlib.machinery import EXTENSION_SUFFIXES
 
     cache = tmp_path / "cache"
     cache.mkdir()
     older = cache / f"_dfs-00000000{EXTENSION_SUFFIXES[0]}"
+    unsuffixed = cache / "_dfs-0badcafe.so"
     other = cache / "_dfs-00000000.other-interpreter.so"
     older.write_bytes(b"an older build")
+    unsuffixed.write_bytes(b"a build named before the suffix")
     other.write_bytes(b"another interpreter's build")
     monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
     _kernel.load.cache_clear()
@@ -1375,6 +1378,80 @@ def test_kernel_is_not_loaded_at_import(child_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True).stdout
     assert out.split() == ["False"] * 5
+
+
+def test_search_path_imports_no_ctypes(c_backend, child_env):
+    # the kernel loads as an extension module: a search on it imports no
+    # ctypes and enters no module of its own in sys.modules, and with the
+    # build cached (c_backend made it) neither sysconfig nor subprocess,
+    # which only a build needs; import semdef alone still loads no kernel
+    # code
+    import subprocess
+    import sys
+
+    code = ("import sys, semdef\n"
+            "before = 'semdef._kernel' in sys.modules\n"
+            "from semdef.graphs import path\n"
+            "from semdef.solver import deficiency\n"
+            "out = deficiency(path(3), 0)\n"
+            "print(before, out.backend, out.deficiency, out.nodes,\n"
+            "      *(m in sys.modules for m in\n"
+            "        ('semdef._kernel', 'ctypes', 'semdef._dfs', 'sysconfig', 'subprocess')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env, check=True).stdout
+    assert out.split() == ["False", "c", "0", "3", "True", "False", "False", "False", "False"]
+
+
+# Malformed graphs for the kernel's plan and solve, on 3 vertices: (case,
+# edges, the exception each must raise).
+MALFORMED_EDGES = [
+    ("list-of-edges", [(0, 1)], "TypeError"),
+    ("list-edge", ((0, 1), [1, 2]), "TypeError"),
+    ("3-tuple-edge", ((0, 1, 2),), "TypeError"),
+    ("bool-endpoint", ((False, 1),), "TypeError"),
+    ("float-endpoint", ((0, 1.0),), "TypeError"),
+    ("endpoint-p", ((0, 3),), "ValueError"),
+    ("negative-endpoint", ((-1, 1),), "ValueError"),
+    ("huge-endpoint", ((0, 2**70),), "OverflowError"),
+    ("loop", ((1, 1),), "ValueError"),
+    ("edge-twice", ((0, 1), (0, 1)), "ValueError"),
+    ("descending", ((1, 2), (0, 1)), "ValueError"),
+]
+
+
+def test_kernel_raises_on_malformed_edges(c_backend, child_env):
+    # in a child, so a crash fails the test instead of ending the run: the
+    # kernel's plan and solve raise for edges that are not Graph.edges of 3
+    # vertices, and a well-formed call made after them still gives the
+    # Python backend's results
+    import json
+    import subprocess
+    import sys
+
+    code = ("import ast, json, sys, types\n"
+            "from semdef import _kernel, solver\n"
+            "from semdef.graphs import path\n"
+            "kernel = _kernel.load()\n"
+            "out = []\n"
+            "for edges in ast.literal_eval(sys.stdin.read()):\n"
+            "    g = types.SimpleNamespace(vertex_count=3, edges=edges)\n"
+            "    for call in (lambda: kernel.plan(g), lambda: kernel.solve(g, 0, 1, 2)):\n"
+            "        try:\n"
+            "            call()\n"
+            "            out.append(None)\n"
+            "        except Exception as exc:\n"
+            "            out.append(type(exc).__name__)\n"
+            "g = path(3)\n"
+            "print(json.dumps([out, kernel.plan(g) == solver._plan(g),\n"
+            "                  kernel.solve(g, 0, 1, 2) == solver._solve(g, 0, 1, 2)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env, timeout=60,
+                          input=repr([edges for _, edges, _ in MALFORMED_EDGES]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    raised, plan_ok, solve_ok = json.loads(proc.stdout)
+    assert dict(zip([name for name, *_ in MALFORMED_EDGES], zip(raised[::2], raised[1::2]))) == {
+        name: (error, error) for name, _, error in MALFORMED_EDGES}
+    assert plan_ok and solve_ok
 
 
 def test_import_loads_no_code_generating_modules(child_env):

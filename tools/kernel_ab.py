@@ -1,15 +1,16 @@
 """Compare two builds of the compiled kernel call for call, in alternating pairs.
 
-Both C sources must export semdef_solve; the tool exits 2, building
-nothing, when either lacks it.  Each is compiled into a temporary
-directory with _kernel.build and bound with _kernel.bind, side by side.
-Each side builds its plans with its own semdef_plan, read back with
-_kernel.CPlan.fields, and the plans are compared field for field.  The two
-sides then run in alternation, the one going first swapped every round, over
-three sets:
+Both C sources must define PyInit__dfs, the init function of the
+kernel's extension module; the tool exits 2, building nothing, when either
+lacks it.  Each is compiled into a temporary directory with _kernel.build
+and loaded with _kernel.open_build, side by side; the tool exits 2, naming
+the source, when one does not build or load as that module.  Each side
+builds its plans with its own plan builder, read back as solver._Plan, and
+the plans are compared field for field.  The two sides then run in
+alternation, the one going first swapped every round, over three sets:
 
   plans   the plans of the bench's solve graphs (bench/inputs.SOLVE_INSTANCES),
-          all built once per round;
+          all built once per round, each timed with its fields read back;
   calls   the bench's solve instances, each as one whole deficiency call,
           the unit the bench times: one Kernel.solve call per instance,
           from its counting bound to its cap, labels 1 and N pinned, plan
@@ -40,7 +41,6 @@ e.g.  git show HEAD:src/semdef/_dfs.c > /tmp/old.c
 from __future__ import annotations
 
 import argparse
-import ctypes
 import statistics
 import sys
 import tempfile
@@ -55,6 +55,7 @@ from semdef import _kernel  # noqa: E402
 from semdef.bounds import counting_lower_bound  # noqa: E402
 from semdef.graphs import FamilyDescriptor, make_family  # noqa: E402
 
+INIT = "PyInit__dfs"  # the init function of the kernel's module, semdef._dfs
 PINS = 2
 SOLVE_ROUNDS = 400  # rounds of the plans and the calls, each one pass per build
 LONG_ROUNDS = 10  # rounds of each long search
@@ -68,9 +69,14 @@ LONG = (
 
 
 def side(source: Path, out: Path) -> _kernel.Kernel:
-    """One build: source compiled to out, loaded and bound."""
-    _kernel.build(source, out)
-    return _kernel.bind(ctypes.CDLL(str(out)))
+    """One build: source compiled to out and loaded; exits 2, naming the
+    source, when it does not build or load as the kernel's module."""
+    try:
+        _kernel.build(source, out)
+        return _kernel.open_build(out)
+    except (OSError, ImportError) as exc:
+        print(f"{source} does not build or load as the kernel's module: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def solve_calls() -> list:
@@ -81,12 +87,12 @@ def solve_calls() -> list:
 
 
 def plan_run(kernel: _kernel.Kernel, graphs: list):
-    """() -> (seconds, fields): kernel builds the plans of graphs, timed, and
-    reads them back, untimed."""
+    """() -> (seconds, plans): kernel builds the plans of graphs, each read
+    back as a solver._Plan, timed."""
     def run():
         start = time.perf_counter()
         plans = [kernel.plan(g) for g in graphs]
-        return time.perf_counter() - start, [plan.fields() for plan in plans]
+        return time.perf_counter() - start, plans
     return run
 
 
@@ -162,9 +168,9 @@ def main(argv=None) -> int:
                     help="NEW changes a cut: require the same found flags and labels, "
                          "and print both node counts")
     args = ap.parse_args(argv)
-    lacking = [str(src) for src in (args.old, args.new) if "semdef_solve" not in src.read_text()]
+    lacking = [str(src) for src in (args.old, args.new) if INIT not in src.read_text()]
     if lacking:
-        print(f"no semdef_solve in {', '.join(lacking)}: both sources need it", file=sys.stderr)
+        print(f"no {INIT} in {', '.join(lacking)}: both sources need it", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         sides = [side(src, Path(tmp) / f"{name}.so") for name, src in
