@@ -15,14 +15,13 @@
  * be allocated) or -3 (the tables could not be).  solve returns that code,
  * the witness's label per vertex (None without one) and the nodes.
  *
- * semdef_plan builds a graph's search plan, solver._Plan field for field,
- * into one int buffer (the layout is given at semdef_plan); the module's
- * plan(p, edges) returns its fields as lists, for the tests and
- * tools/kernel_ab.py, which compare them with solver._plan.  semdef_solve
- * searches each filler count with search, which takes what _run_search
- * takes: the plan, n, the label count, and pins.  It derives the rest: q is
- * the plan's pstart[p], and position 0 takes labels 1..ceil(n / 2), the
- * complement cut.
+ * semdef_plan fills a Plan, a graph's search plan, solver._Plan field for
+ * field, its arrays in one allocation; the module's plan(p, edges) returns
+ * its fields as a dict of lists keyed by _Plan's field names, for the tests,
+ * which compare it with solver._plan.  semdef_solve searches each filler
+ * count with search, which takes what _run_search takes: the plan, n, the
+ * label count, and pins.  It derives the rest: q is the plan's pstart[p],
+ * and position 0 takes labels 1..ceil(n / 2), the complement cut.
  *
  * The file is one translation unit, the search, the plan builder and then
  * the Python glue, compiled into the module by one cc command with
@@ -112,25 +111,26 @@ INLINE uint64_t range(int k, int a, int b)
            (b < hi ? ~(uint64_t)0 >> (hi - b) : ~(uint64_t)0);
 }
 
-/* solver._Plan field for field, less order and with p, its length: the
-   arrays of semdef_plan's buffer, named as there. */
+/* solver._Plan field for field, with p, its length, as semdef_plan fills
+   it: the arrays lie in one allocation, which free(order) releases. */
 typedef struct {
     int p;                     /* vertices, one per order position */
-    const int *deg;            /* degree per order position, descending */
-    const int *pstart, *prior; /* prior-neighbour positions of position i:
+    int *order;                /* vertex per position */
+    int *deg;                  /* degree per order position, descending */
+    int *pstart, *prior;       /* prior-neighbour positions of position i:
                                   prior[pstart[i] .. pstart[i + 1]) */
-    const int *orbit_prev;     /* orbit predecessor, or -1: position i
+    int *orbit_prev;           /* orbit predecessor, or -1: position i
                                   takes a larger label than it */
-    const int *inner;          /* edges joining two positions >= i */
-    const int *ostart, *open;  /* positions < i with a neighbour >= i:
+    int *inner;                /* edges joining two positions >= i */
+    int *ostart, *open;        /* positions < i with a neighbour >= i:
                                   open[ostart[i] .. ostart[i + 1]) */
-    const int *cstart, *common; /* triples a, b, c of positions a < b < i
+    int *cstart, *common;      /* triples a, b, c of positions a < b < i
                                   with c >= 2 common neighbours >= i:
                                   common[cstart[i] .. cstart[i + 1]) */
 } Plan;
 
 typedef struct {
-    Plan plan;                 /* semdef_plan's buffer, unpacked */
+    Plan plan;                 /* the graph's, from semdef_plan */
     int q, n;                  /* edges, plan.pstart[plan.p]; labels 1..n */
     int ntop;                  /* position 0 takes labels 1..ntop, ceil(n / 2) */
     int pins;                  /* a witness uses the first pins of 1, n */
@@ -413,17 +413,6 @@ static int rec(Search *s, int idx, int lo, int hi, long long wsum)
     return 0;
 }
 
-/* The Plan of a semdef_plan buffer. */
-static Plan unpack(const int *plan)
-{
-    const int p = plan[0], *deg = plan + 1 + p, *pstart = deg + p, q = pstart[p];
-    const int *prior = pstart + p + 1, *orbit_prev = prior + q, *inner = orbit_prev + p,
-              *ostart = inner + p, *open = ostart + p + 1, *cstart = open + ostart[p];
-    const Plan pl = {p, deg, pstart, prior, orbit_prev, inner, ostart, open, cstart,
-                     cstart + p + 1};
-    return pl;
-}
-
 /* The bytes of a search's tables for p vertices and n labels, one block in
    this order: the completion rows, p - i entries per position i for minc and
    then for maxc; the four bitsets of Search, (2n + 64) / 64 words each; and
@@ -456,7 +445,7 @@ static int search(const Plan *pl, int n, int pins, void *block, int *lab_at, lon
     return found;
 }
 
-static int *semdef_plan(int p, int q, const int *edges);  /* the plan builder, below */
+static int semdef_plan(int p, int q, const int *edges, Plan *plan);  /* the plan builder, below */
 
 /* Searches the graph of p vertices and the q edges edges[2e], edges[2e + 1]
    at t = t0..t1 (p >= 1, p + t1 at most (INT_MAX - 64) / 2), the first
@@ -471,10 +460,9 @@ static int *semdef_plan(int p, int q, const int *edges);  /* the plan builder, b
 static int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins, int *lab,
                         long long *nodes)
 {
-    int *plan = semdef_plan(p, q, edges);
-    if (!plan)
+    Plan pl;
+    if (semdef_plan(p, q, edges, &pl) < 0)
         return -2;
-    const Plan pl = unpack(plan);
     int *lab_at = malloc((size_t)p * sizeof *lab_at), found = lab_at ? -1 : -3, room = 0;
     void *block = NULL;
     *nodes = 0;
@@ -491,10 +479,10 @@ static int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins
             found = t;
     }
     for (int i = 0; found >= 0 && i < p; i++)
-        lab[plan[1 + i]] = lab_at[i];  /* plan[1 + i] is order[i] */
+        lab[pl.order[i]] = lab_at[i];
     free(block);
     free(lab_at);
-    free(plan);
+    free(pl.order);
     return found;
 }
 
@@ -913,13 +901,10 @@ static long long common_pairs(const uint64_t *adj, int p, int w, uint64_t *cand,
     return n;
 }
 
-/* The plan of the graph with p vertices and the q edges edges[2e],
-   edges[2e + 1], in Graph.edges order, as one malloc'd buffer of
-   solver._Plan's fields in order after p:
-     p, order[p], deg[p], pstart[p + 1], prior[q], orbit_prev[p], inner[p],
-     ostart[p + 1], open[ostart[p]], cstart[p + 1], common[cstart[p]];
-   NULL when out of memory.  Free it with free. */
-static int *semdef_plan(int p, int q, const int *edges)
+/* Fills *plan with the plan of the graph with p vertices and the q edges
+   edges[2e], edges[2e + 1], in Graph.edges order, and returns 0; -1 when
+   out of memory.  free(plan->order) releases its arrays. */
+static int semdef_plan(int p, int q, const int *edges, Plan *plan)
 {
     const int w = p / 64 + 1;
     int *buf = NULL, *tmp = calloc(4 * ((size_t)p + 1), sizeof *tmp);
@@ -959,13 +944,13 @@ static int *semdef_plan(int p, int q, const int *edges)
     const long long triples = common_pairs(adj, p, w, cand, at, NULL);
     if (triples > (INT_MAX - 3) / 3)
         goto done;
-    buf = calloc(7 * (size_t)p + 4 + q + opens + 3 * (size_t)triples, sizeof *buf);
+    buf = calloc(7 * (size_t)p + 3 + q + opens + 3 * (size_t)triples, sizeof *buf);
     if (!buf)
         goto done;
-    int *order = buf + 1, *deg = order + p, *pstart = deg + p, *prior = pstart + p + 1,
+    int *order = buf, *deg = order + p, *pstart = deg + p, *prior = pstart + p + 1,
         *orbit_prev = prior + q, *inner = orbit_prev + p, *ostart = inner + p,
         *open = ostart + p + 1, *cstart = open + opens, *common = cstart + p + 1;
-    buf[0] = p;
+    *plan = (Plan){p, order, deg, pstart, prior, orbit_prev, inner, ostart, open, cstart, common};
     for (int v = 0; v < p; v++) {
         order[pos[v]] = v;
         deg[pos[v]] = vdeg[v];
@@ -1012,7 +997,7 @@ static int *semdef_plan(int p, int q, const int *edges)
 done:
     free(adj);
     free(tmp);
-    return buf;
+    return buf ? 0 : -1;
 }
 
 /* The Python glue: the module semdef._dfs */
@@ -1105,8 +1090,8 @@ static PyObject *py_solve(PyObject *module, PyObject *const *args, Py_ssize_t na
         return NULL;
     }
     if (!int_arg(args[0], "p", 1, MAX_LABELS, &p) ||
-        !int_arg(args[2], "t0", 0, MAX_LABELS - p + 1, &t0) ||
-        !int_arg(args[3], "t1", 0, MAX_LABELS - p, &t1) ||
+        !int_arg(args[2], "t0", 0, MAX_LABELS - p, &t0) ||
+        !int_arg(args[3], "t1", t0, MAX_LABELS - p, &t1) ||
         !int_arg(args[4], "pins", 0, INT_MAX, &pins))
         return NULL;
     int *edges = read_edges(args[1], p, &q), *lab = malloc((size_t)p * sizeof *lab);
@@ -1130,7 +1115,7 @@ static PyObject *py_solve(PyObject *module, PyObject *const *args, Py_ssize_t na
 
 static PyObject *py_plan(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int p, q;
+    int p, q, status;
     (void)module;
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError, "plan takes 2 arguments (p, edges)");
@@ -1138,30 +1123,25 @@ static PyObject *py_plan(PyObject *module, PyObject *const *args, Py_ssize_t nar
     }
     if (!int_arg(args[0], "p", 0, MAX_LABELS, &p))
         return NULL;
-    int *edges = read_edges(args[1], p, &q), *buf;
+    int *edges = read_edges(args[1], p, &q);
     if (!edges)
         return NULL;
+    Plan pl;
     Py_BEGIN_ALLOW_THREADS
-    buf = semdef_plan(p, q, edges);
+    status = semdef_plan(p, q, edges, &pl);
     Py_END_ALLOW_THREADS
     free(edges);
-    if (!buf)
+    if (status < 0)
         Py_RETURN_NONE;
-    /* the fields in semdef_plan's layout: p + more[k] entries, or, where
-       more[k] is -1, as many as the last entry of the field before says */
-    static const int more[] = {0, 0, 1, -1, 0, 0, 1, -1, 1, -1};
-    PyObject *fields = PyTuple_New(10);
-    const int *at = buf + 1;
-    for (int k = 0; fields && k < 10; k++) {
-        const int size = more[k] < 0 ? at[-1] : p + more[k];
-        PyObject *list = int_list(at, size);
-        if (!list)
-            Py_CLEAR(fields);
-        else
-            PyTuple_SET_ITEM(fields, k, list);
-        at += size;
-    }
-    free(buf);
+    /* solver._Plan's fields by name; Py_BuildValue releases each list
+       passed with N, and returns NULL when one is NULL */
+    PyObject *fields = Py_BuildValue(
+        "{sNsNsNsNsNsNsNsNsNsN}", "order", int_list(pl.order, p), "deg", int_list(pl.deg, p),
+        "pstart", int_list(pl.pstart, p + 1), "prior", int_list(pl.prior, pl.pstart[p]),
+        "orbit_prev", int_list(pl.orbit_prev, p), "inner", int_list(pl.inner, p),
+        "ostart", int_list(pl.ostart, p + 1), "open", int_list(pl.open, pl.ostart[p]),
+        "cstart", int_list(pl.cstart, p + 1), "common", int_list(pl.common, pl.cstart[p]));
+    free(pl.order);
     return fields;
 }
 
@@ -1171,8 +1151,8 @@ static PyMethodDef methods[] = {
      "vertices and Graph.edges searched at t = t0..t1 up to the first witness; t is -1\n"
      "when there is none, -2 when the plan and -3 when the tables could not be allocated."},
     {"plan", (PyCFunction)(void (*)(void))py_plan, METH_FASTCALL,
-     "plan(p, edges) -> the ten fields of solver._Plan as lists, or None when the plan\n"
-     "could not be allocated."},
+     "plan(p, edges) -> solver._Plan's fields as lists, keyed by their names, or None when\n"
+     "the plan could not be allocated."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -105,9 +105,9 @@ def _compile(target: Path) -> None:
 
 class Kernel(NamedTuple):
     """The compiled backend: solve(g, t0, t1, pins) with the arguments and
-    the result of solver._solve, its one search; and, for the tests and
-    tools/kernel_ab.py, plan(g) -> solver._Plan, to compare with
-    solver._plan."""
+    the result of solver._solve, its one search; and, for the tests,
+    plan(g) -> solver._Plan, built from the module's fields by name, to
+    compare with solver._plan."""
 
     plan: Callable
     solve: Callable
@@ -116,7 +116,8 @@ class Kernel(NamedTuple):
 # The most labels the kernel's solve takes: 2n + 64, the bits of its
 # bitsets, must fit a C int.  Kernel.solve searches up to it, and raises
 # SearchLimitError, naming it, when it finds no witness there and the call
-# asks for more.
+# asks for more, without calling the module when the first t asked for
+# already needs more.
 MAX_LABELS = (2**31 - 1 - 64) // 2
 
 # What the kernel could not allocate, by its solve's return code
@@ -142,19 +143,22 @@ def open_build(path: Path) -> Kernel:
         fields = make(g.vertex_count, g.edges)
         if fields is None:
             raise _limit(-2, g.vertex_count)
-        return _Plan(*fields)
+        return _Plan(**fields)
 
     def solve(g, t0: int, t1: int, pins: int):
         p = g.vertex_count
-        top = min(t1, MAX_LABELS - p)
-        t, labels, nodes = run(p, g.edges, min(t0, top + 1), top, pins)
-        if t < -1:
-            raise _limit(t, p)
-        if t == -1 and top < t1:
-            raise SearchLimitError(f"the search kernel takes at most MAX_LABELS = {MAX_LABELS} "
-                                   f"labels and found no witness up to them, but {p + t1} "
-                                   "were asked for")
-        return (t, labels, nodes) if t >= 0 else (None, None, nodes)
+        top = MAX_LABELS - p  # the greatest t the module searches
+        if t0 <= top:
+            t, labels, nodes = run(p, g.edges, t0, min(t1, top), pins)
+            if t < -1:
+                raise _limit(t, p)
+            if t >= 0:
+                return t, labels, nodes
+            if t1 <= top:
+                return None, None, nodes
+        raise SearchLimitError(f"the search kernel takes at most MAX_LABELS = {MAX_LABELS} "
+                               f"labels and found no witness up to them, but {p + t1} "
+                               "were asked for")
 
     return Kernel(plan, solve)
 

@@ -107,10 +107,10 @@ and pins, the number of the labels 1 and N pinned (1 for find_sem, 2 for
 deficiency), at most N = p + t.  _search re-verifies the witness once.  When
 _kernel.load() succeeds, the solve of the kernel's extension module runs
 the call: it reads g's edges as Graph.edges holds them, builds g's plan with
-semdef_plan, orbit links included, in the kernel's own layout (_orbits.py
-is never imported), allocates its tables, searches each t and returns the
-witness per vertex.  Otherwise _solve builds a _Plan with
-_plan once and runs _run_search per t.  Each search derives the rest from
+semdef_plan, orbit links included, as a C struct of _Plan's fields
+(_orbits.py is never imported), allocates its tables, searches each t and
+returns the witness per vertex.  Otherwise _solve builds a _Plan with _plan
+once and runs _run_search per t.  Each search derives the rest from
 (plan, N, pins): q, the plan's pstart[-1], and ceil(N/2), the first
 position's last label under the complement cut.  Both builders make the
 same plan, field for field, and both searches follow the same order,
@@ -191,15 +191,16 @@ class SearchOutcome(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """g's search plan, which depends on the graph alone, in the layout of
-    semdef_plan's buffer: per assignment position i, the vertex order[i]
-    (descending degree, ties by index), its degree deg[i], the positions of
-    its already-assigned neighbours prior[pstart[i] .. pstart[i + 1]), and
-    orbit_prev[i], the last earlier position whose stabilizer orbit holds
-    position i (-1 if none), whose label position i must exceed.  For the
-    window-support cut on entering position i: inner[i] edges join two
-    positions >= i, and open[ostart[i] .. ostart[i + 1]) are the positions
-    < i with a neighbour at a position >= i.  For the difference cut there:
+    """g's search plan, which depends on the graph alone, field for field
+    the Plan that _dfs.c's semdef_plan fills: per assignment position i,
+    the vertex order[i] (descending degree, ties by index), its degree
+    deg[i], the positions of its already-assigned neighbours
+    prior[pstart[i] .. pstart[i + 1]), and orbit_prev[i], the last earlier
+    position whose stabilizer orbit holds position i (-1 if none), whose
+    label position i must exceed.  For the window-support cut on entering
+    position i: inner[i] edges join two positions >= i, and
+    open[ostart[i] .. ostart[i + 1]) are the positions < i with a neighbour
+    at a position >= i.  For the difference cut there:
     common[cstart[i] .. cstart[i + 1]) holds the triples a, b, c, ascending
     by (a, b), of the positions a < b < i with c >= 2 common neighbours at
     positions >= i."""

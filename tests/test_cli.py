@@ -486,6 +486,24 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_solve_past_the_kernels_label_range_exits_4(capsys, tmp_path, monkeypatch):
+    # a graph of more vertices than the kernel's MAX_LABELS, under a
+    # --max-labels that admits it, meets the kernel's limit: exit 4, not the
+    # module's argument error, naming the p + 4 labels of the default cap;
+    # the Python backend, which would allocate gigabytes for it, is never run
+    if _kernel.load() is None:
+        pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
+    monkeypatch.setattr(solver, "_solve", lambda *args: pytest.fail("solve ran the Python backend"))
+    graph_path = tmp_path / "g.json"
+    run_cli("gen", "--family", "empty", "-n", "1100000000", "--json", str(graph_path),
+            capsys=capsys)
+    code, out, err = run_cli("solve", "--graph", str(graph_path), "--max-labels", "2000000000",
+                             capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == (f"limit: the search kernel takes at most MAX_LABELS = {_kernel.MAX_LABELS} "
+                   "labels and found no witness up to them, but 1100000004 were asked for\n")
+
+
 def test_negative_max_labels_is_a_usage_error(capsys, tmp_path):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps({"p": 3, "edges": [[0, 1], [1, 2]]}))

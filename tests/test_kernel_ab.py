@@ -1,7 +1,9 @@
 """tools/kernel_ab.py: the A/B tool's runners drive the kernel through its
-one search entry, and it refuses a source that is not the kernel's module."""
+one search entry, its rows say when the medians lie within OLD's noise, and
+it refuses a source that is not the kernel's module."""
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -24,8 +26,7 @@ def kernel_ab(monkeypatch):
 
 def test_runners_give_the_reference_results(kernel_ab, tmp_path):
     # kernel_ab's side for the package's source: its calls give solver._solve's
-    # t, witness per vertex and nodes on the bench's 12 solve instances, and
-    # its plans read back as solver._plan's
+    # t, witness per vertex and nodes on the bench's 12 solve instances
     if _kernel.load() is None:
         pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
     kernel = kernel_ab.side(_kernel.SOURCE, tmp_path / "_dfs.so")
@@ -33,9 +34,21 @@ def test_runners_give_the_reference_results(kernel_ab, tmp_path):
     _, results = kernel_ab.call_run(kernel, calls)()
     assert results == [solver._solve(g, t0, cap, kernel_ab.PINS) for g, t0, cap in calls]
     assert (len(results), sum(nodes for *_, nodes in results)) == (12, 98_891)
-    graphs = [g for g, *_ in calls]
-    _, fields = kernel_ab.plan_run(kernel, graphs)()
-    assert fields == [solver._plan(g) for g in graphs]
+
+
+@pytest.mark.parametrize("new_ms, noise", [(10.0, True), (10.5, True), (9.0, True),
+                                           (12.5, False), (7.5, False)])
+def test_row_within_old_quartile_spread_is_noise(kernel_ab, capsys, new_ms, noise):
+    # OLD's runs take 9, 10 and 11 ms in turn, so its median is 10 ms and
+    # its quartiles 9 and 11 ms; a NEW whose median lies within 2 ms of 10
+    # is marked as noise, one further off is not, and neither differs
+    old_ms = itertools.cycle([9.0, 10.0, 11.0])
+    runs = [lambda: (next(old_ms) / 1e3, [(None, None, 7)]),
+            lambda: (new_ms / 1e3, [(None, None, 7)])]
+    assert kernel_ab.compare("row", runs, 30)
+    row = capsys.readouterr().out
+    assert row.startswith("row") and "DIFFERS" not in row
+    assert row.rstrip().endswith("within noise") == noise, row
 
 
 def test_source_without_the_module_init_exits_2_unbuilt(kernel_ab, monkeypatch, tmp_path,
