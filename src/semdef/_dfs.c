@@ -1,5 +1,6 @@
-/* Compiled port of semdef.solver._solve: _plan, and _run_search per filler
- * count, as the CPython extension module semdef._dfs.
+/* Compiled port of semdef._reference, the solver's Python backend: _solve,
+ * its _plan and orbit_prev, and _run_search per filler count, as the
+ * CPython extension module semdef._dfs.
  *
  * The module's solve is the one search entry, and the solver calls it once
  * per find_sem or deficiency call, through semdef/_kernel.py:
@@ -18,7 +19,7 @@
  * semdef_plan fills a Plan, a graph's search plan, solver._Plan field for
  * field, its arrays in one allocation; the module's plan(p, edges) returns
  * its fields as a dict of lists keyed by _Plan's field names, for the tests,
- * which compare it with solver._plan.  semdef_solve searches each filler
+ * which compare it with _reference._plan.  semdef_solve searches each filler
  * count with search, which takes what _run_search takes: the plan, n, the
  * label count, and pins.  It derives the rest: q is the plan's pstart[p],
  * and position 0 takes labels 1..ceil(n / 2), the complement cut.
@@ -27,9 +28,9 @@
  * the Python glue, compiled into the module by one cc command with
  * _kernel.cflags() and Python's include directory.
  *
- * The plan follows _plan: the order and degrees, the prior, inner, open and
- * common lists, and the orbit links of _orbits.orbit_prev -- twins seeded
- * without a search, then a stabilizer chain from the last position up
+ * The plan follows _reference._plan: the order and degrees, the prior,
+ * inner, open and common lists, and the orbit links of orbit_prev -- twins
+ * seeded without a search, then a stabilizer chain from the last position up
  * (Puget, CP 2003), a union-find over positions holding the orbits of the
  * automorphisms found so far, and one forward-checking automorphism search
  * per candidate that degree and fixed neighbours cannot tell apart.  The
@@ -38,7 +39,7 @@
  * trail of the words it changed, so its memory grows with the changes, not
  * with depth times domains, and it touches, per later position not
  * adjacent to the one assigned, only the words that hold the image's
- * closed neighbourhood.  The links are those of _orbits.py, since both
+ * closed neighbourhood.  The links are those of orbit_prev, since both
  * compute the exact orbit of each position under the automorphisms that
  * fix the earlier ones, whichever automorphisms they find.  The common
  * lists come, like _plan's, from the pairs that share a later neighbour,
@@ -230,7 +231,7 @@ INLINE int supported(const Search *s, int idx, int a, int b)
 }
 
 /* Whether c free labels x with x + fa and x + fb unrealized can be found no
-   two of which differ by d = |fa - fb|, as solver._spread_reaches finds it.
+   two of which differ by d = |fa - fb|, as _reference._spread_reaches finds it.
    The most there are, from the set m of such labels, takes ceil(L / 2) of
    each maximal run x, x + d, ..., x + (L - 1)d in m, so it lies in
    ceil(|m| / 2)..|m|; between, each round counts the runs' first labels
@@ -486,7 +487,7 @@ static int semdef_solve(int p, int q, const int *edges, int t0, int t1, int pins
     return found;
 }
 
-/* The plan builder: solver._plan with the orbit links */
+/* The plan builder: _reference._plan with the orbit links */
 
 INLINE uint64_t bit(int i)
 {
@@ -735,7 +736,7 @@ static void unite(int *root, uint64_t *members, int w, int i, int j)
     }
 }
 
-/* _orbits.orbit_prev: for each position i, the greatest k < i such that an
+/* _reference.orbit_prev: for each position i, the greatest k < i such that an
    automorphism fixing positions 0..k-1 maps k to i, or -1, into out; adj
    holds the neighbour rows per position, w words each.  Returns 0, or -1
    when out of memory.  A stabilizer chain from the last position up: the

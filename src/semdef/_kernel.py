@@ -18,10 +18,11 @@ importlib.machinery.ExtensionFileLoader, and never entered in sys.modules;
 that path imports neither sysconfig nor subprocess, which only a build
 needs.  load() returns None when anything fails -- no compiler, no Python
 headers, a compile error, an unwritable directory, an import error -- and
-the solver then runs solver._solve, its Python reference.  When the kernel
-loads, each find_sem or deficiency call makes one call of the module's
-solve, the kernel's one search entry, which reads Graph.edges as it is and
-builds the plan too: _orbits is not imported.  Nothing is built at import:
+the solver then imports _reference and runs its _solve, the Python
+reference.  When the kernel loads, each find_sem or deficiency call makes
+one call of the module's solve, the kernel's one search entry, which reads
+Graph.edges as it is and builds the plan too: _reference is not imported,
+and this module reads solver._Plan without it.  Nothing is built at import:
 the solver imports this module once, at its first search, and load()
 builds or loads the kernel.
 """
@@ -105,9 +106,9 @@ def _compile(target: Path) -> None:
 
 class Kernel(NamedTuple):
     """The compiled backend: solve(g, t0, t1, pins) with the arguments and
-    the result of solver._solve, its one search; and, for the tests,
+    the result of _reference._solve, its one search; and, for the tests,
     plan(g) -> solver._Plan, built from the module's fields by name, to
-    compare with solver._plan."""
+    compare with _reference._plan."""
 
     plan: Callable
     solve: Callable

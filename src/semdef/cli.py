@@ -19,25 +19,16 @@ JSON goes to the --json path ('-' = stdout);
 with --json omitted, no JSON is written.  Human-readable summaries go to
 stdout, or to stderr when stdout is the JSON target; solver statistics go
 to stderr.
+
+Each subcommand imports the semdef modules it runs when it runs, so --help
+and a usage error import no other semdef module, gen only graphs, and verify
+only graphs and labeling.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from . import bounds as bounds_mod
-from . import constructions as cons
-from . import reproduce as reproduce_mod
-from .graphs import FAMILY_KINDS, FamilyDescriptor, Graph, SCHEMA, make_family, wheel_minus_spoke
-from .labeling import (
-    Rejection,
-    SemCertificate,
-    certificate_from_json_dict,
-    verify_sem,
-)
-from .solver import SearchLimitError, deficiency
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -51,6 +42,8 @@ TABLE_M_MAX = 6
 
 
 def _write_json(data: dict, path: str | None) -> None:
+    import json
+
     text = json.dumps(data, indent=2, sort_keys=False) + "\n"
     if path is None:
         return
@@ -69,6 +62,8 @@ def _summary_stream(json_path: str | None):
 def _read_json(path: str) -> dict:
     """The decoded JSON file at path.  Nesting too deep for the decoder is a
     ValueError, like malformed JSON, so main reports it as a usage error."""
+    import json
+
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -77,6 +72,8 @@ def _read_json(path: str) -> dict:
 
 
 def _family_arg(value: str) -> str:
+    from .graphs import FAMILY_KINDS
+
     if value not in FAMILY_KINDS:
         raise argparse.ArgumentTypeError(
             f"unknown family {value!r}; choose from {tuple(FAMILY_KINDS)}"
@@ -88,6 +85,8 @@ def _check_family_flags(args) -> None:
     """Reject flags the command would ignore: -n/-m with bounds --table, which
     reads --n-max/--m-max; --n-max/--m-max without it; -n on a family that
     takes no n; and -m on a family that takes no m."""
+    from .graphs import FAMILY_KINDS
+
     if getattr(args, "table", None):
         for flag, value in (("-n", args.n), ("-m", args.m)):
             if value is not None:
@@ -108,6 +107,8 @@ def _check_family_flags(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    from .graphs import FamilyDescriptor, make_family, wheel_minus_spoke
+
     _check_family_flags(args)
     if args.mid_spoke:
         if args.family != "wheel-minus-spoke":
@@ -122,7 +123,12 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _construct(args) -> cons.ConstructionResult:
+def _construct(args):
+    """The ConstructionResult that construct's flags name."""
+    from .constructions import CONSTRUCTIONS, construct_general_join
+    from .graphs import FAMILY_KINDS
+    from .labeling import Rejection, certificate_from_json_dict, verify_sem
+
     _check_family_flags(args)
     family = args.family
     needs_m, least_n = FAMILY_KINDS[family][:2]
@@ -133,16 +139,16 @@ def _construct(args) -> cons.ConstructionResult:
     if family != "generic-join":
         if args.base is not None:
             raise ValueError("--base applies only to --family generic-join")
-        if family not in cons.CONSTRUCTIONS:
+        if family not in CONSTRUCTIONS:
             raise ValueError(f"no construction for family {family!r}")
-        return cons.CONSTRUCTIONS[family][0](args.n, args.m)
+        return CONSTRUCTIONS[family][0](args.n, args.m)
     if args.base is None:
         raise ValueError("generic-join needs --base pointing at a SEM base certificate")
     graph, lab, _claimed = certificate_from_json_dict(_read_json(args.base))
     base = verify_sem(graph, lab)
     if isinstance(base, Rejection):
         raise ValueError(f"base certificate does not verify: {base.reason} ({base.detail})")
-    return cons.construct_general_join(base, args.m)
+    return construct_general_join(base, args.m)
 
 
 def _cmd_construct(args) -> int:
@@ -163,6 +169,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .graphs import Graph
+    from .labeling import Rejection, certificate_from_json_dict, verify_sem
+
     graph, lab, claimed = certificate_from_json_dict(_read_json(args.cert))
     if args.graph is not None:
         other = Graph.from_json_dict(_read_json(args.graph))
@@ -188,13 +197,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import family_bounds, family_grid
+    from .graphs import FamilyDescriptor
+
     _check_family_flags(args)
     if args.table:
         n_max = TABLE_N_MAX if args.n_max is None else args.n_max
         m_max = TABLE_M_MAX if args.m_max is None else args.m_max
         rows = [
-            (d.n, d.m, bounds_mod.family_bounds(d))
-            for d in bounds_mod.family_grid(args.family, n_max, m_max)
+            (d.n, d.m, family_bounds(d))
+            for d in family_grid(args.family, n_max, m_max)
         ]
         if args.table == "csv":
             print("family,n,m,lower,upper,lower_source,upper_source")
@@ -210,7 +222,7 @@ def _cmd_bounds(args) -> int:
                 upsrc = "-" if b.upper_source is None else b.upper_source
                 print(f"| {n} | {'-' if m is None else m} | {b.lower} | {up} | {b.lower_source} | {upsrc} |")
         return EXIT_OK
-    b = bounds_mod.family_bounds(FamilyDescriptor(args.family, n=args.n, m=args.m))
+    b = family_bounds(FamilyDescriptor(args.family, n=args.n, m=args.m))
     upper = "unknown (open)" if b.upper is None else f"{b.upper} ({b.upper_source})"
     print(f"{args.family} n={args.n}" + (f" m={args.m}" if args.m is not None else ""))
     print(f"  lower: {b.lower} ({b.lower_source})")
@@ -227,6 +239,10 @@ def _over_max_labels(labels: int, max_labels: int) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .bounds import counting_lower_bound
+    from .graphs import SCHEMA, Graph
+    from .solver import SearchLimitError, deficiency
+
     if args.max_labels < 0:
         raise ValueError(f"--max-labels must be >= 0, got {args.max_labels}")
     g = Graph.from_json_dict(_read_json(args.graph))
@@ -234,7 +250,7 @@ def _cmd_solve(args) -> int:
     # deficiency searches the filler counts t0..cap, with p + t labels each;
     # from `over` on they are more than --max-labels, so solve searches up
     # to over - 1 when the cap lies past it
-    t0 = 0 if p == 0 else bounds_mod.counting_lower_bound(p, g.q)
+    t0 = 0 if p == 0 else counting_lower_bound(p, g.q)
     over = args.max_labels - p + 1
     if over <= t0 <= args.cap:
         return _over_max_labels(p + t0, args.max_labels)
@@ -273,6 +289,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import reproduce as reproduce_mod
+
     report = reproduce_mod.run(selection=args.select)
     human = _summary_stream(args.json)
     for e in report.entries:

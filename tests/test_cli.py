@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semdef import _kernel, solver
+from semdef import _kernel, _reference
 from semdef.cli import main
 from semdef.labeling import certificate_from_json_dict
 
@@ -242,7 +242,7 @@ def test_solve_outcome_table(capsys, tmp_path, monkeypatch, family, cap, extra, 
     run_cli("gen", "--family", *family, "--json", str(graph_path), capsys=capsys)
     if "nodes=" not in err or "nodes=0" in err:  # no search, so no plan from either builder
         monkeypatch.setattr(_kernel, "load", lambda: pytest.fail("solve loaded the kernel"))
-        monkeypatch.setattr(solver, "_solve", lambda *args: pytest.fail("solve built a search plan"))
+        monkeypatch.setattr(_reference, "_solve", lambda *args: pytest.fail("solve built a search plan"))
     got = run_cli("solve", "--graph", str(graph_path), "--cap", str(cap), *extra, capsys=capsys)
     assert got[:2] == (code, out)
     assert re.sub(r" seconds=\S+ backend=\w+", "", got[2]) == err
@@ -493,7 +493,7 @@ def test_solve_past_the_kernels_label_range_exits_4(capsys, tmp_path, monkeypatc
     # the Python backend, which would allocate gigabytes for it, is never run
     if _kernel.load() is None:
         pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
-    monkeypatch.setattr(solver, "_solve", lambda *args: pytest.fail("solve ran the Python backend"))
+    monkeypatch.setattr(_reference, "_solve", lambda *args: pytest.fail("solve ran the Python backend"))
     graph_path = tmp_path / "g.json"
     run_cli("gen", "--family", "empty", "-n", "1100000000", "--json", str(graph_path),
             capsys=capsys)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semdef import _kernel, solver
+from semdef import _kernel, _reference
 
 
 @pytest.fixture
@@ -25,14 +25,14 @@ def kernel_ab(monkeypatch):
 
 
 def test_runners_give_the_reference_results(kernel_ab, tmp_path):
-    # kernel_ab's side for the package's source: its calls give solver._solve's
+    # kernel_ab's side for the package's source: its calls give _reference._solve's
     # t, witness per vertex and nodes on the bench's 12 solve instances
     if _kernel.load() is None:
         pytest.skip("the C kernel cannot be built here (no cc, or it fails)")
     kernel = kernel_ab.side(_kernel.SOURCE, tmp_path / "_dfs.so")
     calls = kernel_ab.solve_calls()
     _, results = kernel_ab.call_run(kernel, calls)()
-    assert results == [solver._solve(g, t0, cap, kernel_ab.PINS) for g, t0, cap in calls]
+    assert results == [_reference._solve(g, t0, cap, kernel_ab.PINS) for g, t0, cap in calls]
     assert (len(results), sum(nodes for *_, nodes in results)) == (12, 98_891)
 
 

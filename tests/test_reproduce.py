@@ -339,16 +339,16 @@ def _report_text(rep) -> str:
 
 
 def test_report_without_the_kernel_is_pinned(monkeypatch):
-    # where the kernel cannot be built, every plan comes from solver._plan
+    # where the kernel cannot be built, every plan comes from _reference._plan
     # and every search from _run_search, through the whole manifest; on a
     # machine with cc nothing else takes that path end to end
-    from semdef import _kernel, solver
+    from semdef import _kernel, _reference
 
     plans, searches = [], []
-    plan, search = solver._plan, solver._run_search
+    plan, search = _reference._plan, _reference._run_search
     monkeypatch.setattr(_kernel, "load", lambda: None)
-    monkeypatch.setattr(solver, "_plan", lambda g: plans.append(g) or plan(g))
-    monkeypatch.setattr(solver, "_run_search", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(_reference, "_plan", lambda g: plans.append(g) or plan(g))
+    monkeypatch.setattr(_reference, "_run_search", lambda *args: searches.append(args) or search(*args))
     assert _report_text(reproduce.run()) == GOLDEN.read_text()
     assert len(plans) > 20 and len(searches) >= len(plans)
 

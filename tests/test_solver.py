@@ -20,7 +20,7 @@ from semdef.graphs import (
     star,
     wheel_minus_spoke,
 )
-from semdef import _kernel, _orbits, reproduce, solver
+from semdef import _kernel, _reference, reproduce, solver
 from semdef.bounds import counting_lower_bound
 from semdef.labeling import Labeling, SemCertificate, verify_sem
 from semdef.manifest import CLAIMS
@@ -135,7 +135,7 @@ def test_deficiency_past_the_counting_bound_builds_no_plan(monkeypatch):
         pytest.fail("a kernel was loaded, or a plan built or searched, with no label to place")
 
     for name in ("_solve", "_plan", "_run_search"):
-        monkeypatch.setattr(solver, name, fail)
+        monkeypatch.setattr(_reference, name, fail)
     monkeypatch.setattr(_kernel, "load", fail)
     g = join(cycle(5), empty_graph(8))
     out = deficiency(g, 0)
@@ -243,7 +243,7 @@ def test_stats_populated():
 ], ids=["c8-join-1", "c4-join-2", "c3-u-c4", "star-200", "c3-join-4", "k13-join-4",
         "p3-u-2k1", "h9", "empty", "k1", "p2"])
 def test_search_order_orbit_links(g, order, orbit_prev):
-    got = solver._plan(g)
+    got = _reference._plan(g)
     assert (got.order, got.orbit_prev) == (order, orbit_prev)
     if g.vertex_count <= 7:
         assert orbit_prev == orbit_predecessors(g, order)
@@ -268,8 +268,8 @@ def _orbit_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(g=_orbit_case())
 def test_orbit_links_match_brute_force(g):
-    # both plan builders: _orbits.py, and the kernel's when it loads
-    plan = solver._plan(g)
+    # both plan builders: _reference.orbit_prev, and the kernel's when it loads
+    plan = _reference._plan(g)
     want = orbit_predecessors(g, plan.order)
     assert plan.orbit_prev == want, g
     if _kernel.load() is not None:
@@ -292,21 +292,21 @@ LARGE_PLAN_IDS = ["path-65", "cycle-129", "h64", "h130", "star-200", "path-70-jo
 
 @pytest.mark.parametrize("g", LARGE_PLANS, ids=LARGE_PLAN_IDS)
 def test_kernel_plan_equals_the_python_plan_past_one_word(c_backend, g):
-    assert _c_plan(g) == solver._plan(g)
+    assert _c_plan(g) == _reference._plan(g)
 
 
 def test_kernel_plans_equal_the_python_plans_on_the_bench_graphs(c_backend):
     graphs = _bench_inputs().solve_graphs()
     assert len(graphs) == 12
     for name, g in graphs.items():
-        assert _c_plan(g) == solver._plan(g), name
+        assert _c_plan(g) == _reference._plan(g), name
 
 
 def test_kernel_plans_equal_the_python_plans_on_the_manifest_graphs(monkeypatch, c_backend):
     graphs = {g for g, _, _ in _manifest_searches(monkeypatch)}
     assert len(graphs) > 10
     for g in graphs:
-        assert _c_plan(g) == solver._plan(g), g
+        assert _c_plan(g) == _reference._plan(g), g
 
 
 @pytest.mark.parametrize("g", [path(1000), cycle(300)], ids=["path-1000", "cycle-300"])
@@ -324,7 +324,7 @@ def test_kernel_plans_of_long_paths_and_cycles_are_fast(c_backend, g):
 @given(p=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
 def test_kernel_plan_equals_the_python_plan_on_random_graphs(c_backend, p, seed):
     g = random_graph(random.Random(seed), p)
-    assert _c_plan(g) == solver._plan(g), g
+    assert _c_plan(g) == _reference._plan(g), g
 
 
 @settings(max_examples=100, deadline=None,
@@ -332,10 +332,10 @@ def test_kernel_plan_equals_the_python_plan_on_random_graphs(c_backend, p, seed)
 @given(p=st.integers(0, 70), density=st.floats(0.7, 0.9), seed=st.integers(0, 2**32 - 1))
 def test_kernel_plan_equals_the_python_plan_on_dense_random_graphs(c_backend, p, density, seed):
     # many pairs with many common neighbours, so long common lists; nearer
-    # to complete graphs, _orbits.py can take minutes on one graph
+    # to complete graphs, _reference.orbit_prev can take minutes on one graph
     rng = random.Random(seed)
     g = Graph(p, [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < density])
-    assert _c_plan(g) == solver._plan(g), g
+    assert _c_plan(g) == _reference._plan(g), g
 
 
 @st.composite
@@ -366,17 +366,17 @@ def test_kernel_plan_equals_the_python_plan_on_twin_blow_ups(c_backend, g):
     # pass the other graphs here, whose non-injective maps that keep every
     # adjacency only merge twins already merged; on these (the example
     # among them) it links positions no automorphism links
-    assert _c_plan(g) == solver._plan(g), g
+    assert _c_plan(g) == _reference._plan(g), g
 
 
 def _backend_calls(monkeypatch, *searches):
     """The arguments (plan, n_total, pins) that _find passes to _run_search
     in each of searches, run without the kernel."""
     calls = []
-    run = solver._run_search
+    run = _reference._run_search
     with monkeypatch.context() as m:
         m.setattr(_kernel, "load", lambda: None)
-        m.setattr(solver, "_run_search", lambda *args: calls.append(args) or run(*args))
+        m.setattr(_reference, "_run_search", lambda *args: calls.append(args) or run(*args))
         for search in searches:
             search()
     return calls
@@ -387,7 +387,7 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
     # the index order and each position's prior neighbours are its earlier
     # neighbours
     g = join(cycle(4), empty_graph(2))
-    plan = solver._plan(g)
+    plan = _reference._plan(g)
     assert plan.order == [0, 1, 2, 3, 4, 5]
     assert plan.deg == [4] * 6
     assert plan.pstart == [0, 0, 1, 2, 4, 8, 12]
@@ -416,7 +416,7 @@ def test_plan_of_c4_plus_2k1(monkeypatch):
                            lambda: solver._search(k1, 1, 1, 2), lambda: solver._search(k1, 0, 0, 2))
     assert calls == [(plan, 8, 1), (plan, 8, 2),
                      # labels 1 and N are one label when N = 1
-                     (solver._plan(k1), 2, 2), (solver._plan(k1), 1, 1)]
+                     (_reference._plan(k1), 2, 2), (_reference._plan(k1), 1, 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,7 +428,7 @@ def test_plan_window_lists_match_their_definitions(p, seed):
     # cstart[i + 1]) the triples a, b, c, ascending by (a, b), of the
     # positions a < b < i with c >= 2 common neighbours at positions >= i
     g = random_graph(random.Random(seed), p)
-    plan = solver._plan(g)
+    plan = _reference._plan(g)
     pos = {v: i for i, v in enumerate(plan.order)}
     edges = [sorted((pos[u], pos[v])) for u, v in g.edges]
     nbrs = [{b for e in edges if a in e for b in e if b != a} for a in range(p)]
@@ -450,7 +450,7 @@ def test_plan_of_a_large_star_is_fast():
     # for this graph; the leaves are twins, so the orbit links need no
     # automorphism search
     start = time.perf_counter()
-    plan = solver._plan(star(6000))
+    plan = _reference._plan(star(6000))
     assert time.perf_counter() - start < 0.3
     assert (plan.ostart, plan.open) == ([0, *range(6001)], [0] * 6000)
 
@@ -460,7 +460,7 @@ def test_complement_cut_keeps_label_ceil_n_over_2(c_backend):
     # first, and every witness gives it label 3, so both backends must offer
     # position 0 the labels 1..ceil(5/2), not 1..floor(5/2)
     g = Graph(5, [(0, 3), (0, 4), (1, 2)])
-    assert solver._plan(g).order[0] == 0
+    assert _reference._plan(g).order[0] == 0
     res = _assert_same_search(g, 0)
     assert (_labels(res), res.nodes) == ((3, 1, 5, 2, 4), 40)
     assert _labels(res) == least_sem_labeling(g, 0)
@@ -683,16 +683,16 @@ def test_each_call_builds_the_plan_once(monkeypatch, search, ns, call):
     # and pins of call, whose searches share one _plan, from one orbit
     # computation
     g = join(cycle(4), empty_graph(2))
-    orbits, orbit_prev = [], _orbits.orbit_prev
-    solves, solve = [], solver._solve
-    monkeypatch.setattr(_orbits, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
-    monkeypatch.setattr(solver, "_solve", lambda *args: solves.append(args) or solve(*args))
+    orbits, orbit_prev = [], _reference.orbit_prev
+    solves, solve = [], _reference._solve
+    monkeypatch.setattr(_reference, "orbit_prev", lambda adj: orbits.append(adj) or orbit_prev(adj))
+    monkeypatch.setattr(_reference, "_solve", lambda *args: solves.append(args) or solve(*args))
     calls = _backend_calls(monkeypatch, lambda: search(g))
     assert (len(orbits), solves) == (1, [(g, *call)])
     assert [n for _, n, _ in calls] == ns
     assert all(plan is calls[0][0] for plan, *_ in calls)
     monkeypatch.undo()
-    assert calls[0][0] == solver._plan(g)
+    assert calls[0][0] == _reference._plan(g)
     # with it, one semdef_solve call, which builds the plan in C: no Python
     # plan, and the kernel's own plan is not called apart
     kernel = _kernel.load()
@@ -703,8 +703,8 @@ def test_each_call_builds_the_plan_once(monkeypatch, search, ns, call):
     fail = lambda *args: pytest.fail("a plan or a search outside the one kernel call")  # noqa: E731
     monkeypatch.setattr(_kernel, "load", lambda: _kernel.Kernel(
         fail, lambda *args: solves.append(args) or kernel.solve(*args)))
-    monkeypatch.setattr(solver, "_plan", fail)
-    monkeypatch.setattr(solver, "_solve", fail)
+    monkeypatch.setattr(_reference, "_plan", fail)
+    monkeypatch.setattr(_reference, "_solve", fail)
     out = search(g)
     assert (out.backend, solves) == ("c", [(g, *call)])
 
@@ -786,7 +786,7 @@ def test_backends_agree_on_the_bench_solve_calls(c_backend):
     calls = [(graphs[name], cap) for name, *_, cap in _bench_inputs().SOLVE_INSTANCES]
     calls = [(g, counting_lower_bound(g.vertex_count, g.q), cap) for g, cap in calls]
     got = [_kernel.load().solve(g, t0, cap, 2) for g, t0, cap in calls]
-    assert got == [solver._solve(g, t0, cap, 2) for g, t0, cap in calls]
+    assert got == [_reference._solve(g, t0, cap, 2) for g, t0, cap in calls]
     assert (len(got), sum(nodes for *_, nodes in got)) == (12, 98_891)
 
 
@@ -798,7 +798,7 @@ def test_backends_agree_on_the_manifest_solver_calls(monkeypatch, c_backend):
     kernel = _kernel.load()
     for g, t0, t1, pins, found in calls:
         got = kernel.solve(g, t0, t1, pins)
-        assert (got[0], got) == (found, solver._solve(g, t0, t1, pins)), (g, t0, t1, pins)
+        assert (got[0], got) == (found, _reference._solve(g, t0, t1, pins)), (g, t0, t1, pins)
 
 
 def test_kernel_plan_of_c4_plus_2k1(c_backend):
@@ -812,14 +812,14 @@ def test_kernel_plan_of_c4_plus_2k1(c_backend):
         [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3], [0, 0, 0, 3, 12, 30, 30],
         [0, 1, 2,
          0, 1, 2, 0, 2, 3, 1, 2, 2,
-         0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2]) == solver._plan(g)
+         0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2]) == _reference._plan(g)
 
 
 def test_deficiency_converts_its_plan_once(c_backend, child_env):
     # in a fresh interpreter, deficiency(C_4+2K_1, 6) hands the kernel the
     # graph once, in one semdef_solve call that builds the plan and searches
     # it at t = 2..6; the plan, orbit links included, comes from C, so
-    # _orbits is never imported, and neither is _kernel anew
+    # _reference is never imported, and neither is _kernel anew
     import subprocess
     import sys
 
@@ -834,7 +834,7 @@ def test_deficiency_converts_its_plan_once(c_backend, child_env):
             "del sys.modules['semdef._kernel']\n"
             "again = solver.deficiency(join(cycle(4), empty_graph(2)), 6)\n"
             "print(out.deficiency, out.nodes, out.backend, again.nodes, solves,\n"
-            "      'semdef._orbits' in sys.modules, 'semdef._kernel' in sys.modules)\n")
+            "      'semdef._reference' in sys.modules, 'semdef._kernel' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True, timeout=120).stdout
     assert out.split() == ["None", "1754", "c", "1754", "[(2,", "6,", "2),", "(2,", "6,", "2)]",
@@ -859,7 +859,7 @@ def test_window_support_checks_the_middle_forced_sums(c_backend):
     # differ by the difference of theirs (8 nodes and 10 without it).
     g = join(empty_graph(2), empty_graph(2))
     # at position 2 both placed labels are open and no edge joins 2 and 3
-    plan = solver._plan(g)
+    plan = _reference._plan(g)
     assert (plan.open[plan.ostart[2]:plan.ostart[3]], plan.inner[2]) == ([0, 1], 0)
     res = _assert_same_search(g, 0)
     assert (res.witness, res.nodes) == (None, 5)
@@ -876,7 +876,7 @@ def test_spread_is_the_largest_subset_without_the_difference(m, d, c):
     best = max(len(sub) for r in range(len(members) + 1)
                for sub in itertools.combinations(members, r)
                if all(y - x != d for x, y in itertools.combinations(sub, 2)))
-    assert solver._spread_reaches(m, d, c) == (best >= c)
+    assert _reference._spread_reaches(m, d, c) == (best >= c)
 
 
 def _prefix_states(g, t, labels):
@@ -884,7 +884,7 @@ def _prefix_states(g, t, labels):
     at N = p + t, the positions before it labelled by labels, labels per
     vertex: the position's triples, the labels per position, and the free
     labels and the realized sums as bitsets (bit x for x)."""
-    plan = solver._plan(g)
+    plan = _reference._plan(g)
     pos = {v: i for i, v in enumerate(plan.order)}
     at = [labels[v] for v in plan.order]
     for i in range(g.vertex_count):
@@ -906,7 +906,7 @@ def test_difference_cut_passes_every_prefix_of_a_witness(case):
     n_total = g.vertex_count + t
     for labels in (least, [n_total + 1 - x for x in least]):
         for state in _prefix_states(g, t, labels):
-            assert solver._differences_fit(*state), (g, t, labels)
+            assert _reference._differences_fit(*state), (g, t, labels)
 
 
 def test_difference_cut_prunes_a_prefix_of_c4():
@@ -917,7 +917,7 @@ def test_difference_cut_prunes_a_prefix_of_c4():
     cut = list(_prefix_states(g, 0, [1, 2, 3, 4]))[2]
     kept = list(_prefix_states(g, 0, [1, 4, 2, 3]))[2]
     assert cut[0] == kept[0] == [0, 1, 2]
-    assert not solver._differences_fit(*cut) and solver._differences_fit(*kept)
+    assert not _reference._differences_fit(*cut) and _reference._differences_fit(*kept)
 
 
 # Least witnesses of find_sem, pinned from the oracle, each lost by a
@@ -954,7 +954,7 @@ def _pinned_witnesses(kernel=None):
     return out
 
 
-# The difference cut with d + 1 for d, or c + 1 for c: as solver._spread_reaches
+# The difference cut with d + 1 for d, or c + 1 for c: as _reference._spread_reaches
 # wrappers, and as edits of _dfs.c's spread and of its call in rec.
 DIFFERENCE_CUT_MUTANTS = {
     "d-plus-1": (lambda spread: lambda m, d, c: spread(m, d + 1, c),
@@ -969,7 +969,7 @@ def test_difference_cut_mutants_lose_a_pinned_witness(monkeypatch, mutant):
     wrap, _, _ = DIFFERENCE_CUT_MUTANTS[mutant]
     want = [labels for _, _, labels in DIFFERENCE_CUT_WITNESSES]
     assert _pinned_witnesses() == want
-    monkeypatch.setattr(solver, "_spread_reaches", wrap(solver._spread_reaches))
+    monkeypatch.setattr(_reference, "_spread_reaches", wrap(_reference._spread_reaches))
     assert _pinned_witnesses() != want
 
 
@@ -1114,7 +1114,7 @@ def _assert_clean_child_searches(env, lib, searches):
     want = []
     for kind, g, t in searches:
         if kind == "plan":
-            want.append(list(map(list, solver._plan(g))))
+            want.append(list(map(list, _reference._plan(g))))
         else:
             r = find_sem(g, t) if kind == "find" else deficiency(g, t)
             want.append(["c", r.nodes, r.witness and list(r.witness.labeling.labels)])
@@ -1383,7 +1383,7 @@ def test_kernel_is_not_loaded_at_import(child_env):
 
     code = ("import sys, semdef, semdef.cli; "
             "print(*(m in sys.modules for m in "
-            "('semdef._kernel', 'semdef._orbits', 'ctypes', 'subprocess', 'multiprocessing')))")
+            "('semdef._kernel', 'semdef._reference', 'ctypes', 'subprocess', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env, check=True).stdout
     assert out.split() == ["False"] * 5
@@ -1438,7 +1438,7 @@ def test_kernel_raises_on_malformed_edges(c_backend, child_env):
     import sys
 
     code = ("import ast, json, sys, types\n"
-            "from semdef import _kernel, solver\n"
+            "from semdef import _kernel, _reference\n"
             "from semdef.graphs import path\n"
             "kernel = _kernel.load()\n"
             "out = []\n"
@@ -1451,8 +1451,8 @@ def test_kernel_raises_on_malformed_edges(c_backend, child_env):
             "        except Exception as exc:\n"
             "            out.append(type(exc).__name__)\n"
             "g = path(3)\n"
-            "print(json.dumps([out, kernel.plan(g) == solver._plan(g),\n"
-            "                  kernel.solve(g, 0, 1, 2) == solver._solve(g, 0, 1, 2)]))\n")
+            "print(json.dumps([out, kernel.plan(g) == _reference._plan(g),\n"
+            "                  kernel.solve(g, 0, 1, 2) == _reference._solve(g, 0, 1, 2)]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env, timeout=60,
                           input=repr([edges for _, edges, _ in MALFORMED_EDGES]))
